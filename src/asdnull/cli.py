@@ -23,19 +23,25 @@ from .expr import (
     ParseError,
     SampleConfig,
     Verdict,
+    evaluate,
     is_zero,
     is_zero_all,
     parse,
     to_text,
 )
 
+# builder -> (construct function, optional slots, required slots); the function
+# takes the optional slots, then the required ones, in this order.  It is looked
+# up by name at call time, so a wrapper installed on `construct` (as the traced
+# benchmark installs) sees the call.
 BUILDER_PARAMS = {
-    "nontwisting": (("A1", "A2", "A3", "beta", "P", "Q"), ()),
-    "twisting": (("A0", "A1", "A2", "A3"), ("G",)),
-    "fefferman": (("gamma", "delta", "rho", "sigma", "A0", "A1", "A2", "A3"), ()),
-    "ppwave": ((), ("Q",)),
-    "sparling_tod": ((), ("H",)),
-    "heavenly": ((), ("Theta",)),
+    "nontwisting": ("build_nontwisting", ("A1", "A2", "A3", "beta", "P", "Q"), ()),
+    "twisting": ("build_twisting", ("A0", "A1", "A2", "A3"), ("G",)),
+    "fefferman": ("build_fefferman_like",
+                  ("gamma", "delta", "rho", "sigma", "A0", "A1", "A2", "A3"), ()),
+    "ppwave": ("build_ppwave", (), ("Q",)),
+    "sparling_tod": ("build_sparling_tod", (), ("H",)),
+    "heavenly": ("build_heavenly", (), ("Theta",)),
 }
 
 TETRAD_KEYS = ("theta00p", "theta01p", "theta10p", "theta11p")
@@ -82,37 +88,20 @@ def _load_builder(doc) -> Model:
     name = doc.get("builder")
     if name not in BUILDER_PARAMS:
         raise InputError(f"unknown builder {name!r}")
-    optional, required = BUILDER_PARAMS[name]
+    builder, optional, required = BUILDER_PARAMS[name]
     raw = doc.get("params", {})
     for key in required:
         if key not in raw:
             raise InputError(f"builder {name!r} requires parameter {key!r}")
-    vals = {}
-    for key in optional:
-        vals[key] = _parse_expr(raw.get(key, "0"), f"params.{key}")
-    for key in required:
-        vals[key] = _parse_expr(raw[key], f"params.{key}")
+    args = [_parse_expr(raw.get(key, "0"), f"params.{key}") for key in optional + required]
     try:
-        if name == "nontwisting":
-            bg = construct.build_nontwisting(
-                vals["A1"], vals["A2"], vals["A3"], vals["beta"], vals["P"], vals["Q"])
-        elif name == "twisting":
-            bg = construct.build_twisting(
-                vals["A0"], vals["A1"], vals["A2"], vals["A3"], vals["G"])
-        elif name == "fefferman":
-            bg = construct.build_fefferman_like(
-                vals["gamma"], vals["delta"], vals["rho"], vals["sigma"],
-                vals["A0"], vals["A1"], vals["A2"], vals["A3"])
-        elif name == "ppwave":
-            bg = construct.build_ppwave(vals["Q"])
-        elif name == "sparling_tod":
-            bg = construct.build_sparling_tod(vals["H"])
-        else:
-            bg, hd = construct.build_heavenly(vals["Theta"])
-            return Model("builder", geometry=bg, proj=bg.proj, heavenly=hd)
+        built = getattr(construct, builder)(*args)
     except ExprError as ex:
         raise InputError(f"builder {name!r}: {ex}") from ex
-    return Model("builder", geometry=bg, proj=bg.proj)
+    if name == "heavenly":  # the one builder that also returns its equation data
+        bg, hd = built
+        return Model("builder", geometry=bg, proj=bg.proj, heavenly=hd)
+    return Model("builder", geometry=built, proj=built.proj)
 
 
 def _load_metric(doc) -> Model:
@@ -313,8 +302,6 @@ def cmd_invariants(m: Model, args, cfg) -> list[dict]:
 
 
 def _eval_float(e: Expr, at: Assignment) -> float:
-    from .expr import evaluate
-
     return float(evaluate(e, Assignment({k: float(v) for k, v in at.items()})))
 
 

@@ -22,7 +22,12 @@ from .expr import (
     is_zero_all,
 )
 from .projective import ProjectiveStructure
-from .spinor import NullTetrad, petrov_classify_samples, weyl_spinors
+from .spinor import (
+    NullTetrad,
+    classification_points,
+    petrov_classify_samples,
+    weyl_spinors,
+)
 from .tensor import (
     Chart,
     Metric,
@@ -71,9 +76,6 @@ class BuiltGeometry:
     def check_constraints(self, cfg: SampleConfig = SampleConfig()) -> list:
         return [(name, is_zero(expr, cfg)) for name, expr in self.constraints]
 
-    def constraints_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
-        return is_zero_all([e for _, e in self.constraints], cfg)
-
 
 @dataclass
 class HeavenlyData:
@@ -81,32 +83,22 @@ class HeavenlyData:
     residual: Expr  # Theta_YT - Theta_ZX + Theta_TT Theta_XX - Theta_XT^2
 
 
-def _metric_from_coframe(chart: Chart, coframe: list[OneForm]) -> Metric:
+def _tetrad_from_coframe(chart: Chart, coframe: list[OneForm]) -> NullTetrad:
+    """g = theta^00' theta^11' - theta^01' theta^10' with the coframe as its tetrad."""
     pp = pair_product(coframe[0], coframe[3])
     qq = pair_product(coframe[1], coframe[2])
-    return Metric(chart, [[pp[a][b] - qq[a][b] for b in range(4)] for a in range(4)])
+    g = Metric(chart, [[pp[a][b] - qq[a][b] for b in range(4)] for a in range(4)])
+    return NullTetrad(g, coframe)
 
 
 def family_coframe(chart: Chart, family: str, params: Mapping) -> list[OneForm]:
     """Coframe read-off from a displayed family factorization.  The assignment
     puts the Killing vector at e_{00'}, so iota = o = (1, 0)."""
-    p = {k: Expr(v) for k, v in params.items()}
+    if family not in _COFRAMES:
+        raise ExprError(f"unknown tetrad family {family!r}")
     if family == "flat":
-        return _nontwisting_coframe(chart, {k: Expr(0) for k in
-                                            ("beta", "A1", "A2", "A3", "P", "Q")})
-    if family == "nontwisting":
-        return _nontwisting_coframe(chart, p)
-    if family == "twisting":
-        return _twisting_coframe(chart, p)
-    if family == "fefferman":
-        return _fefferman_coframe(chart, p)
-    if family == "ppwave":
-        return _ppwave_coframe(chart, p)
-    if family == "sparling_tod":
-        return _sparling_coframe(chart, p)
-    if family == "heavenly":
-        return _heavenly_coframe(chart, p)
-    raise ExprError(f"unknown tetrad family {family!r}")
+        params = dict.fromkeys(("beta", "A1", "A2", "A3", "P", "Q"), 0)
+    return _COFRAMES[family](chart, {k: Expr(v) for k, v in params.items()})
 
 
 def _coerce_xy(name: str, value, extra=()) -> Expr:
@@ -139,11 +131,9 @@ def build_nontwisting(A1, A2, A3, beta, P, Q) -> BuiltGeometry:
     proj = ProjectiveStructure.build(
         ("x", "y"), [A0, params["A1"], params["A2"], params["A3"]]
     )
-    coframe = _nontwisting_coframe(chart, params)
-    g = _metric_from_coframe(chart, coframe)
-    tet = NullTetrad(g, coframe)
+    tet = _tetrad_from_coframe(chart, _nontwisting_coframe(chart, params))
     K = VectorField(chart, [1, 0, 0, 0])
-    return BuiltGeometry(g, tet, K, proj, "nontwisting", params, [])
+    return BuiltGeometry(tet.g, tet, K, proj, "nontwisting", params, [])
 
 
 def _nontwisting_coframe(chart: Chart, p) -> list[OneForm]:
@@ -189,12 +179,10 @@ def build_twisting(A0, A1, A2, A3, G,
     proj = ProjectiveStructure.build(
         ("x", "y"), [params["A0"], params["A1"], params["A2"], params["A3"]]
     )
-    coframe = _twisting_coframe(chart, params)
-    g = _metric_from_coframe(chart, coframe)
-    tet = NullTetrad(g, coframe)
+    tet = _tetrad_from_coframe(chart, _twisting_coframe(chart, params))
     K = VectorField(chart, [1, 0, 0, 0])
     residual = g_residual(A0, A1, A2, A3, G)
-    return BuiltGeometry(g, tet, K, proj, "twisting", params,
+    return BuiltGeometry(tet.g, tet, K, proj, "twisting", params,
                          [("transport", residual)])
 
 
@@ -269,6 +257,17 @@ def _heavenly_coframe(chart: Chart, p) -> list[OneForm]:
     ]
 
 
+_COFRAMES = {
+    "flat": _nontwisting_coframe,
+    "nontwisting": _nontwisting_coframe,
+    "twisting": _twisting_coframe,
+    "fefferman": _fefferman_coframe,
+    "ppwave": _ppwave_coframe,
+    "sparling_tod": _sparling_coframe,
+    "heavenly": _heavenly_coframe,
+}
+
+
 def build_fefferman_like(gamma, delta, rho, sigma, A0, A1, A2, A3) -> BuiltGeometry:
     """The G_zz = 1 twisting family with the gauge functions rho, sigma kept."""
     params = {
@@ -278,14 +277,12 @@ def build_fefferman_like(gamma, delta, rho, sigma, A0, A1, A2, A3) -> BuiltGeome
         "A2": _coerce_xy("A2", A2), "A3": _coerce_xy("A3", A3),
     }
     chart = Chart(CHART_TXYZ)
-    coframe = _fefferman_coframe(chart, params)
-    g = _metric_from_coframe(chart, coframe)
-    tet = NullTetrad(g, coframe)
+    tet = _tetrad_from_coframe(chart, _fefferman_coframe(chart, params))
     K = VectorField(chart, [1, 0, 0, 0])
     proj = ProjectiveStructure.build(
         ("x", "y"), [params["A0"], params["A1"], params["A2"], params["A3"]]
     )
-    return BuiltGeometry(g, tet, K, proj, "fefferman", params, [])
+    return BuiltGeometry(tet.g, tet, K, proj, "fefferman", params, [])
 
 
 def fefferman_typeN_check(bg: BuiltGeometry, cfg: SampleConfig = SampleConfig(),
@@ -302,10 +299,7 @@ def fefferman_typeN_check(bg: BuiltGeometry, cfg: SampleConfig = SampleConfig(),
     c2 = ga * a2 - 2 * a3 * de - ga.diff("y") + ro - 2 * a1 / 3
     conditions = is_zero_all([c1, c2], cfg)
     cu, _ = weyl_spinors(bg.g, bg.tet)
-    from .spinor import _sample_points
-
-    pts = _sample_points(sorted({n for c in cu.psi for n in c.free_symbols()}),
-                         cfg, points)
+    pts = classification_points(cu, cfg, points)
     consensus, _, mixed = petrov_classify_samples(cu, pts)
     return conditions, consensus, mixed
 
@@ -317,12 +311,10 @@ def build_ppwave(Q) -> BuiltGeometry:
     if bad:
         raise ExprError(f"Q must depend only on (X, Y), got {sorted(bad)}")
     chart = Chart(CHART_PLEB)
-    coframe = _ppwave_coframe(chart, {"Q": Qe})
-    g = _metric_from_coframe(chart, coframe)
-    tet = NullTetrad(g, coframe)
+    tet = _tetrad_from_coframe(chart, _ppwave_coframe(chart, {"Q": Qe}))
     K = VectorField(chart, [1, 0, 0, 0])
-    constraints = _ricci_constraints(g)
-    return BuiltGeometry(g, tet, K, None, "ppwave", {"Q": Qe}, constraints)
+    constraints = _ricci_constraints(tet.g)
+    return BuiltGeometry(tet.g, tet, K, None, "ppwave", {"Q": Qe}, constraints)
 
 
 def _ricci_constraints(g: Metric) -> list:
@@ -362,12 +354,10 @@ def build_sparling_tod(H) -> BuiltGeometry:
     s = Y * T - Z * X
     Hinst = He.substitute({"u": Expr(Y / s), "v": Expr(Z / s)}).sym
     W0 = sp.cancel(Hinst / s**3)
-    coframe = _sparling_coframe(chart, {"W0": Expr(W0)})
-    g = _metric_from_coframe(chart, coframe)
-    tet = NullTetrad(g, coframe)
+    tet = _tetrad_from_coframe(chart, _sparling_coframe(chart, {"W0": Expr(W0)}))
     K = VectorField(chart, [Z, Y, 0, 0])  # Y d_X + Z d_T in (T, X, Y, Z) order
-    constraints = _ricci_constraints(g) + _asd_constraints(g, tet)
-    return BuiltGeometry(g, tet, K, None, "sparling_tod",
+    constraints = _ricci_constraints(tet.g) + _asd_constraints(tet.g, tet)
+    return BuiltGeometry(tet.g, tet, K, None, "sparling_tod",
                          {"H": He, "W0": Expr(W0)}, constraints)
 
 
@@ -406,12 +396,10 @@ def build_heavenly(theta) -> tuple[BuiltGeometry, HeavenlyData]:
     thXX = sp.diff(ts, X, 2)
     thTX = sp.diff(ts, T, 1, X, 1)
     thTT = sp.diff(ts, T, 2)
-    coframe = _heavenly_coframe(chart, {"Theta": th})
-    g = _metric_from_coframe(chart, coframe)
-    tet = NullTetrad(g, coframe)
+    tet = _tetrad_from_coframe(chart, _heavenly_coframe(chart, {"Theta": th}))
     residual = Expr(sp.diff(ts, Y, 1, T, 1) - sp.diff(ts, Z, 1, X, 1)
                     + thTT * thXX - thTX**2)
-    bg = BuiltGeometry(g, tet, None, None, "heavenly", {"Theta": th},
+    bg = BuiltGeometry(tet.g, tet, None, None, "heavenly", {"Theta": th},
                        [("heavenly", residual)])
     return bg, HeavenlyData(th, residual)
 
@@ -422,7 +410,11 @@ def heavenly_two_forms(theta) -> tuple[TwoForm, TwoForm, TwoForm]:
     Sigma^{0'1'} = (theta^00' ^ theta^11' + theta^01' ^ theta^10')/2,
     Sigma^{1'1'} = theta^01' ^ theta^11'."""
     bg, _ = build_heavenly(theta)
-    th = [OneForm(bg.g.chart, bg.tet.theta[i]) for i in range(4)]
+    return _sigma_forms(bg.tet)
+
+
+def _sigma_forms(tet: NullTetrad) -> tuple[TwoForm, TwoForm, TwoForm]:
+    th = [OneForm(tet.chart, tet.theta[i]) for i in range(4)]
     s00 = wedge(th[0], th[2])
     s01 = (wedge(th[0], th[3]) + wedge(th[1], th[2])) * Expr(sp.Rational(1, 2))
     s11 = wedge(th[1], th[3])
@@ -439,7 +431,7 @@ def endomorphism_check(theta, cfg: SampleConfig = SampleConfig()) -> Verdict:
     """-I^2 = R^2 = S^2 = Id and IRS = Id for R, I, S built from the Sigma forms
     (S from the unsymmetrized o x iota form, i.e. 2 Sigma^{0'1'})."""
     bg, _ = build_heavenly(theta)
-    s00, s01, s11 = heavenly_two_forms(theta)
+    s00, s01, s11 = _sigma_forms(bg.tet)
     R = _endo(bg.g, s00 - s11)
     Iend = _endo(bg.g, s00 + s11)
     S = _endo(bg.g, s01 * Expr(2))
@@ -470,7 +462,7 @@ def sigma_pullback_residuals(theta) -> list[Expr]:
     chart = bg.g.chart
     T, X, Y, Z = chart.syms
     pi0, pi1 = sp.symbols("pi0 pi1")
-    s00, s01, s11 = heavenly_two_forms(theta)
+    s00, s01, s11 = _sigma_forms(bg.tet)
     sigma = (s00 * Expr(pi0**2) + s01 * Expr(2 * pi0 * pi1) + s11 * Expr(pi1**2))
     qt = -sp.diff(Expr(theta).sym, X, 2)
     dT = OneForm(chart, [1, 0, 0, 0])

@@ -19,7 +19,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import sympy as sp
 
@@ -42,6 +42,8 @@ __all__ = [
     "differentiate",
     "evaluate",
     "is_zero",
+    "normalize",
+    "random_points",
     "to_text",
 ]
 
@@ -50,6 +52,10 @@ _KERNEL_CLASSES = (sp.exp, sp.log, sp.sin, sp.cos)
 _BAD = (sp.zoo, sp.oo, -sp.oo, sp.nan)
 
 Number = Union[int, Fraction, float]
+
+# errors that make a sample point unusable (poles, domain errors); ExprError,
+# EvalError and numpy's LinAlgError are ValueErrors
+POINT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class ExprError(ValueError):
@@ -66,6 +72,11 @@ class ParseError(ExprError):
 
 class EvalError(ExprError):
     """Evaluation failed at a point (pole, log domain, unassigned symbol)."""
+
+
+def normalize(s: sp.Expr) -> sp.Expr:
+    """The one normal form: a single cancelled num/den over symbols and kernels."""
+    return sp.cancel(sp.together(s))
 
 
 def _check_finite(s: sp.Expr, context: str = "expression") -> sp.Expr:
@@ -106,15 +117,10 @@ class Expr:
     def normal(self) -> sp.Expr:
         """Canonical num/den rational form over symbols and kernel subterms."""
         if self._norm is None:
-            n = sp.cancel(sp.together(self._s))
+            n = normalize(self._s)
             _check_finite(n, "normal form")
             self._norm = n
         return self._norm
-
-    def normalized(self) -> "Expr":
-        e = Expr(self.normal)
-        e._norm = e._s
-        return e
 
     def is_proven_zero(self) -> bool:
         return self.normal is sp.S.Zero or self.normal == 0
@@ -615,11 +621,20 @@ class Verdict:
         return f"nonzero (value {self.value:.3e} at {pt})"
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    num = rng.randint(1, 97)
-    den = rng.randint(1, 97)
+def _random_rational(rng: random.Random, bound: int) -> Fraction:
+    num = rng.randint(1, bound)
+    den = rng.randint(1, bound)
     sign = 1 if rng.random() < 0.5 else -1
     return Fraction(sign * num, den)
+
+
+def random_points(names: Sequence[str], seed: int,
+                  bound: int = 97) -> Iterator[Assignment]:
+    """The one sampler: an endless seeded stream of rational points with
+    numerators and denominators in 1..bound."""
+    rng = random.Random(seed)
+    while True:
+        yield Assignment({nm: _random_rational(rng, bound) for nm in names})
 
 
 def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
@@ -643,7 +658,7 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
         return Verdict.nonzero(Assignment(), float(value))
     fnum = _compiled(sp.Tuple(*terms), names)
     fden = _compiled(sp.Tuple(*dterms), names)
-    rng = random.Random(cfg.seed)
+    points = random_points(names, cfg.seed)
     good = 0
     attempts = 0
     max_attempts = 10 * cfg.count
@@ -654,7 +669,7 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
                 f"sampling failed: could not find {cfg.count} regular points "
                 f"in {max_attempts} attempts"
             )
-        point = Assignment({nm: _random_rational(rng) for nm in names})
+        point = next(points)
         vals = [float(point[nm]) for nm in names]
         try:
             dparts = fden(*vals)
@@ -665,7 +680,7 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
             parts = fnum(*vals)
             value = sum(parts) / dval
             mag = sum(abs(p) for p in parts) / abs(dval)
-        except (ZeroDivisionError, OverflowError, ValueError):
+        except POINT_ERRORS:
             continue
         if any(math.isnan(x) or math.isinf(x) for x in (value, mag)):
             continue

@@ -12,12 +12,14 @@ half: it vanishes for anti-self-dual metrics.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
 
 from .expr import (
+    POINT_ERRORS,
     Assignment,
     Expr,
     ExprError,
@@ -26,19 +28,20 @@ from .expr import (
     evaluate,
     is_zero,
     is_zero_all,
+    normalize,
+    random_points,
 )
 from .quartic import RootStructure, quartic_root_structure
 from .tensor import (
-    Chart,
     Metric,
     OneForm,
     TensorField,
     TwoForm,
     VectorField,
     christoffels,
+    exterior_derivative_oneform,
     riemann_lower,
     _nested,
-    _norm,
 )
 
 __all__ = [
@@ -88,25 +91,19 @@ class NullTetrad:
             raise ExprError("a tetrad needs four one-forms")
         self.g = g
         self.chart = g.chart
-        self.theta = [[_norm(w.comps[a]) for a in _R] for w in coframe]
+        self.theta = [[normalize(w.comps[a]) for a in _R] for w in coframe]
         m = sp.Matrix(self.theta)
-        det = _norm(m.det(method="berkowitz"))
+        det = normalize(m.det(method="berkowitz"))
         if det == 0:
             raise ExprError("tetrad coframe is degenerate")
         adj = m.adjugate()
         # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
-        self.frame = [[_norm(adj[a, i] / det) for a in _R] for i in _R]
+        self.frame = [[normalize(adj[a, i] / det) for a in _R] for i in _R]
         self._coeff_cache: dict = {}
         if validate:
             v = self.reconstruction_verdict(cfg)
             if not v.is_zero():
                 raise ExprError(f"tetrad does not reconstruct the metric: {v}")
-
-    def coframe_form(self, A: int, Ap: int) -> OneForm:
-        return OneForm(self.chart, self.theta[_SLOT[A, Ap]])
-
-    def frame_vector(self, A: int, Ap: int) -> VectorField:
-        return VectorField(self.chart, self.frame[_SLOT[A, Ap]])
 
     def reconstruction_residuals(self) -> list[Expr]:
         th = self.theta
@@ -117,7 +114,7 @@ class NullTetrad:
             for b in range(a, 4):
                 rec = (s00[a] * s11[b] + s00[b] * s11[a]
                        - s01[a] * s10[b] - s01[b] * s10[a])
-                out.append(Expr(_norm(rec - self.g.comps[a][b])))
+                out.append(Expr(normalize(rec - self.g.comps[a][b])))
         return out
 
     def reconstruction_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
@@ -128,7 +125,7 @@ class NullTetrad:
         for i in _R:
             for j in _R:
                 v = sum(self.theta[i][a] * self.frame[j][a] for a in _R)
-                out.append(Expr(_norm(v - (1 if i == j else 0))))
+                out.append(Expr(normalize(v - (1 if i == j else 0))))
         return out
 
     def frame_metric_residuals(self) -> list[Expr]:
@@ -139,12 +136,12 @@ class NullTetrad:
                 i, j = _SLOT[A, Ap], _SLOT[B, Bp]
                 v = sum(self.g.comps[a][b] * self.frame[i][a] * self.frame[j][b]
                         for a in _R for b in _R)
-                out.append(Expr(_norm(v - _eps(A, B) * _eps(Ap, Bp))))
+                out.append(Expr(normalize(v - _eps(A, B) * _eps(Ap, Bp))))
         return out
 
     def vector_components(self, K: VectorField) -> list[list[sp.Expr]]:
         """K^{AA'} = theta^{AA'}(K)."""
-        return [[_norm(sum(self.theta[_SLOT[A, Ap]][a] * K.comps[a] for a in _R))
+        return [[normalize(sum(self.theta[_SLOT[A, Ap]][a] * K.comps[a] for a in _R))
                  for Ap in _R2] for A in _R2]
 
 
@@ -232,7 +229,7 @@ def standard_tetrad(g: Metric, family: str, params: dict) -> NullTetrad:
 def _frame_rank2(tet: NullTetrad, comps) -> list:
     """Project a covariant rank-2 coordinate tensor onto the tetrad frame."""
     E = tet.frame
-    return [[_norm(sum(E[i][a] * E[j][b] * comps[a][b] for a in _R for b in _R))
+    return [[normalize(sum(E[i][a] * E[j][b] * comps[a][b] for a in _R for b in _R))
              for j in _R] for i in _R]
 
 
@@ -244,16 +241,11 @@ def _frame_riemann(tet: NullTetrad) -> list:
     ep = [[[E[i][a] * E[j][b] - E[i][b] * E[j][a] for (a, b) in pairs]
            for j in _R] for i in _R]
     rp = [[rl[a][b][c][d] for (c, d) in pairs] for (a, b) in pairs]
-    out = _nested(4)
-    for i in _R:
-        for j in _R:
-            for k in _R:
-                for l in _R:
-                    out[i][j][k][l] = sp.S.Zero
+    out = _nested(4, sp.S.Zero)
     for i, j in pairs:
         for k, l in pairs:
-            val = _norm(sum(ep[i][j][m] * rp[m][n] * ep[k][l][n]
-                            for m in range(6) for n in range(6)))
+            val = normalize(sum(ep[i][j][m] * rp[m][n] * ep[k][l][n]
+                                for m in range(6) for n in range(6)))
             for (ii, jj, s1) in ((i, j, 1), (j, i, -1)):
                 for (kk, ll, s2) in ((k, l, 1), (l, k, -1)):
                     out[ii][jj][kk][ll] = s1 * s2 * val
@@ -300,16 +292,16 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
             for k in range(5):
                 idx = tuple([1] * k + [0] * (4 - k))
                 perms = set(itertools.permutations(idx))
-                psi.append(_norm(sum(tbl[p] for p in perms) / len(perms)))
+                psi.append(normalize(sum(tbl[p] for p in perms) / len(perms)))
             return psi
 
         psi_unprimed = sym4(v2)
         psi_primed = sym4(u2)
-        lam = _norm(sum(_eps(A, D) * _eps(B, C) * v2[(A, B, C, D)]
-                        for A, B, C, D in itertools.product(_R2, repeat=4)) / 6)
+        lam = normalize(sum(_eps(A, D) * _eps(B, C) * v2[(A, B, C, D)]
+                            for A, B, C, D in itertools.product(_R2, repeat=4)) / 6)
         phi = _nested(4)
         for A, B, Cp, Dp in itertools.product(_R2, repeat=4):
-            phi[A][B][Cp][Dp] = _norm(
+            phi[A][B][Cp][Dp] = normalize(
                 (w[(A, B, Cp, Dp)] + w[(B, A, Cp, Dp)]
                  + w[(A, B, Dp, Cp)] + w[(B, A, Dp, Cp)]) / 4
             )
@@ -347,33 +339,32 @@ def curvature_reassembly_residuals(g: Metric, tet: NullTetrad) -> list[Expr]:
                                - _eps(A, D) * _eps(B, C) * _eps(Ap, Dp) * _eps(Bp, Cp))
             )
             got = rf[_SLOT[A, Ap]][_SLOT[B, Bp]][_SLOT[C, Cp]][_SLOT[D, Dp]]
-            out.append(Expr(_norm(rec - got)))
+            out.append(Expr(normalize(rec - got)))
     return out
 
 
 # -- two-form decomposition ----------------------------------------------------------
 
 
-def decompose_two_form(tet: NullTetrad, F: TwoForm):
-    """F_ab -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in the tetrad."""
-    ff = _frame_rank2(tet, F.comps)
+def _split_frame_two_form(ff) -> tuple[list[Expr], list[Expr]]:
+    """Frame antisymmetric tensor -> ([phi_{0'0'}, phi_{0'1'}, phi_{1'1'}],
+    [psi_{00}, psi_{01}, psi_{11}])."""
 
     def FF(A, Ap, B, Bp):
         return ff[_SLOT[A, Ap]][_SLOT[B, Bp]]
 
-    phi = []
-    for Ap in _R2:
-        for Bp in range(Ap, 2):
-            val = sum(_eps(A, B) * FF(A, Ap, B, Bp) for A in _R2 for B in _R2) / 2
-            if (Ap, Bp) != (1, 0):
-                phi.append(Expr(_norm(val)))
-    psi = []
-    for A in _R2:
-        for B in range(A, 2):
-            val = sum(_eps(Ap, Bp) * FF(A, Ap, B, Bp) for Ap in _R2 for Bp in _R2) / 2
-            if (A, B) != (1, 0):
-                psi.append(Expr(_norm(val)))
+    phi = [Expr(normalize(sum(_eps(A, B) * FF(A, Ap, B, Bp)
+                              for A in _R2 for B in _R2) / 2))
+           for Ap, Bp in ((0, 0), (0, 1), (1, 1))]
+    psi = [Expr(normalize(sum(_eps(Ap, Bp) * FF(A, Ap, B, Bp)
+                              for Ap in _R2 for Bp in _R2) / 2))
+           for A, B in ((0, 0), (0, 1), (1, 1))]
     return phi, psi
+
+
+def decompose_two_form(tet: NullTetrad, F: TwoForm):
+    """F_ab -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in the tetrad."""
+    return _split_frame_two_form(_frame_rank2(tet, F.comps))
 
 
 def recompose_two_form(tet: NullTetrad, phi, psi) -> TwoForm:
@@ -389,7 +380,7 @@ def recompose_two_form(tet: NullTetrad, phi, psi) -> TwoForm:
         for a in _R:
             for b in _R:
                 comps[a][b] += val * th[i][a] * th[j][b]
-    return TwoForm(tet.chart, [[_norm(comps[a][b]) for b in _R] for a in _R])
+    return TwoForm(tet.chart, [[normalize(comps[a][b]) for b in _R] for a in _R])
 
 
 # -- spin coefficients ---------------------------------------------------------------
@@ -413,16 +404,16 @@ def spin_coefficients(g: Metric, tet: NullTetrad):
                                   + sum(gam[b][a][c] * E[j][c] for c in _R))
                        for a in _R) for b in _R]
             for k in _R:
-                nab[i][j][k] = _norm(sum(th[k][b] * cov[b] for b in _R))
+                nab[i][j][k] = normalize(sum(th[k][b] * cov[b] for b in _R))
     gu = [[[sp.S.Zero] * 2 for _ in _R2] for _ in _R]
     gp = [[[sp.S.Zero] * 2 for _ in _R2] for _ in _R]
     for i in _R:
         for Cc in _R2:
             for Ee in _R2:
-                gu[i][Cc][Ee] = _norm(
+                gu[i][Cc][Ee] = normalize(
                     sum(nab[i][_SLOT[Cc, Cp]][_SLOT[Ee, Cp]] for Cp in _R2) / 2
                 )
-                gp[i][Cc][Ee] = _norm(
+                gp[i][Cc][Ee] = normalize(
                     sum(nab[i][_SLOT[C, Cc]][_SLOT[C, Ee]] for C in _R2) / 2
                 )
     tet._coeff_cache[key] = (gu, gp, nab)
@@ -438,16 +429,14 @@ def spin_coefficient_residuals(g: Metric, tet: NullTetrad) -> list[Expr]:
             for Ee, Ep in itertools.product(_R2, repeat=2):
                 rec = (gu[i][C][Ee] * (1 if Cp == Ep else 0)
                        + gp[i][Cp][Ep] * (1 if C == Ee else 0))
-                out.append(Expr(_norm(rec - nab[i][_SLOT[C, Cp]][_SLOT[Ee, Ep]])))
-        # lowered symmetry Gamma_{i(CE)}
+                out.append(Expr(normalize(rec - nab[i][_SLOT[C, Cp]][_SLOT[Ee, Ep]])))
+        # lowered symmetry Gamma_{i(CE)}, unprimed then primed
         for C in _R2:
             for Ee in _R2:
-                low_ce = sum(gu[i][C][F] * _eps(F, Ee) for F in _R2)
-                low_ec = sum(gu[i][Ee][F] * _eps(F, C) for F in _R2)
-                out.append(Expr(_norm(low_ce - low_ec)))
-                lowp_ce = sum(gp[i][C][F] * _eps(F, Ee) for F in _R2)
-                lowp_ec = sum(gp[i][Ee][F] * _eps(F, C) for F in _R2)
-                out.append(Expr(_norm(lowp_ce - lowp_ec)))
+                for gam in (gu, gp):
+                    low_ce = sum(gam[i][C][F] * _eps(F, Ee) for F in _R2)
+                    low_ec = sum(gam[i][Ee][F] * _eps(F, C) for F in _R2)
+                    out.append(Expr(normalize(low_ce - low_ec)))
     return out
 
 
@@ -476,13 +465,13 @@ def petrov_classify_samples(w: WeylSpinor, points: list[Assignment],
     for pt in points:
         try:
             results.append(petrov_classify(w, pt, tol))
-        except Exception:
+        except POINT_ERRORS:
             continue
     if not results:
         raise ExprError("petrov classification failed at all sample points")
-    kinds = [r.type for r in results]
-    consensus = max(set(kinds), key=kinds.count)
-    return consensus, results, len(set(kinds)) > 1
+    votes = Counter(r.type for r in results)
+    consensus = votes.most_common(1)[0][0]  # ties go to the first type seen
+    return consensus, results, len(votes) > 1
 
 
 def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
@@ -491,7 +480,7 @@ def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
     i_inv = 2 * (p[0] * p[4] - 4 * p[1] * p[3] + 3 * p[2] ** 2)
     j_inv = 6 * (p[0] * p[2] * p[4] - p[0] * p[3] ** 2 - p[1] ** 2 * p[4]
                  + 2 * p[1] * p[2] * p[3] - p[2] ** 3)
-    return Expr(_norm(i_inv)), Expr(_norm(j_inv))
+    return Expr(normalize(i_inv)), Expr(normalize(j_inv))
 
 
 # -- Killing spinor data ---------------------------------------------------------------
@@ -501,64 +490,54 @@ def _nabla_K_lower(g: Metric, K: VectorField):
     x = g.chart.syms
     gam = christoffels(g).comps
     kl = [sum(g.comps[a][b] * K.comps[b] for b in _R) for a in _R]
-    return [[_norm(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in _R))
-             for b in _R] for a in _R], kl
+    return [[normalize(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in _R))
+             for b in _R] for a in _R]
+
+
+def _conformal_killing(g: Metric, K: VectorField):
+    """(residuals of nabla_(a K_b) - eta/2 g_ab, eta, nabla_a K_b)."""
+    x = g.chart.syms
+    gam = christoffels(g).comps
+    nk = _nabla_K_lower(g, K)
+    div = sum(sp.diff(K.comps[a], x[a]) for a in _R) + sum(
+        gam[a][a][b] * K.comps[b] for a in _R for b in _R
+    )
+    eta = normalize(div / 2)
+    out = []
+    for a in _R:
+        for b in range(a, 4):
+            out.append(Expr(normalize((nk[a][b] + nk[b][a]) / 2 - eta * g.comps[a][b] / 2)))
+    return out, Expr(eta), nk
 
 
 def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], Expr]:
     """(residuals of nabla_(a K_b) - eta/2 g_ab, eta)."""
-    x = g.chart.syms
-    gam = christoffels(g).comps
-    nk, _ = _nabla_K_lower(g, K)
-    div = sum(sp.diff(K.comps[a], x[a]) for a in _R) + sum(
-        gam[a][a][b] * K.comps[b] for a in _R for b in _R
-    )
-    eta = _norm(div / 2)
-    out = []
-    for a in _R:
-        for b in range(a, 4):
-            out.append(Expr(_norm((nk[a][b] + nk[b][a]) / 2 - eta * g.comps[a][b] / 2)))
-    return out, Expr(eta)
+    res, eta, _ = _conformal_killing(g, K)
+    return res, eta
 
 
 def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,
                       cfg: SampleConfig = SampleConfig()) -> KillingSpinorData:
-    res, eta = conformal_killing_residuals(g, K)
+    res, eta, nk = _conformal_killing(g, K)
     v = is_zero_all(res, cfg)
     if not v.is_zero():
         raise ExprError(f"K is not a conformal Killing vector: {v}")
-    nk, _ = _nabla_K_lower(g, K)
     fk = _frame_rank2(tet, nk)
-
-    def A2(A, Ap, B, Bp):  # antisymmetric part in the frame
-        return (fk[_SLOT[A, Ap]][_SLOT[B, Bp]] - fk[_SLOT[B, Bp]][_SLOT[A, Ap]]) / 2
-
-    phi = []
-    for Ap in _R2:
-        for Bp in range(Ap, 2):
-            val = sum(_eps(A, B) * A2(A, Ap, B, Bp) for A in _R2 for B in _R2) / 2
-            if (Ap, Bp) != (1, 0):
-                phi.append(Expr(_norm(val)))
-    psi = []
-    for A in _R2:
-        for B in range(A, 2):
-            val = sum(_eps(Ap, Bp) * A2(A, Ap, B, Bp) for Ap in _R2 for Bp in _R2) / 2
-            if (A, B) != (1, 0):
-                psi.append(Expr(_norm(val)))
-    data = KillingSpinorData(phi, psi, eta)
-    return data
+    antisym = [[(fk[i][j] - fk[j][i]) / 2 for j in _R] for i in _R]
+    phi, psi = _split_frame_two_form(antisym)
+    return KillingSpinorData(phi, psi, eta)
 
 
 def killing_reassembly_residuals(g: Metric, tet: NullTetrad, K: VectorField,
                                  data: KillingSpinorData) -> list[Expr]:
-    nk, _ = _nabla_K_lower(g, K)
+    nk = _nabla_K_lower(g, K)
     fk = _frame_rank2(tet, nk)
     out = []
     for A, Ap, B, Bp in itertools.product(_R2, repeat=4):
         rec = (data.phi_comp(Ap, Bp).sym * _eps(A, B)
                + data.psi_comp(A, B).sym * _eps(Ap, Bp)
                + data.eta.sym * _eps(A, B) * _eps(Ap, Bp) / 2)
-        out.append(Expr(_norm(rec - fk[_SLOT[A, Ap]][_SLOT[B, Bp]])))
+        out.append(Expr(normalize(rec - fk[_SLOT[A, Ap]][_SLOT[B, Bp]])))
     return out
 
 
@@ -566,7 +545,7 @@ def null_killing_factorize(g: Metric, tet: NullTetrad, K: VectorField,
                            cfg: SampleConfig = SampleConfig()):
     """K^{AA'} = iota^A o^{A'} for a null K."""
     kk = [sum(g.comps[a][b] * K.comps[a] * K.comps[b] for a in _R for b in _R)]
-    v = is_zero(Expr(_norm(kk[0])), cfg)
+    v = is_zero(Expr(normalize(kk[0])), cfg)
     if not v.is_zero():
         raise ExprError(f"K is not null: g(K,K) {v}")
     m = tet.vector_components(K)
@@ -581,8 +560,8 @@ def null_killing_factorize(g: Metric, tet: NullTetrad, K: VectorField,
     if pivot is None:
         raise ExprError("K vanishes at all sample points; cannot factorize")
     A0, B0 = pivot
-    iota = (Expr(_norm(m[0][B0])), Expr(_norm(m[1][B0])))
-    o = (Expr(_norm(m[A0][0] / m[A0][B0])), Expr(_norm(m[A0][1] / m[A0][B0])))
+    iota = (Expr(normalize(m[0][B0])), Expr(normalize(m[1][B0])))
+    o = (Expr(normalize(m[A0][0] / m[A0][B0])), Expr(normalize(m[A0][1] / m[A0][B0])))
     for A in _R2:
         for Ap in _R2:
             res = is_zero(iota[A] * o[Ap] - Expr(m[A][Ap]), cfg)
@@ -613,34 +592,29 @@ def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
     alg1 = sum(iu[a] * iu[b] * data.psi_comp(a, b).sym for a in _R2 for b in _R2)
     alg2 = sum(ou[a] * ou[b] * data.phi_comp(a, b).sym for a in _R2 for b in _R2)
 
-    gsf_u = []
-    for Bp in _R2:
-        val = sp.S.Zero
-        for A in _R2:
-            for B in _R2:
-                i = _SLOT[B, Bp]
-                cov = sum(E[i][a] * sp.diff(il[A], x[a]) for a in _R) - sum(
-                    gu[i][A][C] * il[C] for C in _R2
-                )
-                val += iu[A] * iu[B] * cov
-        gsf_u.append(val)
-    gsf_p = []
-    for B in _R2:
-        val = sp.S.Zero
-        for Ap in _R2:
-            for Bp in _R2:
-                i = _SLOT[B, Bp]
-                cov = sum(E[i][a] * sp.diff(ol[Ap], x[a]) for a in _R) - sum(
-                    gp[i][Ap][Cp] * ol[Cp] for Cp in _R2
-                )
-                val += ou[Ap] * ou[Bp] * cov
-        gsf_p.append(val)
+    def shear_free(up, low, gamma, slot):
+        # up^A up^B nabla_{slot(B, f)} low_A for each free index f of the other kind
+        out = []
+        for f in _R2:
+            val = sp.S.Zero
+            for A in _R2:
+                for B in _R2:
+                    i = slot(B, f)
+                    cov = sum(E[i][a] * sp.diff(low[A], x[a]) for a in _R) - sum(
+                        gamma[i][A][C] * low[C] for C in _R2
+                    )
+                    val += up[A] * up[B] * cov
+            out.append(val)
+        return out
+
+    gsf_u = shear_free(iu, il, gu, lambda B, f: _SLOT[B, f])
+    gsf_p = shear_free(ou, ol, gp, lambda Bp, f: _SLOT[f, Bp])
 
     return {
-        "iota.iota.psi": is_zero(Expr(_norm(alg1)), cfg),
-        "o.o.phi": is_zero(Expr(_norm(alg2)), cfg),
-        "iota_geodesic_shear_free": is_zero_all([Expr(_norm(v)) for v in gsf_u], cfg),
-        "o_geodesic_shear_free": is_zero_all([Expr(_norm(v)) for v in gsf_p], cfg),
+        "iota.iota.psi": is_zero(Expr(normalize(alg1)), cfg),
+        "o.o.phi": is_zero(Expr(normalize(alg2)), cfg),
+        "iota_geodesic_shear_free": is_zero_all([Expr(normalize(v)) for v in gsf_u], cfg),
+        "o_geodesic_shear_free": is_zero_all([Expr(normalize(v)) for v in gsf_p], cfg),
     }
 
 
@@ -651,7 +625,7 @@ def principal_direction_check(w: WeylSpinor, iota: SpinorField,
         iu[a] * iu[b] * iu[c] * iu[d] * w.component(a, b, c, d).sym
         for a, b, c, d in itertools.product(_R2, repeat=4)
     )
-    return is_zero(Expr(_norm(val)), cfg)
+    return is_zero(Expr(normalize(val)), cfg)
 
 
 def type_constraint_check(w: WeylSpinor, iota: SpinorField,
@@ -662,24 +636,18 @@ def type_constraint_check(w: WeylSpinor, iota: SpinorField,
         for d in range(c, 2):
             val = sum(iu[a] * iu[b] * w.component(a, b, c, d).sym
                       for a, b in itertools.product(_R2, repeat=2))
-            residuals.append(Expr(_norm(val)))
+            residuals.append(Expr(normalize(val)))
     return is_zero_all(residuals, cfg)
 
 
 # -- Szekeres obstruction ---------------------------------------------------------------
 
 
-def _sample_points(names, cfg: SampleConfig, n: int) -> list[Assignment]:
-    import random
-
-    rng = random.Random(cfg.seed + 1)
-    pts = []
-    for _ in range(n):
-        pts.append(Assignment(
-            {nm: Fraction(rng.randint(1, 9) * (1 if rng.random() < 0.5 else -1),
-                          rng.randint(1, 9)) for nm in names}
-        ))
-    return pts
+def classification_points(w: WeylSpinor, cfg: SampleConfig, n: int) -> list[Assignment]:
+    """n seeded points (stream seed + 1, entries p/q with 1 <= |p|, q <= 9) over
+    the symbols of the Weyl spinor, for pointwise Petrov classification."""
+    names = sorted({nm for c in w.psi for nm in c.free_symbols()})
+    return list(itertools.islice(random_points(names, cfg.seed + 1, 9), n))
 
 
 @dataclass
@@ -701,16 +669,17 @@ class SzekeresResult:
         return not self.verdict.is_zero()
 
 
+def _psi_l(w: WeylSpinor, *idx: int) -> sp.Expr:
+    """Psi_{ABCD} with all indices down."""
+    return w.component(*idx).sym
+
+
 def weyl_divergence_spinor(g: Metric, tet: NullTetrad) -> dict:
     """(div Psi)_{ABCD'} = nabla^D_{D'} Psi_{ABCD}; zero for vacuum (Bianchi)."""
     cu, _, _, _ = curvature_spinors(g, tet)
     gu, _, _ = spin_coefficients(g, tet)
     E = tet.frame
     x = g.chart.syms
-
-    def psi_l(a, b, c, d):
-        return cu.psi[a + b + c + d].sym
-
     div = {}
     for A, B, C in itertools.product(_R2, repeat=3):
         for Dp in _R2:
@@ -721,13 +690,13 @@ def weyl_divergence_spinor(g: Metric, tet: NullTetrad) -> dict:
                     if e == 0:
                         continue
                     i = _SLOT[Ee, Dp]
-                    nab = sum(E[i][a] * sp.diff(psi_l(A, B, C, D), x[a]) for a in _R)
-                    nab -= sum(gu[i][A][F] * psi_l(F, B, C, D) for F in _R2)
-                    nab -= sum(gu[i][B][F] * psi_l(A, F, C, D) for F in _R2)
-                    nab -= sum(gu[i][C][F] * psi_l(A, B, F, D) for F in _R2)
-                    nab -= sum(gu[i][D][F] * psi_l(A, B, C, F) for F in _R2)
+                    nab = sum(E[i][a] * sp.diff(_psi_l(cu, A, B, C, D), x[a]) for a in _R)
+                    nab -= sum(gu[i][A][F] * _psi_l(cu, F, B, C, D) for F in _R2)
+                    nab -= sum(gu[i][B][F] * _psi_l(cu, A, F, C, D) for F in _R2)
+                    nab -= sum(gu[i][C][F] * _psi_l(cu, A, B, F, D) for F in _R2)
+                    nab -= sum(gu[i][D][F] * _psi_l(cu, A, B, C, F) for F in _R2)
                     val += e * nab
-            div[(A, B, C, Dp)] = _norm(val)
+            div[(A, B, C, Dp)] = normalize(val)
     return div
 
 
@@ -738,13 +707,11 @@ def szekeres_obstruction(g: Metric, tet: NullTetrad,
     Raises when the Petrov type is N or O at every sample point (the
     elimination underlying the condition degenerates there)."""
     cu, _, _, _ = curvature_spinors(g, tet)
-    names = sorted({n for p in cu.psi for n in p.free_symbols()})
-    pts = _sample_points(names, cfg, 8)
     types = []
-    for pt in pts:
+    for pt in classification_points(cu, cfg, 8):
         try:
             types.append(petrov_classify(cu, pt).type)
-        except Exception:
+        except POINT_ERRORS:
             continue
     if types and all(t in ("N", "O") for t in types):
         raise ExprError(
@@ -754,28 +721,25 @@ def szekeres_obstruction(g: Metric, tet: NullTetrad,
     div = weyl_divergence_spinor(g, tet)
     i_inv, _ = scalar_invariants(cu)
 
-    def psi_l(a, b, c, d):
-        return cu.psi[a + b + c + d].sym
-
     def psi_up(a, b, c, d):
         sgn = 1
         for orig in (a, b, c, d):
             sgn *= 1 if orig == 0 else -1
-        return sgn * psi_l(1 - a, 1 - b, 1 - c, 1 - d)
+        return sgn * _psi_l(cu, 1 - a, 1 - b, 1 - c, 1 - d)
 
     # u^D_{D'} = Psi^{DPQR} (div Psi)_{PQR D'};  Psi^{DPQR} Psi_{PQRE} = (I/2) delta
     u = {}
     for D in _R2:
         for Dp in _R2:
-            u[(D, Dp)] = _norm(sum(
+            u[(D, Dp)] = normalize(sum(
                 psi_up(D, p, q, r) * div[(p, q, r, Dp)]
                 for p, q, r in itertools.product(_R2, repeat=3)
             ))
     e_spinor = {}
     for A, B, C, Dp in itertools.product(_R2, repeat=4):
-        e_spinor[(A, B, C, Dp)] = _norm(
+        e_spinor[(A, B, C, Dp)] = normalize(
             i_inv.sym * div[(A, B, C, Dp)]
-            - 2 * sum(psi_l(A, B, C, D) * u[(D, Dp)] for D in _R2)
+            - 2 * sum(_psi_l(cu, A, B, C, D) * u[(D, Dp)] for D in _R2)
         )
 
     th = tet.theta
@@ -790,7 +754,7 @@ def szekeres_obstruction(g: Metric, tet: NullTetrad,
                         continue
                     val += (coef * th[_SLOT[A, Ap]][a] * th[_SLOT[B, Bp]][b]
                             * th[_SLOT[C, Cp]][c])
-                elim[a][b][c] = _norm(val)
+                elim[a][b][c] = normalize(val)
     elim_field = TensorField(g.chart, "lll", elim)
     v_elim = elim_field.zero_verdict(cfg)
     if not v_elim.is_zero():
@@ -806,9 +770,7 @@ def szekeres_obstruction(g: Metric, tet: NullTetrad,
                 continue
             for a in _R:
                 comps[a] += low * th[_SLOT[Ee, Dp]][a]
-    from .tensor import exterior_derivative_oneform
-
-    oneform = OneForm(g.chart, [_norm(c) for c in comps])
+    oneform = OneForm(g.chart, [normalize(c) for c in comps])
     curl = exterior_derivative_oneform(oneform)
     v_curl = curl.zero_verdict(cfg)
     verdict = v_curl if not v_curl.is_zero() else (
@@ -821,28 +783,27 @@ def _solve_gradient_candidate(cu: WeylSpinor, div: dict, i_inv: Expr, u: dict,
                               cfg: SampleConfig):
     """Solve (div Psi)_{ABCD'} = Ups^D_{D'} Psi_{ABCD} for Ups (defined up to
     the constant absorbed from the conformal weight, which drops in the curl)."""
-
-    def psi_l(a, b, c, d):
-        return cu.psi[a + b + c + d].sym
-
     if not is_zero(i_inv, cfg).is_zero():
-        return {k: _norm(2 * val / i_inv.sym) for k, val in u.items()}
+        return {k: normalize(2 * val / i_inv.sym) for k, val in u.items()}
     # I = 0 (type III): pick an invertible 2x2 row minor of the 4x2 system
     rows = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
     for r1, r2 in itertools.combinations(rows, 2):
-        det = _norm(psi_l(*r1, 0) * psi_l(*r2, 1) - psi_l(*r1, 1) * psi_l(*r2, 0))
+        det = normalize(_psi_l(cu, *r1, 0) * _psi_l(cu, *r2, 1)
+                        - _psi_l(cu, *r1, 1) * _psi_l(cu, *r2, 0))
         if det == 0 or is_zero(Expr(det), cfg).is_zero():
             continue
         ups = {}
         for Dp in _R2:
             b1, b2 = div[(*r1, Dp)], div[(*r2, Dp)]
-            ups[(0, Dp)] = _norm((b1 * psi_l(*r2, 1) - b2 * psi_l(*r1, 1)) / det)
-            ups[(1, Dp)] = _norm((psi_l(*r1, 0) * b2 - psi_l(*r2, 0) * b1) / det)
+            ups[(0, Dp)] = normalize(
+                (b1 * _psi_l(cu, *r2, 1) - b2 * _psi_l(cu, *r1, 1)) / det)
+            ups[(1, Dp)] = normalize(
+                (_psi_l(cu, *r1, 0) * b2 - _psi_l(cu, *r2, 0) * b1) / det)
         # consistency on the remaining rows
         for r in rows:
             for Dp in _R2:
-                res = _norm(sum(psi_l(*r, D) * ups[(D, Dp)] for D in _R2)
-                            - div[(*r, Dp)])
+                res = normalize(sum(_psi_l(cu, *r, D) * ups[(D, Dp)] for D in _R2)
+                                - div[(*r, Dp)])
                 if not is_zero(Expr(res), cfg).is_zero():
                     raise ExprError("gradient candidate solve is inconsistent")
         return ups

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import sympy as sp
 
-from .expr import Expr, ExprError, SampleConfig, Verdict, is_zero, is_zero_all
+from .expr import Expr, ExprError, SampleConfig, Verdict, is_zero_all, normalize
 
 __all__ = [
     "Chart",
@@ -35,17 +35,12 @@ __all__ = [
     "lie_derivative_metric",
     "twist_three_form",
     "conformal_rescale",
-    "covariant_derivative_vector",
     "pair_product",
     "wedge",
     "exterior_derivative_oneform",
 ]
 
 _R = range(4)
-
-
-def _norm(s: sp.Expr) -> sp.Expr:
-    return sp.cancel(sp.together(s))
 
 
 def _sym(v) -> sp.Expr:
@@ -124,10 +119,6 @@ class VectorField(TensorField):
         chart.require_dim(4)
         super().__init__(chart, "u", [_sym(c) for c in comps])
 
-    def apply_to(self, f: Expr) -> Expr:
-        s = _sym(f)
-        return Expr(sum(self.comps[a] * sp.diff(s, self.chart.syms[a]) for a in _R))
-
 
 class OneForm(TensorField):
     def __init__(self, chart: Chart, comps: Sequence):
@@ -191,13 +182,8 @@ class Metric:
     def __init__(self, chart: Chart, comps):
         chart.require_dim(4)
         self.chart = chart
-        rows = [[_norm(_sym(comps[a][b])) for b in _R] for a in _R]
-        for a in _R:
-            for b in _R:
-                if rows[a][b] != rows[b][a]:
-                    # upper triangle is authoritative
-                    rows[b][a] = rows[a][b] if b > a else rows[b][a]
-        for a in _R:
+        rows = [[normalize(_sym(comps[a][b])) for b in _R] for a in _R]
+        for a in _R:  # upper triangle is authoritative
             for b in range(a + 1, 4):
                 rows[b][a] = rows[a][b]
         self.comps = rows
@@ -215,25 +201,18 @@ class Metric:
     @property
     def det(self) -> Expr:
         def compute():
-            return _norm(sp.Matrix(self.comps).det(method="berkowitz"))
+            return normalize(sp.Matrix(self.comps).det(method="berkowitz"))
         return Expr(self._memo("det", compute))
 
     @property
     def inverse(self) -> list:
         def compute():
-            m = sp.Matrix(self.comps)
-            det = self._memo("det", lambda: _norm(m.det(method="berkowitz")))
+            det = self.det.sym
             if det == 0:
                 raise ExprError("metric is degenerate: det normalizes to zero")
-            adj = m.adjugate()
-            return [[_norm(adj[a, b] / det) for b in _R] for a in _R]
+            adj = sp.Matrix(self.comps).adjugate()
+            return [[normalize(adj[a, b] / det) for b in _R] for a in _R]
         return self._memo("inv", compute)
-
-    def nondegenerate_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
-        v = is_zero(self.det, cfg)
-        if v.is_zero():
-            raise ExprError("metric is degenerate (determinant vanishes)")
-        return v
 
     def signature_at(self, point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts at a sample point."""
@@ -301,7 +280,7 @@ def christoffels(g: Metric) -> TensorField:
         for a in _R:
             for b in _R:
                 for c in range(b, 4):
-                    v = _norm(out[a][b][c] / 2)
+                    v = normalize(out[a][b][c] / 2)
                     out[a][b][c] = v
                     out[a][c][b] = v
         return TensorField(g.chart, "ull", out)
@@ -315,14 +294,7 @@ def riemann(g: Metric) -> TensorField:
     def compute():
         x = g.chart.syms
         gam = christoffels(g).comps
-        out = _nested(4)
-        for a in _R:
-            for b in _R:
-                for c in _R:
-                    for d in _R:
-                        if c >= d:
-                            out[a][b][c][d] = sp.S.Zero
-            # antisymmetry in (c,d): fill c<d then mirror
+        out = _nested(4, sp.S.Zero)  # fill c < d, then mirror (antisymmetry)
         for a in _R:
             for b in _R:
                 for c in _R:
@@ -330,7 +302,7 @@ def riemann(g: Metric) -> TensorField:
                         val = sp.diff(gam[a][d][b], x[c]) - sp.diff(gam[a][c][b], x[d])
                         for e in _R:
                             val += gam[a][c][e] * gam[e][d][b] - gam[a][d][e] * gam[e][c][b]
-                        val = _norm(val)
+                        val = normalize(val)
                         out[a][b][c][d] = val
                         out[a][b][d][c] = -val
         return TensorField(g.chart, "ulll", out)
@@ -343,17 +315,12 @@ def riemann_lower(g: Metric) -> TensorField:
 
     def compute():
         r = riemann(g).comps
-        out = _nested(4)
-        for a in _R:
-            for b in _R:
-                for c in _R:
-                    for d in _R:
-                        out[a][b][c][d] = sp.S.Zero
+        out = _nested(4, sp.S.Zero)
         for a in _R:
             for b in _R:
                 for c in _R:
                     for d in range(c + 1, 4):
-                        val = _norm(sum(g.comps[a][e] * r[e][b][c][d] for e in _R))
+                        val = normalize(sum(g.comps[a][e] * r[e][b][c][d] for e in _R))
                         out[a][b][c][d] = val
                         out[a][b][d][c] = -val
         return TensorField(g.chart, "llll", out)
@@ -369,7 +336,7 @@ def ricci(g: Metric) -> TensorField:
         out = [[sp.S.Zero] * 4 for _ in _R]
         for b in _R:
             for d in range(b, 4):
-                val = _norm(sum(r[a][b][a][d] for a in _R))
+                val = normalize(sum(r[a][b][a][d] for a in _R))
                 out[b][d] = val
                 out[d][b] = val
         return TensorField(g.chart, "ll", out)
@@ -381,7 +348,7 @@ def scalar_curvature(g: Metric) -> Expr:
     def compute():
         ric = ricci(g).comps
         ginv = g.inverse
-        return _norm(sum(ginv[b][d] * ric[b][d] for b in _R for d in _R))
+        return normalize(sum(ginv[b][d] * ric[b][d] for b in _R for d in _R))
 
     return Expr(g._memo("scalar_curvature", compute))
 
@@ -394,12 +361,7 @@ def weyl(g: Metric) -> TensorField:
         ric = ricci(g).comps
         s = scalar_curvature(g).sym
         gg = g.comps
-        out = _nested(4)
-        for a in _R:
-            for b in _R:
-                for c in _R:
-                    for d in _R:
-                        out[a][b][c][d] = sp.S.Zero
+        out = _nested(4, sp.S.Zero)
         for a in _R:
             for b in _R:
                 for c in _R:
@@ -410,7 +372,7 @@ def weyl(g: Metric) -> TensorField:
                                + gg[b][d] * ric[a][c] - gg[b][c] * ric[a][d]) / 2
                             + s * (gg[a][c] * gg[b][d] - gg[a][d] * gg[b][c]) / 6
                         )
-                        val = _norm(val)
+                        val = normalize(val)
                         out[a][b][c][d] = val
                         out[a][b][d][c] = -val
         return TensorField(g.chart, "llll", out)
@@ -429,22 +391,12 @@ def weyl_mixed(g: Metric) -> TensorField:
             for b in _R:
                 for c in _R:
                     for d in _R:
-                        out[a][b][c][d] = _norm(
+                        out[a][b][c][d] = normalize(
                             sum(ginv[a][e] * cw[e][b][c][d] for e in _R)
                         )
         return TensorField(g.chart, "ulll", out)
 
     return g._memo("weyl_mixed", compute)
-
-
-def covariant_derivative_vector(g: Metric, v: VectorField) -> TensorField:
-    """(nabla_a v)^b."""
-    x = g.chart.syms
-    gam = christoffels(g).comps
-    out = [[_norm(sp.diff(v.comps[b], x[a])
-                  + sum(gam[b][a][c] * v.comps[c] for c in _R))
-            for b in _R] for a in _R]
-    return TensorField(g.chart, "lu", out)
 
 
 def metric_compatibility_residuals(g: Metric) -> list[Expr]:
@@ -459,7 +411,7 @@ def metric_compatibility_residuals(g: Metric) -> list[Expr]:
                     gam[e][c][a] * g.comps[e][b] + gam[e][c][b] * g.comps[a][e]
                     for e in _R
                 )
-                out.append(Expr(_norm(val)))
+                out.append(Expr(normalize(val)))
     return out
 
 
@@ -472,7 +424,7 @@ def lie_derivative_metric(g: Metric, k: VectorField) -> TensorField:
             val = sum(k.comps[c] * sp.diff(g.comps[a][b], x[c]) for c in _R)
             val += sum(g.comps[c][b] * sp.diff(k.comps[c], x[a]) for c in _R)
             val += sum(g.comps[a][c] * sp.diff(k.comps[c], x[b]) for c in _R)
-            val = _norm(val)
+            val = normalize(val)
             out[a][b] = val
             out[b][a] = val
     return TensorField(g.chart, "ll", out)
@@ -490,7 +442,7 @@ def twist_three_form(g: Metric, k: VectorField) -> ThreeForm:
     for a in _R:
         for b in _R:
             for c in _R:
-                comps[a][b][c] = _norm(
+                comps[a][b][c] = normalize(
                     kf.comps[a] * dk.comps[b][c]
                     + kf.comps[b] * dk.comps[c][a]
                     + kf.comps[c] * dk.comps[a][b]

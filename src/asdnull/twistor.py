@@ -9,14 +9,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import sympy as sp
 
-from .expr import Assignment, Expr, ExprError, SampleConfig, Verdict, is_zero, is_zero_all
+from .expr import (
+    POINT_ERRORS,
+    Expr,
+    ExprError,
+    SampleConfig,
+    Verdict,
+    _compiled,
+    is_zero,
+    is_zero_all,
+    normalize,
+    random_points,
+)
 from .spinor import killing_decompose, spin_coefficients, _SLOT, _eps, _R2
-from .tensor import _norm
 
 __all__ = [
     "FIBRE",
@@ -68,8 +77,10 @@ def _pi_poly(lam):
 
 def lax_pair(bg) -> LaxPair:
     """L_A = pi^{A'} (e_{AA'} - Gamma_{AA'B'}^{C'} pi^{B'} d/dpi^{C'}),
-    projectivized to the affine fibre coordinate."""
+    projectivized to the affine fibre coordinate; memoized on the tetrad."""
     g, tet = bg.g, bg.tet
+    if "lax_pair" in tet._coeff_cache:
+        return tet._coeff_cache["lax_pair"]
     lam = sp.Symbol(FIBRE)
     _, gp, _ = spin_coefficients(g, tet)
     E = tet.frame
@@ -82,9 +93,10 @@ def lax_pair(bg) -> LaxPair:
             for Ap in _R2:
                 for Bp in _R2:
                     w[Cp] -= gp[_SLOT[A, Ap]][Bp][Cp] * pi[Ap] * pi[Bp]
-        vert = _norm(w[1] - lam * w[0])
-        out.append([Expr(_norm(c)) for c in horiz] + [Expr(vert)])
-    return LaxPair(g.chart.names, FIBRE, out[0], out[1])
+        vert = normalize(w[1] - lam * w[0])
+        out.append([Expr(normalize(c)) for c in horiz] + [Expr(vert)])
+    tet._coeff_cache["lax_pair"] = LaxPair(g.chart.names, FIBRE, out[0], out[1])
+    return tet._coeff_cache["lax_pair"]
 
 
 def _commutator(vars_syms, X, Y):
@@ -93,14 +105,13 @@ def _commutator(vars_syms, X, Y):
         val = sp.S.Zero
         for i, v in enumerate(vars_syms):
             val += X[i] * sp.diff(Y[k], v) - Y[i] * sp.diff(X[k], v)
-        out.append(_norm(val))
+        out.append(normalize(val))
     return out
 
 
 def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()) -> SpanSolve:
     """Write target = sum c_k fields[k] over the expression field; exact minor
     solve when possible, seeded least-squares fallback otherwise."""
-    syms = [sp.Symbol(n) for n in vars_names]
     cols = [[Expr(c).sym for c in f] for f in fields]
     b = [Expr(c).sym for c in target]
     n = len(b)
@@ -108,40 +119,34 @@ def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()
     if m != 2:
         raise ExprError("span solve implemented for two fields")
     for i, j in itertools.combinations(range(n), 2):
-        det = _norm(cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i])
+        det = normalize(cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i])
         if det == 0 or is_zero(Expr(det), cfg).kind != "nonzero":
             continue
-        c0 = _norm((b[i] * cols[1][j] - b[j] * cols[1][i]) / det)
-        c1 = _norm((cols[0][i] * b[j] - cols[0][j] * b[i]) / det)
+        c0 = normalize((b[i] * cols[1][j] - b[j] * cols[1][i]) / det)
+        c1 = normalize((cols[0][i] * b[j] - cols[0][j] * b[i]) / det)
         residuals = [
-            Expr(_norm(b[k] - c0 * cols[0][k] - c1 * cols[1][k])) for k in range(n)
+            Expr(normalize(b[k] - c0 * cols[0][k] - c1 * cols[1][k])) for k in range(n)
         ]
         return SpanSolve((Expr(c0), Expr(c1)), is_zero_all(residuals, cfg), "symbolic")
     # numeric fallback: pointwise least squares at seeded sample points
-    import random
-
-    rng = random.Random(cfg.seed + 17)
-    from .expr import _compiled
-
+    points = random_points(vars_names, cfg.seed + 17, 9)
     fns_cols = [_compiled(sp.Tuple(*col), tuple(vars_names)) for col in cols]
     fn_b = _compiled(sp.Tuple(*b), tuple(vars_names))
     checked = 0
     attempts = 0
     while checked < 10 and attempts < 200:
         attempts += 1
-        pt = [rng.randint(1, 9) / rng.randint(1, 9) * (1 if rng.random() < 0.5 else -1)
-              for _ in vars_names]
+        wit = next(points)
+        pt = [float(wit[nm]) for nm in vars_names]
         try:
             A = np.array([fns_cols[k](*pt) for k in range(m)], dtype=float).T
             bb = np.array(fn_b(*pt), dtype=float)
-        except Exception:
+        except POINT_ERRORS:
             continue
         sol, *_ = np.linalg.lstsq(A, bb, rcond=None)
         resid = np.linalg.norm(A @ sol - bb)
         scale = max(1.0, np.linalg.norm(bb), np.linalg.norm(A))
         if resid > 1e-10 * scale:
-            wit = Assignment({nm: Fraction(v).limit_denominator(10**6)
-                              for nm, v in zip(vars_names, pt)})
             return SpanSolve(None, Verdict.nonzero(wit, float(resid)), "numeric")
         checked += 1
     if checked == 0:
@@ -149,15 +154,21 @@ def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()
     return SpanSolve(None, Verdict.sampled(), "numeric")
 
 
-def integrability_check(lp: LaxPair, cfg: SampleConfig = SampleConfig()) -> SpanSolve:
-    """[L0, L1] must lie in span{L0, L1} (Frobenius)."""
+def _bracket_in_span(lp: LaxPair, X: list[Expr], Y: list[Expr],
+                     cfg: SampleConfig) -> SpanSolve:
+    """Write [X, Y] in span{L0, L1}; proven at once when the bracket vanishes."""
     vars_names = lp.vars()
     syms = [sp.Symbol(n) for n in vars_names]
-    comm = _commutator(syms, [c.sym for c in lp.L0], [c.sym for c in lp.L1])
+    comm = _commutator(syms, [c.sym for c in X], [c.sym for c in Y])
     if all(c == 0 for c in comm):
         return SpanSolve((Expr(0), Expr(0)), Verdict.proven(), "symbolic")
     return solve_in_span(vars_names, [Expr(c) for c in comm],
                          [lp.L0, lp.L1], cfg)
+
+
+def integrability_check(lp: LaxPair, cfg: SampleConfig = SampleConfig()) -> SpanSolve:
+    """[L0, L1] must lie in span{L0, L1} (Frobenius)."""
+    return _bracket_in_span(lp, lp.L0, lp.L1, cfg)
 
 
 def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
@@ -195,23 +206,12 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
         for Ap in _R2:
             T[Cp] -= pi_lo[Ap] * phi_up(Ap, Cp)
         T[Cp] += data.eta.sym * pi[Cp] / 2
-    vert = _norm(T[1] - lam * T[0])
-    comps = [Expr(_norm(c)) for c in K.comps] + [Expr(vert)]
+    vert = normalize(T[1] - lam * T[0])
+    comps = [Expr(normalize(c)) for c in K.comps] + [Expr(vert)]
     return LiftedKilling(g.chart.names, FIBRE, comps)
 
 
 def lift_commutation_check(kl: LiftedKilling, lp: LaxPair,
                            cfg: SampleConfig = SampleConfig()):
     """[K~, L_A] must close onto span{L0, L1}; returns the two SpanSolves."""
-    vars_names = lp.vars()
-    syms = [sp.Symbol(n) for n in vars_names]
-    kt = [c.sym for c in kl.comps]
-    out = []
-    for L in (lp.L0, lp.L1):
-        comm = _commutator(syms, kt, [c.sym for c in L])
-        if all(c == 0 for c in comm):
-            out.append(SpanSolve((Expr(0), Expr(0)), Verdict.proven(), "symbolic"))
-        else:
-            out.append(solve_in_span(vars_names, [Expr(c) for c in comm],
-                                     [lp.L0, lp.L1], cfg))
-    return out
+    return [_bracket_in_span(lp, kl.comps, L, cfg) for L in (lp.L0, lp.L1)]

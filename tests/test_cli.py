@@ -1,13 +1,20 @@
 """CLI: model loading, subcommands, exit codes, deterministic reports."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from asdnull.cli import run
+import pytest
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+import asdnull
+from asdnull.cli import load_model, run
+from asdnull.construct import build_fefferman_like, build_ppwave
+from asdnull.expr import parse
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def _run_capture(capsys, argv):
@@ -159,3 +166,67 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "III" in proc.stdout
+
+
+@pytest.mark.parametrize("model", sorted(p.stem for p in MODELS.glob("*.json")))
+def test_report_all_matches_recorded_report(model, capsys, monkeypatch):
+    """report-all reproduces the recorded report byte for byte."""
+    monkeypatch.chdir(ROOT)
+    code, out = _run_capture(capsys, ["report-all", f"models/{model}.json"])
+    assert code == 0
+    assert out == (ROOT / "perfbench" / "reference" / f"{model}.json").read_text()
+
+
+def test_fefferman_builder_model_uses_slot_order(tmp_path):
+    slots = {"gamma": "x", "delta": "y", "rho": "x*y", "sigma": "1/2",
+             "A0": "y", "A1": "x", "A2": "x + y", "A3": "y^2"}
+    path = tmp_path / "fefferman.json"
+    path.write_text(json.dumps({"kind": "builder", "builder": "fefferman",
+                                "params": slots}))
+    bg = load_model(str(path)).geometry
+    direct = build_fefferman_like(*(parse(v) for v in slots.values()))
+    assert bg.family == "fefferman"
+    assert bg.g.comps == direct.g.comps
+    assert bg.tet.theta == direct.tet.theta
+
+
+def test_twisting_model_requires_g(tmp_path, capsys):
+    path = tmp_path / "twisting.json"
+    path.write_text(json.dumps({"kind": "builder", "builder": "twisting",
+                                "params": {"A0": "x"}}))
+    assert run(["curvature", str(path)]) == 2
+    assert "requires parameter 'G'" in capsys.readouterr().err
+
+
+def _benchmark_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_layers_resolve():
+    """Every function the traced benchmark wraps exists under its name."""
+    for layer, targets in _benchmark_tracer().LAYERS.items():
+        for module_name, attr in targets:
+            module = getattr(asdnull, module_name)
+            if isinstance(attr, tuple):
+                assert attr[1] in vars(getattr(module, attr[0])), layer
+            else:
+                assert callable(getattr(module, attr, None)), layer
+
+
+def test_benchmark_memo_keys_exist():
+    """Each cache the traced benchmark reads to tell a hit from a fresh
+    computation is filled under the key it reads."""
+    tracer = _benchmark_tracer()
+    bg = build_ppwave(parse("X^2 + Y^3"))
+    args = (bg.g, bg.tet)
+    for layer, memo in tracer.SIZED.items():
+        if memo is None:
+            continue
+        pos, cache, key = memo
+        module_name, attr = tracer.LAYERS[layer][0]
+        getattr(getattr(asdnull, module_name), attr)(*args[:pos + 1])
+        assert key in getattr(args[pos], cache), layer

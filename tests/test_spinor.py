@@ -25,7 +25,9 @@ from asdnull.spinor import (
     killing_decompose,
     killing_reassembly_residuals,
     null_killing_factorize,
+    PetrovType,
     petrov_classify,
+    petrov_classify_samples,
     principal_direction_check,
     recompose_two_form,
     scalar_invariants,
@@ -160,6 +162,26 @@ def test_betazero_structural_formulas():
     bg = build_nontwisting(0, 0, 0, Expr(b), 0, 0)
     cu, _ = weyl_spinors(bg.g, bg.tet)
     assert sp.simplify(cu.psi[3].sym - sp.Rational(3, 4) * sp.diff(b, y, 2)) == 0
+
+
+@pytest.mark.parametrize("kinds", [["III", "N", "III", "N"], ["N", "III", "N", "III"]])
+def test_petrov_consensus_tie_goes_to_first_type(kinds, monkeypatch, betazero_a2x_bg):
+    votes = iter(kinds)
+    monkeypatch.setattr("asdnull.spinor.petrov_classify",
+                        lambda w, pt, tol: PetrovType(next(votes), None))
+    cu, _ = weyl_spinors(betazero_a2x_bg.g, betazero_a2x_bg.tet)
+    consensus, results, mixed = petrov_classify_samples(cu, [PT] * 4)
+    assert consensus == kinds[0] and mixed and len(results) == 4
+
+
+def test_petrov_samples_propagate_programming_errors(monkeypatch, betazero_a2x_bg):
+    def broken(w, pt, tol):
+        raise TypeError("bug inside the classifier")
+
+    monkeypatch.setattr("asdnull.spinor.petrov_classify", broken)
+    cu, _ = weyl_spinors(betazero_a2x_bg.g, betazero_a2x_bg.tet)
+    with pytest.raises(TypeError, match="bug inside"):
+        petrov_classify_samples(cu, [PT])
 
 
 def test_petrov_zero_is_O(flat_bg):
