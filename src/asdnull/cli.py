@@ -369,13 +369,13 @@ def cmd_projective_geodesic(m: Model, args, cfg) -> list[dict]:
 def cmd_heavenly(m: Model, args, cfg) -> list[dict]:
     if m.heavenly is None:
         raise InputError("heavenly expects a heavenly builder model")
-    theta = m.heavenly.theta
+    bg = m.geometry
     checks = [check_from_verdict("heavenly_residual",
                                  is_zero(m.heavenly.residual, cfg)),
               check_from_verdict("endomorphism_algebra",
-                                 construct.endomorphism_check(theta, cfg)),
+                                 construct.heavenly_endomorphism_check(bg, cfg)),
               check_from_verdict("sigma_pullback_template", is_zero_all(
-                  construct.sigma_pullback_residuals(theta), cfg))]
+                  construct.heavenly_sigma_pullback_residuals(bg), cfg))]
     return checks
 
 

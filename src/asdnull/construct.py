@@ -54,7 +54,9 @@ __all__ = [
     "build_heavenly",
     "heavenly_two_forms",
     "endomorphism_check",
+    "heavenly_endomorphism_check",
     "sigma_pullback_residuals",
+    "heavenly_sigma_pullback_residuals",
 ]
 
 CHART_TXYZ = ("t", "x", "y", "z")
@@ -431,6 +433,12 @@ def endomorphism_check(theta, cfg: SampleConfig = SampleConfig()) -> Verdict:
     """-I^2 = R^2 = S^2 = Id and IRS = Id for R, I, S built from the Sigma forms
     (S from the unsymmetrized o x iota form, i.e. 2 Sigma^{0'1'})."""
     bg, _ = build_heavenly(theta)
+    return heavenly_endomorphism_check(bg, cfg)
+
+
+def heavenly_endomorphism_check(bg: BuiltGeometry,
+                                cfg: SampleConfig = SampleConfig()) -> Verdict:
+    """endomorphism_check on an already built heavenly geometry."""
     s00, s01, s11 = _sigma_forms(bg.tet)
     R = _endo(bg.g, s00 - s11)
     Iend = _endo(bg.g, s00 + s11)
@@ -459,12 +467,17 @@ def sigma_pullback_residuals(theta) -> list[Expr]:
     with Qt = -Theta_XX (the template's function slot is a cohomology
     representative whose sign convention is fixed by this very comparison)."""
     bg, _ = build_heavenly(theta)
+    return heavenly_sigma_pullback_residuals(bg)
+
+
+def heavenly_sigma_pullback_residuals(bg: BuiltGeometry) -> list[Expr]:
+    """sigma_pullback_residuals on an already built heavenly geometry."""
     chart = bg.g.chart
     T, X, Y, Z = chart.syms
     pi0, pi1 = sp.symbols("pi0 pi1")
     s00, s01, s11 = _sigma_forms(bg.tet)
     sigma = (s00 * Expr(pi0**2) + s01 * Expr(2 * pi0 * pi1) + s11 * Expr(pi1**2))
-    qt = -sp.diff(Expr(theta).sym, X, 2)
+    qt = -sp.diff(bg.params["Theta"].sym, X, 2)
     dT = OneForm(chart, [1, 0, 0, 0])
     dX = OneForm(chart, [0, 1, 0, 0])
     dY = OneForm(chart, [0, 0, 1, 0])

@@ -19,12 +19,18 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import sring
 
 __all__ = [
     "Expr",
+    "Field",
     "ExprError",
     "ParseError",
     "EvalError",
@@ -85,14 +91,293 @@ def _check_finite(s: sp.Expr, context: str = "expression") -> sp.Expr:
     return s
 
 
+class _Frac(FracElement):
+    """A field element whose sum and product follow Henrici when a denominator
+    is more than a monomial: the gcds run on the denominators and on cross
+    factors, never on the full products.  The result is the canonical form
+    sympy's cancel gives; with monomial denominators sympy's own route, whose
+    gcd is then cheap, is faster."""
+
+    def _canon(f, p, q):
+        if not p:
+            return f.field.zero
+        cp, p = p.primitive()
+        cq, q = q.primitive()
+        c = cp / cq
+        p, q = p.mul_ground(c.numerator), q.mul_ground(c.denominator)
+        if q.LC < 0:
+            p, q = -p, -q
+        return f.raw_new(p, q)
+
+    def _peer(f, g) -> bool:
+        """g is an element of f's field and one denominator is no monomial."""
+        return (isinstance(g, _Frac) and (len(f.denom) > 1 or len(g.denom) > 1)
+                and (g.field is f.field or g.field == f.field))
+
+    def __add__(f, g):
+        if not f._peer(g):
+            return super().__add__(g)
+        if not g:
+            return f
+        if not f:
+            return g
+        a, b, c, d = f.numer, f.denom, g.numer, g.denom
+        if b == d:
+            return f.new(a + c, b)
+        h = b.gcd(d)
+        b1, d1 = b.exquo(h), d.exquo(h)
+        t = a * d1 + c * b1
+        h2 = t.gcd(h)
+        return f._canon(t.exquo(h2), b1 * d.exquo(h2))
+
+    def __sub__(f, g):
+        if not f._peer(g):
+            return super().__sub__(g)
+        return f + (-g)
+
+    def __mul__(f, g):
+        if not f._peer(g):
+            return super().__mul__(g)
+        if not f or not g:
+            return f.field.zero
+        a, b, c, d = f.numer, f.denom, g.numer, g.denom
+        g1, g2 = a.gcd(d), c.gcd(b)
+        return f._canon(a.exquo(g1) * c.exquo(g2), b.exquo(g2) * d.exquo(g1))
+
+    def __truediv__(f, g):
+        if not f._peer(g):
+            return super().__truediv__(g)
+        if not g:
+            raise ZeroDivisionError
+        return f * f._canon(g.denom, g.numer)
+
+
+class _FracField(FracField):
+    """FracField whose elements are _Frac."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        obj = super().__new__(cls, symbols, domain, order)
+        obj.dtype = _Frac(obj, obj.ring.zero).raw_new
+        obj.zero = obj.dtype(obj.ring.zero)
+        obj.one = obj.dtype(obj.ring.one)
+        obj.gens = obj._gens()
+        return obj
+
+
+class _FieldGrew(Exception):
+    """A derivative brought a gen its field lacked; the field has grown."""
+
+
+class Field:
+    """The sparse fraction field Q(gens) that one geometry's chain computes in.
+
+    The gens are the given symbols plus whatever sympy's `sring` finds in the
+    normal forms of the inputs (parameter symbols and kernel subterms), closed
+    under differentiation: a kernel's argument is in the field, and sin(u)
+    brings cos(u) and back.  sympy merges exp(m/2)^2 into exp(m), so every
+    exp(c m) with the same m is a power of one gen exp(m/q).
+
+    An element keeps coprime numerator and denominator over QQ with the
+    denominator's leading coefficient positive in lex order over the gens as
+    sympy's `_sort_gens` orders them, which is what `normalize` does to the
+    same rational function; `view` returns that tree.  The field grows when an
+    input carries a gen it lacks, and `up` moves older elements into it."""
+
+    def __init__(self, symbols: Iterable[sp.Symbol] = (), trees: Iterable[sp.Expr] = ()):
+        self._gens: set = set()
+        self._exp_den: dict = {}  # m -> q of the shared gen exp(m/q)
+        self.K = None
+        self._grow(set(symbols), list(trees))
+
+    # -- gens -------------------------------------------------------------------
+
+    @staticmethod
+    def _found_gens(n: sp.Expr) -> tuple:
+        num, den = n.as_numer_denom()
+        ring, _ = sring((num, den), domain=QQ)
+        return ring.symbols
+
+    def _grow(self, new: set, trees: list) -> None:
+        for n in trees:
+            new.update(self._found_gens(n))
+        todo = [g for g in new if g not in self._gens]
+        while todo:
+            g = todo.pop()
+            if g in self._gens:
+                continue
+            self._gens.add(g)
+            if isinstance(g, _KERNEL_CLASSES):
+                u = g.args[0]
+                more = list(self._found_gens(normalize(u)))
+                if isinstance(g, sp.sin):
+                    more.append(sp.cos(u))
+                elif isinstance(g, sp.cos):
+                    more.append(sp.sin(u))
+                todo += [h for h in more if h not in self._gens]
+        for g in self._gens:
+            if isinstance(g, sp.exp):
+                c, m = g.args[0].as_coeff_Mul(rational=True)
+                self._exp_den[m] = math.lcm(self._exp_den.get(m, 1), c.q)
+        gens = {self._shared(g)[0] for g in self._gens}
+        K = _FracField(_sort_gens(gens), QQ, lex)
+        if self.K is not None and K == self.K:
+            return
+        self.K = K
+        self._index = {g: i for i, g in enumerate(K.symbols)}
+        self._chains: dict = {}
+
+    def _shared(self, g: sp.Expr) -> tuple[sp.Expr, int]:
+        """(field gen, power) with g = gen**power."""
+        if isinstance(g, sp.exp):
+            c, m = g.args[0].as_coeff_Mul(rational=True)
+            q = self._exp_den[m]
+            return sp.exp(m / q), int(c * q)
+        return g, 1
+
+    def _place(self, gens: tuple) -> list[tuple[int, int]]:
+        out = []
+        for g in gens:
+            base, k = self._shared(g) if g in self._gens else (None, 0)
+            if base not in self._index:
+                self._grow(set(gens), [])
+                return self._place(gens)
+            out.append((self._index[base], k))
+        return out
+
+    # -- conversion ---------------------------------------------------------------
+
+    def element(self, n: sp.Expr):
+        """The element equal to the normal form `n`."""
+        num, den = n.as_numer_denom()
+        ring, polys = sring((num, den), domain=QQ)
+        slots = self._place(ring.symbols)
+        R = self.K.ring
+        out = []
+        for p in polys:
+            d = {}
+            for monom, coeff in p.items():
+                e = [0] * R.ngens
+                for (i, k), j in zip(slots, monom):
+                    e[i] += k * j
+                e = tuple(e)
+                d[e] = d.get(e, 0) + coeff
+            out.append(R.from_dict(d))
+        return self.K.new(*out)
+
+    def convert(self, s: sp.Expr):
+        """(normal form, element) of a sympy tree: the one normalization an
+        input pays on its way in."""
+        n = normalize(s)
+        return n, self.element(n)
+
+    def up(self, obj):
+        """Elements (nested in lists or tuples) moved into the current field."""
+        if isinstance(obj, (list, tuple)):
+            return type(obj)(self.up(v) for v in obj)
+        if obj.field is self.K or obj.field == self.K:
+            return obj
+        return self.element(self.view(obj))
+
+    @staticmethod
+    def view(el) -> sp.Expr:
+        """The tree of an element: a fixed point of `normalize`."""
+        return el.as_expr()
+
+    def expr(self, el) -> "Expr":
+        return Expr._normal(self.view(el))
+
+    # -- differentiation ------------------------------------------------------------
+
+    def _d_gen(self, i: int, v: sp.Symbol):
+        """D_v of gen i: the chain rule for exp, log, sin, cos; sympy's
+        derivative for any other function of v (an undefined function, say),
+        growing the field when that derivative is a new gen."""
+        key = (i, v)
+        if key not in self._chains:
+            g = self.K.symbols[i]
+            d = self.K.zero
+            if g == v:
+                d = self.K.one
+            elif v not in g.free_symbols:
+                pass
+            elif isinstance(g, _KERNEL_CLASSES):
+                u = g.args[0]
+                du = self.diff(self.element(normalize(u)), v)
+                if isinstance(g, sp.exp):
+                    d = self.K.gens[i] * du
+                elif isinstance(g, sp.log):
+                    d = du / self.element(normalize(u))
+                elif isinstance(g, sp.sin):
+                    d = self.element(sp.cos(u)) * du
+                else:
+                    d = -self.element(sp.sin(u)) * du
+            else:
+                K = self.K
+                d = self.element(normalize(sp.diff(g, v)))
+                if self.K != K:
+                    raise _FieldGrew
+            self._chains[key] = d
+        return self._chains[key]
+
+    def run(self, fn: Callable):
+        """fn() computed in this field: restarted when the field grows under it
+        (fn reads its inputs through `up`)."""
+        while True:
+            K = self.K
+            try:
+                out = fn()
+            except _FieldGrew:
+                continue
+            if self.K == K:
+                return out
+
+    def diff(self, f, v: sp.Symbol):
+        """D_v f = sum over gens g of (df/dg) D_v g: the chain rule through the
+        kernel gens."""
+        if not f:
+            return f
+        N, D = f.numer, f.denom
+        chain = []
+        for i, (dn, dd) in enumerate(zip(N.degrees(), D.degrees())):
+            if dn or dd:
+                d = self._d_gen(i, v)
+                if d:
+                    chain.append((i, d))
+        if not chain:
+            return self.K.zero
+        if all(d.denom == 1 for _, d in chain):
+            dN = sum((N.diff(i) * d.numer for i, d in chain), N.ring.zero)
+            dD = sum((D.diff(i) * d.numer for i, d in chain), D.ring.zero)
+            if not dD:
+                return self.K.new(dN, D)
+            # (N/D)' = (N' D/h - N D'/h) / (D D/h) with h = gcd(D, D'): the
+            # repeated factors of D cancel before the final gcd
+            h = D.gcd(dD)
+            D1 = D.exquo(h)
+            return self.K.new(dN * D1 - N * dD.exquo(h), D * D1)
+        K = self.K
+        dN = sum((K.new(N.diff(i)) * d for i, d in chain), K.zero)
+        dD = sum((K.new(D.diff(i)) * d for i, d in chain), K.zero)
+        return (dN * K.new(D) - K.new(N) * dD) / K.new(D * D)
+
+
 class Expr:
     """Immutable expression; arithmetic is lazy, normalization is cached."""
 
     __slots__ = ("_s", "_norm")
 
+    @classmethod
+    def _normal(cls, s: sp.Expr) -> "Expr":
+        """An Expr whose tree is already its normal form (a field view)."""
+        e = object.__new__(cls)
+        e._s = e._norm = s
+        return e
+
     def __init__(self, raw):
         if isinstance(raw, Expr):
             self._s = raw._s
+            self._norm = raw._norm
+            return
         elif isinstance(raw, Fraction):
             self._s = sp.Rational(raw.numerator, raw.denominator)
         elif isinstance(raw, int):
@@ -557,7 +842,7 @@ def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
     if missing:
         raise EvalError(f"unassigned symbols: {sorted(missing)}")
     if a.is_exact() and not e.has_kernels():
-        v = _subs_exact(e._s, a)
+        v = _subs_exact(e.normal, a)
         if v.has(*_BAD):
             raise EvalError("division by zero at the point")
         if not v.is_Rational:

@@ -23,6 +23,7 @@ from .expr import (
     Assignment,
     Expr,
     ExprError,
+    Field,
     SampleConfig,
     Verdict,
     evaluate,
@@ -38,10 +39,13 @@ from .tensor import (
     TensorField,
     TwoForm,
     VectorField,
+    adjugate4,
     christoffels,
+    det4,
     exterior_derivative_oneform,
     riemann_lower,
     _nested,
+    _nested_map,
 )
 
 __all__ = [
@@ -75,7 +79,7 @@ _R2 = (0, 1)
 TETRAD_LABELS = ("00", "01", "10", "11")
 _SLOT = {(a, ap): 2 * a + ap for a in _R2 for ap in _R2}
 
-EPS = ((sp.S.Zero, sp.S.One), (sp.S.NegativeOne, sp.S.Zero))  # eps_{01}=eps^{01}=1
+EPS = ((0, 1), (-1, 0))  # eps_{01}=eps^{01}=1
 
 
 def _eps(a, b):
@@ -83,7 +87,10 @@ def _eps(a, b):
 
 
 class NullTetrad:
-    """Coframe theta^{AA'} with dual frame; reconstructs g per the tetrad form."""
+    """Coframe theta^{AA'} with dual frame; reconstructs g per the tetrad form.
+
+    theta and the frame are computed in the metric's field (grown if the
+    coframe carries a gen the metric lacks) and shown as sympy normal forms."""
 
     def __init__(self, g: Metric, coframe: list[OneForm], validate: bool = True,
                  cfg: SampleConfig = SampleConfig()):
@@ -91,22 +98,32 @@ class NullTetrad:
             raise ExprError("a tetrad needs four one-forms")
         self.g = g
         self.chart = g.chart
-        self.theta = [[normalize(w.comps[a]) for a in _R] for w in coframe]
-        m = sp.Matrix(self.theta)
-        det = normalize(m.det(method="berkowitz"))
-        if det == 0:
+        F = g.field
+        conv = [[F.convert(w.comps[a]) for a in _R] for w in coframe]
+        self.theta = [[n for n, _ in row] for row in conv]
+        self._theta_el = F.up([[el for _, el in row] for row in conv])
+        det = det4(self._theta_el)
+        if not det:
             raise ExprError("tetrad coframe is degenerate")
-        adj = m.adjugate()
+        adj = adjugate4(self._theta_el)
         # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
-        self.frame = [[normalize(adj[a, i] / det) for a in _R] for i in _R]
+        self._frame_el = [[adj[a][i] / det for a in _R] for i in _R]
+        self.frame = _nested_map(F.view, self._frame_el)
         self._coeff_cache: dict = {}
+        self._el: dict = {}  # field elements behind the memoized coefficients
         if validate:
             v = self.reconstruction_verdict(cfg)
             if not v.is_zero():
                 raise ExprError(f"tetrad does not reconstruct the metric: {v}")
 
+    def field_el(self, name: str):
+        """theta or frame as elements of the metric's current field."""
+        return self.g.field.up(getattr(self, f"_{name}_el"))
+
     def reconstruction_residuals(self) -> list[Expr]:
-        th = self.theta
+        F = self.g.field
+        th = self.field_el("theta")
+        gg = self.g.el
         s00, s01, s10, s11 = (th[_SLOT[0, 0]], th[_SLOT[0, 1]],
                               th[_SLOT[1, 0]], th[_SLOT[1, 1]])
         out = []
@@ -114,7 +131,7 @@ class NullTetrad:
             for b in range(a, 4):
                 rec = (s00[a] * s11[b] + s00[b] * s11[a]
                        - s01[a] * s10[b] - s01[b] * s10[a])
-                out.append(Expr(normalize(rec - self.g.comps[a][b])))
+                out.append(F.expr(rec - gg[a][b]))
         return out
 
     def reconstruction_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
@@ -234,21 +251,27 @@ def _frame_rank2(tet: NullTetrad, comps) -> list:
 
 
 def _frame_riemann(tet: NullTetrad) -> list:
-    """Frame components of R_abcd, using pair antisymmetry to cut the work."""
-    rl = riemann_lower(tet.g).comps
-    E = tet.frame
+    """Frame components of R_abcd as field elements, using pair antisymmetry to
+    cut the work."""
+    F = tet.g.field
+    rl = F.up(riemann_lower(tet.g).el)
+    E = tet.field_el("frame")
     pairs = list(itertools.combinations(_R, 2))
     ep = [[[E[i][a] * E[j][b] - E[i][b] * E[j][a] for (a, b) in pairs]
            for j in _R] for i in _R]
     rp = [[rl[a][b][c][d] for (c, d) in pairs] for (a, b) in pairs]
-    out = _nested(4, sp.S.Zero)
+    out = _nested(4, F.K.zero)
     for i, j in pairs:
         for k, l in pairs:
-            val = normalize(sum(ep[i][j][m] * rp[m][n] * ep[k][l][n]
-                                for m in range(6) for n in range(6)))
+            val = F.K.zero
+            for m in range(6):
+                if not ep[i][j][m]:
+                    continue
+                inner = sum((rp[m][n] * ep[k][l][n] for n in range(6) if rp[m][n]), F.K.zero)
+                val += ep[i][j][m] * inner
             for (ii, jj, s1) in ((i, j, 1), (j, i, -1)):
                 for (kk, ll, s2) in ((k, l, 1), (l, k, -1)):
-                    out[ii][jj][kk][ll] = s1 * s2 * val
+                    out[ii][jj][kk][ll] = val if s1 * s2 == 1 else -val
     return out
 
 
@@ -256,6 +279,7 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
     """(C unprimed, C primed, Phi[A][B][C'][D'], Lambda) from the frame Riemann."""
 
     def compute():
+        F = g.field
         rf = _frame_riemann(tet)
 
         def RF(A, Ap, B, Bp, C, Cp, D, Dp):
@@ -265,14 +289,14 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
         u2 = {}
         for idx in itertools.product(_R2, repeat=4):
             A, B, C, D = idx
-            val = sp.S.Zero
+            val = F.K.zero
             for Ap, Bp, Cp, Dp in itertools.product(_R2, repeat=4):
                 e = _eps(Ap, Bp) * _eps(Cp, Dp)
                 if e:
                     val += e * RF(A, Ap, B, Bp, C, Cp, D, Dp)
             v2[idx] = val / 4
             Ap0, Bp0, Cp0, Dp0 = idx  # same layout, primed slots free
-            valu = sp.S.Zero
+            valu = F.K.zero
             for A_, B_, C_, D_ in itertools.product(_R2, repeat=4):
                 e = _eps(A_, B_) * _eps(C_, D_)
                 if e:
@@ -280,7 +304,7 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
             u2[idx] = valu / 4
         w = {}
         for A, B, Cp, Dp in itertools.product(_R2, repeat=4):
-            val = sp.S.Zero
+            val = F.K.zero
             for Ap, Bp, C, D in itertools.product(_R2, repeat=4):
                 e = _eps(Ap, Bp) * _eps(C, D)
                 if e:
@@ -292,28 +316,27 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
             for k in range(5):
                 idx = tuple([1] * k + [0] * (4 - k))
                 perms = set(itertools.permutations(idx))
-                psi.append(normalize(sum(tbl[p] for p in perms) / len(perms)))
+                psi.append(F.expr(sum((tbl[p] for p in perms), F.K.zero) / len(perms)))
             return psi
 
-        psi_unprimed = sym4(v2)
-        psi_primed = sym4(u2)
-        lam = normalize(sum(_eps(A, D) * _eps(B, C) * v2[(A, B, C, D)]
-                            for A, B, C, D in itertools.product(_R2, repeat=4)) / 6)
+        lam = sum((_eps(A, D) * _eps(B, C) * v2[(A, B, C, D)]
+                   for A, B, C, D in itertools.product(_R2, repeat=4)
+                   if _eps(A, D) * _eps(B, C)), F.K.zero) / 6
         phi = _nested(4)
         for A, B, Cp, Dp in itertools.product(_R2, repeat=4):
-            phi[A][B][Cp][Dp] = normalize(
+            phi[A][B][Cp][Dp] = F.view(
                 (w[(A, B, Cp, Dp)] + w[(B, A, Cp, Dp)]
                  + w[(A, B, Dp, Cp)] + w[(B, A, Dp, Cp)]) / 4
             )
         return (
-            WeylSpinor([Expr(v) for v in psi_unprimed], primed=False),
-            WeylSpinor([Expr(v) for v in psi_primed], primed=True),
+            WeylSpinor(sym4(v2), primed=False),
+            WeylSpinor(sym4(u2), primed=True),
             phi,
-            Expr(lam),
+            F.expr(lam),
         )
 
     if "curvature_spinors" not in tet._coeff_cache:
-        tet._coeff_cache["curvature_spinors"] = compute()
+        tet._coeff_cache["curvature_spinors"] = g.field.run(compute)
     return tet._coeff_cache["curvature_spinors"]
 
 
@@ -325,7 +348,7 @@ def weyl_spinors(g: Metric, tet: NullTetrad) -> tuple[WeylSpinor, WeylSpinor]:
 def curvature_reassembly_residuals(g: Metric, tet: NullTetrad) -> list[Expr]:
     """Rebuild the frame Riemann from (C, C~, Phi, Lambda); residuals must vanish."""
     cu, cp, phi, lam = curvature_spinors(g, tet)
-    rf = _frame_riemann(tet)
+    rf = _nested_map(Field.view, _frame_riemann(tet))
     lam_s = lam.sym
     out = []
     for A, Ap, B, Bp in itertools.product(_R2, repeat=4):
@@ -392,31 +415,36 @@ def spin_coefficients(g: Metric, tet: NullTetrad):
     key = "spin_coefficients"
     if key in tet._coeff_cache:
         return tet._coeff_cache[key]
-    x = g.chart.syms
-    gam = christoffels(g).comps
-    E = tet.frame
-    th = tet.theta
-    # nab[i][j][k]: theta^k( nabla_{e_i} e_j )
-    nab = _nested(3)
-    for i in _R:
+    F = g.field
+
+    def compute():
+        x = g.chart.syms
+        gam = F.up(christoffels(g).el)
+        E = tet.field_el("frame")
+        th = tet.field_el("theta")
+        # nab[i][j][k]: theta^k( nabla_{e_i} e_j )
+        nab = _nested(3)
         for j in _R:
-            cov = [sum(E[i][a] * (sp.diff(E[j][b], x[a])
-                                  + sum(gam[b][a][c] * E[j][c] for c in _R))
-                       for a in _R) for b in _R]
-            for k in _R:
-                nab[i][j][k] = normalize(sum(th[k][b] * cov[b] for b in _R))
-    gu = [[[sp.S.Zero] * 2 for _ in _R2] for _ in _R]
-    gp = [[[sp.S.Zero] * 2 for _ in _R2] for _ in _R]
-    for i in _R:
-        for Cc in _R2:
-            for Ee in _R2:
-                gu[i][Cc][Ee] = normalize(
-                    sum(nab[i][_SLOT[Cc, Cp]][_SLOT[Ee, Cp]] for Cp in _R2) / 2
-                )
-                gp[i][Cc][Ee] = normalize(
-                    sum(nab[i][_SLOT[C, Cc]][_SLOT[C, Ee]] for C in _R2) / 2
-                )
-    tet._coeff_cache[key] = (gu, gp, nab)
+            dE = [[F.diff(E[j][b], x[a]) for a in _R] for b in _R]
+            conn = [[dE[b][a] + sum((gam[b][a][c] * E[j][c] for c in _R if gam[b][a][c]),
+                                    F.K.zero)
+                     for a in _R] for b in _R]
+            for i in _R:
+                cov = [sum((E[i][a] * conn[b][a] for a in _R if E[i][a]), F.K.zero)
+                       for b in _R]
+                for k in _R:
+                    nab[i][j][k] = sum((th[k][b] * cov[b] for b in _R if th[k][b]), F.K.zero)
+        gu = [[[F.K.zero] * 2 for _ in _R2] for _ in _R]
+        gp = [[[F.K.zero] * 2 for _ in _R2] for _ in _R]
+        for i in _R:
+            for Cc in _R2:
+                for Ee in _R2:
+                    gu[i][Cc][Ee] = sum(nab[i][_SLOT[Cc, Cp]][_SLOT[Ee, Cp]] for Cp in _R2) / 2
+                    gp[i][Cc][Ee] = sum(nab[i][_SLOT[C, Cc]][_SLOT[C, Ee]] for C in _R2) / 2
+        return gu, gp, nab
+
+    tet._el[key] = F.run(compute)
+    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in tet._el[key])
     return tet._coeff_cache[key]
 
 

@@ -3,19 +3,19 @@ exterior algebra, conformal rescaling.
 
 Everything is dense and exact; metrics memoize their inverse and curvature so
 repeated queries (tetrad projections, spin coefficients, classification) share
-work.  Components are stored as sympy expressions internally and exposed as
-Expr at the API boundary.
+work.  The curvature chain (det, inverse, Christoffels, Riemann, Ricci, Weyl)
+computes in one sparse fraction field per metric (`expr.Field`); components
+are shown as sympy normal forms and exposed as Expr at the API boundary.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import sympy as sp
 
-from .expr import Expr, ExprError, SampleConfig, Verdict, is_zero_all, normalize
+from .expr import Expr, ExprError, Field, SampleConfig, Verdict, is_zero_all, normalize
 
 __all__ = [
     "Chart",
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _R = range(4)
+
+# fibre coordinate of the projective primed spin bundle (the twistor space); a
+# gen of every metric's field, so the Lax pair computes in the metric's field
+FIBRE = "lam"
 
 
 def _sym(v) -> sp.Expr:
@@ -74,17 +78,26 @@ class Chart:
         return f"Chart{self.names}"
 
 
-@dataclass
 class TensorField:
-    """Dense tensor: valence is a string over 'u' (contravariant) / 'l'."""
+    """Dense tensor: valence is a string over 'u' (contravariant) / 'l'.
 
-    chart: Chart
-    valence: str
-    comps: list
+    A tensor computed in a metric's field keeps its elements in `el` and makes
+    the sympy components (`comps`) on first read."""
 
-    def __post_init__(self):
-        if len(self.valence) == 0:
+    def __init__(self, chart: Chart, valence: str, comps: list | None = None,
+                 el: list | None = None):
+        if len(valence) == 0:
             raise ExprError("use Expr for scalars")
+        self.chart = chart
+        self.valence = valence
+        self._comps = comps
+        self.el = el
+
+    @property
+    def comps(self) -> list:
+        if self._comps is None:
+            self._comps = _nested_map(Field.view, self.el)
+        return self._comps
 
     def __getitem__(self, idx):
         c = self.comps
@@ -92,7 +105,9 @@ class TensorField:
             idx = (idx,)
         for i in idx:
             c = c[i]
-        return Expr(c) if isinstance(c, sp.Expr) else c
+        if not isinstance(c, sp.Expr):
+            return c
+        return Expr._normal(c) if self.el is not None else Expr(c)
 
     def raw(self, *idx):
         c = self.comps
@@ -106,6 +121,38 @@ class TensorField:
 
     def zero_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
         return is_zero_all(self.components_flat(), cfg)
+
+
+def _nested_map(fn, obj):
+    if isinstance(obj, list):
+        return [_nested_map(fn, v) for v in obj]
+    return fn(obj)
+
+
+def _minor(m, rows, cols):
+    """Determinant of the submatrix of m on rows x cols (Laplace expansion)."""
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    out = m[rows[0]][cols[0]].field.zero
+    r, rest = rows[0], rows[1:]
+    for k, c in enumerate(cols):
+        if not m[r][c]:
+            continue
+        term = m[r][c] * _minor(m, rest, cols[:k] + cols[k + 1:])
+        out = out + term if k % 2 == 0 else out - term
+    return out
+
+
+def det4(m):
+    """Determinant of a 4x4 matrix of field elements."""
+    return _minor(m, (0, 1, 2, 3), (0, 1, 2, 3))
+
+
+def adjugate4(m) -> list:
+    """adj[a][b] = (-1)^(a+b) times the minor of m without row b and column a."""
+    full = (0, 1, 2, 3)
+    return [[(-1) ** (a + b) * _minor(m, full[:b] + full[b + 1:], full[:a] + full[a + 1:])
+             for b in _R] for a in _R]
 
 
 def _nested(rank: int, fill=None):
@@ -188,6 +235,7 @@ class Metric:
                 rows[b][a] = rows[a][b]
         self.comps = rows
         self._cache: dict = {}
+        self._field: Field | None = None
 
     def __getitem__(self, idx):
         a, b = idx
@@ -195,24 +243,47 @@ class Metric:
 
     def _memo(self, key: str, fn: Callable):
         if key not in self._cache:
-            self._cache[key] = fn()
+            self._cache[key] = self.field.run(fn)
         return self._cache[key]
 
     @property
+    def field(self) -> Field:
+        """The fraction field of this metric's chain: chart symbols, the fibre
+        symbol, and the gens of the components."""
+        if self._field is None:
+            syms = self.chart.syms + (sp.Symbol(FIBRE),)
+            self._field = Field(syms, [c for row in self.comps for c in row])
+        return self._field
+
+    @property
+    def el(self) -> list:
+        """The components as field elements."""
+        F = self.field
+        return F.up(self._memo("el", lambda: [[F.element(c) for c in row]
+                                               for row in self.comps]))
+
+    def _det_el(self):
+        return self.field.up(self._memo("det", lambda: det4(self.el)))
+
+    @property
     def det(self) -> Expr:
-        def compute():
-            return normalize(sp.Matrix(self.comps).det(method="berkowitz"))
-        return Expr(self._memo("det", compute))
+        return self.field.expr(self._det_el())
 
     @property
     def inverse(self) -> list:
         def compute():
-            det = self.det.sym
-            if det == 0:
+            det = self._det_el()
+            if not det:
                 raise ExprError("metric is degenerate: det normalizes to zero")
-            adj = sp.Matrix(self.comps).adjugate()
-            return [[normalize(adj[a, b] / det) for b in _R] for a in _R]
+            adj = adjugate4(self.el)
+            inv = [[adj[a][b] / det for b in _R] for a in _R]
+            self._cache["inv_el"] = inv
+            return _nested_map(Field.view, inv)
         return self._memo("inv", compute)
+
+    def _inverse_el(self) -> list:
+        self.inverse  # fills "inv_el" inside the inverse layer
+        return self.field.up(self._cache["inv_el"])
 
     def signature_at(self, point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts at a sample point."""
@@ -263,27 +334,24 @@ def christoffels(g: Metric) -> TensorField:
     """Levi-Civita connection Gamma^a_bc."""
 
     def compute():
+        F = g.field
         x = g.chart.syms
-        ginv = g.inverse
-        dg = [[[sp.diff(g.comps[a][b], x[c]) for c in _R] for b in _R] for a in _R]
+        gg = g.el
+        ginv = g._inverse_el()
+        dg = _nested(3)  # dg[i][j][k] = d_k g_ij
+        for a in _R:
+            for b in range(a, 4):
+                dg[a][b] = dg[b][a] = [F.diff(gg[a][b], x[c]) for c in _R]
         out = _nested(3)
         for a in _R:
             for b in _R:
                 for c in range(b, 4):
-                    val = sp.S.Zero
+                    val = F.K.zero
                     for d in _R:
-                        if ginv[a][d] == 0:
-                            continue
-                        # dg[i][j][k] = d_k g_ij ; need d_b g_dc + d_c g_bd - d_d g_bc
-                        val += ginv[a][d] * (dg[d][c][b] + dg[b][d][c] - dg[b][c][d])
-                    out[a][b][c] = val
-        for a in _R:
-            for b in _R:
-                for c in range(b, 4):
-                    v = normalize(out[a][b][c] / 2)
-                    out[a][b][c] = v
-                    out[a][c][b] = v
-        return TensorField(g.chart, "ull", out)
+                        if ginv[a][d]:
+                            val += ginv[a][d] * (dg[d][c][b] + dg[b][d][c] - dg[b][c][d])
+                    out[a][b][c] = out[a][c][b] = val / 2
+        return TensorField(g.chart, "ull", el=out)
 
     return g._memo("christoffels", compute)
 
@@ -292,20 +360,28 @@ def riemann(g: Metric) -> TensorField:
     """R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb."""
 
     def compute():
+        F = g.field
         x = g.chart.syms
-        gam = christoffels(g).comps
-        out = _nested(4, sp.S.Zero)  # fill c < d, then mirror (antisymmetry)
+        gam = F.up(christoffels(g).el)
+        dgam = {}  # (c, a, d, b) -> d_c Gamma^a_db, symmetric in (d, b)
+
+        def d(c, a, db):
+            key = (c, a, min(db), max(db))
+            if key not in dgam:
+                dgam[key] = F.diff(gam[a][key[2]][key[3]], x[c])
+            return dgam[key]
+
+        out = _nested(4, F.K.zero)  # fill c < d, then mirror (antisymmetry)
         for a in _R:
             for b in _R:
                 for c in _R:
-                    for d in range(c + 1, 4):
-                        val = sp.diff(gam[a][d][b], x[c]) - sp.diff(gam[a][c][b], x[d])
+                    for dd in range(c + 1, 4):
+                        val = d(c, a, (dd, b)) - d(dd, a, (c, b))
                         for e in _R:
-                            val += gam[a][c][e] * gam[e][d][b] - gam[a][d][e] * gam[e][c][b]
-                        val = normalize(val)
-                        out[a][b][c][d] = val
-                        out[a][b][d][c] = -val
-        return TensorField(g.chart, "ulll", out)
+                            val += gam[a][c][e] * gam[e][dd][b] - gam[a][dd][e] * gam[e][c][b]
+                        out[a][b][c][dd] = val
+                        out[a][b][dd][c] = -val
+        return TensorField(g.chart, "ulll", el=out)
 
     return g._memo("riemann", compute)
 
@@ -314,16 +390,18 @@ def riemann_lower(g: Metric) -> TensorField:
     """Fully covariant R_abcd."""
 
     def compute():
-        r = riemann(g).comps
-        out = _nested(4, sp.S.Zero)
+        F = g.field
+        r = F.up(riemann(g).el)
+        gg = g.el
+        out = _nested(4, F.K.zero)
         for a in _R:
             for b in _R:
                 for c in _R:
                     for d in range(c + 1, 4):
-                        val = normalize(sum(g.comps[a][e] * r[e][b][c][d] for e in _R))
+                        val = sum((gg[a][e] * r[e][b][c][d] for e in _R if gg[a][e]), F.K.zero)
                         out[a][b][c][d] = val
                         out[a][b][d][c] = -val
-        return TensorField(g.chart, "llll", out)
+        return TensorField(g.chart, "llll", el=out)
 
     return g._memo("riemann_lower", compute)
 
@@ -332,36 +410,41 @@ def ricci(g: Metric) -> TensorField:
     """R_bd = R^a_bad."""
 
     def compute():
-        r = riemann(g).comps
-        out = [[sp.S.Zero] * 4 for _ in _R]
+        F = g.field
+        r = F.up(riemann(g).el)
+        out = _nested(2)
         for b in _R:
             for d in range(b, 4):
-                val = normalize(sum(r[a][b][a][d] for a in _R))
-                out[b][d] = val
-                out[d][b] = val
-        return TensorField(g.chart, "ll", out)
+                out[b][d] = out[d][b] = sum((r[a][b][a][d] for a in _R), F.K.zero)
+        return TensorField(g.chart, "ll", el=out)
 
     return g._memo("ricci", compute)
 
 
-def scalar_curvature(g: Metric) -> Expr:
+def _scalar_curvature_el(g: Metric):
     def compute():
-        ric = ricci(g).comps
-        ginv = g.inverse
-        return normalize(sum(ginv[b][d] * ric[b][d] for b in _R for d in _R))
+        F = g.field
+        ric = F.up(ricci(g).el)
+        ginv = g._inverse_el()
+        return sum((ginv[b][d] * ric[b][d] for b in _R for d in _R if ginv[b][d]), F.K.zero)
 
-    return Expr(g._memo("scalar_curvature", compute))
+    return g.field.up(g._memo("scalar_curvature", compute))
+
+
+def scalar_curvature(g: Metric) -> Expr:
+    return g.field.expr(_scalar_curvature_el(g))
 
 
 def weyl(g: Metric) -> TensorField:
     """Fully covariant Weyl tensor C_abcd (n = 4)."""
 
     def compute():
-        rl = riemann_lower(g).comps
-        ric = ricci(g).comps
-        s = scalar_curvature(g).sym
-        gg = g.comps
-        out = _nested(4, sp.S.Zero)
+        F = g.field
+        s = _scalar_curvature_el(g)
+        rl = F.up(riemann_lower(g).el)
+        ric = F.up(ricci(g).el)
+        gg = g.el
+        out = _nested(4, F.K.zero)
         for a in _R:
             for b in _R:
                 for c in _R:
@@ -372,10 +455,9 @@ def weyl(g: Metric) -> TensorField:
                                + gg[b][d] * ric[a][c] - gg[b][c] * ric[a][d]) / 2
                             + s * (gg[a][c] * gg[b][d] - gg[a][d] * gg[b][c]) / 6
                         )
-                        val = normalize(val)
                         out[a][b][c][d] = val
                         out[a][b][d][c] = -val
-        return TensorField(g.chart, "llll", out)
+        return TensorField(g.chart, "llll", el=out)
 
     return g._memo("weyl", compute)
 
@@ -384,17 +466,17 @@ def weyl_mixed(g: Metric) -> TensorField:
     """C^a_bcd: the conformally invariant valence."""
 
     def compute():
-        cw = weyl(g).comps
-        ginv = g.inverse
+        F = g.field
+        cw = F.up(weyl(g).el)
+        ginv = g._inverse_el()
         out = _nested(4)
         for a in _R:
             for b in _R:
                 for c in _R:
                     for d in _R:
-                        out[a][b][c][d] = normalize(
-                            sum(ginv[a][e] * cw[e][b][c][d] for e in _R)
-                        )
-        return TensorField(g.chart, "ulll", out)
+                        out[a][b][c][d] = sum((ginv[a][e] * cw[e][b][c][d]
+                                               for e in _R if ginv[a][e]), F.K.zero)
+        return TensorField(g.chart, "ulll", el=out)
 
     return g._memo("weyl_mixed", compute)
 

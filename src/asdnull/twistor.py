@@ -7,6 +7,7 @@ where lam is the affine fibre coordinate of the primed projective spin bundle.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .expr import (
     POINT_ERRORS,
     Expr,
     ExprError,
+    Field,
     SampleConfig,
     Verdict,
     _compiled,
@@ -26,6 +28,7 @@ from .expr import (
     random_points,
 )
 from .spinor import killing_decompose, spin_coefficients, _SLOT, _eps, _R2
+from .tensor import FIBRE
 
 __all__ = [
     "FIBRE",
@@ -38,7 +41,6 @@ __all__ = [
     "lift_commutation_check",
 ]
 
-FIBRE = "lam"
 _R = range(4)
 
 
@@ -50,6 +52,9 @@ class LaxPair:
     fibre: str
     L0: list[Expr]
     L1: list[Expr]
+    # the metric's field and L0, L1 as its elements
+    field: Field | None = dataclasses.field(default=None, repr=False, compare=False)
+    el: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def vars(self):
         return tuple(self.chart_names) + (self.fibre,)
@@ -81,57 +86,66 @@ def lax_pair(bg) -> LaxPair:
     g, tet = bg.g, bg.tet
     if "lax_pair" in tet._coeff_cache:
         return tet._coeff_cache["lax_pair"]
-    lam = sp.Symbol(FIBRE)
-    _, gp, _ = spin_coefficients(g, tet)
-    E = tet.frame
-    pi = _pi_poly(lam)
+    F = g.field
+    spin_coefficients(g, tet)
+    gp = F.up(tet._el["spin_coefficients"][1])
+    E = tet.field_el("frame")
+    lam = F.element(sp.Symbol(FIBRE))
+    pi = (F.K.one, lam)
     out = []
     for A in _R2:
         horiz = [E[_SLOT[A, 0]][a] + lam * E[_SLOT[A, 1]][a] for a in _R]
-        w = [sp.S.Zero, sp.S.Zero]  # vertical components on the spin bundle
+        w = [F.K.zero, F.K.zero]  # vertical components on the spin bundle
         for Cp in _R2:
             for Ap in _R2:
                 for Bp in _R2:
                     w[Cp] -= gp[_SLOT[A, Ap]][Bp][Cp] * pi[Ap] * pi[Bp]
-        vert = normalize(w[1] - lam * w[0])
-        out.append([Expr(normalize(c)) for c in horiz] + [Expr(vert)])
-    tet._coeff_cache["lax_pair"] = LaxPair(g.chart.names, FIBRE, out[0], out[1])
+        out.append(horiz + [w[1] - lam * w[0]])
+    L0, L1 = ([F.expr(c) for c in L] for L in out)
+    tet._coeff_cache["lax_pair"] = LaxPair(g.chart.names, FIBRE, L0, L1, F, tuple(out))
     return tet._coeff_cache["lax_pair"]
 
 
-def _commutator(vars_syms, X, Y):
+def _commutator(F: Field, vars_syms, X, Y) -> list:
     out = []
     for k in range(len(vars_syms)):
-        val = sp.S.Zero
+        val = F.K.zero
         for i, v in enumerate(vars_syms):
-            val += X[i] * sp.diff(Y[k], v) - Y[i] * sp.diff(X[k], v)
-        out.append(normalize(val))
+            if X[i]:
+                val += X[i] * F.diff(Y[k], v)
+            if Y[i]:
+                val -= Y[i] * F.diff(X[k], v)
+        out.append(val)
     return out
 
 
 def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()) -> SpanSolve:
     """Write target = sum c_k fields[k] over the expression field; exact minor
     solve when possible, seeded least-squares fallback otherwise."""
-    cols = [[Expr(c).sym for c in f] for f in fields]
-    b = [Expr(c).sym for c in target]
+    trees = [Expr(c).normal for f in (target, *fields) for c in f]
+    F = Field([sp.Symbol(n) for n in vars_names], trees)
+    return _solve_in_span(F, vars_names, [F.element(Expr(c).normal) for c in target],
+                          [[F.element(Expr(c).normal) for c in f] for f in fields], cfg)
+
+
+def _solve_in_span(F: Field, vars_names, b, cols, cfg: SampleConfig) -> SpanSolve:
     n = len(b)
     m = len(cols)
     if m != 2:
         raise ExprError("span solve implemented for two fields")
     for i, j in itertools.combinations(range(n), 2):
-        det = normalize(cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i])
-        if det == 0 or is_zero(Expr(det), cfg).kind != "nonzero":
+        det = cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i]
+        if not det or is_zero(F.expr(det), cfg).kind != "nonzero":
             continue
-        c0 = normalize((b[i] * cols[1][j] - b[j] * cols[1][i]) / det)
-        c1 = normalize((cols[0][i] * b[j] - cols[0][j] * b[i]) / det)
-        residuals = [
-            Expr(normalize(b[k] - c0 * cols[0][k] - c1 * cols[1][k])) for k in range(n)
-        ]
-        return SpanSolve((Expr(c0), Expr(c1)), is_zero_all(residuals, cfg), "symbolic")
+        c0 = (b[i] * cols[1][j] - b[j] * cols[1][i]) / det
+        c1 = (cols[0][i] * b[j] - cols[0][j] * b[i]) / det
+        residuals = [F.expr(b[k] - c0 * cols[0][k] - c1 * cols[1][k]) for k in range(n)]
+        return SpanSolve((F.expr(c0), F.expr(c1)), is_zero_all(residuals, cfg), "symbolic")
     # numeric fallback: pointwise least squares at seeded sample points
     points = random_points(vars_names, cfg.seed + 17, 9)
-    fns_cols = [_compiled(sp.Tuple(*col), tuple(vars_names)) for col in cols]
-    fn_b = _compiled(sp.Tuple(*b), tuple(vars_names))
+    fns_cols = [_compiled(sp.Tuple(*[F.view(c) for c in col]), tuple(vars_names))
+                for col in cols]
+    fn_b = _compiled(sp.Tuple(*[F.view(c) for c in b]), tuple(vars_names))
     checked = 0
     attempts = 0
     while checked < 10 and attempts < 200:
@@ -154,21 +168,22 @@ def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()
     return SpanSolve(None, Verdict.sampled(), "numeric")
 
 
-def _bracket_in_span(lp: LaxPair, X: list[Expr], Y: list[Expr],
-                     cfg: SampleConfig) -> SpanSolve:
-    """Write [X, Y] in span{L0, L1}; proven at once when the bracket vanishes."""
+def _bracket_in_span(lp: LaxPair, X: list, Y: list, cfg: SampleConfig) -> SpanSolve:
+    """Write [X, Y] (field elements) in span{L0, L1}; proven at once when the
+    bracket vanishes."""
+    F = lp.field
     vars_names = lp.vars()
     syms = [sp.Symbol(n) for n in vars_names]
-    comm = _commutator(syms, [c.sym for c in X], [c.sym for c in Y])
-    if all(c == 0 for c in comm):
+    comm = F.run(lambda: _commutator(F, syms, F.up(X), F.up(Y)))
+    L = F.up(lp.el)
+    if not any(comm):
         return SpanSolve((Expr(0), Expr(0)), Verdict.proven(), "symbolic")
-    return solve_in_span(vars_names, [Expr(c) for c in comm],
-                         [lp.L0, lp.L1], cfg)
+    return _solve_in_span(F, vars_names, comm, list(L), cfg)
 
 
 def integrability_check(lp: LaxPair, cfg: SampleConfig = SampleConfig()) -> SpanSolve:
     """[L0, L1] must lie in span{L0, L1} (Frobenius)."""
-    return _bracket_in_span(lp, lp.L0, lp.L1, cfg)
+    return _bracket_in_span(lp, lp.el[0], lp.el[1], cfg)
 
 
 def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
@@ -214,4 +229,5 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
 def lift_commutation_check(kl: LiftedKilling, lp: LaxPair,
                            cfg: SampleConfig = SampleConfig()):
     """[K~, L_A] must close onto span{L0, L1}; returns the two SpanSolves."""
-    return [_bracket_in_span(lp, kl.comps, L, cfg) for L in (lp.L0, lp.L1)]
+    kel = [lp.field.element(Expr(c).normal) for c in kl.comps]
+    return [_bracket_in_span(lp, kel, L, cfg) for L in lp.el]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import asdnull
+from asdnull import construct
 from asdnull.cli import load_model, run
 from asdnull.construct import build_fefferman_like, build_ppwave
 from asdnull.expr import parse
@@ -230,3 +231,18 @@ def test_benchmark_memo_keys_exist():
         module_name, attr = tracer.LAYERS[layer][0]
         getattr(getattr(asdnull, module_name), attr)(*args[:pos + 1])
         assert key in getattr(args[pos], cache), layer
+
+
+def test_report_all_builds_heavenly_geometry_once(capsys, monkeypatch):
+    """The heavenly checks reuse the geometry load_model built."""
+    calls = []
+    build = construct.build_heavenly
+
+    def counting(theta):
+        calls.append(theta)
+        return build(theta)
+
+    monkeypatch.setattr(construct, "build_heavenly", counting)
+    code, _ = _run_capture(capsys, ["report-all", str(MODELS / "heavenly_ppwave.json")])
+    assert code == 0
+    assert len(calls) == 1

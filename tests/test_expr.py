@@ -6,20 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympy as sp
+
 from asdnull.expr import (
     Assignment,
     EvalError,
     Expr,
     ExprError,
+    Field,
     ParseError,
     SampleConfig,
     differentiate,
     evaluate,
     is_zero,
+    normalize,
     parse,
     symbols,
     to_text,
 )
+from tests_util_derivative_oracle import CORPUS as ORACLE_CORPUS
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
 
@@ -255,3 +260,36 @@ def test_evaluation_product_homomorphism(e1, e2):
 @given(_poly_exprs())
 def test_print_parse_roundtrip_property(e):
     assert parse(to_text(e)).equals_normal(e)
+
+
+def test_exact_and_float_evaluation_agree_at_removable_singularity():
+    e = parse("(x^2-1)/(x-1)")
+    assert evaluate(e, {"x": 1}) == 2
+    assert evaluate(e, {"x": 1.0}) == 2.0
+
+
+def test_expr_copy_keeps_normal_form():
+    e = parse("(x^2-1)/(x-1)")
+    assert Expr(e)._norm is e._norm
+
+
+def test_field_derivation_matches_sympy_diff():
+    """Field.diff (the chain rule through kernel gens) against sp.diff on trees."""
+    xyz = sp.symbols("x y z")
+    for text in ORACLE_CORPUS + ["exp(exp(x))", "exp(x/2) + exp(x)*y"]:
+        s = parse(text).normal
+        F = Field(xyz, [s])
+        n, el = F.convert(s)
+        assert F.view(el) == n
+        for v in xyz:
+            assert F.view(F.diff(el, v)) == normalize(sp.diff(s, v)), (text, v)
+
+
+def test_field_grows_and_moves_old_elements():
+    x, y = sp.symbols("x y")
+    F = Field([x, y], [x / y])
+    _, a = F.convert(x / y)
+    K0 = F.K
+    _, b = F.convert(sp.exp(x / 3) + sp.exp(x))  # new gens: exp(x/3), exp(x) = exp(x/3)^3
+    assert F.K != K0
+    assert F.view(F.up(a) * b) == normalize(x / y * (sp.exp(x / 3) + sp.exp(x)))

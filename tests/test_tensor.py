@@ -6,7 +6,9 @@ import itertools
 import sympy as sp
 import pytest
 
-from asdnull.expr import Expr, SampleConfig, is_zero_all, parse
+from asdnull.construct import build_twisting
+from asdnull.expr import Expr, SampleConfig, is_zero_all, normalize, parse
+from asdnull.spinor import curvature_spinors, spin_coefficients
 from asdnull.tensor import (
     Chart,
     Metric,
@@ -18,6 +20,7 @@ from asdnull.tensor import (
     lie_derivative_metric,
     metric_compatibility_residuals,
     ricci,
+    riemann,
     riemann_lower,
     scalar_curvature,
     twist_three_form,
@@ -25,6 +28,7 @@ from asdnull.tensor import (
     weyl,
     weyl_mixed,
 )
+from asdnull.twistor import lax_pair
 
 CFG = SampleConfig()
 R4 = range(4)
@@ -184,3 +188,60 @@ def test_wedge_antisymmetry(flat_bg):
     for i in R4:
         for j in R4:
             assert sp.cancel(w.comps[i][j] + w.comps[j][i]) == 0
+
+
+# G_zz = exp(zx - y) satisfies the transport constraint with A = 0; the z-linear
+# part puts cos(y) log(1 + x^2), exp(x/2) and exp(x) into the metric, and sin(y)
+# into its derivatives
+MIXED_KERNEL_G = "exp(z*x - y)/x^2 + z*(sin(y)*log(1 + x^2) + exp(x/2)*y + exp(x)*y^2)"
+
+
+def _tree_ricci(g):
+    """Christoffels -> Ricci on sympy trees with sp.diff and normalize only."""
+    x = g.chart.syms
+    gm = sp.Matrix(g.comps)
+    det = normalize(gm.det(method="berkowitz"))
+    adj = gm.adjugate()
+    ginv = [[normalize(adj[a, b] / det) for b in R4] for a in R4]
+    gam = [[[normalize(sum(ginv[a][d] * (sp.diff(g.comps[d][c], x[b])
+                                         + sp.diff(g.comps[b][d], x[c])
+                                         - sp.diff(g.comps[b][c], x[d])) for d in R4) / 2)
+             for c in R4] for b in R4] for a in R4]
+    return [[normalize(sum(sp.diff(gam[a][d][b], x[a]) - sp.diff(gam[a][a][b], x[d])
+                           + sum(gam[a][a][e] * gam[e][d][b] - gam[a][d][e] * gam[e][a][b]
+                                 for e in R4) for a in R4))
+             for d in R4] for b in R4]
+
+
+def test_field_curvature_matches_tree_oracle(nontwisting_generic_bg, twisting_exp_bg):
+    mixed = build_twisting(0, 0, 0, 0, parse(MIXED_KERNEL_G))
+    assert mixed.check_constraints(CFG)[0][1].kind == "proven_zero"
+    for bg in (nontwisting_generic_bg, twisting_exp_bg, mixed):
+        assert ricci(bg.g).comps == _tree_ricci(bg.g)
+
+
+def _views(bg):
+    g, tet = bg.g, bg.tet
+    cu, cp, phi, lam = curvature_spinors(g, tet)
+    lp = lax_pair(bg)
+    yield from (christoffels(g).comps, riemann(g).comps, riemann_lower(g).comps,
+                ricci(g).comps, spin_coefficients(g, tet))
+    yield [phi[i][j][k][m] for i, j, k, m in itertools.product(range(2), repeat=4)]
+    yield [e.sym for e in (*cu.psi, *cp.psi, lam, *lp.L0, *lp.L1)]
+
+
+def _flat(obj):
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _flat(v)
+    else:
+        yield obj
+
+
+def test_field_views_are_normal_forms(corpus):
+    """Every sympy value a field stage returns is a fixed point of normalize,
+    so reports print the same normal forms as a tree computation would."""
+    for name, bg in corpus.items():
+        views = {v for part in _views(bg) for v in _flat(part)}
+        bad = [v for v in views if normalize(v) != v]
+        assert not bad, (name, bad[:3])
