@@ -10,6 +10,7 @@ from typing import Sequence
 import sympy as sp
 
 from .expr import Expr, ExprError
+from .tensor import FIBRE
 
 __all__ = [
     "ProjectiveStructure",
@@ -23,8 +24,6 @@ __all__ = [
     "derivative_of_first_order",
     "geodesic_integrate",
 ]
-
-FIBRE = "lam"
 
 
 @dataclass(frozen=True)

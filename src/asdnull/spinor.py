@@ -86,6 +86,11 @@ def _eps(a, b):
     return EPS[a][b]
 
 
+def _comps_el(F: Field, comps) -> list:
+    """Components entering the field: one normalize each."""
+    return [F.convert(c)[1] for c in comps]
+
+
 class NullTetrad:
     """Coframe theta^{AA'} with dual frame; reconstructs g per the tetrad form.
 
@@ -156,10 +161,16 @@ class NullTetrad:
                 out.append(Expr(normalize(v - _eps(A, B) * _eps(Ap, Bp))))
         return out
 
+    def vector_el(self, k: list) -> list:
+        """K^{AA'} = theta^{AA'}(K) from K's components as field elements."""
+        F = self.g.field
+        th, k = self.field_el("theta"), F.up(k)
+        return [[sum((th[_SLOT[A, Ap]][a] * k[a] for a in _R if k[a]), F.K.zero)
+                 for Ap in _R2] for A in _R2]
+
     def vector_components(self, K: VectorField) -> list[list[sp.Expr]]:
         """K^{AA'} = theta^{AA'}(K)."""
-        return [[normalize(sum(self.theta[_SLOT[A, Ap]][a] * K.comps[a] for a in _R))
-                 for Ap in _R2] for A in _R2]
+        return _nested_map(Field.view, self.vector_el(_comps_el(self.g.field, K.comps)))
 
 
 @dataclass
@@ -244,9 +255,13 @@ def standard_tetrad(g: Metric, family: str, params: dict) -> NullTetrad:
 
 
 def _frame_rank2(tet: NullTetrad, comps) -> list:
-    """Project a covariant rank-2 coordinate tensor onto the tetrad frame."""
-    E = tet.frame
-    return [[normalize(sum(E[i][a] * E[j][b] * comps[a][b] for a in _R for b in _R))
+    """Project a covariant rank-2 coordinate tensor (field elements) onto the
+    tetrad frame."""
+    F = tet.g.field
+    E, comps = tet.field_el("frame"), F.up(comps)
+    half = [[sum((E[j][b] * comps[a][b] for b in _R if comps[a][b]), F.K.zero)
+             for j in _R] for a in _R]
+    return [[sum((E[i][a] * half[a][j] for a in _R if E[i][a]), F.K.zero)
              for j in _R] for i in _R]
 
 
@@ -369,25 +384,23 @@ def curvature_reassembly_residuals(g: Metric, tet: NullTetrad) -> list[Expr]:
 # -- two-form decomposition ----------------------------------------------------------
 
 
-def _split_frame_two_form(ff) -> tuple[list[Expr], list[Expr]]:
-    """Frame antisymmetric tensor -> ([phi_{0'0'}, phi_{0'1'}, phi_{1'1'}],
-    [psi_{00}, psi_{01}, psi_{11}])."""
+def _split_frame_two_form(ff) -> tuple[list, list]:
+    """Frame antisymmetric tensor (field elements) -> ([phi_{0'0'}, phi_{0'1'},
+    phi_{1'1'}], [psi_{00}, psi_{01}, psi_{11}])."""
 
     def FF(A, Ap, B, Bp):
         return ff[_SLOT[A, Ap]][_SLOT[B, Bp]]
 
-    phi = [Expr(normalize(sum(_eps(A, B) * FF(A, Ap, B, Bp)
-                              for A in _R2 for B in _R2) / 2))
-           for Ap, Bp in ((0, 0), (0, 1), (1, 1))]
-    psi = [Expr(normalize(sum(_eps(Ap, Bp) * FF(A, Ap, B, Bp)
-                              for Ap in _R2 for Bp in _R2) / 2))
-           for A, B in ((0, 0), (0, 1), (1, 1))]
+    phi = [(FF(0, Ap, 1, Bp) - FF(1, Ap, 0, Bp)) / 2 for Ap, Bp in ((0, 0), (0, 1), (1, 1))]
+    psi = [(FF(A, 0, B, 1) - FF(A, 1, B, 0)) / 2 for A, B in ((0, 0), (0, 1), (1, 1))]
     return phi, psi
 
 
 def decompose_two_form(tet: NullTetrad, F: TwoForm):
     """F_ab -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in the tetrad."""
-    return _split_frame_two_form(_frame_rank2(tet, F.comps))
+    fld = tet.g.field
+    ff = _frame_rank2(tet, [_comps_el(fld, row) for row in F.comps])
+    return tuple([fld.expr(c) for c in part] for part in _split_frame_two_form(ff))
 
 
 def recompose_two_form(tet: NullTetrad, phi, psi) -> TwoForm:
@@ -514,52 +527,53 @@ def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
 # -- Killing spinor data ---------------------------------------------------------------
 
 
-def _nabla_K_lower(g: Metric, K: VectorField):
-    x = g.chart.syms
-    gam = christoffels(g).comps
-    kl = [sum(g.comps[a][b] * K.comps[b] for b in _R) for a in _R]
-    return [[normalize(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in _R))
-             for b in _R] for a in _R]
-
-
 def _conformal_killing(g: Metric, K: VectorField):
-    """(residuals of nabla_(a K_b) - eta/2 g_ab, eta, nabla_a K_b)."""
-    x = g.chart.syms
-    gam = christoffels(g).comps
-    nk = _nabla_K_lower(g, K)
-    div = sum(sp.diff(K.comps[a], x[a]) for a in _R) + sum(
-        gam[a][a][b] * K.comps[b] for a in _R for b in _R
-    )
-    eta = normalize(div / 2)
-    out = []
-    for a in _R:
-        for b in range(a, 4):
-            out.append(Expr(normalize((nk[a][b] + nk[b][a]) / 2 - eta * g.comps[a][b] / 2)))
-    return out, Expr(eta), nk
+    """(residuals of nabla_(a K_b) - eta/2 g_ab, eta, nabla_a K_b); eta and
+    nabla_a K_b = d_a K_b - Gamma^c_ab K_c as field elements."""
+    F = g.field
+    k0 = _comps_el(F, K.comps)
+
+    def compute():
+        x = g.chart.syms
+        k, gg, gam = F.up(k0), g.el, F.up(christoffels(g).el)
+        kl = [sum((gg[a][b] * k[b] for b in _R if k[b]), F.K.zero) for a in _R]
+        nk = [[F.diff(kl[b], x[a]) - sum((gam[c][a][b] * kl[c] for c in _R if kl[c]), F.K.zero)
+               for b in _R] for a in _R]
+        eta = sum((F.diff(k[a], x[a]) + sum((gam[a][a][b] * k[b] for b in _R if k[b]), F.K.zero)
+                   for a in _R), F.K.zero) / 2
+        return ([F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
+                 for a in _R for b in range(a, 4)], eta, nk)
+
+    return F.run(compute)
 
 
 def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], Expr]:
     """(residuals of nabla_(a K_b) - eta/2 g_ab, eta)."""
     res, eta, _ = _conformal_killing(g, K)
-    return res, eta
+    return res, g.field.expr(eta)
 
 
-def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,
-                      cfg: SampleConfig = SampleConfig()) -> KillingSpinorData:
+def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
+    """(phi, psi, eta) of killing_decompose as field elements."""
     res, eta, nk = _conformal_killing(g, K)
     v = is_zero_all(res, cfg)
     if not v.is_zero():
         raise ExprError(f"K is not a conformal Killing vector: {v}")
     fk = _frame_rank2(tet, nk)
-    antisym = [[(fk[i][j] - fk[j][i]) / 2 for j in _R] for i in _R]
-    phi, psi = _split_frame_two_form(antisym)
-    return KillingSpinorData(phi, psi, eta)
+    phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R] for i in _R])
+    return phi, psi, g.field.up(eta)
+
+
+def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,
+                      cfg: SampleConfig = SampleConfig()) -> KillingSpinorData:
+    F = g.field
+    phi, psi, eta = _killing_spinors(g, tet, K, cfg)
+    return KillingSpinorData([F.expr(c) for c in phi], [F.expr(c) for c in psi], F.expr(eta))
 
 
 def killing_reassembly_residuals(g: Metric, tet: NullTetrad, K: VectorField,
                                  data: KillingSpinorData) -> list[Expr]:
-    nk = _nabla_K_lower(g, K)
-    fk = _frame_rank2(tet, nk)
+    fk = _nested_map(Field.view, _frame_rank2(tet, _conformal_killing(g, K)[2]))
     out = []
     for A, Ap, B, Bp in itertools.product(_R2, repeat=4):
         rec = (data.phi_comp(Ap, Bp).sym * _eps(A, B)
@@ -569,80 +583,75 @@ def killing_reassembly_residuals(g: Metric, tet: NullTetrad, K: VectorField,
     return out
 
 
-def null_killing_factorize(g: Metric, tet: NullTetrad, K: VectorField,
-                           cfg: SampleConfig = SampleConfig()):
-    """K^{AA'} = iota^A o^{A'} for a null K."""
-    kk = [sum(g.comps[a][b] * K.comps[a] * K.comps[b] for a in _R for b in _R)]
-    v = is_zero(Expr(normalize(kk[0])), cfg)
+def _null_factors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
+    """(iota, o) of null_killing_factorize as field elements."""
+    F = g.field
+    k = _comps_el(F, K.comps)
+    gg = g.el
+    v = is_zero(F.expr(sum((gg[a][b] * k[a] * k[b] for a in _R for b in _R if k[a] and k[b]),
+                           F.K.zero)), cfg)
     if not v.is_zero():
         raise ExprError(f"K is not null: g(K,K) {v}")
-    m = tet.vector_components(K)
-    pivot = None
-    for A in _R2:
-        for Ap in _R2:
-            if m[A][Ap] != 0 and not is_zero(Expr(m[A][Ap]), cfg).is_zero():
-                pivot = (A, Ap)
-                break
-        if pivot:
-            break
+    m = tet.vector_el(k)
+    pivot = next(((A, Ap) for A in _R2 for Ap in _R2
+                  if m[A][Ap] and not is_zero(F.expr(m[A][Ap]), cfg).is_zero()), None)
     if pivot is None:
         raise ExprError("K vanishes at all sample points; cannot factorize")
     A0, B0 = pivot
-    iota = (Expr(normalize(m[0][B0])), Expr(normalize(m[1][B0])))
-    o = (Expr(normalize(m[A0][0] / m[A0][B0])), Expr(normalize(m[A0][1] / m[A0][B0])))
+    iota = (m[0][B0], m[1][B0])
+    o = (m[A0][0] / m[A0][B0], m[A0][1] / m[A0][B0])
     for A in _R2:
         for Ap in _R2:
-            res = is_zero(iota[A] * o[Ap] - Expr(m[A][Ap]), cfg)
+            res = is_zero(F.expr(iota[A] * o[Ap] - m[A][Ap]), cfg)
             if not res.is_zero():
                 raise ExprError(f"rank-1 factorization failed: {res}")
-    return SpinorField(iota, primed=False), SpinorField(o, primed=True)
+    return iota, o
 
 
-def _lower_spinor(comps):
-    c0, c1 = (Expr(c).sym for c in comps)
-    return (-c1, c0)  # mu_A = mu^B eps_BA
+def null_killing_factorize(g: Metric, tet: NullTetrad, K: VectorField,
+                           cfg: SampleConfig = SampleConfig()):
+    """K^{AA'} = iota^A o^{A'} for a null K."""
+    iota, o = _null_factors(g, tet, K, cfg)
+    return (SpinorField(tuple(map(g.field.expr, iota)), primed=False),
+            SpinorField(tuple(map(g.field.expr, o)), primed=True))
 
 
 def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
                            cfg: SampleConfig = SampleConfig()) -> dict[str, Verdict]:
     """Algebraic and geodesic-shear-free identities for a null conformal
     Killing vector."""
-    data = killing_decompose(g, tet, K, cfg)
-    iota, o = null_killing_factorize(g, tet, K, cfg)
-    gu, gp, _ = spin_coefficients(g, tet)
-    E = tet.frame
-    x = g.chart.syms
-    iu = [Expr(c).sym for c in iota.comps]
-    ou = [Expr(c).sym for c in o.comps]
-    il = _lower_spinor(iota.comps)
-    ol = _lower_spinor(o.comps)
+    F = g.field
+    phi0, psi0, _ = _killing_spinors(g, tet, K, cfg)
+    iota0, o0 = _null_factors(g, tet, K, cfg)
+    spin_coefficients(g, tet)
 
-    alg1 = sum(iu[a] * iu[b] * data.psi_comp(a, b).sym for a in _R2 for b in _R2)
-    alg2 = sum(ou[a] * ou[b] * data.phi_comp(a, b).sym for a in _R2 for b in _R2)
+    def compute():
+        x = g.chart.syms
+        gu, gp, _ = F.up(tet._el["spin_coefficients"])
+        E = tet.field_el("frame")
+        phi, psi, iu, ou = F.up((phi0, psi0, iota0, o0))
+        alg1 = sum((iu[a] * iu[b] * psi[a + b] for a in _R2 for b in _R2), F.K.zero)
+        alg2 = sum((ou[a] * ou[b] * phi[a + b] for a in _R2 for b in _R2), F.K.zero)
 
-    def shear_free(up, low, gamma, slot):
-        # up^A up^B nabla_{slot(B, f)} low_A for each free index f of the other kind
-        out = []
-        for f in _R2:
-            val = sp.S.Zero
-            for A in _R2:
-                for B in _R2:
-                    i = slot(B, f)
-                    cov = sum(E[i][a] * sp.diff(low[A], x[a]) for a in _R) - sum(
-                        gamma[i][A][C] * low[C] for C in _R2
-                    )
-                    val += up[A] * up[B] * cov
-            out.append(val)
-        return out
+        def shear_free(up, gamma, slot):
+            # up^A up^B nabla_{slot(B, f)} up_A for each free index f of the other kind
+            low = (-up[1], up[0])  # mu_A = mu^B eps_BA
+            dlow = [[F.diff(low[A], x[a]) for a in _R] for A in _R2]
+            cov = [[[sum((E[slot(B, f)][a] * dlow[A][a] for a in _R if dlow[A][a]), F.K.zero)
+                     - sum((gamma[slot(B, f)][A][C] * low[C] for C in _R2), F.K.zero)
+                     for A in _R2] for B in _R2] for f in _R2]
+            return [F.expr(sum((up[A] * up[B] * cov[f][B][A] for A in _R2 for B in _R2),
+                               F.K.zero)) for f in _R2]
 
-    gsf_u = shear_free(iu, il, gu, lambda B, f: _SLOT[B, f])
-    gsf_p = shear_free(ou, ol, gp, lambda Bp, f: _SLOT[f, Bp])
+        return (F.expr(alg1), F.expr(alg2), shear_free(iu, gu, lambda B, f: _SLOT[B, f]),
+                shear_free(ou, gp, lambda Bp, f: _SLOT[f, Bp]))
 
+    alg1, alg2, gsf_u, gsf_p = F.run(compute)
     return {
-        "iota.iota.psi": is_zero(Expr(normalize(alg1)), cfg),
-        "o.o.phi": is_zero(Expr(normalize(alg2)), cfg),
-        "iota_geodesic_shear_free": is_zero_all([Expr(normalize(v)) for v in gsf_u], cfg),
-        "o_geodesic_shear_free": is_zero_all([Expr(normalize(v)) for v in gsf_p], cfg),
+        "iota.iota.psi": is_zero(alg1, cfg),
+        "o.o.phi": is_zero(alg2, cfg),
+        "iota_geodesic_shear_free": is_zero_all(gsf_u, cfg),
+        "o_geodesic_shear_free": is_zero_all(gsf_p, cfg),
     }
 
 

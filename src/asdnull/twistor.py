@@ -24,10 +24,9 @@ from .expr import (
     _compiled,
     is_zero,
     is_zero_all,
-    normalize,
     random_points,
 )
-from .spinor import killing_decompose, spin_coefficients, _SLOT, _eps, _R2
+from .spinor import _comps_el, _killing_spinors, spin_coefficients, _SLOT, _eps, _R2
 from .tensor import FIBRE
 
 __all__ = [
@@ -53,8 +52,8 @@ class LaxPair:
     L0: list[Expr]
     L1: list[Expr]
     # the metric's field and L0, L1 as its elements
-    field: Field | None = dataclasses.field(default=None, repr=False, compare=False)
-    el: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
+    field: Field = dataclasses.field(repr=False, compare=False)
+    el: tuple = dataclasses.field(repr=False, compare=False)
 
     def vars(self):
         return tuple(self.chart_names) + (self.fibre,)
@@ -74,10 +73,6 @@ class SpanSolve:
     coefficients: tuple[Expr, ...] | None
     verdict: Verdict
     method: str  # "symbolic" or "numeric"
-
-
-def _pi_poly(lam):
-    return (sp.S.One, lam)  # pi^{A'} = (1, lam) on the affine patch
 
 
 def lax_pair(bg) -> LaxPair:
@@ -192,37 +187,30 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
     g, tet, K = bg.g, bg.tet, bg.K
     if K is None:
         raise ExprError("geometry has no Killing vector to lift")
-    data = killing_decompose(g, tet, K, cfg)
-    _, gp, _ = spin_coefficients(g, tet)
-    lam = sp.Symbol(FIBRE)
-    pi = _pi_poly(lam)
-    pi_lo = (-lam, sp.S.One)  # pi_{A'} = pi^{B'} eps_{B'A'}
-    kaa = tet.vector_components(K)
-
-    def phi_up(ap, bp):
-        # phi^{A'B'} = eps^{A'C'} eps^{B'D'} phi_{C'D'}
-        val = sp.S.Zero
-        for cp in _R2:
-            for dp in _R2:
-                e = _eps(ap, cp) * _eps(bp, dp)
-                if e:
-                    val += e * data.phi_comp(cp, dp).sym
-        return val
+    F = g.field
+    phi, _, eta = _killing_spinors(g, tet, K, cfg)
+    spin_coefficients(g, tet)
+    phi, eta, k = F.up((phi, eta, _comps_el(F, K.comps)))
+    kaa = tet.vector_el(k)
+    gp = F.up(tet._el["spin_coefficients"][1])
+    lam = F.element(sp.Symbol(FIBRE))
+    pi = (F.K.one, lam)  # pi^{A'} = (1, lam) on the affine patch
+    pi_lo = (-lam, F.K.one)  # pi_{A'} = pi^{B'} eps_{B'A'}
+    # phi^{A'B'} = eps^{A'C'} eps^{B'D'} phi_{C'D'}
+    phi_up = [[_eps(ap, 1 - ap) * _eps(bp, 1 - bp) * phi[2 - ap - bp] for bp in _R2]
+              for ap in _R2]
 
     # The self-dual rotation term enters with the staircase that makes the lift
     # commute with the twistor distribution (pi^{A'} phi_{A'}^{B'}); the trace
     # term is Euler-proportional and drops under projectivization.
-    T = [sp.S.Zero, sp.S.Zero]
+    T = [F.K.zero, F.K.zero]
     for Cp in _R2:
-        for A in _R2:
-            for Ap in _R2:
-                for Bp in _R2:
-                    T[Cp] -= kaa[A][Ap] * gp[_SLOT[A, Ap]][Bp][Cp] * pi[Bp]
+        for A, Ap, Bp in itertools.product(_R2, repeat=3):
+            T[Cp] -= kaa[A][Ap] * gp[_SLOT[A, Ap]][Bp][Cp] * pi[Bp]
         for Ap in _R2:
-            T[Cp] -= pi_lo[Ap] * phi_up(Ap, Cp)
-        T[Cp] += data.eta.sym * pi[Cp] / 2
-    vert = normalize(T[1] - lam * T[0])
-    comps = [Expr(normalize(c)) for c in K.comps] + [Expr(vert)]
+            T[Cp] -= pi_lo[Ap] * phi_up[Ap][Cp]
+        T[Cp] += eta * pi[Cp] / 2
+    comps = [F.expr(c) for c in (*k, T[1] - lam * T[0])]
     return LiftedKilling(g.chart.names, FIBRE, comps)
 
 

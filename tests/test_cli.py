@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -160,11 +161,14 @@ def test_invariants_command(capsys):
 
 
 def test_console_entry_point():
+    # the child imports asdnull from src/, as pytest does, installed or not
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "asdnull.cli", "classify",
          str(MODELS / "betazero_a2x.json"), "--at", "x=1,y=2,z=3,t=0",
          "--format", "text"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "III" in proc.stdout
 

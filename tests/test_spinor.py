@@ -10,13 +10,16 @@ from asdnull.expr import (
     Assignment,
     Expr,
     ExprError,
+    Field,
     SampleConfig,
     is_zero,
     is_zero_all,
+    normalize,
     parse,
 )
-from asdnull.construct import build_nontwisting, build_ppwave, build_twisting
+from asdnull.construct import build_flat, build_nontwisting, build_ppwave, build_twisting
 from asdnull.spinor import (
+    _conformal_killing,
     NullTetrad,
     SpinorField,
     check_lemma_identities,
@@ -37,7 +40,7 @@ from asdnull.spinor import (
     type_constraint_check,
     weyl_spinors,
 )
-from asdnull.tensor import OneForm, TwoForm, VectorField, conformal_rescale
+from asdnull.tensor import OneForm, TwoForm, VectorField, christoffels, conformal_rescale
 
 CFG = SampleConfig()
 R4 = range(4)
@@ -265,6 +268,59 @@ def test_killing_decompose_rejects_non_killing(flat_bg):
     K = VectorField(flat_bg.g.chart, [1, 0, sp.Symbol("z"), 0])
     with pytest.raises(ExprError):
         killing_decompose(flat_bg.g, flat_bg.tet, K, CFG)
+
+
+def _tree_killing(g, tet, K):
+    """(nabla_a K_b, eta, K^{AA'}, frame nabla_[a K_b]) on sympy trees with
+    sp.diff and normalize only; the Christoffels are the field's views."""
+    x, gam, k = g.chart.syms, christoffels(g).comps, K.comps
+    kl = [sum(g.comps[a][b] * k[b] for b in R4) for a in R4]
+    nk = [[normalize(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in R4))
+           for b in R4] for a in R4]
+    eta = normalize((sum(sp.diff(k[a], x[a]) for a in R4)
+                     + sum(gam[a][a][b] * k[b] for a in R4 for b in R4)) / 2)
+    kaa = [[normalize(sum(tet.theta[2 * A + Ap][a] * k[a] for a in R4)) for Ap in (0, 1)]
+           for A in (0, 1)]
+    E = tet.frame
+    ff = [[normalize(sum(E[i][a] * E[j][b] * (nk[a][b] - nk[b][a]) / 2
+                         for a in R4 for b in R4)) for j in R4] for i in R4]
+    return nk, eta, kaa, ff
+
+
+def _killing_cases(corpus):
+    for name, bg in corpus.items():
+        if bg.K is not None:
+            yield name, bg, bg.K, True
+    pp = build_ppwave(parse("Y^3"))  # X-independent so Y d_X + Z d_T is Killing
+    Y, Z = sp.symbols("Y Z")
+    yield "ppwave_second", pp, VectorField(pp.g.chart, [Z, Y, 0, 0]), True
+    flat = build_flat()  # exp(x) is no gen of the flat metric's field
+    yield "flat_exp", flat, VectorField(flat.g.chart, [sp.exp(sp.Symbol("x")), 0, 0, 0]), False
+
+
+def test_killing_data_matches_tree_oracle(corpus):
+    """nabla K, eta, K^{AA'}, phi and psi from the metric's field equal their
+    tree computation term for term; a K with a gen the metric lacks grows the
+    field and is still rejected with a witness."""
+    for name, bg, K, killing in _killing_cases(corpus):
+        g, tet = bg.g, bg.tet
+        nk, eta, kaa, ff = _tree_killing(g, tet, K)
+        _, eta_el, nk_el = _conformal_killing(g, K)
+        assert [[Field.view(c) for c in row] for row in nk_el] == nk, name
+        assert Field.view(eta_el) == eta, name
+        assert tet.vector_components(K) == kaa, name
+        if not killing:
+            assert sp.exp(sp.Symbol("x")) in g.field.K.symbols
+            with pytest.raises(ExprError, match="not a conformal Killing vector: nonzero .* at "):
+                killing_decompose(g, tet, K, CFG)
+            continue
+        data = killing_decompose(g, tet, K, CFG)
+        pairs = ((0, 0), (0, 1), (1, 1))
+        phi = [normalize((ff[Ap][2 + Bp] - ff[2 + Ap][Bp]) / 2) for Ap, Bp in pairs]
+        psi = [normalize((ff[2 * A][2 * B + 1] - ff[2 * A + 1][2 * B]) / 2) for A, B in pairs]
+        assert [c.sym for c in data.phi] == phi, name
+        assert [c.sym for c in data.psi] == psi, name
+        assert data.eta.sym == eta, name
 
 
 def test_null_factorization(nontwisting_generic_bg, flat_bg):

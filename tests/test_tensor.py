@@ -8,7 +8,12 @@ import pytest
 
 from asdnull.construct import build_twisting
 from asdnull.expr import Expr, SampleConfig, is_zero_all, normalize, parse
-from asdnull.spinor import curvature_spinors, spin_coefficients
+from asdnull.spinor import (
+    curvature_spinors,
+    killing_decompose,
+    null_killing_factorize,
+    spin_coefficients,
+)
 from asdnull.tensor import (
     Chart,
     Metric,
@@ -28,7 +33,7 @@ from asdnull.tensor import (
     weyl,
     weyl_mixed,
 )
-from asdnull.twistor import lax_pair
+from asdnull.twistor import lax_pair, lift_killing
 
 CFG = SampleConfig()
 R4 = range(4)
@@ -228,6 +233,12 @@ def _views(bg):
                 ricci(g).comps, spin_coefficients(g, tet))
     yield [phi[i][j][k][m] for i, j, k, m in itertools.product(range(2), repeat=4)]
     yield [e.sym for e in (*cu.psi, *cp.psi, lam, *lp.L0, *lp.L1)]
+    if bg.K is not None:
+        data = killing_decompose(g, tet, bg.K, CFG)
+        iota, o = null_killing_factorize(g, tet, bg.K, CFG)
+        yield tet.vector_components(bg.K)
+        yield [e.sym for e in (*data.phi, *data.psi, data.eta, *iota.comps, *o.comps,
+                               *lift_killing(bg, CFG).comps)]
 
 
 def _flat(obj):
