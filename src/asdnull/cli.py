@@ -252,9 +252,7 @@ def cmd_verify_killing(m: Model, args, cfg) -> list[dict]:
     residuals, eta = spinor.conformal_killing_residuals(bg.g, bg.K)
     checks = [check_from_verdict("conformal_killing", is_zero_all(residuals, cfg)),
               check_plain("eta", True, to_text(eta)),
-              check_from_verdict("null", is_zero(
-                  Expr(sum(bg.g.comps[a][b] * bg.K.comps[a] * bg.K.comps[b]
-                           for a in range(4) for b in range(4))), cfg))]
+              check_from_verdict("null", is_zero(tensor.vector_norm(bg.g, bg.K), cfg))]
     return checks
 
 

@@ -230,13 +230,16 @@ def _ppwave_coframe(chart: Chart, p) -> list[OneForm]:
     ]
 
 
-def _sparling_coframe(chart: Chart, p) -> list[OneForm]:
+def _sparling_w0(chart: Chart, H: Expr) -> sp.Expr:
+    """W0 = H(u, v)/(YT - ZX)^3 at u = Y/(YT - ZX), v = Z/(YT - ZX)."""
     T, X, Y, Z = chart.syms
-    if "W0" in p:
-        W0 = p["W0"].sym
-    else:
-        s = Y * T - Z * X
-        W0 = sp.cancel(p["H"].substitute({"u": Expr(Y / s), "v": Expr(Z / s)}).sym / s**3)
+    s = Y * T - Z * X
+    return sp.cancel(H.substitute({"u": Expr(Y / s), "v": Expr(Z / s)}).sym / s**3)
+
+
+def _sparling_coframe(chart: Chart, p) -> list[OneForm]:
+    W0 = p["W0"].sym if "W0" in p else _sparling_w0(chart, p["H"])
+    Y, Z = chart.syms[2:]
     return [
         OneForm(chart, [1, 0, -W0 * Z * Z, W0 * Z * Y]),
         OneForm(chart, [0, 0, 0, 1]),
@@ -245,12 +248,15 @@ def _sparling_coframe(chart: Chart, p) -> list[OneForm]:
     ]
 
 
+def _heavenly_hessian(chart: Chart, theta: Expr) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
+    """(Theta_XX, Theta_TX, Theta_TT)."""
+    T, X = chart.syms[:2]
+    ts = theta.sym
+    return sp.diff(ts, X, 2), sp.diff(ts, T, 1, X, 1), sp.diff(ts, T, 2)
+
+
 def _heavenly_coframe(chart: Chart, p) -> list[OneForm]:
-    T, X, Y, Z = chart.syms
-    ts = p["Theta"].sym
-    thXX = sp.diff(ts, X, 2)
-    thTX = sp.diff(ts, T, 1, X, 1)
-    thTT = sp.diff(ts, T, 2)
+    thXX, thTX, thTT = _heavenly_hessian(chart, p["Theta"])
     return [
         OneForm(chart, [1, 0, -thXX, -thTX]),
         OneForm(chart, [0, 0, 0, 1]),
@@ -353,9 +359,7 @@ def build_sparling_tod(H) -> BuiltGeometry:
         raise ExprError(f"H must be an expression in (u, v), got {sorted(bad)}")
     chart = Chart(CHART_PLEB)
     T, X, Y, Z = chart.syms
-    s = Y * T - Z * X
-    Hinst = He.substitute({"u": Expr(Y / s), "v": Expr(Z / s)}).sym
-    W0 = sp.cancel(Hinst / s**3)
+    W0 = _sparling_w0(chart, He)
     tet = _tetrad_from_coframe(chart, _sparling_coframe(chart, {"W0": Expr(W0)}))
     K = VectorField(chart, [Z, Y, 0, 0])  # Y d_X + Z d_T in (T, X, Y, Z) order
     constraints = _ricci_constraints(tet.g) + _asd_constraints(tet.g, tet)
@@ -395,9 +399,7 @@ def build_heavenly(theta) -> tuple[BuiltGeometry, HeavenlyData]:
     chart = Chart(CHART_PLEB)
     T, X, Y, Z = chart.syms
     ts = th.sym
-    thXX = sp.diff(ts, X, 2)
-    thTX = sp.diff(ts, T, 1, X, 1)
-    thTT = sp.diff(ts, T, 2)
+    thXX, thTX, thTT = _heavenly_hessian(chart, th)
     tet = _tetrad_from_coframe(chart, _heavenly_coframe(chart, {"Theta": th}))
     residual = Expr(sp.diff(ts, Y, 1, T, 1) - sp.diff(ts, Z, 1, X, 1)
                     + thTT * thXX - thTX**2)
@@ -423,12 +425,6 @@ def _sigma_forms(tet: NullTetrad) -> tuple[TwoForm, TwoForm, TwoForm]:
     return s00, s01, s11
 
 
-def _endo(g: Metric, F: TwoForm):
-    ginv = g.inverse
-    return [[sp.cancel(sum(ginv[a][c] * F.comps[c][b] for c in range(4)))
-             for b in range(4)] for a in range(4)]
-
-
 def endomorphism_check(theta, cfg: SampleConfig = SampleConfig()) -> Verdict:
     """-I^2 = R^2 = S^2 = Id and IRS = Id for R, I, S built from the Sigma forms
     (S from the unsymmetrized o x iota form, i.e. 2 Sigma^{0'1'})."""
@@ -439,25 +435,30 @@ def endomorphism_check(theta, cfg: SampleConfig = SampleConfig()) -> Verdict:
 def heavenly_endomorphism_check(bg: BuiltGeometry,
                                 cfg: SampleConfig = SampleConfig()) -> Verdict:
     """endomorphism_check on an already built heavenly geometry."""
-    s00, s01, s11 = _sigma_forms(bg.tet)
-    R = _endo(bg.g, s00 - s11)
-    Iend = _endo(bg.g, s00 + s11)
-    S = _endo(bg.g, s01 * Expr(2))
+    F = bg.g.field
+    ginv = bg.g._inverse_el()
+    th = bg.tet.field_el("theta")
+    R4 = range(4)
+
+    def wedge_el(i, j):
+        return [[th[i][a] * th[j][b] - th[i][b] * th[j][a] for b in R4] for a in R4]
 
     def matmul(A, B):
-        return [[sp.cancel(sum(A[a][c] * B[c][b] for c in range(4)))
-                 for b in range(4)] for a in range(4)]
+        return [[sum((A[a][c] * B[c][b] for c in R4 if A[a][c]), F.K.zero) for b in R4]
+                for a in R4]
 
-    ident = [[sp.S.One if a == b else sp.S.Zero for b in range(4)] for a in range(4)]
+    def endo(*forms):
+        return matmul(ginv, [[sum((f[a][b] * s for f, s in forms), F.K.zero) for b in R4]
+                             for a in R4])
+
+    s00, s11 = wedge_el(0, 2), wedge_el(1, 3)
+    R = endo((s00, 1), (s11, -1))
+    Iend = endo((s00, 1), (s11, 1))
+    S = endo((wedge_el(0, 3), 1), (wedge_el(1, 2), 1))  # 2 Sigma^{0'1'}
     residuals = []
-    for M, sign in ((matmul(R, R), 1), (matmul(Iend, Iend), -1), (matmul(S, S), 1)):
-        for a in range(4):
-            for b in range(4):
-                residuals.append(Expr(sign * M[a][b] - ident[a][b]))
-    IRS = matmul(Iend, matmul(R, S))
-    for a in range(4):
-        for b in range(4):
-            residuals.append(Expr(IRS[a][b] - ident[a][b]))
+    for M, sign in ((matmul(R, R), 1), (matmul(Iend, Iend), -1), (matmul(S, S), 1),
+                    (matmul(Iend, matmul(R, S)), 1)):
+        residuals += [F.expr(sign * M[a][b] - (1 if a == b else 0)) for a in R4 for b in R4]
     return is_zero_all(residuals, cfg)
 
 
@@ -473,11 +474,10 @@ def sigma_pullback_residuals(theta) -> list[Expr]:
 def heavenly_sigma_pullback_residuals(bg: BuiltGeometry) -> list[Expr]:
     """sigma_pullback_residuals on an already built heavenly geometry."""
     chart = bg.g.chart
-    T, X, Y, Z = chart.syms
     pi0, pi1 = sp.symbols("pi0 pi1")
     s00, s01, s11 = _sigma_forms(bg.tet)
     sigma = (s00 * Expr(pi0**2) + s01 * Expr(2 * pi0 * pi1) + s11 * Expr(pi1**2))
-    qt = -sp.diff(bg.params["Theta"].sym, X, 2)
+    qt = -_heavenly_hessian(chart, bg.params["Theta"])[0]
     dT = OneForm(chart, [1, 0, 0, 0])
     dX = OneForm(chart, [0, 1, 0, 0])
     dY = OneForm(chart, [0, 0, 1, 0])

@@ -11,6 +11,7 @@ half: it vanishes for anti-self-dual metrics.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -42,10 +43,13 @@ from .tensor import (
     adjugate4,
     christoffels,
     det4,
-    exterior_derivative_oneform,
     riemann_lower,
+    vector_norm,
+    _comps_el,
+    _nabla_vector,
     _nested,
     _nested_map,
+    _vector_el,
 )
 
 __all__ = [
@@ -84,11 +88,6 @@ EPS = ((0, 1), (-1, 0))  # eps_{01}=eps^{01}=1
 
 def _eps(a, b):
     return EPS[a][b]
-
-
-def _comps_el(F: Field, comps) -> list:
-    """Components entering the field: one normalize each."""
-    return [F.convert(c)[1] for c in comps]
 
 
 class NullTetrad:
@@ -170,7 +169,7 @@ class NullTetrad:
 
     def vector_components(self, K: VectorField) -> list[list[sp.Expr]]:
         """K^{AA'} = theta^{AA'}(K)."""
-        return _nested_map(Field.view, self.vector_el(_comps_el(self.g.field, K.comps)))
+        return _nested_map(Field.view, self.vector_el(_vector_el(self.g, K)))
 
 
 @dataclass
@@ -179,6 +178,9 @@ class WeylSpinor:
 
     psi: list[Expr]
     primed: bool = False
+    # the metric's field and psi as its elements
+    field: Field = dataclasses.field(kw_only=True, repr=False, compare=False)
+    el: tuple = dataclasses.field(kw_only=True, repr=False, compare=False)
 
     def component(self, *idx: int) -> Expr:
         return self.psi[sum(idx)]
@@ -292,9 +294,12 @@ def _frame_riemann(tet: NullTetrad) -> list:
 
 def curvature_spinors(g: Metric, tet: NullTetrad):
     """(C unprimed, C primed, Phi[A][B][C'][D'], Lambda) from the frame Riemann."""
+    key = "curvature_spinors"
+    if key in tet._coeff_cache:
+        return tet._coeff_cache[key]
+    F = g.field
 
     def compute():
-        F = g.field
         rf = _frame_riemann(tet)
 
         def RF(A, Ap, B, Bp, C, Cp, D, Dp):
@@ -329,30 +334,26 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
         def sym4(tbl):
             psi = []
             for k in range(5):
-                idx = tuple([1] * k + [0] * (4 - k))
-                perms = set(itertools.permutations(idx))
-                psi.append(F.expr(sum((tbl[p] for p in perms), F.K.zero) / len(perms)))
-            return psi
+                perms = set(itertools.permutations([1] * k + [0] * (4 - k)))
+                psi.append(sum((tbl[p] for p in perms), F.K.zero) / len(perms))
+            return tuple(psi)
 
         lam = sum((_eps(A, D) * _eps(B, C) * v2[(A, B, C, D)]
                    for A, B, C, D in itertools.product(_R2, repeat=4)
                    if _eps(A, D) * _eps(B, C)), F.K.zero) / 6
-        phi = _nested(4)
-        for A, B, Cp, Dp in itertools.product(_R2, repeat=4):
-            phi[A][B][Cp][Dp] = F.view(
-                (w[(A, B, Cp, Dp)] + w[(B, A, Cp, Dp)]
-                 + w[(A, B, Dp, Cp)] + w[(B, A, Dp, Cp)]) / 4
-            )
-        return (
-            WeylSpinor(sym4(v2), primed=False),
-            WeylSpinor(sym4(u2), primed=True),
-            phi,
-            F.expr(lam),
-        )
+        phi = [[[[(w[(A, B, Cp, Dp)] + w[(B, A, Cp, Dp)]
+                   + w[(A, B, Dp, Cp)] + w[(B, A, Dp, Cp)]) / 4 for Dp in _R2]
+                 for Cp in _R2] for B in _R2] for A in _R2]
+        return sym4(v2), sym4(u2), phi, lam
 
-    if "curvature_spinors" not in tet._coeff_cache:
-        tet._coeff_cache["curvature_spinors"] = g.field.run(compute)
-    return tet._coeff_cache["curvature_spinors"]
+    tet._el[key] = cu, cp, phi, lam = F.run(compute)
+    tet._coeff_cache[key] = (
+        WeylSpinor([F.expr(c) for c in cu], primed=False, field=F, el=cu),
+        WeylSpinor([F.expr(c) for c in cp], primed=True, field=F, el=cp),
+        _nested_map(F.view, phi),
+        F.expr(lam),
+    )
+    return tet._coeff_cache[key]
 
 
 def weyl_spinors(g: Metric, tet: NullTetrad) -> tuple[WeylSpinor, WeylSpinor]:
@@ -515,13 +516,17 @@ def petrov_classify_samples(w: WeylSpinor, points: list[Assignment],
     return consensus, results, len(votes) > 1
 
 
-def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
-    """I = C.C and J = C.C.C via exact epsilon contractions."""
-    p = [Expr(c).sym for c in w.psi]
+def _invariants_el(p) -> tuple:
+    """(I, J) from the five components of a Weyl spinor."""
     i_inv = 2 * (p[0] * p[4] - 4 * p[1] * p[3] + 3 * p[2] ** 2)
     j_inv = 6 * (p[0] * p[2] * p[4] - p[0] * p[3] ** 2 - p[1] ** 2 * p[4]
                  + 2 * p[1] * p[2] * p[3] - p[2] ** 3)
-    return Expr(normalize(i_inv)), Expr(normalize(j_inv))
+    return i_inv, j_inv
+
+
+def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
+    """I = C.C and J = C.C.C via exact epsilon contractions."""
+    return tuple(map(w.field.expr, _invariants_el(w.field.up(w.el))))
 
 
 # -- Killing spinor data ---------------------------------------------------------------
@@ -529,22 +534,12 @@ def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
 
 def _conformal_killing(g: Metric, K: VectorField):
     """(residuals of nabla_(a K_b) - eta/2 g_ab, eta, nabla_a K_b); eta and
-    nabla_a K_b = d_a K_b - Gamma^c_ab K_c as field elements."""
+    nabla_a K_b as field elements."""
     F = g.field
-    k0 = _comps_el(F, K.comps)
-
-    def compute():
-        x = g.chart.syms
-        k, gg, gam = F.up(k0), g.el, F.up(christoffels(g).el)
-        kl = [sum((gg[a][b] * k[b] for b in _R if k[b]), F.K.zero) for a in _R]
-        nk = [[F.diff(kl[b], x[a]) - sum((gam[c][a][b] * kl[c] for c in _R if kl[c]), F.K.zero)
-               for b in _R] for a in _R]
-        eta = sum((F.diff(k[a], x[a]) + sum((gam[a][a][b] * k[b] for b in _R if k[b]), F.K.zero)
-                   for a in _R), F.K.zero) / 2
-        return ([F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
-                 for a in _R for b in range(a, 4)], eta, nk)
-
-    return F.run(compute)
+    _, nk, div = _nabla_vector(g, K)
+    eta, gg = div / 2, g.el
+    return ([F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
+             for a in _R for b in range(a, 4)], eta, nk)
 
 
 def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], Expr]:
@@ -561,7 +556,7 @@ def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConf
         raise ExprError(f"K is not a conformal Killing vector: {v}")
     fk = _frame_rank2(tet, nk)
     phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R] for i in _R])
-    return phi, psi, g.field.up(eta)
+    return phi, psi, eta
 
 
 def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,
@@ -586,13 +581,10 @@ def killing_reassembly_residuals(g: Metric, tet: NullTetrad, K: VectorField,
 def _null_factors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
     """(iota, o) of null_killing_factorize as field elements."""
     F = g.field
-    k = _comps_el(F, K.comps)
-    gg = g.el
-    v = is_zero(F.expr(sum((gg[a][b] * k[a] * k[b] for a in _R for b in _R if k[a] and k[b]),
-                           F.K.zero)), cfg)
+    v = is_zero(vector_norm(g, K), cfg)
     if not v.is_zero():
         raise ExprError(f"K is not null: g(K,K) {v}")
-    m = tet.vector_el(k)
+    m = tet.vector_el(_vector_el(g, K))
     pivot = next(((A, Ap) for A in _R2 for Ap in _R2
                   if m[A][Ap] and not is_zero(F.expr(m[A][Ap]), cfg).is_zero()), None)
     if pivot is None:
@@ -657,23 +649,22 @@ def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
 
 def principal_direction_check(w: WeylSpinor, iota: SpinorField,
                               cfg: SampleConfig = SampleConfig()) -> Verdict:
-    iu = [Expr(c).sym for c in iota.comps]
-    val = sum(
-        iu[a] * iu[b] * iu[c] * iu[d] * w.component(a, b, c, d).sym
-        for a, b, c, d in itertools.product(_R2, repeat=4)
-    )
-    return is_zero(Expr(normalize(val)), cfg)
+    F = w.field
+    iu = _comps_el(F, [Expr(c).sym for c in iota.comps])
+    p = F.up(w.el)
+    val = sum((iu[a] * iu[b] * iu[c] * iu[d] * p[a + b + c + d]
+               for a, b, c, d in itertools.product(_R2, repeat=4)), F.K.zero)
+    return is_zero(F.expr(val), cfg)
 
 
 def type_constraint_check(w: WeylSpinor, iota: SpinorField,
                           cfg: SampleConfig = SampleConfig()) -> Verdict:
-    iu = [Expr(c).sym for c in iota.comps]
-    residuals = []
-    for c in _R2:
-        for d in range(c, 2):
-            val = sum(iu[a] * iu[b] * w.component(a, b, c, d).sym
-                      for a, b in itertools.product(_R2, repeat=2))
-            residuals.append(Expr(normalize(val)))
+    F = w.field
+    iu = _comps_el(F, [Expr(c).sym for c in iota.comps])
+    p = F.up(w.el)
+    residuals = [F.expr(sum((iu[a] * iu[b] * p[a + b + c + d]
+                             for a, b in itertools.product(_R2, repeat=2)), F.K.zero))
+                 for c in _R2 for d in range(c, 2)]
     return is_zero_all(residuals, cfg)
 
 
@@ -706,35 +697,37 @@ class SzekeresResult:
         return not self.verdict.is_zero()
 
 
-def _psi_l(w: WeylSpinor, *idx: int) -> sp.Expr:
-    """Psi_{ABCD} with all indices down."""
-    return w.component(*idx).sym
+def _weyl_divergence(g: Metric, tet: NullTetrad) -> dict:
+    """weyl_divergence_spinor as field elements."""
+    curvature_spinors(g, tet)
+    spin_coefficients(g, tet)
+    F = g.field
+
+    def compute():
+        x = g.chart.syms
+        psi = F.up(tet._el["curvature_spinors"][0])  # Psi_{ABCD} = psi[A + B + C + D]
+        gu = F.up(tet._el["spin_coefficients"][0])
+        E = tet.field_el("frame")
+        dpsi = [[F.diff(p, x[a]) for a in _R] for p in psi]
+        div = {}
+        for A, B, C, Dp in itertools.product(_R2, repeat=4):
+            val = F.K.zero
+            for D, Ee in ((0, 1), (1, 0)):  # nabla^D_{D'} = eps^{DE} nabla_{E D'}
+                i = _SLOT[Ee, Dp]
+                nab = sum((E[i][a] * dpsi[A + B + C + D][a] for a in _R if E[i][a]), F.K.zero)
+                for P in _R2:
+                    nab -= (gu[i][A][P] * psi[P + B + C + D] + gu[i][B][P] * psi[A + P + C + D]
+                            + gu[i][C][P] * psi[A + B + P + D] + gu[i][D][P] * psi[A + B + C + P])
+                val += _eps(D, Ee) * nab
+            div[(A, B, C, Dp)] = val
+        return div
+
+    return F.run(compute)
 
 
 def weyl_divergence_spinor(g: Metric, tet: NullTetrad) -> dict:
     """(div Psi)_{ABCD'} = nabla^D_{D'} Psi_{ABCD}; zero for vacuum (Bianchi)."""
-    cu, _, _, _ = curvature_spinors(g, tet)
-    gu, _, _ = spin_coefficients(g, tet)
-    E = tet.frame
-    x = g.chart.syms
-    div = {}
-    for A, B, C in itertools.product(_R2, repeat=3):
-        for Dp in _R2:
-            val = sp.S.Zero
-            for D in _R2:
-                for Ee in _R2:
-                    e = _eps(D, Ee)  # nabla^D_{D'} = eps^{DE} nabla_{E D'}
-                    if e == 0:
-                        continue
-                    i = _SLOT[Ee, Dp]
-                    nab = sum(E[i][a] * sp.diff(_psi_l(cu, A, B, C, D), x[a]) for a in _R)
-                    nab -= sum(gu[i][A][F] * _psi_l(cu, F, B, C, D) for F in _R2)
-                    nab -= sum(gu[i][B][F] * _psi_l(cu, A, F, C, D) for F in _R2)
-                    nab -= sum(gu[i][C][F] * _psi_l(cu, A, B, F, D) for F in _R2)
-                    nab -= sum(gu[i][D][F] * _psi_l(cu, A, B, C, F) for F in _R2)
-                    val += e * nab
-            div[(A, B, C, Dp)] = normalize(val)
-    return div
+    return {k: Field.view(v) for k, v in _weyl_divergence(g, tet).items()}
 
 
 def szekeres_obstruction(g: Metric, tet: NullTetrad,
@@ -755,93 +748,80 @@ def szekeres_obstruction(g: Metric, tet: NullTetrad,
             f"obstruction inapplicable: type is {types[0]} at all sample points"
         )
 
-    div = weyl_divergence_spinor(g, tet)
-    i_inv, _ = scalar_invariants(cu)
+    F = g.field
+    div = _weyl_divergence(g, tet)
+    psi = F.up(cu.el)
+    i_inv, _ = _invariants_el(psi)
+    th = tet.field_el("theta")
 
-    def psi_up(a, b, c, d):
-        sgn = 1
-        for orig in (a, b, c, d):
-            sgn *= 1 if orig == 0 else -1
-        return sgn * _psi_l(cu, 1 - a, 1 - b, 1 - c, 1 - d)
-
-    # u^D_{D'} = Psi^{DPQR} (div Psi)_{PQR D'};  Psi^{DPQR} Psi_{PQRE} = (I/2) delta
+    # u^D_{D'} = Psi^{DPQR} (div Psi)_{PQR D'};  Psi^{DPQR} Psi_{PQRE} = (I/2) delta,
+    # with Psi^{ABCD} = (-1)^n Psi_{(1-A)(1-B)(1-C)(1-D)}, n the number of 1-indices
     u = {}
-    for D in _R2:
-        for Dp in _R2:
-            u[(D, Dp)] = normalize(sum(
-                psi_up(D, p, q, r) * div[(p, q, r, Dp)]
-                for p, q, r in itertools.product(_R2, repeat=3)
-            ))
+    for D, Dp in itertools.product(_R2, repeat=2):
+        u[(D, Dp)] = sum(((-1) ** (D + p + q + r) * psi[4 - D - p - q - r] * div[(p, q, r, Dp)]
+                          for p, q, r in itertools.product(_R2, repeat=3)), F.K.zero)
     e_spinor = {}
     for A, B, C, Dp in itertools.product(_R2, repeat=4):
-        e_spinor[(A, B, C, Dp)] = normalize(
-            i_inv.sym * div[(A, B, C, Dp)]
-            - 2 * sum(_psi_l(cu, A, B, C, D) * u[(D, Dp)] for D in _R2)
-        )
+        e_spinor[(A, B, C, Dp)] = (i_inv * div[(A, B, C, Dp)]
+                                   - 2 * sum(psi[A + B + C + D] * u[(D, Dp)] for D in _R2))
 
-    th = tet.theta
-    elim = _nested(3)
-    for a in _R:
-        for b in _R:
-            for c in _R:
-                val = sp.S.Zero
-                for A, Ap, B, Bp, C, Cp in itertools.product(_R2, repeat=6):
-                    coef = e_spinor[(A, B, C, Cp)] * _eps(Ap, Bp)
-                    if coef == 0:
-                        continue
-                    val += (coef * th[_SLOT[A, Ap]][a] * th[_SLOT[B, Bp]][b]
-                            * th[_SLOT[C, Cp]][c])
-                elim[a][b][c] = normalize(val)
-    elim_field = TensorField(g.chart, "lll", elim)
+    # E_abc = E_{ABCC'} eps_{A'B'} theta^{AA'}_a theta^{BB'}_b theta^{CC'}_c
+    pair = {(A, B): [[th[_SLOT[A, 0]][a] * th[_SLOT[B, 1]][b]
+                      - th[_SLOT[A, 1]][a] * th[_SLOT[B, 0]][b] for b in _R] for a in _R]
+            for A, B in itertools.product(_R2, repeat=2)}
+    third = {(A, B): [sum((e_spinor[(A, B, C, Cp)] * th[_SLOT[C, Cp]][c]
+                           for C, Cp in itertools.product(_R2, repeat=2)), F.K.zero)
+                      for c in _R]
+             for A, B in itertools.product(_R2, repeat=2)}
+    elim = [[[sum((pair[k][a][b] * third[k][c] for k in pair), F.K.zero) for c in _R]
+             for b in _R] for a in _R]
+    elim_field = TensorField(g.chart, "lll", el=elim)
     v_elim = elim_field.zero_verdict(cfg)
     if not v_elim.is_zero():
         return SzekeresResult(elim_field, None, None, v_elim)
 
-    ups = _solve_gradient_candidate(cu, div, i_inv, u, cfg)
+    ups = _solve_gradient_candidate(F, psi, div, i_inv, u, cfg)
     # coordinate one-form: Ups_a = Ups_{E D'} theta^{E D'}_a, Ups_{E D'} = Ups^D_{D'} eps_{DE}
-    comps = [sp.S.Zero] * 4
-    for Ee in _R2:
-        for Dp in _R2:
-            low = sum(ups[(D, Dp)] * _eps(D, Ee) for D in _R2)
-            if low == 0:
-                continue
-            for a in _R:
-                comps[a] += low * th[_SLOT[Ee, Dp]][a]
-    oneform = OneForm(g.chart, [normalize(c) for c in comps])
-    curl = exterior_derivative_oneform(oneform)
-    v_curl = curl.zero_verdict(cfg)
+    comps = [sum((ups[(1 - Ee, Dp)] * _eps(1 - Ee, Ee) * th[_SLOT[Ee, Dp]][a]
+                  for Ee, Dp in itertools.product(_R2, repeat=2)), F.K.zero) for a in _R]
+
+    def curl():
+        x = g.chart.syms
+        w = F.up(comps)
+        return [[F.diff(w[b], x[a]) - F.diff(w[a], x[b]) for b in _R] for a in _R]
+
+    oneform = OneForm(g.chart, el=comps)
+    curl_form = TwoForm(g.chart, el=F.run(curl))
+    v_curl = curl_form.zero_verdict(cfg)
     verdict = v_curl if not v_curl.is_zero() else (
         v_elim if v_elim.kind == "sampled_zero" else v_curl
     )
-    return SzekeresResult(elim_field, oneform, curl, verdict)
+    return SzekeresResult(elim_field, oneform, curl_form, verdict)
 
 
-def _solve_gradient_candidate(cu: WeylSpinor, div: dict, i_inv: Expr, u: dict,
-                              cfg: SampleConfig):
+def _solve_gradient_candidate(F: Field, psi, div: dict, i_inv, u: dict, cfg: SampleConfig):
     """Solve (div Psi)_{ABCD'} = Ups^D_{D'} Psi_{ABCD} for Ups (defined up to
-    the constant absorbed from the conformal weight, which drops in the curl)."""
-    if not is_zero(i_inv, cfg).is_zero():
-        return {k: normalize(2 * val / i_inv.sym) for k, val in u.items()}
+    the constant absorbed from the conformal weight, which drops in the curl);
+    field elements in and out."""
+    if not is_zero(F.expr(i_inv), cfg).is_zero():
+        return {k: 2 * val / i_inv for k, val in u.items()}
     # I = 0 (type III): pick an invertible 2x2 row minor of the 4x2 system
     rows = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
     for r1, r2 in itertools.combinations(rows, 2):
-        det = normalize(_psi_l(cu, *r1, 0) * _psi_l(cu, *r2, 1)
-                        - _psi_l(cu, *r1, 1) * _psi_l(cu, *r2, 0))
-        if det == 0 or is_zero(Expr(det), cfg).is_zero():
+        n1, n2 = sum(r1), sum(r2)
+        det = psi[n1] * psi[n2 + 1] - psi[n1 + 1] * psi[n2]
+        if not det or is_zero(F.expr(det), cfg).is_zero():
             continue
         ups = {}
         for Dp in _R2:
             b1, b2 = div[(*r1, Dp)], div[(*r2, Dp)]
-            ups[(0, Dp)] = normalize(
-                (b1 * _psi_l(cu, *r2, 1) - b2 * _psi_l(cu, *r1, 1)) / det)
-            ups[(1, Dp)] = normalize(
-                (_psi_l(cu, *r1, 0) * b2 - _psi_l(cu, *r2, 0) * b1) / det)
+            ups[(0, Dp)] = (b1 * psi[n2 + 1] - b2 * psi[n1 + 1]) / det
+            ups[(1, Dp)] = (psi[n1] * b2 - psi[n2] * b1) / det
         # consistency on the remaining rows
         for r in rows:
             for Dp in _R2:
-                res = normalize(sum(_psi_l(cu, *r, D) * ups[(D, Dp)] for D in _R2)
-                                - div[(*r, Dp)])
-                if not is_zero(Expr(res), cfg).is_zero():
+                res = sum(psi[sum(r) + D] * ups[(D, Dp)] for D in _R2) - div[(*r, Dp)]
+                if not is_zero(F.expr(res), cfg).is_zero():
                     raise ExprError("gradient candidate solve is inconsistent")
         return ups
     raise ExprError("no invertible minor: cannot solve for the gradient candidate")

@@ -34,6 +34,7 @@ __all__ = [
     "weyl_mixed",
     "lie_derivative_metric",
     "twist_three_form",
+    "vector_norm",
     "conformal_rescale",
     "pair_product",
     "wedge",
@@ -168,9 +169,9 @@ class VectorField(TensorField):
 
 
 class OneForm(TensorField):
-    def __init__(self, chart: Chart, comps: Sequence):
+    def __init__(self, chart: Chart, comps=None, el: list | None = None):
         chart.require_dim(4)
-        super().__init__(chart, "l", [_sym(c) for c in comps])
+        super().__init__(chart, "l", [_sym(c) for c in comps] if el is None else None, el)
 
     def __call__(self, v: VectorField) -> Expr:
         return Expr(sum(self.comps[a] * v.comps[a] for a in _R))
@@ -191,9 +192,10 @@ class OneForm(TensorField):
 class TwoForm(TensorField):
     """Antisymmetric rank-2 covariant tensor."""
 
-    def __init__(self, chart: Chart, comps):
+    def __init__(self, chart: Chart, comps=None, el: list | None = None):
         chart.require_dim(4)
-        super().__init__(chart, "ll", [[_sym(comps[a][b]) for b in _R] for a in _R])
+        super().__init__(chart, "ll", [[_sym(comps[a][b]) for b in _R] for a in _R]
+                         if el is None else None, el)
 
     def __add__(self, other):
         return TwoForm(self.chart,
@@ -213,10 +215,10 @@ class TwoForm(TensorField):
 class ThreeForm(TensorField):
     """Totally antisymmetric rank-3; stored dense, built from 4 independent comps."""
 
-    def __init__(self, chart: Chart, comps):
+    def __init__(self, chart: Chart, comps=None, el: list | None = None):
         chart.require_dim(4)
-        super().__init__(chart, "lll",
-                         [[[_sym(comps[a][b][c]) for c in _R] for b in _R] for a in _R])
+        super().__init__(chart, "lll", [[[_sym(comps[a][b][c]) for c in _R] for b in _R]
+                                        for a in _R] if el is None else None, el)
 
     def independent_components(self) -> dict[tuple[int, int, int], Expr]:
         return {(a, b, c): self[a, b, c]
@@ -497,39 +499,58 @@ def metric_compatibility_residuals(g: Metric) -> list[Expr]:
     return out
 
 
+def _comps_el(F: Field, comps) -> list:
+    """Components entering the field: one normalize each."""
+    return F.up([F.convert(c)[1] for c in comps])
+
+
+def _vector_el(g: Metric, k: VectorField) -> list:
+    """K's components as elements of g's field, converted once per metric."""
+    key = ("vector_el", *k.comps)
+    if key not in g._cache:
+        g._cache[key] = _comps_el(g.field, k.comps)
+    return g.field.up(g._cache[key])
+
+
+def vector_norm(g: Metric, k: VectorField) -> Expr:
+    """g(K, K)."""
+    F = g.field
+    kv, gg = _vector_el(g, k), g.el  # K first: it may grow the field
+    return F.expr(sum((gg[a][b] * kv[a] * kv[b] for a in _R for b in _R if kv[a] and kv[b]),
+                      F.K.zero))
+
+
+def _nabla_vector(g: Metric, k: VectorField):
+    """(K_a, nabla_a K_b = d_a K_b - Gamma^c_ab K_c, nabla_a K^a) as field
+    elements, memoized on the metric and keyed on K's normal forms."""
+    F = g.field
+    k0 = _vector_el(g, k)
+
+    def compute():
+        x = g.chart.syms
+        kv, gg, gam = F.up(k0), g.el, F.up(christoffels(g).el)
+        kl = [sum((gg[a][b] * kv[b] for b in _R if kv[b]), F.K.zero) for a in _R]
+        nk = [[F.diff(kl[b], x[a]) - sum((gam[c][a][b] * kl[c] for c in _R if kl[c]), F.K.zero)
+               for b in _R] for a in _R]
+        div = sum((F.diff(kv[a], x[a]) + sum((gam[a][a][b] * kv[b] for b in _R if kv[b]),
+                                               F.K.zero) for a in _R), F.K.zero)
+        return kl, nk, div
+
+    return F.up(g._memo(("nabla_vector", *map(Field.view, k0)), compute))
+
+
 def lie_derivative_metric(g: Metric, k: VectorField) -> TensorField:
-    """(L_K g)_ab = K^c d_c g_ab + g_cb d_a K^c + g_ac d_b K^c."""
-    x = g.chart.syms
-    out = [[sp.S.Zero] * 4 for _ in _R]
-    for a in _R:
-        for b in range(a, 4):
-            val = sum(k.comps[c] * sp.diff(g.comps[a][b], x[c]) for c in _R)
-            val += sum(g.comps[c][b] * sp.diff(k.comps[c], x[a]) for c in _R)
-            val += sum(g.comps[a][c] * sp.diff(k.comps[c], x[b]) for c in _R)
-            val = normalize(val)
-            out[a][b] = val
-            out[b][a] = val
-    return TensorField(g.chart, "ll", out)
-
-
-def metric_dual_oneform(g: Metric, k: VectorField) -> OneForm:
-    return OneForm(g.chart, [sum(g.comps[a][b] * k.comps[b] for b in _R) for a in _R])
+    """(L_K g)_ab = K^c d_c g_ab + g_cb d_a K^c + g_ac d_b K^c = nabla_a K_b + nabla_b K_a."""
+    _, nk, _ = _nabla_vector(g, k)
+    return TensorField(g.chart, "ll", el=[[nk[a][b] + nk[b][a] for b in _R] for a in _R])
 
 
 def twist_three_form(g: Metric, k: VectorField) -> ThreeForm:
     """K-flat wedge d(K-flat); vanishing means K is hypersurface-orthogonal."""
-    kf = metric_dual_oneform(g, k)
-    dk = exterior_derivative_oneform(kf)
-    comps = _nested(3)
-    for a in _R:
-        for b in _R:
-            for c in _R:
-                comps[a][b][c] = normalize(
-                    kf.comps[a] * dk.comps[b][c]
-                    + kf.comps[b] * dk.comps[c][a]
-                    + kf.comps[c] * dk.comps[a][b]
-                )
-    return ThreeForm(g.chart, comps)
+    kf, nk, _ = _nabla_vector(g, k)
+    dk = [[nk[a][b] - nk[b][a] for b in _R] for a in _R]  # d(K-flat): Gamma is symmetric
+    return ThreeForm(g.chart, el=[[[kf[a] * dk[b][c] + kf[b] * dk[c][a] + kf[c] * dk[a][b]
+                                    for c in _R] for b in _R] for a in _R])
 
 
 def conformal_rescale(g: Metric, omega) -> Metric:

@@ -26,8 +26,8 @@ from .expr import (
     is_zero_all,
     random_points,
 )
-from .spinor import _comps_el, _killing_spinors, spin_coefficients, _SLOT, _eps, _R2
-from .tensor import FIBRE
+from .spinor import _killing_spinors, spin_coefficients, _SLOT, _eps, _R2
+from .tensor import FIBRE, _vector_el
 
 __all__ = [
     "FIBRE",
@@ -190,7 +190,7 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
     F = g.field
     phi, _, eta = _killing_spinors(g, tet, K, cfg)
     spin_coefficients(g, tet)
-    phi, eta, k = F.up((phi, eta, _comps_el(F, K.comps)))
+    phi, eta, k = F.up((phi, eta, _vector_el(g, K)))
     kaa = tet.vector_el(k)
     gp = F.up(tet._el["spin_coefficients"][1])
     lam = F.element(sp.Symbol(FIBRE))

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import asdnull
-from asdnull import construct
+from asdnull import cli, construct, tensor
 from asdnull.cli import load_model, run
 from asdnull.construct import build_fefferman_like, build_ppwave
-from asdnull.expr import parse
+from asdnull.expr import Field, parse
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -182,6 +182,84 @@ def test_report_all_matches_recorded_report(model, capsys, monkeypatch):
     assert out == (ROOT / "perfbench" / "reference" / f"{model}.json").read_text()
 
 
+# szekeres, invariants and twist on each model, recorded before these stages
+# moved into the metric's field (report-all runs neither szekeres nor
+# invariants): (exit code, the report's "checks" array or the error line)
+SUBCOMMAND_OUTPUTS = {
+    ("szekeres", "betazero_a2x"): (1,
+        '[{"name":"szekeres_obstruction_absent","value":-2.5,"verdict":"nonzero",'
+        '"witness":{}}]'),
+    ("invariants", "betazero_a2x"): (0,
+        '[{"name":"invariant_I","value":"0","verdict":"pass"},{"name":"invariant_J",'
+        '"value":"0","verdict":"pass"}]'),
+    ("twist", "betazero_a2x"): (0,
+        '[{"name":"twist_three_form","value":"0","verdict":"proven_zero"}]'),
+    ("szekeres", "flat_projective"): (2,
+        'error: this check needs a tetrad (builder model or explicit tetrad)'),
+    ("invariants", "flat_projective"): (2,
+        'error: this check needs a tetrad (builder model or explicit tetrad)'),
+    ("twist", "flat_projective"): (2, 'error: twist needs a geometry with a Killing vector'),
+    ("szekeres", "heavenly_ppwave"): (1,
+        '[{"name":"szekeres_applicable",'
+        '"value":"obstruction inapplicable: type is O at all sample points",'
+        '"verdict":"fail"}]'),
+    ("invariants", "heavenly_ppwave"): (0,
+        '[{"name":"invariant_I","value":"0","verdict":"pass"},{"name":"invariant_J",'
+        '"value":"0","verdict":"pass"}]'),
+    ("twist", "heavenly_ppwave"): (2, 'error: twist needs a geometry with a Killing vector'),
+    ("szekeres", "nontwisting_generic"): (1,
+        '[{"name":"szekeres_obstruction_absent","value":-6.23686974075477,'
+        '"verdict":"nonzero","witness":{"x":"25/27","y":"22/21"}}]'),
+    ("invariants", "nontwisting_generic"): (0,
+        '[{"name":"invariant_I","value":"0","verdict":"pass"},{"name":"invariant_J",'
+        '"value":"0","verdict":"pass"}]'),
+    ("twist", "nontwisting_generic"): (0,
+        '[{"name":"twist_three_form","value":"0","verdict":"proven_zero"}]'),
+    ("szekeres", "ppwave"): (1,
+        '[{"name":"szekeres_applicable",'
+        '"value":"obstruction inapplicable: type is N at all sample points",'
+        '"verdict":"fail"}]'),
+    ("invariants", "ppwave"): (0,
+        '[{"name":"invariant_I","value":"0","verdict":"pass"},{"name":"invariant_J",'
+        '"value":"0","verdict":"pass"}]'),
+    ("twist", "ppwave"): (0, '[{"name":"twist_three_form","value":"0","verdict":"proven_zero"}]'),
+    ("szekeres", "sparling_tod"): (1,
+        '[{"name":"szekeres_applicable",'
+        '"value":"obstruction inapplicable: type is N at all sample points",'
+        '"verdict":"fail"}]'),
+    ("invariants", "sparling_tod"): (0,
+        '[{"name":"invariant_I","value":"0","verdict":"pass"},{"name":"invariant_J",'
+        '"value":"0","verdict":"pass"}]'),
+    ("twist", "sparling_tod"): (0,
+        '[{"name":"twist_three_form","value":"0","verdict":"proven_zero"}]'),
+    ("szekeres", "twisting_exp"): (1,
+        '[{"name":"szekeres_obstruction_absent","value":-24.943448438034185,'
+        '"verdict":"nonzero","witness":{"x":"25/27","y":"22/21","z":"39/62"}}]'),
+    ("invariants", "twisting_exp"): (0,
+        '[{"name":"invariant_I","value":"-9*y*x^2*exp(3*y)*exp(-3*x*z)",'
+        '"verdict":"pass"},{"name":"invariant_J",'
+        '"value":"1/4*(9*z*x^3*exp(4*y) + 36*y*x^2*exp(4*y))*exp(-4*x*z)",'
+        '"verdict":"pass"}]'),
+    ("twist", "twisting_exp"): (1,
+        '[{"name":"twist_three_form","value":-1.0,"verdict":"nonzero","witness":{}}]'),
+}
+
+
+@pytest.mark.parametrize("command", ["szekeres", "invariants", "twist"])
+@pytest.mark.parametrize("model", sorted(p.stem for p in MODELS.glob("*.json")))
+def test_subcommand_matches_recorded_output(command, model, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = run([command, f"models/{model}.json"])
+    out, err = capsys.readouterr()
+    want_code, want = SUBCOMMAND_OUTPUTS[(command, model)]
+    if want_code == 2:
+        assert (code, out, err) == (2, "", want + "\n")
+    else:
+        report = (f'{{"checks":{want},"command":["{command}","models/{model}.json"],'
+                  '"points":50,"seed":0,"tolerance":1e-10,"version":1}\n')
+        assert (code, out, err) == (want_code, report, "")
+
+
 def test_fefferman_builder_model_uses_slot_order(tmp_path):
     slots = {"gamma": "x", "delta": "y", "rho": "x*y", "sigma": "1/2",
              "A0": "y", "A1": "x", "A2": "x + y", "A3": "y^2"}
@@ -250,3 +328,33 @@ def test_report_all_builds_heavenly_geometry_once(capsys, monkeypatch):
     code, _ = _run_capture(capsys, ["report-all", str(MODELS / "heavenly_ppwave.json")])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_report_all_computes_killing_data_once(capsys, monkeypatch):
+    """One report-all converts K into the metric's field once and computes
+    nabla K once, however many checks read them."""
+    computed, converted = [], []
+    memo, convert, load = tensor.Metric._memo, Field.convert, cli.load_model
+
+    def counting_memo(self, key, fn):
+        def counted():
+            computed.append(key)
+            return fn()
+        return memo(self, key, counted)
+
+    def counting_convert(self, s):
+        converted.append(s)
+        return convert(self, s)
+
+    def loading(path):
+        model = load(path)
+        # the metric and the tetrad have entered the field; count from here
+        monkeypatch.setattr(Field, "convert", counting_convert)
+        return model
+
+    monkeypatch.setattr(tensor.Metric, "_memo", counting_memo)
+    monkeypatch.setattr(cli, "load_model", loading)
+    code, _ = _run_capture(capsys, ["report-all", str(MODELS / "nontwisting_generic.json")])
+    assert code == 0
+    assert [key[0] for key in computed if isinstance(key, tuple)] == ["nabla_vector"]
+    assert len(converted) == 4  # K's components, once

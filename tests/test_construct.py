@@ -32,7 +32,7 @@ from asdnull.expr import (
     is_zero_all,
     parse,
 )
-from asdnull.spinor import petrov_classify, weyl_spinors
+from asdnull.spinor import petrov_classify, standard_tetrad, weyl_spinors
 from asdnull.tensor import (
     conformal_rescale,
     lie_derivative_metric,
@@ -184,6 +184,13 @@ def test_sparling_tod_builders():
 def test_sparling_tod_uv_constraints(sparling_uv_bg):
     for name, verdict in sparling_uv_bg.check_constraints(CFG):
         assert verdict.is_zero(), name
+
+
+def test_sparling_tod_standard_tetrad_from_h(sparling_uv_bg):
+    """The read-off from H alone gives the coframe the builder made from W0."""
+    bg = sparling_uv_bg
+    tet = standard_tetrad(bg.g, "sparling_tod", {"H": bg.params["H"]})
+    assert tet.theta == bg.tet.theta
 
 
 def test_sparling_tod_transform_points():

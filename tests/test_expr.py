@@ -1,6 +1,8 @@
 """Expression core: grammar, normal form, differentiation, evaluation, sampling."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,49 @@ def test_field_grows_and_moves_old_elements():
     _, b = F.convert(sp.exp(x / 3) + sp.exp(x))  # new gens: exp(x/3), exp(x) = exp(x/3)^3
     assert F.K != K0
     assert F.view(F.up(a) * b) == normalize(x / y * (sp.exp(x / 3) + sp.exp(x)))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
+
+# the functions that may normalize a sympy tree: the field's own conversions,
+# the Expr boundary (its normal form and the zero checks of powers, log and the
+# parser), exact evaluation, the metric's input, the builder and ODE inputs that
+# enter no field, and the tree oracles the tests check the field against
+NORMALIZING = {
+    "expr.normalize", "expr.Field._grow", "expr.Field.convert", "expr.Field._d_gen",
+    "expr.Expr.normal", "expr.Expr.__pow__", "expr._kernel", "expr._Parser.power",
+    "expr.evaluate", "tensor.Metric.__init__",
+    "construct._sparling_w0", "projective.geodesic_integrate",
+    "spinor.NullTetrad.duality_residuals", "spinor.NullTetrad.frame_metric_residuals",
+    "spinor.curvature_reassembly_residuals", "spinor.recompose_two_form",
+    "spinor.spin_coefficient_residuals", "spinor.killing_reassembly_residuals",
+    "tensor.metric_compatibility_residuals",
+}
+
+
+def _normalizing_calls(path: Path) -> list[tuple[str, int]]:
+    """(enclosing module.class.function, line) of each normalize(...) or
+    *.cancel(...) call in a source file."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if ((isinstance(f, ast.Name) and f.id in ("normalize", "cancel"))
+                        or (isinstance(f, ast.Attribute) and f.attr == "cancel")):
+                    found.append((".".join([path.stem, *scope]), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_trees_are_normalized_only_at_the_boundary():
+    """Derived stages compute in a metric's field; a normalize or sp.cancel
+    call anywhere else brings a tree stage back."""
+    calls = [c for path in sorted(SRC.glob("*.py")) for c in _normalizing_calls(path)]
+    assert {name for name, _ in calls} == NORMALIZING

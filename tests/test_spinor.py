@@ -1,6 +1,7 @@
 """Tetrads, curvature spinors, Petrov classification, Killing spinor data,
 shear-free identities, and the conformal Ricci-flatness obstruction."""
 
+import itertools
 import random
 
 import pytest
@@ -22,8 +23,10 @@ from asdnull.spinor import (
     _conformal_killing,
     NullTetrad,
     SpinorField,
+    spin_coefficients,
     check_lemma_identities,
     curvature_reassembly_residuals,
+    curvature_spinors,
     decompose_two_form,
     killing_decompose,
     killing_reassembly_residuals,
@@ -38,6 +41,7 @@ from asdnull.spinor import (
     standard_tetrad,
     szekeres_obstruction,
     type_constraint_check,
+    weyl_divergence_spinor,
     weyl_spinors,
 )
 from asdnull.tensor import OneForm, TwoForm, VectorField, christoffels, conformal_rescale
@@ -423,3 +427,35 @@ def test_szekeres_conformally_invariant_verdict():
     g2, tet2 = _rescaled_pair(bg, 1 + x**2 / 7 + y**2 / 5)
     result = szekeres_obstruction(g2, tet2, CFG)
     assert result.obstructed()
+
+
+def _tree_weyl_divergence(g, tet):
+    """(div Psi)_{ABCD'} = eps^{DE} nabla_{ED'} Psi_{ABCD} on sympy trees with
+    sp.diff and normalize only, from the views of Psi_{ABCD} (indexed by its
+    number of 1-indices), the unprimed spin coefficients and the frame."""
+    cu, _, _, _ = curvature_spinors(g, tet)
+    gu, _, _ = spin_coefficients(g, tet)
+    psi, E, x = [c.sym for c in cu.psi], tet.frame, g.chart.syms
+    eps = ((0, 1), (-1, 0))
+    div = {}
+    for A, B, C, Dp in itertools.product((0, 1), repeat=4):
+        val = 0
+        for D, Ee in itertools.product((0, 1), repeat=2):
+            i = 2 * Ee + Dp
+            nab = sum(E[i][a] * sp.diff(psi[A + B + C + D], x[a]) for a in R4)
+            for P in (0, 1):
+                nab -= (gu[i][A][P] * psi[P + B + C + D] + gu[i][B][P] * psi[A + P + C + D]
+                        + gu[i][C][P] * psi[A + B + P + D] + gu[i][D][P] * psi[A + B + C + P])
+            val += eps[D][Ee] * nab
+        div[(A, B, C, Dp)] = normalize(val)
+    return div
+
+
+def test_weyl_divergence_matches_tree_oracle(corpus, heavenly_type3):
+    bg = heavenly_type3[0]
+    X, Y, Z = sp.symbols("X Y Z")
+    geometries = [(name, b.g, b.tet) for name, b in corpus.items()]
+    geometries += [("heavenly_type3", bg.g, bg.tet),
+                   ("heavenly_type3_rescaled", *_rescaled_pair(bg, 1 + X**2 / 9 + Z * Y / 7))]
+    for name, g, tet in geometries:
+        assert weyl_divergence_spinor(g, tet) == _tree_weyl_divergence(g, tet), name

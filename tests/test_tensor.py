@@ -7,12 +7,14 @@ import sympy as sp
 import pytest
 
 from asdnull.construct import build_twisting
-from asdnull.expr import Expr, SampleConfig, is_zero_all, normalize, parse
+from asdnull.expr import Expr, ExprError, SampleConfig, is_zero_all, normalize, parse
 from asdnull.spinor import (
     curvature_spinors,
     killing_decompose,
     null_killing_factorize,
+    scalar_invariants,
     spin_coefficients,
+    szekeres_obstruction,
 )
 from asdnull.tensor import (
     Chart,
@@ -232,11 +234,20 @@ def _views(bg):
     yield from (christoffels(g).comps, riemann(g).comps, riemann_lower(g).comps,
                 ricci(g).comps, spin_coefficients(g, tet))
     yield [phi[i][j][k][m] for i, j, k, m in itertools.product(range(2), repeat=4)]
-    yield [e.sym for e in (*cu.psi, *cp.psi, lam, *lp.L0, *lp.L1)]
+    yield [e.sym for e in (*cu.psi, *cp.psi, lam, *lp.L0, *lp.L1, *scalar_invariants(cu))]
+    try:
+        sz = szekeres_obstruction(g, tet, CFG)
+    except ExprError as ex:
+        assert "inapplicable" in str(ex)  # type N or O
+    else:
+        yield sz.eliminability.comps
+        if sz.gradient_curl is not None:
+            yield sz.gradient_oneform.comps, sz.gradient_curl.comps
     if bg.K is not None:
         data = killing_decompose(g, tet, bg.K, CFG)
         iota, o = null_killing_factorize(g, tet, bg.K, CFG)
         yield tet.vector_components(bg.K)
+        yield twist_three_form(g, bg.K).comps, lie_derivative_metric(g, bg.K).comps
         yield [e.sym for e in (*data.phi, *data.psi, data.eta, *iota.comps, *o.comps,
                                *lift_killing(bg, CFG).comps)]
 
