@@ -66,15 +66,25 @@ def _parse_expr(text, where):
         raise InputError(f"{where}: {ex}") from ex
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def load_model(path: str) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError as ex:
         raise InputError(f"file not found: {path}") from ex
+    except OSError as ex:
+        raise InputError(f"cannot read {path}: {ex.strerror}") from ex
+    except UnicodeDecodeError as ex:
+        raise InputError(f"{path} is not UTF-8 text: {ex.reason} at byte {ex.start}") from ex
     except json.JSONDecodeError as ex:
         raise InputError(f"invalid JSON in {path}: {ex}") from ex
-    kind = doc.get("kind")
+    kind = _object(doc, f"model file {path}").get("kind")
     if kind == "builder":
         return _load_builder(doc)
     if kind == "metric":
@@ -89,7 +99,7 @@ def _load_builder(doc) -> Model:
     if name not in BUILDER_PARAMS:
         raise InputError(f"unknown builder {name!r}")
     builder, optional, required = BUILDER_PARAMS[name]
-    raw = doc.get("params", {})
+    raw = _object(doc.get("params", {}), "params")
     for key in required:
         if key not in raw:
             raise InputError(f"builder {name!r} requires parameter {key!r}")
@@ -124,7 +134,7 @@ def _load_metric(doc) -> Model:
         raise InputError(str(ex)) from ex
     tet = None
     if "tetrad" in doc:
-        td = doc["tetrad"]
+        td = _object(doc["tetrad"], "tetrad")
         forms = []
         for key in TETRAD_KEYS:
             if key not in td:

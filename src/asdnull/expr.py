@@ -832,13 +832,18 @@ def _compiled(s: sp.Expr, names: tuple[str, ...]):
     return fn
 
 
+def _normal_names(e: Expr) -> set[str]:
+    """The symbols of e's normal form: a symbol that cancels is not sampled."""
+    return {s.name for s in e.normal.free_symbols}
+
+
 def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
     """Exact rational result for kernel-free expressions at rational points;
     float otherwise."""
     e = Expr(e)
     if not isinstance(a, Assignment):
         a = Assignment(a)
-    missing = e.free_symbols() - set(a)
+    missing = _normal_names(e) - set(a)
     if missing:
         raise EvalError(f"unassigned symbols: {sorted(missing)}")
     if a.is_exact() and not e.has_kernels():
@@ -850,7 +855,7 @@ def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
         if not v.is_Rational:
             raise EvalError(f"exact evaluation did not produce a rational: {v}")
         return Fraction(int(v.p), int(v.q))
-    names = tuple(sorted(e.free_symbols()))
+    names = tuple(sorted(_normal_names(e)))
     fn = _compiled(e.normal, names)
     try:
         out = fn(*[float(a[n]) for n in names])
@@ -929,7 +934,7 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
     n = e.normal
     if n == 0:
         return Verdict.proven()
-    names = tuple(sorted(e.free_symbols()))
+    names = tuple(sorted(_normal_names(e)))
     num, den = sp.fraction(n)
     terms = list(sp.Add.make_args(sp.expand_mul(num)))
     dterms = list(sp.Add.make_args(sp.expand_mul(den)))

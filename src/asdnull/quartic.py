@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = ["RootStructure", "quartic_root_structure"]
 
 
@@ -156,6 +154,8 @@ def _exact_structure(coeffs: list[Fraction]) -> RootStructure:
 
 
 def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
+    import numpy as np  # here, not at module level, so importing asdnull skips numpy
+
     arr = np.array(coeffs, dtype=float)  # ascending
     scale = np.max(np.abs(arr))
     if scale == 0.0:

@@ -534,12 +534,16 @@ def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
 
 def _conformal_killing(g: Metric, K: VectorField):
     """(residuals of nabla_(a K_b) - eta/2 g_ab, eta, nabla_a K_b); eta and
-    nabla_a K_b as field elements."""
+    nabla_a K_b as field elements, the residuals memoized on the metric and
+    keyed on K's normal forms."""
     F = g.field
     _, nk, div = _nabla_vector(g, K)
     eta, gg = div / 2, g.el
-    return ([F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
-             for a in _R for b in range(a, 4)], eta, nk)
+    key = ("conformal_killing", *map(Field.view, _vector_el(g, K)))
+    if key not in g._cache:
+        g._cache[key] = [F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
+                         for a in _R for b in range(a, 4)]
+    return g._cache[key], eta, nk
 
 
 def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], Expr]:
@@ -549,14 +553,19 @@ def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], 
 
 
 def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
-    """(phi, psi, eta) of killing_decompose as field elements."""
-    res, eta, nk = _conformal_killing(g, K)
-    v = is_zero_all(res, cfg)
-    if not v.is_zero():
-        raise ExprError(f"K is not a conformal Killing vector: {v}")
-    fk = _frame_rank2(tet, nk)
-    phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R] for i in _R])
-    return phi, psi, eta
+    """(phi, psi, eta) of killing_decompose as field elements, memoized on the
+    tetrad once K has passed the conformal Killing test under cfg."""
+    key = ("killing_spinors", cfg, *map(Field.view, _vector_el(g, K)))
+    if key not in tet._coeff_cache:
+        res, eta, nk = _conformal_killing(g, K)
+        v = is_zero_all(res, cfg)
+        if not v.is_zero():
+            raise ExprError(f"K is not a conformal Killing vector: {v}")
+        fk = _frame_rank2(tet, nk)
+        phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R]
+                                          for i in _R])
+        tet._coeff_cache[key] = (phi, psi, eta)
+    return g.field.up(tet._coeff_cache[key])
 
 
 def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,

@@ -11,7 +11,6 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
 import sympy as sp
 
 from .expr import (
@@ -136,7 +135,10 @@ def _solve_in_span(F: Field, vars_names, b, cols, cfg: SampleConfig) -> SpanSolv
         c1 = (cols[0][i] * b[j] - cols[0][j] * b[i]) / det
         residuals = [F.expr(b[k] - c0 * cols[0][k] - c1 * cols[1][k]) for k in range(n)]
         return SpanSolve((F.expr(c0), F.expr(c1)), is_zero_all(residuals, cfg), "symbolic")
-    # numeric fallback: pointwise least squares at seeded sample points
+    # numeric fallback: pointwise least squares at seeded sample points (numpy
+    # is imported here, after the minors, so an exact solve never loads it)
+    import numpy as np
+
     points = random_points(vars_names, cfg.seed + 17, 9)
     fns_cols = [_compiled(sp.Tuple(*[F.view(c) for c in col]), tuple(vars_names))
                 for col in cols]

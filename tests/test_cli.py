@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import asdnull
-from asdnull import cli, construct, tensor
+from asdnull import cli, construct, spinor, tensor
 from asdnull.cli import load_model, run
 from asdnull.construct import build_fefferman_like, build_ppwave
 from asdnull.expr import Field, parse
@@ -23,6 +23,15 @@ def _run_capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _child(argv):
+    """Run `python argv...` from the repository root, importing asdnull from
+    src/ as pytest does, installed or not."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=ROOT)
 
 
 def test_verify_asd_exit_zero(capsys):
@@ -75,6 +84,25 @@ def test_exit_codes_for_failures_and_errors(capsys, tmp_path):
         {"kind": "projective", "coordinates": ["x", "y"],
          "A": ["x +", "0", "0", "0"]}))
     assert run(["projective-flatness", str(badexpr)]) == 2
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("array.json", "[1]", "model file {path} must be a JSON object, not list"),
+    ("params.json", '{"kind": "builder", "builder": "ppwave", "params": ["Q"]}',
+     "params must be a JSON object, not list"),
+    ("binary.json", b'\xff\xfe{"kind": "builder"}', "{path} is not UTF-8 text"),
+    ("directory", None, "cannot read {path}"),
+])
+def test_malformed_model_file_is_an_input_error(name, content, message, capsys, tmp_path):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert run(["curvature", str(path)]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 def test_build_roundtrip(capsys, tmp_path):
@@ -161,16 +189,32 @@ def test_invariants_command(capsys):
 
 
 def test_console_entry_point():
-    # the child imports asdnull from src/, as pytest does, installed or not
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "asdnull.cli", "classify",
-         str(MODELS / "betazero_a2x.json"), "--at", "x=1,y=2,z=3,t=0",
-         "--format", "text"],
-        capture_output=True, text=True, env=env)
+    proc = _child(["-m", "asdnull.cli", "classify", str(MODELS / "betazero_a2x.json"),
+                   "--at", "x=1,y=2,z=3,t=0", "--format", "text"])
     assert proc.returncode == 0
     assert "III" in proc.stdout
+
+
+def test_import_does_not_load_numpy():
+    """numpy is loaded only by the float fallbacks, never by import."""
+    proc = _child(["-c", "import sys, asdnull.cli; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_report_all_needs_no_numpy():
+    """With numpy blocked, every report-all still reproduces its recorded
+    report: no model reaches a float fallback."""
+    models = sorted(p.stem for p in MODELS.glob("*.json"))
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from asdnull import cli\n"
+              "codes = [cli.run(['report-all', f'models/{m}.json']) for m in sys.argv[1:]]\n"
+              "sys.exit(max(codes))\n")
+    proc = _child(["-c", script, *models])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(
+        (ROOT / "perfbench" / "reference" / f"{m}.json").read_text() for m in models)
 
 
 @pytest.mark.parametrize("model", sorted(p.stem for p in MODELS.glob("*.json")))
@@ -358,3 +402,35 @@ def test_report_all_computes_killing_data_once(capsys, monkeypatch):
     assert code == 0
     assert [key[0] for key in computed if isinstance(key, tuple)] == ["nabla_vector"]
     assert len(converted) == 4  # K's components, once
+
+
+def test_report_all_tests_killing_data_once(capsys, monkeypatch):
+    """verify-killing and the Killing spinors share one list of conformal
+    Killing residuals; the lemma identities and the lift share the Killing
+    spinors, so the spinor side zero-tests the residuals once and projects
+    nabla K onto the frame once."""
+    built, tested, projected = [], [], []
+    conformal, zero_all, frame = (spinor._conformal_killing, spinor.is_zero_all,
+                                  spinor._frame_rank2)
+
+    def counting_conformal(g, K):
+        out = conformal(g, K)
+        built.append(out[0])
+        return out
+
+    def counting_zero_all(exprs, cfg):
+        tested.append(exprs)
+        return zero_all(exprs, cfg)
+
+    def counting_frame(tet, comps):
+        projected.append(comps)
+        return frame(tet, comps)
+
+    monkeypatch.setattr(spinor, "_conformal_killing", counting_conformal)
+    monkeypatch.setattr(spinor, "is_zero_all", counting_zero_all)
+    monkeypatch.setattr(spinor, "_frame_rank2", counting_frame)
+    code, _ = _run_capture(capsys, ["report-all", str(MODELS / "nontwisting_generic.json")])
+    assert code == 0
+    assert len(built) == 2 and built[1] is built[0]
+    assert sum(exprs is built[0] for exprs in tested) == 1
+    assert len(projected) == 1

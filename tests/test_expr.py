@@ -122,6 +122,21 @@ def test_is_zero_examples():
     assert abs(float(got) - v.value) < 1e-9
 
 
+def test_sampling_reads_the_normal_forms_symbols():
+    """A symbol that cancels in the normal form is neither sampled nor
+    demanded: the raw tree and its normal form get the same witness."""
+    raw = parse("(x*z + z)/z - x + y")
+    assert raw.free_symbols() == {"x", "y", "z"}
+    v = is_zero(raw, CFG)
+    assert v == is_zero(parse("y + 1"), CFG)
+    assert v.kind == "nonzero" and set(v.witness) == {"y"}
+    assert evaluate(raw, {"y": 2}) == 3
+    # the float path (a kernel in the raw tree) names the same symbols
+    assert evaluate(parse("exp(y)*(x*z + z)/z - x*exp(y)"), {"y": 0}) == 1.0
+    with pytest.raises(EvalError, match=r"unassigned symbols: \['y'\]"):
+        evaluate(raw, {"x": 1, "z": 1})
+
+
 def test_is_zero_deterministic():
     v1 = is_zero(parse("x*y - 1"), CFG)
     v2 = is_zero(parse("x*y - 1"), CFG)

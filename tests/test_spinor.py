@@ -327,6 +327,23 @@ def test_killing_data_matches_tree_oracle(corpus):
         assert data.eta.sym == eta, name
 
 
+def test_killing_spinors_are_memoized_only_on_success():
+    """A K that fails the conformal Killing test raises the same error on
+    every call; a Killing K's spinors are computed once per tetrad and cfg."""
+    bg = build_flat()
+    bad = VectorField(bg.g.chart, [sp.Symbol("x") ** 2, 0, 0, 0])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ExprError, match="not a conformal Killing vector") as ex:
+            killing_decompose(bg.g, bg.tet, bad, CFG)
+        errors.append(str(ex.value))
+    assert errors[0] == errors[1]
+    first = killing_decompose(bg.g, bg.tet, bg.K, CFG)
+    assert killing_decompose(bg.g, bg.tet, bg.K, CFG) == first
+    keys = [k for k in bg.tet._coeff_cache if isinstance(k, tuple)]
+    assert [k[:2] for k in keys] == [("killing_spinors", CFG)]
+
+
 def test_null_factorization(nontwisting_generic_bg, flat_bg):
     bg = nontwisting_generic_bg
     iota, o = null_killing_factorize(bg.g, bg.tet, bg.K, CFG)
