@@ -259,8 +259,9 @@ def cmd_verify_killing(m: Model, args, cfg) -> list[dict]:
     bg = m.geometry
     if bg is None or bg.K is None:
         raise InputError("verify-killing needs a geometry with a Killing vector")
-    residuals, eta = spinor.conformal_killing_residuals(bg.g, bg.K)
-    checks = [check_from_verdict("conformal_killing", is_zero_all(residuals, cfg)),
+    _, eta = spinor.conformal_killing_residuals(bg.g, bg.K)
+    checks = [check_from_verdict("conformal_killing",
+                                 spinor.conformal_killing_verdict(bg.g, bg.K, cfg)),
               check_plain("eta", True, to_text(eta)),
               check_from_verdict("null", is_zero(tensor.vector_norm(bg.g, bg.K), cfg))]
     return checks

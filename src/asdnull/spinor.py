@@ -30,7 +30,6 @@ from .expr import (
     evaluate,
     is_zero,
     is_zero_all,
-    normalize,
     random_points,
 )
 from .quartic import RootStructure, quartic_root_structure
@@ -72,8 +71,6 @@ __all__ = [
     "type_constraint_check",
     "szekeres_obstruction",
     "spin_coefficients",
-    "decompose_two_form",
-    "recompose_two_form",
 ]
 
 _R = range(4)
@@ -94,7 +91,8 @@ class NullTetrad:
     """Coframe theta^{AA'} with dual frame; reconstructs g per the tetrad form.
 
     theta and the frame are computed in the metric's field (grown if the
-    coframe carries a gen the metric lacks) and shown as sympy normal forms."""
+    coframe carries a gen the metric lacks); theta is also shown as sympy
+    normal forms."""
 
     def __init__(self, g: Metric, coframe: list[OneForm], validate: bool = True,
                  cfg: SampleConfig = SampleConfig()):
@@ -112,7 +110,6 @@ class NullTetrad:
         adj = adjugate4(self._theta_el)
         # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
         self._frame_el = [[adj[a][i] / det for a in _R] for i in _R]
-        self.frame = _nested_map(F.view, self._frame_el)
         self._coeff_cache: dict = {}
         self._el: dict = {}  # field elements behind the memoized coefficients
         if validate:
@@ -140,25 +137,6 @@ class NullTetrad:
 
     def reconstruction_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
         return is_zero_all(self.reconstruction_residuals(), cfg)
-
-    def duality_residuals(self) -> list[Expr]:
-        out = []
-        for i in _R:
-            for j in _R:
-                v = sum(self.theta[i][a] * self.frame[j][a] for a in _R)
-                out.append(Expr(normalize(v - (1 if i == j else 0))))
-        return out
-
-    def frame_metric_residuals(self) -> list[Expr]:
-        """g(e_AA', e_BB') - eps_AB eps_A'B' must vanish."""
-        out = []
-        for (A, Ap) in itertools.product(_R2, repeat=2):
-            for (B, Bp) in itertools.product(_R2, repeat=2):
-                i, j = _SLOT[A, Ap], _SLOT[B, Bp]
-                v = sum(self.g.comps[a][b] * self.frame[i][a] * self.frame[j][b]
-                        for a in _R for b in _R)
-                out.append(Expr(normalize(v - _eps(A, B) * _eps(Ap, Bp))))
-        return out
 
     def vector_el(self, k: list) -> list:
         """K^{AA'} = theta^{AA'}(K) from K's components as field elements."""
@@ -361,27 +339,6 @@ def weyl_spinors(g: Metric, tet: NullTetrad) -> tuple[WeylSpinor, WeylSpinor]:
     return cu, cp
 
 
-def curvature_reassembly_residuals(g: Metric, tet: NullTetrad) -> list[Expr]:
-    """Rebuild the frame Riemann from (C, C~, Phi, Lambda); residuals must vanish."""
-    cu, cp, phi, lam = curvature_spinors(g, tet)
-    rf = _nested_map(Field.view, _frame_riemann(tet))
-    lam_s = lam.sym
-    out = []
-    for A, Ap, B, Bp in itertools.product(_R2, repeat=4):
-        for C, Cp, D, Dp in itertools.product(_R2, repeat=4):
-            rec = (
-                cu.component(A, B, C, D).sym * _eps(Ap, Bp) * _eps(Cp, Dp)
-                + cp.component(Ap, Bp, Cp, Dp).sym * _eps(A, B) * _eps(C, D)
-                + phi[A][B][Cp][Dp] * _eps(Ap, Bp) * _eps(C, D)
-                + phi[C][D][Ap][Bp] * _eps(A, B) * _eps(Cp, Dp)
-                + 2 * lam_s * (_eps(A, C) * _eps(B, D) * _eps(Ap, Cp) * _eps(Bp, Dp)
-                               - _eps(A, D) * _eps(B, C) * _eps(Ap, Dp) * _eps(Bp, Cp))
-            )
-            got = rf[_SLOT[A, Ap]][_SLOT[B, Bp]][_SLOT[C, Cp]][_SLOT[D, Dp]]
-            out.append(Expr(normalize(rec - got)))
-    return out
-
-
 # -- two-form decomposition ----------------------------------------------------------
 
 
@@ -395,29 +352,6 @@ def _split_frame_two_form(ff) -> tuple[list, list]:
     phi = [(FF(0, Ap, 1, Bp) - FF(1, Ap, 0, Bp)) / 2 for Ap, Bp in ((0, 0), (0, 1), (1, 1))]
     psi = [(FF(A, 0, B, 1) - FF(A, 1, B, 0)) / 2 for A, B in ((0, 0), (0, 1), (1, 1))]
     return phi, psi
-
-
-def decompose_two_form(tet: NullTetrad, F: TwoForm):
-    """F_ab -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in the tetrad."""
-    fld = tet.g.field
-    ff = _frame_rank2(tet, [_comps_el(fld, row) for row in F.comps])
-    return tuple([fld.expr(c) for c in part] for part in _split_frame_two_form(ff))
-
-
-def recompose_two_form(tet: NullTetrad, phi, psi) -> TwoForm:
-    """Inverse of decompose_two_form, back in coordinate components."""
-    th = tet.theta
-    comps = [[sp.S.Zero] * 4 for _ in _R]
-    for A, Ap, B, Bp in itertools.product(_R2, repeat=4):
-        val = (Expr(phi[Ap + Bp]).sym * _eps(A, B)
-               + Expr(psi[A + B]).sym * _eps(Ap, Bp))
-        if val == 0:
-            continue
-        i, j = _SLOT[A, Ap], _SLOT[B, Bp]
-        for a in _R:
-            for b in _R:
-                comps[a][b] += val * th[i][a] * th[j][b]
-    return TwoForm(tet.chart, [[normalize(comps[a][b]) for b in _R] for a in _R])
 
 
 # -- spin coefficients ---------------------------------------------------------------
@@ -460,26 +394,6 @@ def spin_coefficients(g: Metric, tet: NullTetrad):
     tet._el[key] = F.run(compute)
     tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in tet._el[key])
     return tet._coeff_cache[key]
-
-
-def spin_coefficient_residuals(g: Metric, tet: NullTetrad) -> list[Expr]:
-    """Reassembly and pair-symmetry checks for the spin coefficients."""
-    gu, gp, nab = spin_coefficients(g, tet)
-    out = []
-    for i in _R:
-        for C, Cp in itertools.product(_R2, repeat=2):
-            for Ee, Ep in itertools.product(_R2, repeat=2):
-                rec = (gu[i][C][Ee] * (1 if Cp == Ep else 0)
-                       + gp[i][Cp][Ep] * (1 if C == Ee else 0))
-                out.append(Expr(normalize(rec - nab[i][_SLOT[C, Cp]][_SLOT[Ee, Ep]])))
-        # lowered symmetry Gamma_{i(CE)}, unprimed then primed
-        for C in _R2:
-            for Ee in _R2:
-                for gam in (gu, gp):
-                    low_ce = sum(gam[i][C][F] * _eps(F, Ee) for F in _R2)
-                    low_ec = sum(gam[i][Ee][F] * _eps(F, C) for F in _R2)
-                    out.append(Expr(normalize(low_ce - low_ec)))
-    return out
 
 
 # -- Petrov classification -----------------------------------------------------------
@@ -552,15 +466,25 @@ def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], 
     return res, g.field.expr(eta)
 
 
+def conformal_killing_verdict(g: Metric, K: VectorField, cfg: SampleConfig) -> Verdict:
+    """The zero test of the conformal Killing residuals under cfg, memoized
+    on the metric next to the residuals and keyed on K's normal forms."""
+    key = ("conformal_killing_verdict", cfg, *map(Field.view, _vector_el(g, K)))
+    if key not in g._cache:
+        g._cache[key] = is_zero_all(_conformal_killing(g, K)[0], cfg)
+    return g._cache[key]
+
+
 def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
     """(phi, psi, eta) of killing_decompose as field elements, memoized on the
     tetrad once K has passed the conformal Killing test under cfg."""
     key = ("killing_spinors", cfg, *map(Field.view, _vector_el(g, K)))
     if key not in tet._coeff_cache:
-        res, eta, nk = _conformal_killing(g, K)
-        v = is_zero_all(res, cfg)
+        v = conformal_killing_verdict(g, K, cfg)
         if not v.is_zero():
             raise ExprError(f"K is not a conformal Killing vector: {v}")
+        _, nk, div = _nabla_vector(g, K)
+        eta = div / 2
         fk = _frame_rank2(tet, nk)
         phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R]
                                           for i in _R])
@@ -573,18 +497,6 @@ def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,
     F = g.field
     phi, psi, eta = _killing_spinors(g, tet, K, cfg)
     return KillingSpinorData([F.expr(c) for c in phi], [F.expr(c) for c in psi], F.expr(eta))
-
-
-def killing_reassembly_residuals(g: Metric, tet: NullTetrad, K: VectorField,
-                                 data: KillingSpinorData) -> list[Expr]:
-    fk = _nested_map(Field.view, _frame_rank2(tet, _conformal_killing(g, K)[2]))
-    out = []
-    for A, Ap, B, Bp in itertools.product(_R2, repeat=4):
-        rec = (data.phi_comp(Ap, Bp).sym * _eps(A, B)
-               + data.psi_comp(A, B).sym * _eps(Ap, Bp)
-               + data.eta.sym * _eps(A, B) * _eps(Ap, Bp) / 2)
-        out.append(Expr(normalize(rec - fk[_SLOT[A, Ap]][_SLOT[B, Bp]])))
-    return out
 
 
 def _null_factors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):

@@ -38,7 +38,6 @@ __all__ = [
     "conformal_rescale",
     "pair_product",
     "wedge",
-    "exterior_derivative_oneform",
 ]
 
 _R = range(4)
@@ -322,13 +321,6 @@ def wedge(f1: OneForm, f2: OneForm) -> TwoForm:
                      for b in _R] for a in _R])
 
 
-def exterior_derivative_oneform(w: OneForm) -> TwoForm:
-    x = w.chart.syms
-    return TwoForm(w.chart,
-                   [[sp.diff(w.comps[b], x[a]) - sp.diff(w.comps[a], x[b])
-                     for b in _R] for a in _R])
-
-
 # -- curvature ----------------------------------------------------------------------
 
 
@@ -481,22 +473,6 @@ def weyl_mixed(g: Metric) -> TensorField:
         return TensorField(g.chart, "ulll", el=out)
 
     return g._memo("weyl_mixed", compute)
-
-
-def metric_compatibility_residuals(g: Metric) -> list[Expr]:
-    """nabla_c g_ab components; all must vanish."""
-    x = g.chart.syms
-    gam = christoffels(g).comps
-    out = []
-    for c in _R:
-        for a in _R:
-            for b in range(a, 4):
-                val = sp.diff(g.comps[a][b], x[c]) - sum(
-                    gam[e][c][a] * g.comps[e][b] + gam[e][c][b] * g.comps[a][e]
-                    for e in _R
-                )
-                out.append(Expr(normalize(val)))
-    return out
 
 
 def _comps_el(F: Field, comps) -> list:

@@ -1,0 +1,272 @@
+"""Independent routes the tests check the package against.
+
+Everything here computes on sympy trees with `sp.diff` and `normalize`.  It
+reads the package only through the values its functions return; field
+elements become trees with `.as_expr()`.  A fault in the fraction field
+therefore cannot cancel against the same fault in its check.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import sympy as sp
+
+from asdnull.expr import Assignment, EvalError, Expr, differentiate, evaluate, normalize, parse
+from asdnull.spinor import _frame_riemann, curvature_spinors, spin_coefficients
+from asdnull.tensor import christoffels
+
+R4 = range(4)
+R2 = (0, 1)
+EPS = ((0, 1), (-1, 0))  # eps_{01} = eps^{01} = 1
+
+
+def _eps(a, b):
+    return EPS[a][b]
+
+
+def _slot(A, Ap):
+    """Tetrad slot of the index pair (A, A')."""
+    return 2 * A + Ap
+
+
+def _delta(i, j):
+    return 1 if i == j else 0
+
+
+# -- derivatives against central finite differences ------------------------------
+
+CORPUS = [
+    "x^3 - 2*x*y + 7/3",
+    "x^2*y^3 - y*x + 5",
+    "exp(z*x - y)/x^2",
+    "sin(x)*cos(y) + x^2",
+    "log(1 + x^2)*y",
+    "(x + y)^4/(1 + y^2)",
+    "exp(x)*sin(y) - cos(x*y)",
+    "x/y + y/x",
+    "1/(x^2 + y^2 + 1)",
+    "cos(x)^3 - sin(y)^2*x",
+]
+
+
+def derivative_matches_fd(points_per_expr: int = 2, h: float = 1e-6,
+                          rel_tol: float = 1e-6, seed: int = 11) -> bool:
+    rng = random.Random(seed)
+    checked = 0
+    for text in CORPUS:
+        e = parse(text)
+        names = sorted(e.free_symbols())
+        d = differentiate(e, "x")
+        done = 0
+        while done < points_per_expr:
+            point = {n: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for n in names}
+            up = Assignment({k: float(v) + (h if k == "x" else 0.0)
+                             for k, v in point.items()})
+            dn = Assignment({k: float(v) - (h if k == "x" else 0.0)
+                             for k, v in point.items()})
+            mid = Assignment({k: float(v) for k, v in point.items()})
+            try:
+                expected = (evaluate(e, up) - evaluate(e, dn)) / (2 * h)
+                got = evaluate(d, mid)
+            except EvalError:
+                continue
+            scale = max(1.0, abs(expected), abs(got))
+            if abs(got - expected) / scale >= rel_tol:
+                return False
+            done += 1
+            checked += 1
+    return checked >= 20
+
+
+# -- coordinate tensors ------------------------------------------------------------
+
+
+def exterior_derivative_oneform(w) -> list:
+    """(dw)_ab = d_a w_b - d_b w_a of a OneForm."""
+    x = w.chart.syms
+    return [[sp.diff(w.comps[b], x[a]) - sp.diff(w.comps[a], x[b]) for b in R4] for a in R4]
+
+
+def metric_compatibility_residuals(g) -> list[Expr]:
+    """nabla_c g_ab from the package's Christoffels; all must vanish."""
+    x = g.chart.syms
+    gam = christoffels(g).comps
+    out = []
+    for c in R4:
+        for a in R4:
+            for b in range(a, 4):
+                val = sp.diff(g.comps[a][b], x[c]) - sum(
+                    gam[e][c][a] * g.comps[e][b] + gam[e][c][b] * g.comps[a][e]
+                    for e in R4
+                )
+                out.append(Expr(normalize(val)))
+    return out
+
+
+def tree_ricci(g) -> list:
+    """Inverse -> Christoffels -> Ricci from the metric's components alone."""
+    x = g.chart.syms
+    gm = sp.Matrix(g.comps)
+    det = normalize(gm.det(method="berkowitz"))
+    adj = gm.adjugate()
+    ginv = [[normalize(adj[a, b] / det) for b in R4] for a in R4]
+    gam = [[[normalize(sum(ginv[a][d] * (sp.diff(g.comps[d][c], x[b])
+                                         + sp.diff(g.comps[b][d], x[c])
+                                         - sp.diff(g.comps[b][c], x[d])) for d in R4) / 2)
+             for c in R4] for b in R4] for a in R4]
+    return [[normalize(sum(sp.diff(gam[a][d][b], x[a]) - sp.diff(gam[a][a][b], x[d])
+                           + sum(gam[a][a][e] * gam[e][d][b] - gam[a][d][e] * gam[e][a][b]
+                                 for e in R4) for a in R4))
+             for d in R4] for b in R4]
+
+
+# -- the tetrad ----------------------------------------------------------------------
+
+
+def _frame(tet) -> list:
+    """The dual frame e_i^a as trees."""
+    return [[e.as_expr() for e in row] for row in tet.field_el("frame")]
+
+
+def _frame_rank2(E, comps) -> list:
+    """Frame components e_i^a e_j^b T_ab of a covariant rank-2 tree tensor."""
+    return [[normalize(sum(E[i][a] * E[j][b] * comps[a][b] for a in R4 for b in R4))
+             for j in R4] for i in R4]
+
+
+def duality_residuals(tet) -> list[Expr]:
+    """theta^i(e_j) - delta_ij."""
+    E = _frame(tet)
+    return [Expr(normalize(sum(tet.theta[i][a] * E[j][a] for a in R4) - _delta(i, j)))
+            for i in R4 for j in R4]
+
+
+def frame_metric_residuals(tet) -> list[Expr]:
+    """g(e_AA', e_BB') - eps_AB eps_A'B'."""
+    E, g = _frame(tet), tet.g.comps
+    out = []
+    for (A, Ap), (B, Bp) in itertools.product(itertools.product(R2, repeat=2), repeat=2):
+        i, j = _slot(A, Ap), _slot(B, Bp)
+        v = sum(g[a][b] * E[i][a] * E[j][b] for a in R4 for b in R4)
+        out.append(Expr(normalize(v - _eps(A, B) * _eps(Ap, Bp))))
+    return out
+
+
+# -- curvature and connection in spinor form -----------------------------------------
+
+
+def curvature_reassembly_residuals(g, tet) -> list[Expr]:
+    """The frame Riemann rebuilt from (C, C~, Phi, Lambda), minus the
+    package's frame Riemann."""
+    cu, cp, phi, lam = curvature_spinors(g, tet)
+    rf = [[[[c.as_expr() for c in r3] for r3 in r2] for r2 in r1] for r1 in _frame_riemann(tet)]
+    lam_s = lam.sym
+    out = []
+    for A, Ap, B, Bp in itertools.product(R2, repeat=4):
+        for C, Cp, D, Dp in itertools.product(R2, repeat=4):
+            rec = (
+                cu.component(A, B, C, D).sym * _eps(Ap, Bp) * _eps(Cp, Dp)
+                + cp.component(Ap, Bp, Cp, Dp).sym * _eps(A, B) * _eps(C, D)
+                + phi[A][B][Cp][Dp] * _eps(Ap, Bp) * _eps(C, D)
+                + phi[C][D][Ap][Bp] * _eps(A, B) * _eps(Cp, Dp)
+                + 2 * lam_s * (_eps(A, C) * _eps(B, D) * _eps(Ap, Cp) * _eps(Bp, Dp)
+                               - _eps(A, D) * _eps(B, C) * _eps(Ap, Dp) * _eps(Bp, Cp))
+            )
+            got = rf[_slot(A, Ap)][_slot(B, Bp)][_slot(C, Cp)][_slot(D, Dp)]
+            out.append(Expr(normalize(rec - got)))
+    return out
+
+
+def spin_coefficient_residuals(g, tet) -> list[Expr]:
+    """Reassembly of theta^k(nabla_{e_i} e_j) from the unprimed and primed
+    spin coefficients, and their symmetry once lowered."""
+    gu, gp, nab = spin_coefficients(g, tet)
+    out = []
+    for i in R4:
+        for C, Cp in itertools.product(R2, repeat=2):
+            for Ee, Ep in itertools.product(R2, repeat=2):
+                rec = gu[i][C][Ee] * _delta(Cp, Ep) + gp[i][Cp][Ep] * _delta(C, Ee)
+                out.append(Expr(normalize(rec - nab[i][_slot(C, Cp)][_slot(Ee, Ep)])))
+        # lowered symmetry Gamma_{i(CE)}, unprimed then primed
+        for C in R2:
+            for Ee in R2:
+                for gam in (gu, gp):
+                    low_ce = sum(gam[i][C][P] * _eps(P, Ee) for P in R2)
+                    low_ec = sum(gam[i][Ee][P] * _eps(P, C) for P in R2)
+                    out.append(Expr(normalize(low_ce - low_ec)))
+    return out
+
+
+def tree_weyl_divergence(g, tet) -> dict:
+    """(div Psi)_{ABCD'} = eps^{DE} nabla_{ED'} Psi_{ABCD} from the views of
+    Psi_{ABCD} (indexed by its number of 1-indices), the unprimed spin
+    coefficients and the frame."""
+    cu, _, _, _ = curvature_spinors(g, tet)
+    gu, _, _ = spin_coefficients(g, tet)
+    psi, E, x = [c.sym for c in cu.psi], _frame(tet), g.chart.syms
+    div = {}
+    for A, B, C, Dp in itertools.product(R2, repeat=4):
+        val = 0
+        for D, Ee in itertools.product(R2, repeat=2):
+            i = _slot(Ee, Dp)
+            nab = sum(E[i][a] * sp.diff(psi[A + B + C + D], x[a]) for a in R4)
+            for P in R2:
+                nab -= (gu[i][A][P] * psi[P + B + C + D] + gu[i][B][P] * psi[A + P + C + D]
+                        + gu[i][C][P] * psi[A + B + P + D] + gu[i][D][P] * psi[A + B + C + P])
+            val += _eps(D, Ee) * nab
+        div[(A, B, C, Dp)] = normalize(val)
+    return div
+
+
+# -- the Killing vector ----------------------------------------------------------------
+
+
+def _nabla_killing(g, K) -> tuple:
+    """(nabla_a K_b, eta) with the Christoffels' views."""
+    x, gam, k = g.chart.syms, christoffels(g).comps, K.comps
+    kl = [sum(g.comps[a][b] * k[b] for b in R4) for a in R4]
+    nk = [[normalize(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in R4))
+           for b in R4] for a in R4]
+    eta = normalize((sum(sp.diff(k[a], x[a]) for a in R4)
+                     + sum(gam[a][a][b] * k[b] for a in R4 for b in R4)) / 2)
+    return nk, eta
+
+
+def tree_killing(g, tet, K) -> tuple:
+    """(nabla_a K_b, eta, K^{AA'}, frame nabla_[a K_b])."""
+    nk, eta = _nabla_killing(g, K)
+    kaa = [[normalize(sum(tet.theta[_slot(A, Ap)][a] * K.comps[a] for a in R4)) for Ap in R2]
+           for A in R2]
+    ff = _frame_rank2(_frame(tet), [[(nk[a][b] - nk[b][a]) / 2 for b in R4] for a in R4])
+    return nk, eta, kaa, ff
+
+
+def killing_reassembly_residuals(g, tet, K, data) -> list[Expr]:
+    """The frame nabla_a K_b rebuilt from the package's (phi, psi, eta)."""
+    fk = _frame_rank2(_frame(tet), _nabla_killing(g, K)[0])
+    out = []
+    for A, Ap, B, Bp in itertools.product(R2, repeat=4):
+        rec = (data.phi_comp(Ap, Bp).sym * _eps(A, B)
+               + data.psi_comp(A, B).sym * _eps(Ap, Bp)
+               + data.eta.sym * _eps(A, B) * _eps(Ap, Bp) / 2)
+        out.append(Expr(normalize(rec - fk[_slot(A, Ap)][_slot(B, Bp)])))
+    return out
+
+
+# -- two-forms -------------------------------------------------------------------------
+
+
+def recompose_two_form(tet, phi, psi) -> list:
+    """F_ab = (phi_{A'B'} eps_AB + psi_{AB} eps_A'B') theta^{AA'}_a theta^{BB'}_b."""
+    th = tet.theta
+    comps = [[sp.S.Zero] * 4 for _ in R4]
+    for A, Ap, B, Bp in itertools.product(R2, repeat=4):
+        val = phi[Ap + Bp] * _eps(A, B) + psi[A + B] * _eps(Ap, Bp)
+        if val == 0:
+            continue
+        i, j = _slot(A, Ap), _slot(B, Bp)
+        for a in R4:
+            for b in R4:
+                comps[a][b] += val * th[i][a] * th[j][b]
+    return [[normalize(comps[a][b]) for b in R4] for a in R4]

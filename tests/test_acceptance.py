@@ -41,7 +41,6 @@ from asdnull.projective import (
     projective_equivalence_shift,
 )
 from asdnull.spinor import (
-    curvature_reassembly_residuals,
     petrov_classify,
     scalar_invariants,
     szekeres_obstruction,
@@ -49,13 +48,17 @@ from asdnull.spinor import (
 )
 from asdnull.tensor import (
     conformal_rescale,
-    metric_compatibility_residuals,
     ricci,
     riemann_lower,
     twist_three_form,
     weyl,
 )
 from asdnull.twistor import integrability_check, lax_pair, lift_killing
+from oracles import (
+    curvature_reassembly_residuals,
+    derivative_matches_fd,
+    metric_compatibility_residuals,
+)
 
 
 def _line(criterion, name, ok):
@@ -391,8 +394,6 @@ def test_criterion_10_conformal_flatness_of_special_twisting():
 def test_criterion_11_engine_cross_checks(corpus):
     cfg = SampleConfig(count=50, seed=11, tolerance=1e-10)
     # derivative vs central finite differences on the mixed corpus
-    from tests_util_derivative_oracle import derivative_matches_fd  # local helper
-
     ok = derivative_matches_fd()
     assert _line(11, "symbolic derivatives vs finite differences (1e-6)", ok)
     ok_all = True

@@ -434,3 +434,27 @@ def test_report_all_tests_killing_data_once(capsys, monkeypatch):
     assert len(built) == 2 and built[1] is built[0]
     assert sum(exprs is built[0] for exprs in tested) == 1
     assert len(projected) == 1
+
+
+def test_report_all_zero_tests_conformal_killing_once(capsys, monkeypatch):
+    """verify-killing and the Killing spinors read one memoized verdict, so
+    the conformal Killing residuals reach is_zero_all once per report."""
+    built, tested = [], []
+    conformal, zero_all = spinor._conformal_killing, spinor.is_zero_all
+
+    def counting_conformal(g, K):
+        out = conformal(g, K)
+        built.append(out[0])
+        return out
+
+    def counting_zero_all(exprs, cfg):
+        tested.append(exprs)
+        return zero_all(exprs, cfg)
+
+    monkeypatch.setattr(spinor, "_conformal_killing", counting_conformal)
+    monkeypatch.setattr(spinor, "is_zero_all", counting_zero_all)
+    monkeypatch.setattr(cli, "is_zero_all", counting_zero_all)
+    code, _ = _run_capture(capsys, ["report-all", str(MODELS / "nontwisting_generic.json")])
+    assert code == 0
+    assert built and all(res is built[0] for res in built)
+    assert sum(exprs is built[0] for exprs in tested) == 1

@@ -26,7 +26,7 @@ from asdnull.expr import (
     symbols,
     to_text,
 )
-from tests_util_derivative_oracle import CORPUS as ORACLE_CORPUS
+from oracles import CORPUS as ORACLE_CORPUS
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
 
@@ -316,43 +316,64 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
 
 # the functions that may normalize a sympy tree: the field's own conversions,
 # the Expr boundary (its normal form and the zero checks of powers, log and the
-# parser), exact evaluation, the metric's input, the builder and ODE inputs that
-# enter no field, and the tree oracles the tests check the field against
+# parser), exact evaluation, the metric's input, and the builder and ODE inputs
+# that enter no field; the tree oracles live in tests/oracles.py
 NORMALIZING = {
     "expr.normalize", "expr.Field._grow", "expr.Field.convert", "expr.Field._d_gen",
     "expr.Expr.normal", "expr.Expr.__pow__", "expr._kernel", "expr._Parser.power",
     "expr.evaluate", "tensor.Metric.__init__",
     "construct._sparling_w0", "projective.geodesic_integrate",
-    "spinor.NullTetrad.duality_residuals", "spinor.NullTetrad.frame_metric_residuals",
-    "spinor.curvature_reassembly_residuals", "spinor.recompose_two_form",
-    "spinor.spin_coefficient_residuals", "spinor.killing_reassembly_residuals",
-    "tensor.metric_compatibility_residuals",
+}
+
+# the functions that may differentiate a sympy tree: the builders' inputs (the
+# displayed coframes, the heavenly Hessian, the constraints and residuals on the
+# input functions), the field's derivation of a gen and the Expr boundary, and
+# the 2D projective ODEs, which stay on trees
+DIFFERENTIATING = {
+    "construct._nontwisting_coframe", "construct._twisting_coframe",
+    "construct._fefferman_coframe", "construct._heavenly_hessian",
+    "construct.build_twisting", "construct.build_heavenly", "construct.g_residual",
+    "expr.Field._d_gen", "expr.differentiate",
+    "projective.flatness_invariant", "projective.flatness_invariant.ddx",
 }
 
 
-def _normalizing_calls(path: Path) -> list[tuple[str, int]]:
-    """(enclosing module.class.function, line) of each normalize(...) or
-    *.cancel(...) call in a source file."""
-    found = []
+def _is_normalize(f) -> bool:
+    return ((isinstance(f, ast.Name) and f.id in ("normalize", "cancel"))
+            or (isinstance(f, ast.Attribute) and f.attr == "cancel"))
+
+
+def _is_sp_diff(f) -> bool:
+    return (isinstance(f, ast.Attribute) and f.attr == "diff"
+            and isinstance(f.value, ast.Name) and f.value.id == "sp")
+
+
+def _callers(matches) -> set[str]:
+    """The enclosing module.class.function of each call in src/asdnull whose
+    callee `matches`."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if ((isinstance(f, ast.Name) and f.id in ("normalize", "cancel"))
-                        or (isinstance(f, ast.Attribute) and f.attr == "cancel")):
-                    found.append((".".join([path.stem, *scope]), child.lineno))
+            if isinstance(child, ast.Call) and matches(child.func):
+                found.add(".".join(scope))
             visit(child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
     return found
 
 
 def test_trees_are_normalized_only_at_the_boundary():
     """Derived stages compute in a metric's field; a normalize or sp.cancel
     call anywhere else brings a tree stage back."""
-    calls = [c for path in sorted(SRC.glob("*.py")) for c in _normalizing_calls(path)]
-    assert {name for name, _ in calls} == NORMALIZING
+    assert _callers(_is_normalize) == NORMALIZING
+
+
+def test_trees_are_differentiated_only_at_the_boundary():
+    """Derived stages differentiate in a metric's field (Field.diff); an
+    sp.diff call anywhere else brings a tree stage back."""
+    assert _callers(_is_sp_diff) == DIFFERENTIATING

@@ -1,7 +1,6 @@
 """Tetrads, curvature spinors, Petrov classification, Killing spinor data,
 shear-free identities, and the conformal Ricci-flatness obstruction."""
 
-import itertools
 import random
 
 import pytest
@@ -21,30 +20,35 @@ from asdnull.expr import (
 from asdnull.construct import build_flat, build_nontwisting, build_ppwave, build_twisting
 from asdnull.spinor import (
     _conformal_killing,
+    _frame_rank2,
+    _split_frame_two_form,
     NullTetrad,
     SpinorField,
-    spin_coefficients,
     check_lemma_identities,
-    curvature_reassembly_residuals,
-    curvature_spinors,
-    decompose_two_form,
     killing_decompose,
-    killing_reassembly_residuals,
     null_killing_factorize,
     PetrovType,
     petrov_classify,
     petrov_classify_samples,
     principal_direction_check,
-    recompose_two_form,
     scalar_invariants,
-    spin_coefficient_residuals,
     standard_tetrad,
     szekeres_obstruction,
     type_constraint_check,
     weyl_divergence_spinor,
     weyl_spinors,
 )
-from asdnull.tensor import OneForm, TwoForm, VectorField, christoffels, conformal_rescale
+from asdnull.tensor import OneForm, TwoForm, VectorField, _comps_el, conformal_rescale
+from oracles import (
+    curvature_reassembly_residuals,
+    duality_residuals,
+    frame_metric_residuals,
+    killing_reassembly_residuals,
+    recompose_two_form,
+    spin_coefficient_residuals,
+    tree_killing,
+    tree_weyl_divergence,
+)
 
 CFG = SampleConfig()
 R4 = range(4)
@@ -67,8 +71,8 @@ def _rescaled_pair(bg, omega):
 def test_tetrad_invariants_on_corpus(corpus):
     for name, bg in corpus.items():
         assert is_zero_all(bg.tet.reconstruction_residuals(), CFG).is_zero(), name
-        assert is_zero_all(bg.tet.duality_residuals(), CFG).kind == "proven_zero", name
-        assert is_zero_all(bg.tet.frame_metric_residuals(), CFG).is_zero(), name
+        assert is_zero_all(duality_residuals(bg.tet), CFG).kind == "proven_zero", name
+        assert is_zero_all(frame_metric_residuals(bg.tet), CFG).is_zero(), name
 
 
 def test_tetrad_rejects_mismatch(flat_bg, ppwave_bg):
@@ -80,7 +84,7 @@ def test_tetrad_rejects_mismatch(flat_bg, ppwave_bg):
 def test_standard_tetrad_families(nontwisting_generic_bg, twisting_poly_bg):
     for bg in (nontwisting_generic_bg, twisting_poly_bg):
         tet = standard_tetrad(bg.g, bg.family, bg.params)
-        assert is_zero_all(tet.duality_residuals(), CFG).kind == "proven_zero"
+        assert is_zero_all(duality_residuals(tet), CFG).kind == "proven_zero"
 
 
 # -- curvature decomposition ---------------------------------------------------------
@@ -111,6 +115,14 @@ def test_ppwave_primed_vanishes(ppwave_bg):
     assert cp.is_zero_verdict(CFG).kind == "proven_zero"
 
 
+def _decompose_two_form(tet, F):
+    """F_ab -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in the tetrad,
+    by the package's frame projection and split."""
+    fld = tet.g.field
+    ff = _frame_rank2(tet, [_comps_el(fld, row) for row in F.comps])
+    return tuple([c.as_expr() for c in part] for part in _split_frame_two_form(ff))
+
+
 def test_two_form_decomposition_round_trip(nontwisting_generic_bg):
     bg = nontwisting_generic_bg
     rng = random.Random(3)
@@ -125,9 +137,9 @@ def test_two_form_decomposition_round_trip(nontwisting_generic_bg):
                 comps[a][b] = v
                 comps[b][a] = -v
         F = TwoForm(bg.g.chart, comps)
-        phi, psi = decompose_two_form(bg.tet, F)
+        phi, psi = _decompose_two_form(bg.tet, F)
         back = recompose_two_form(bg.tet, phi, psi)
-        residuals = [Expr(back.comps[a][b] - F.comps[a][b]) for a in R4 for b in R4]
+        residuals = [Expr(back[a][b] - F.comps[a][b]) for a in R4 for b in R4]
         assert is_zero_all(residuals, CFG).is_zero(), trial
 
 
@@ -274,23 +286,6 @@ def test_killing_decompose_rejects_non_killing(flat_bg):
         killing_decompose(flat_bg.g, flat_bg.tet, K, CFG)
 
 
-def _tree_killing(g, tet, K):
-    """(nabla_a K_b, eta, K^{AA'}, frame nabla_[a K_b]) on sympy trees with
-    sp.diff and normalize only; the Christoffels are the field's views."""
-    x, gam, k = g.chart.syms, christoffels(g).comps, K.comps
-    kl = [sum(g.comps[a][b] * k[b] for b in R4) for a in R4]
-    nk = [[normalize(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in R4))
-           for b in R4] for a in R4]
-    eta = normalize((sum(sp.diff(k[a], x[a]) for a in R4)
-                     + sum(gam[a][a][b] * k[b] for a in R4 for b in R4)) / 2)
-    kaa = [[normalize(sum(tet.theta[2 * A + Ap][a] * k[a] for a in R4)) for Ap in (0, 1)]
-           for A in (0, 1)]
-    E = tet.frame
-    ff = [[normalize(sum(E[i][a] * E[j][b] * (nk[a][b] - nk[b][a]) / 2
-                         for a in R4 for b in R4)) for j in R4] for i in R4]
-    return nk, eta, kaa, ff
-
-
 def _killing_cases(corpus):
     for name, bg in corpus.items():
         if bg.K is not None:
@@ -308,7 +303,7 @@ def test_killing_data_matches_tree_oracle(corpus):
     field and is still rejected with a witness."""
     for name, bg, K, killing in _killing_cases(corpus):
         g, tet = bg.g, bg.tet
-        nk, eta, kaa, ff = _tree_killing(g, tet, K)
+        nk, eta, kaa, ff = tree_killing(g, tet, K)
         _, eta_el, nk_el = _conformal_killing(g, K)
         assert [[Field.view(c) for c in row] for row in nk_el] == nk, name
         assert Field.view(eta_el) == eta, name
@@ -446,28 +441,6 @@ def test_szekeres_conformally_invariant_verdict():
     assert result.obstructed()
 
 
-def _tree_weyl_divergence(g, tet):
-    """(div Psi)_{ABCD'} = eps^{DE} nabla_{ED'} Psi_{ABCD} on sympy trees with
-    sp.diff and normalize only, from the views of Psi_{ABCD} (indexed by its
-    number of 1-indices), the unprimed spin coefficients and the frame."""
-    cu, _, _, _ = curvature_spinors(g, tet)
-    gu, _, _ = spin_coefficients(g, tet)
-    psi, E, x = [c.sym for c in cu.psi], tet.frame, g.chart.syms
-    eps = ((0, 1), (-1, 0))
-    div = {}
-    for A, B, C, Dp in itertools.product((0, 1), repeat=4):
-        val = 0
-        for D, Ee in itertools.product((0, 1), repeat=2):
-            i = 2 * Ee + Dp
-            nab = sum(E[i][a] * sp.diff(psi[A + B + C + D], x[a]) for a in R4)
-            for P in (0, 1):
-                nab -= (gu[i][A][P] * psi[P + B + C + D] + gu[i][B][P] * psi[A + P + C + D]
-                        + gu[i][C][P] * psi[A + B + P + D] + gu[i][D][P] * psi[A + B + C + P])
-            val += eps[D][Ee] * nab
-        div[(A, B, C, Dp)] = normalize(val)
-    return div
-
-
 def test_weyl_divergence_matches_tree_oracle(corpus, heavenly_type3):
     bg = heavenly_type3[0]
     X, Y, Z = sp.symbols("X Y Z")
@@ -475,4 +448,4 @@ def test_weyl_divergence_matches_tree_oracle(corpus, heavenly_type3):
     geometries += [("heavenly_type3", bg.g, bg.tet),
                    ("heavenly_type3_rescaled", *_rescaled_pair(bg, 1 + X**2 / 9 + Z * Y / 7))]
     for name, g, tet in geometries:
-        assert weyl_divergence_spinor(g, tet) == _tree_weyl_divergence(g, tet), name
+        assert weyl_divergence_spinor(g, tet) == tree_weyl_divergence(g, tet), name
