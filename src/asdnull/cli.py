@@ -72,6 +72,14 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _four_exprs(value, where: str) -> list:
+    """The parsed entries of a JSON array of four expressions."""
+    if not isinstance(value, list) or len(value) != 4:
+        shape = f"{len(value)} entries" if isinstance(value, list) else type(value).__name__
+        raise InputError(f"{where} must be a list of four expressions, not {shape}")
+    return [_parse_expr(c, where).sym for c in value]
+
+
 def load_model(path: str) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,16 +147,14 @@ def _load_metric(doc) -> Model:
         for key in TETRAD_KEYS:
             if key not in td:
                 raise InputError(f"tetrad needs component list {key!r}")
-            forms.append(tensor.OneForm(
-                chart, [_parse_expr(c, key).sym for c in td[key]]))
+            forms.append(tensor.OneForm(chart, _four_exprs(td[key], f"tetrad.{key}")))
         try:
             tet = spinor.NullTetrad(g, forms)
         except ExprError as ex:
             raise InputError(f"tetrad rejected: {ex}") from ex
     K = None
     if "killing" in doc:
-        K = tensor.VectorField(
-            chart, [_parse_expr(c, "killing").sym for c in doc["killing"]])
+        K = tensor.VectorField(chart, _four_exprs(doc["killing"], "killing"))
     bg = construct.BuiltGeometry(g, tet, K, None, "metric", {}, [])
     return Model("metric", geometry=bg)
 
@@ -241,9 +247,12 @@ def cmd_curvature(m: Model, args, cfg) -> list[dict]:
     bg = m.geometry
     if bg is None:
         raise InputError("curvature expects a metric or builder model")
-    checks = [check_from_verdict("ricci_flat", tensor.ricci(bg.g).zero_verdict(cfg)),
-              check_plain("scalar_curvature", True,
-                          to_text(tensor.scalar_curvature(bg.g)))]
+    if bg.tet is not None:
+        ric, scal = spinor.tetrad_ricci(bg.g, bg.tet)
+    else:
+        ric, scal = tensor.ricci(bg.g), tensor.scalar_curvature(bg.g)
+    checks = [check_from_verdict("ricci_flat", ric.zero_verdict(cfg)),
+              check_plain("scalar_curvature", True, to_text(scal))]
     for name, verdict in bg.check_constraints(cfg):
         checks.append(check_from_verdict(f"constraint_{name}", verdict))
     return checks

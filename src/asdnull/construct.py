@@ -26,6 +26,7 @@ from .spinor import (
     NullTetrad,
     classification_points,
     petrov_classify_samples,
+    tetrad_ricci,
     weyl_spinors,
 )
 from .tensor import (
@@ -35,7 +36,6 @@ from .tensor import (
     TwoForm,
     VectorField,
     pair_product,
-    ricci,
     wedge,
 )
 
@@ -321,12 +321,12 @@ def build_ppwave(Q) -> BuiltGeometry:
     chart = Chart(CHART_PLEB)
     tet = _tetrad_from_coframe(chart, _ppwave_coframe(chart, {"Q": Qe}))
     K = VectorField(chart, [1, 0, 0, 0])
-    constraints = _ricci_constraints(tet.g)
+    constraints = _ricci_constraints(tet.g, tet)
     return BuiltGeometry(tet.g, tet, K, None, "ppwave", {"Q": Qe}, constraints)
 
 
-def _ricci_constraints(g: Metric) -> list:
-    ric = ricci(g)
+def _ricci_constraints(g: Metric, tet: NullTetrad) -> list:
+    ric, _ = tetrad_ricci(g, tet)
     out = []
     for a in range(4):
         for b in range(a, 4):
@@ -362,7 +362,7 @@ def build_sparling_tod(H) -> BuiltGeometry:
     W0 = _sparling_w0(chart, He)
     tet = _tetrad_from_coframe(chart, _sparling_coframe(chart, {"W0": Expr(W0)}))
     K = VectorField(chart, [Z, Y, 0, 0])  # Y d_X + Z d_T in (T, X, Y, Z) order
-    constraints = _ricci_constraints(tet.g) + _asd_constraints(tet.g, tet)
+    constraints = _ricci_constraints(tet.g, tet) + _asd_constraints(tet.g, tet)
     return BuiltGeometry(tet.g, tet, K, None, "sparling_tod",
                          {"H": He, "W0": Expr(W0)}, constraints)
 

@@ -286,6 +286,13 @@ class Field:
     def expr(self, el) -> "Expr":
         return Expr._normal(self.view(el))
 
+    @staticmethod
+    def scale(el, c: Fraction):
+        """el * c for a nonzero rational c.  A constant leaves numerator and
+        denominator coprime, so only the contents are renormalized; sympy's
+        own product with an int runs a full gcd."""
+        return el._canon(el.numer.mul_ground(c.numerator), el.denom.mul_ground(c.denominator))
+
     # -- differentiation ------------------------------------------------------------
 
     def _d_gen(self, i: int, v: sp.Symbol):
@@ -820,7 +827,9 @@ def _subs_exact(s: sp.Expr, a: Assignment) -> sp.Expr:
     return s.subs(subs, simultaneous=True)
 
 
+# compiled float evaluators keyed (tree, names); past the cap the oldest go
 _lambdify_cache: dict = {}
+_LAMBDIFY_CAP = 256
 
 
 def _compiled(s: sp.Expr, names: tuple[str, ...]):
@@ -829,6 +838,8 @@ def _compiled(s: sp.Expr, names: tuple[str, ...]):
     if fn is None:
         fn = sp.lambdify([sp.Symbol(n) for n in names], s, modules="math")
         _lambdify_cache[key] = fn
+        while len(_lambdify_cache) > _LAMBDIFY_CAP:
+            del _lambdify_cache[next(iter(_lambdify_cache))]
     return fn
 
 

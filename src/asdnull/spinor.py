@@ -32,6 +32,7 @@ from .expr import (
     is_zero_all,
     random_points,
 )
+from .frame import _ETA, _HALF, _frame_curvature, _signed
 from .quartic import RootStructure, quartic_root_structure
 from .tensor import (
     Metric,
@@ -40,9 +41,7 @@ from .tensor import (
     TwoForm,
     VectorField,
     adjugate4,
-    christoffels,
     det4,
-    riemann_lower,
     vector_norm,
     _comps_el,
     _nabla_vector,
@@ -71,6 +70,7 @@ __all__ = [
     "type_constraint_check",
     "szekeres_obstruction",
     "spin_coefficients",
+    "tetrad_ricci",
 ]
 
 _R = range(4)
@@ -245,28 +245,13 @@ def _frame_rank2(tet: NullTetrad, comps) -> list:
              for j in _R] for i in _R]
 
 
-def _frame_riemann(tet: NullTetrad) -> list:
-    """Frame components of R_abcd as field elements, using pair antisymmetry to
-    cut the work."""
-    F = tet.g.field
-    rl = F.up(riemann_lower(tet.g).el)
-    E = tet.field_el("frame")
-    pairs = list(itertools.combinations(_R, 2))
-    ep = [[[E[i][a] * E[j][b] - E[i][b] * E[j][a] for (a, b) in pairs]
-           for j in _R] for i in _R]
-    rp = [[rl[a][b][c][d] for (c, d) in pairs] for (a, b) in pairs]
-    out = _nested(4, F.K.zero)
-    for i, j in pairs:
-        for k, l in pairs:
-            val = F.K.zero
-            for m in range(6):
-                if not ep[i][j][m]:
-                    continue
-                inner = sum((rp[m][n] * ep[k][l][n] for n in range(6) if rp[m][n]), F.K.zero)
-                val += ep[i][j][m] * inner
-            for (ii, jj, s1) in ((i, j, 1), (j, i, -1)):
-                for (kk, ll, s2) in ((k, l, 1), (l, k, -1)):
-                    out[ii][jj][kk][ll] = val if s1 * s2 == 1 else -val
+def _eps_pairs(term):
+    """sum over P, Q of eps_{P(1-P)} eps_{Q(1-Q)} term(P, Q), where
+    eps_{P(1-P)} is +1 at P = 0 and -1 at P = 1."""
+    out = None
+    for P, Q in itertools.product(_R2, repeat=2):
+        t = term(P, Q)
+        out = t if out is None else (out + t if P == Q else out - t)
     return out
 
 
@@ -278,51 +263,34 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
     F = g.field
 
     def compute():
-        rf = _frame_riemann(tet)
+        rf = _frame_curvature(tet)[1]
 
         def RF(A, Ap, B, Bp, C, Cp, D, Dp):
             return rf[_SLOT[A, Ap]][_SLOT[B, Bp]][_SLOT[C, Cp]][_SLOT[D, Dp]]
 
-        v2 = {}
-        u2 = {}
-        for idx in itertools.product(_R2, repeat=4):
-            A, B, C, D = idx
-            val = F.K.zero
-            for Ap, Bp, Cp, Dp in itertools.product(_R2, repeat=4):
-                e = _eps(Ap, Bp) * _eps(Cp, Dp)
-                if e:
-                    val += e * RF(A, Ap, B, Bp, C, Cp, D, Dp)
-            v2[idx] = val / 4
-            Ap0, Bp0, Cp0, Dp0 = idx  # same layout, primed slots free
-            valu = F.K.zero
-            for A_, B_, C_, D_ in itertools.product(_R2, repeat=4):
-                e = _eps(A_, B_) * _eps(C_, D_)
-                if e:
-                    valu += e * RF(A_, Ap0, B_, Bp0, C_, Cp0, D_, Dp0)
-            u2[idx] = valu / 4
-        w = {}
-        for A, B, Cp, Dp in itertools.product(_R2, repeat=4):
-            val = F.K.zero
-            for Ap, Bp, C, D in itertools.product(_R2, repeat=4):
-                e = _eps(Ap, Bp) * _eps(C, D)
-                if e:
-                    val += e * RF(A, Ap, B, Bp, C, Cp, D, Dp)
-            w[(A, B, Cp, Dp)] = val / 4
+        # four times the primed-traced (v), unprimed-traced (u) and mixed (w)
+        # contractions of R_{AA'BB'CC'DD'}
+        v, u, w = {}, {}, {}
+        for A, B, C, D in itertools.product(_R2, repeat=4):
+            v[A, B, C, D] = _eps_pairs(lambda P, Q: RF(A, P, B, 1 - P, C, Q, D, 1 - Q))
+            u[A, B, C, D] = _eps_pairs(lambda P, Q: RF(P, A, 1 - P, B, Q, C, 1 - Q, D))
+            w[A, B, C, D] = _eps_pairs(lambda P, Q: RF(A, P, B, 1 - P, Q, C, 1 - Q, D))
 
         def sym4(tbl):
             psi = []
             for k in range(5):
                 perms = set(itertools.permutations([1] * k + [0] * (4 - k)))
-                psi.append(sum((tbl[p] for p in perms), F.K.zero) / len(perms))
+                psi.append(F.scale(sum((tbl[p] for p in perms), F.K.zero),
+                                   Fraction(1, 4 * len(perms))))
             return tuple(psi)
 
-        lam = sum((_eps(A, D) * _eps(B, C) * v2[(A, B, C, D)]
-                   for A, B, C, D in itertools.product(_R2, repeat=4)
-                   if _eps(A, D) * _eps(B, C)), F.K.zero) / 6
-        phi = [[[[(w[(A, B, Cp, Dp)] + w[(B, A, Cp, Dp)]
-                   + w[(A, B, Dp, Cp)] + w[(B, A, Dp, Cp)]) / 4 for Dp in _R2]
+        lam = F.scale(_eps_pairs(lambda A, B: v[A, B, 1 - B, 1 - A]), Fraction(1, 24))
+        sym = {(A, B, Cp, Dp): F.scale(w[A, B, Cp, Dp] + w[B, A, Cp, Dp] + w[A, B, Dp, Cp]
+                                       + w[B, A, Dp, Cp], Fraction(1, 16))
+               for A, B, Cp, Dp in itertools.product(_R2, repeat=4) if A <= B and Cp <= Dp}
+        phi = [[[[sym[min(A, B), max(A, B), min(Cp, Dp), max(Cp, Dp)] for Dp in _R2]
                  for Cp in _R2] for B in _R2] for A in _R2]
-        return sym4(v2), sym4(u2), phi, lam
+        return sym4(v), sym4(u), phi, lam
 
     tet._el[key] = cu, cp, phi, lam = F.run(compute)
     tet._coeff_cache[key] = (
@@ -337,6 +305,38 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
 def weyl_spinors(g: Metric, tet: NullTetrad) -> tuple[WeylSpinor, WeylSpinor]:
     cu, cp, _, _ = curvature_spinors(g, tet)
     return cu, cp
+
+
+def tetrad_ricci(g: Metric, tet: NullTetrad) -> tuple[TensorField, Expr]:
+    """(R_ab, R) without the coordinate Riemann: the metric is Ricci-flat
+    exactly when Phi and Lambda vanish; otherwise
+    R_ab = theta^i_a theta^j_b eta^kl R_kilj.  R = 24 Lambda."""
+    key = "ricci"
+    if key in tet._coeff_cache:
+        return tet._coeff_cache[key]
+    curvature_spinors(g, tet)
+    F = g.field
+
+    def compute():
+        _, _, phi, lam = F.up(tet._el["curvature_spinors"])
+        if not lam and not any(c for a in phi for b in a for cp in b for c in cp):
+            return _nested(2, F.K.zero), lam
+        R = _frame_curvature(tet)[1]
+        th = tet.field_el("theta")
+        ric = [[sum((_signed(_ETA[k], R[k][i][3 - k][j]) for k in _R), F.K.zero) for j in _R]
+               for i in _R]
+        half = [[sum((ric[i][j] * th[j][b] for j in _R if th[j][b]), F.K.zero) for b in _R]
+                for i in _R]
+        out = _nested(2)
+        for a in _R:
+            for b in range(a, 4):
+                out[a][b] = out[b][a] = sum((th[i][a] * half[i][b] for i in _R if th[i][a]),
+                                            F.K.zero)
+        return out, lam
+
+    ric, lam = F.run(compute)
+    tet._coeff_cache[key] = (TensorField(g.chart, "ll", el=ric), F.expr(F.scale(lam, Fraction(24))))
+    return tet._coeff_cache[key]
 
 
 # -- two-form decomposition ----------------------------------------------------------
@@ -358,37 +358,21 @@ def _split_frame_two_form(ff) -> tuple[list, list]:
 
 
 def spin_coefficients(g: Metric, tet: NullTetrad):
-    """(Gamma_u, Gamma_p): Gamma_u[slot DD'][C][E] = Gamma_{DD'C}^E and the
-    primed counterpart, from the Levi-Civita connection."""
+    """(Gamma_u, Gamma_p, nab): Gamma_u[slot DD'][C][E] = Gamma_{DD'C}^E, the
+    primed counterpart, and nab[i][j][k] = theta^k(nabla_{e_i} e_j), from the
+    frame connection."""
     key = "spin_coefficients"
     if key in tet._coeff_cache:
         return tet._coeff_cache[key]
     F = g.field
 
     def compute():
-        x = g.chart.syms
-        gam = F.up(christoffels(g).el)
-        E = tet.field_el("frame")
-        th = tet.field_el("theta")
-        # nab[i][j][k]: theta^k( nabla_{e_i} e_j )
-        nab = _nested(3)
-        for j in _R:
-            dE = [[F.diff(E[j][b], x[a]) for a in _R] for b in _R]
-            conn = [[dE[b][a] + sum((gam[b][a][c] * E[j][c] for c in _R if gam[b][a][c]),
-                                    F.K.zero)
-                     for a in _R] for b in _R]
-            for i in _R:
-                cov = [sum((E[i][a] * conn[b][a] for a in _R if E[i][a]), F.K.zero)
-                       for b in _R]
-                for k in _R:
-                    nab[i][j][k] = sum((th[k][b] * cov[b] for b in _R if th[k][b]), F.K.zero)
-        gu = [[[F.K.zero] * 2 for _ in _R2] for _ in _R]
-        gp = [[[F.K.zero] * 2 for _ in _R2] for _ in _R]
-        for i in _R:
-            for Cc in _R2:
-                for Ee in _R2:
-                    gu[i][Cc][Ee] = sum(nab[i][_SLOT[Cc, Cp]][_SLOT[Ee, Cp]] for Cp in _R2) / 2
-                    gp[i][Cc][Ee] = sum(nab[i][_SLOT[C, Cc]][_SLOT[C, Ee]] for C in _R2) / 2
+        gam = _frame_curvature(tet)[0]
+        nab = [[[_signed(_ETA[k], gam[3 - k][i][j]) for k in _R] for j in _R] for i in _R]
+        gu = [[[F.scale(nab[i][_SLOT[Cc, 0]][_SLOT[Ee, 0]] + nab[i][_SLOT[Cc, 1]][_SLOT[Ee, 1]],
+                        _HALF) for Ee in _R2] for Cc in _R2] for i in _R]
+        gp = [[[F.scale(nab[i][_SLOT[0, Cc]][_SLOT[0, Ee]] + nab[i][_SLOT[1, Cc]][_SLOT[1, Ee]],
+                        _HALF) for Ee in _R2] for Cc in _R2] for i in _R]
         return gu, gp, nab
 
     tet._el[key] = F.run(compute)

@@ -2,15 +2,18 @@
 exterior algebra, conformal rescaling.
 
 Everything is dense and exact; metrics memoize their inverse and curvature so
-repeated queries (tetrad projections, spin coefficients, classification) share
-work.  The curvature chain (det, inverse, Christoffels, Riemann, Ricci, Weyl)
-computes in one sparse fraction field per metric (`expr.Field`); components
-are shown as sympy normal forms and exposed as Expr at the API boundary.
+repeated queries share work.  The coordinate curvature chain (det, inverse,
+Christoffels, Riemann, Ricci, Weyl) computes in one sparse fraction field per
+metric (`expr.Field`); components are shown as sympy normal forms and exposed
+as Expr at the API boundary.  A metric with a tetrad takes its curvature from
+the coframe instead (`frame`), so this chain serves metrics without one,
+`weyl_mixed` and the tests' independent checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import sympy as sp
@@ -497,19 +500,31 @@ def vector_norm(g: Metric, k: VectorField) -> Expr:
 
 
 def _nabla_vector(g: Metric, k: VectorField):
-    """(K_a, nabla_a K_b = d_a K_b - Gamma^c_ab K_c, nabla_a K^a) as field
-    elements, memoized on the metric and keyed on K's normal forms."""
+    """(K_a, nabla_a K_b, nabla_a K^a) as field elements, memoized on the
+    metric and keyed on K's normal forms.  No Christoffels: the antisymmetric
+    part of nabla_a K_b is (dK_flat)_ab / 2, the symmetric part is
+    (L_K g)_ab / 2 = (K^c d_c g_ab + g_cb d_a K^c + g_ac d_b K^c) / 2, and
+    nabla_a K^a = d_a K^a + K^a d_a(det g) / (2 det g)."""
     F = g.field
     k0 = _vector_el(g, k)
 
     def compute():
         x = g.chart.syms
-        kv, gg, gam = F.up(k0), g.el, F.up(christoffels(g).el)
-        kl = [sum((gg[a][b] * kv[b] for b in _R if kv[b]), F.K.zero) for a in _R]
-        nk = [[F.diff(kl[b], x[a]) - sum((gam[c][a][b] * kl[c] for c in _R if kl[c]), F.K.zero)
-               for b in _R] for a in _R]
-        div = sum((F.diff(kv[a], x[a]) + sum((gam[a][a][b] * kv[b] for b in _R if kv[b]),
-                                               F.K.zero) for a in _R), F.K.zero)
+        kv, gg, det = F.up(k0), g.el, g._det_el()
+        zero = F.K.zero
+        kl = [sum((gg[a][b] * kv[b] for b in _R if kv[b]), zero) for a in _R]
+        dk = [[F.diff(kv[c], x[a]) for c in _R] for a in _R]  # dk[a][c] = d_a K^c
+        half = Fraction(1, 2)
+        nk = _nested(2)
+        for a in _R:
+            for b in range(a, 4):
+                lie = (sum((kv[c] * F.diff(gg[a][b], x[c]) for c in _R if kv[c]), zero)
+                       + sum((gg[c][b] * dk[a][c] for c in _R if dk[a][c]), zero)
+                       + sum((gg[a][c] * dk[b][c] for c in _R if dk[b][c]), zero))
+                curl = F.diff(kl[b], x[a]) - F.diff(kl[a], x[b])
+                nk[a][b], nk[b][a] = F.scale(lie + curl, half), F.scale(lie - curl, half)
+        div = (sum((dk[a][a] for a in _R), zero)
+               + F.scale(sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det, half))
         return kl, nk, div
 
     return F.up(g._memo(("nabla_vector", *map(Field.view, k0)), compute))

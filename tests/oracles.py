@@ -13,8 +13,8 @@ from fractions import Fraction
 import sympy as sp
 
 from asdnull.expr import Assignment, EvalError, Expr, differentiate, evaluate, normalize, parse
-from asdnull.spinor import _frame_riemann, curvature_spinors, spin_coefficients
-from asdnull.tensor import christoffels
+from asdnull.spinor import curvature_spinors, spin_coefficients
+from asdnull.tensor import christoffels, riemann_lower
 
 R4 = range(4)
 R2 = (0, 1)
@@ -156,11 +156,42 @@ def frame_metric_residuals(tet) -> list[Expr]:
 # -- curvature and connection in spinor form -----------------------------------------
 
 
+def frame_riemann(g, tet) -> list:
+    """R_ijkl = e_i^a e_j^b e_k^c e_l^d R_abcd: the coordinate route's
+    riemann_lower projected onto the frame, over antisymmetric pairs."""
+    E, rl = _frame(tet), riemann_lower(g).comps
+    pairs = list(itertools.combinations(R4, 2))
+    ep = {(i, j): [E[i][a] * E[j][b] - E[i][b] * E[j][a] for a, b in pairs]
+          for i in R4 for j in R4}
+    rp = [[rl[a][b][c][d] for c, d in pairs] for a, b in pairs]
+    out = [[[[sp.S.Zero] * 4 for _ in R4] for _ in R4] for _ in R4]
+    for i, j in pairs:
+        for k, l in pairs:
+            v = normalize(sum(ep[i, j][m] * rp[m][n] * ep[k, l][n]
+                              for m in range(6) for n in range(6)))
+            out[i][j][k][l] = out[j][i][l][k] = v
+            out[j][i][k][l] = out[i][j][l][k] = -v
+    return out
+
+
+def tree_frame_connection(g, tet) -> list:
+    """theta^k(nabla_{e_i} e_j) = theta^k_b e_i^a (d_a e_j^b + Gamma^b_ac e_j^c)
+    with the Christoffels' views."""
+    x, E, gam = g.chart.syms, _frame(tet), christoffels(g).comps
+    out = [[[None] * 4 for _ in R4] for _ in R4]
+    for i, j in itertools.product(R4, repeat=2):
+        cov = [sum(E[i][a] * (sp.diff(E[j][b], x[a]) + sum(gam[b][a][c] * E[j][c] for c in R4))
+                   for a in R4) for b in R4]
+        for k in R4:
+            out[i][j][k] = normalize(sum(tet.theta[k][b] * cov[b] for b in R4))
+    return out
+
+
 def curvature_reassembly_residuals(g, tet) -> list[Expr]:
     """The frame Riemann rebuilt from (C, C~, Phi, Lambda), minus the
-    package's frame Riemann."""
+    coordinate Riemann projected onto the frame."""
     cu, cp, phi, lam = curvature_spinors(g, tet)
-    rf = [[[[c.as_expr() for c in r3] for r3 in r2] for r2 in r1] for r1 in _frame_riemann(tet)]
+    rf = frame_riemann(g, tet)
     lam_s = lam.sym
     out = []
     for A, Ap, B, Bp in itertools.product(R2, repeat=4):

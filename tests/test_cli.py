@@ -142,6 +142,44 @@ def test_metric_model_rejects_bad_tetrad(tmp_path):
     assert run(["verify-asd", str(path)]) == 2
 
 
+FLAT_METRIC = {
+    "kind": "metric",
+    "coordinates": ["t", "x", "y", "z"],
+    "g": [["0", "0", "1", "0"],
+          ["0", "0", "0", "-1"],
+          ["1", "0", "0", "0"],
+          ["0", "-1", "0", "0"]],
+    "tetrad": {"theta00p": ["1", "0", "0", "0"],
+               "theta01p": ["0", "0", "0", "1"],
+               "theta10p": ["0", "1", "0", "0"],
+               "theta11p": ["0", "0", "1", "0"]},
+    "killing": ["1", "0", "0", "0"],
+}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"killing": ["1", "0", "0"]}, "killing must be a list of four expressions, not 3 entries"),
+    ({"killing": "1000"}, "killing must be a list of four expressions, not str"),
+    ({"tetrad": {**FLAT_METRIC["tetrad"], "theta00p": ["1", "0", "0"]}},
+     "tetrad.theta00p must be a list of four expressions, not 3 entries"),
+])
+def test_metric_model_rejects_malformed_component_lists(patch, message, capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**FLAT_METRIC, **patch}))
+    assert run(["report-all", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_flat_metric_model_is_accepted(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(FLAT_METRIC))
+    code, out = _run_capture(capsys, ["report-all", str(path)])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["ricci_flat"]["verdict"] == "proven_zero"
+    assert checks["scalar_curvature"]["value"] == "0"
+
+
 def test_report_all_informational_checks(capsys):
     code, out = _run_capture(
         capsys, ["report-all", str(MODELS / "betazero_a2x.json")])
@@ -458,3 +496,43 @@ def test_report_all_zero_tests_conformal_killing_once(capsys, monkeypatch):
     assert code == 0
     assert built and all(res is built[0] for res in built)
     assert sum(exprs is built[0] for exprs in tested) == 1
+
+
+def _count_calls(monkeypatch, module, name, modules):
+    """Count the calls of module.name through every binding in `modules`."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for m in modules:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["ppwave", "sparling_tod", "heavenly_ppwave"])
+def test_report_all_needs_no_coordinate_riemann(model, capsys, monkeypatch):
+    """With a tetrad, Ricci-flatness, the scalar curvature and the curvature
+    spinors come from the coframe (Cartan), not from the coordinate Riemann."""
+    calls = _count_calls(monkeypatch, tensor, "riemann", (tensor, spinor, construct, cli))
+    code, _ = _run_capture(capsys, ["report-all", str(MODELS / f"{model}.json")])
+    assert code == 0
+    assert calls == []
+
+
+def test_lax_pair_needs_no_christoffels(monkeypatch):
+    """A twisting member's ASD check, Lax pair and its integrability read the
+    frame connection; no Christoffel symbol is computed."""
+    from asdnull import twistor
+
+    calls = _count_calls(monkeypatch, tensor, "christoffels",
+                         (tensor, spinor, construct, twistor))
+    bg = construct.build_twisting(parse("y"), parse("x"), parse("y^2"), parse("x*y"),
+                                  parse("z^2/2 + z*x + y"))
+    _, primed = spinor.weyl_spinors(bg.g, bg.tet)
+    assert primed.is_zero_verdict().kind == "proven_zero"
+    assert twistor.integrability_check(twistor.lax_pair(bg)).verdict.is_zero()
+    assert calls == []

@@ -26,6 +26,7 @@ from asdnull.expr import (
     symbols,
     to_text,
 )
+from asdnull import expr as expr_module
 from oracles import CORPUS as ORACLE_CORPUS
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
@@ -110,6 +111,23 @@ def test_evaluate_errors():
         evaluate(parse("x + y"), {"x": 1})
     with pytest.raises(ExprError):
         Assignment([("x", 1), ("x", 2)])
+
+
+def test_compiled_evaluators_are_bounded():
+    """2 x cap distinct compiles leave at most cap cached evaluators, and an
+    evicted expression compiles again to the same value."""
+    cap, cache = expr_module._LAMBDIFY_CAP, expr_module._lambdify_cache
+    e = parse("exp(x)*y + 1/3")
+    at = {"x": 0.5, "y": 2.0}
+    before = evaluate(e, at)
+    key = (e.normal, ("x", "y"))
+    assert key in cache
+    x, y = sp.symbols("x y")
+    for k in range(2 * cap):
+        expr_module._compiled(x**2 + (k + 1) * y, ("x", "y"))
+    assert len(cache) <= cap
+    assert key not in cache
+    assert evaluate(e, at) == before
 
 
 def test_is_zero_examples():

@@ -1,6 +1,7 @@
 """Tetrads, curvature spinors, Petrov classification, Killing spinor data,
 shear-free identities, and the conformal Ricci-flatness obstruction."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from asdnull.expr import (
     parse,
 )
 from asdnull.construct import build_flat, build_nontwisting, build_ppwave, build_twisting
+from asdnull.frame import _frame_curvature
 from asdnull.spinor import (
     _conformal_killing,
     _frame_rank2,
@@ -32,20 +34,32 @@ from asdnull.spinor import (
     petrov_classify_samples,
     principal_direction_check,
     scalar_invariants,
+    spin_coefficients,
     standard_tetrad,
     szekeres_obstruction,
+    tetrad_ricci,
     type_constraint_check,
     weyl_divergence_spinor,
     weyl_spinors,
 )
-from asdnull.tensor import OneForm, TwoForm, VectorField, _comps_el, conformal_rescale
+from asdnull.tensor import (
+    OneForm,
+    TwoForm,
+    VectorField,
+    _comps_el,
+    conformal_rescale,
+    ricci,
+    scalar_curvature,
+)
 from oracles import (
     curvature_reassembly_residuals,
     duality_residuals,
     frame_metric_residuals,
+    frame_riemann,
     killing_reassembly_residuals,
     recompose_two_form,
     spin_coefficient_residuals,
+    tree_frame_connection,
     tree_killing,
     tree_weyl_divergence,
 )
@@ -96,6 +110,34 @@ def test_curvature_reassembly_on_corpus(corpus):
         bg = corpus[name]
         res = curvature_reassembly_residuals(bg.g, bg.tet)
         assert is_zero_all(res, CFG).is_zero(), name
+
+
+def test_frame_curvature_matches_coordinate_route_on_corpus(corpus):
+    """Cartan's frame Riemann and frame connection equal the coordinate
+    Riemann projected onto the frame and the connection built from tree
+    Christoffels."""
+    for name, bg in corpus.items():
+        _, R = _frame_curvature(bg.tet)
+        oracle_r, oracle_nab = frame_riemann(bg.g, bg.tet), tree_frame_connection(bg.g, bg.tet)
+        nab = spin_coefficients(bg.g, bg.tet)[2]
+        pairs = list(itertools.combinations(R4, 2))  # both sides are pair-antisymmetric
+        res = [Expr(normalize(R[i][j][k][m].as_expr() - oracle_r[i][j][k][m]))
+               for (i, j), (k, m) in itertools.product(pairs, repeat=2)]
+        res += [Expr(normalize(nab[i][j][k] - oracle_nab[i][j][k]))
+                for i, j, k in itertools.product(R4, repeat=3)]
+        assert is_zero_all(res, CFG).is_zero(), name
+
+
+def test_tetrad_ricci_matches_coordinate_route(nontwisting_generic_bg, ppwave_bg):
+    """Where the Ricci tensor does not vanish, the one rebuilt from the frame
+    Riemann equals the coordinate Ricci, and R = 24 Lambda equals the
+    coordinate scalar curvature."""
+    g2, tet2 = _rescaled_pair(nontwisting_generic_bg, parse("1 + x^2 + y*z"))
+    assert not scalar_curvature(g2).is_proven_zero()
+    for g, tet in ((g2, tet2), (ppwave_bg.g, ppwave_bg.tet)):
+        ric, scal = tetrad_ricci(g, tet)
+        assert ric.comps == ricci(g).comps
+        assert scal.normal == scalar_curvature(g).normal
 
 
 def test_spin_coefficient_consistency(corpus):
