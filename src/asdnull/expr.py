@@ -96,7 +96,8 @@ class _Frac(FracElement):
     is more than a monomial: the gcds run on the denominators and on cross
     factors, never on the full products.  The result is the canonical form
     sympy's cancel gives; with monomial denominators sympy's own route, whose
-    gcd is then cheap, is faster."""
+    gcd is then cheap, is faster.  A product or quotient with an int or a
+    Fraction renormalizes the contents only."""
 
     def _canon(f, p, q):
         if not p:
@@ -135,7 +136,18 @@ class _Frac(FracElement):
             return super().__sub__(g)
         return f + (-g)
 
+    def _scaled(f, n: int, d: int):
+        """f n / d: a constant leaves numerator and denominator coprime, so
+        only the contents are renormalized, where sympy runs a full gcd."""
+        if not f or not n:
+            return f.field.zero
+        if d == 1 and abs(n) == 1:
+            return f if n > 0 else -f
+        return f._canon(f.numer.mul_ground(n), f.denom.mul_ground(d))
+
     def __mul__(f, g):
+        if isinstance(g, (int, Fraction)):
+            return f._scaled(g.numerator, g.denominator)
         if not f._peer(g):
             return super().__mul__(g)
         if not f or not g:
@@ -144,7 +156,16 @@ class _Frac(FracElement):
         g1, g2 = a.gcd(d), c.gcd(b)
         return f._canon(a.exquo(g1) * c.exquo(g2), b.exquo(g2) * d.exquo(g1))
 
+    def __rmul__(f, g):
+        if isinstance(g, (int, Fraction)):
+            return f._scaled(g.numerator, g.denominator)
+        return super().__rmul__(g)
+
     def __truediv__(f, g):
+        if isinstance(g, (int, Fraction)):
+            if not g:
+                raise ZeroDivisionError
+            return f._scaled(g.denominator, g.numerator)
         if not f._peer(g):
             return super().__truediv__(g)
         if not g:
@@ -285,13 +306,6 @@ class Field:
 
     def expr(self, el) -> "Expr":
         return Expr._normal(self.view(el))
-
-    @staticmethod
-    def scale(el, c: Fraction):
-        """el * c for a nonzero rational c.  A constant leaves numerator and
-        denominator coprime, so only the contents are renormalized; sympy's
-        own product with an int runs a full gcd."""
-        return el._canon(el.numer.mul_ground(c.numerator), el.denom.mul_ground(c.denominator))
 
     # -- differentiation ------------------------------------------------------------
 
@@ -827,7 +841,9 @@ def _subs_exact(s: sp.Expr, a: Assignment) -> sp.Expr:
     return s.subs(subs, simultaneous=True)
 
 
-# compiled float evaluators keyed (tree, names); past the cap the oldest go
+# compiled float evaluators keyed (tree, names); past the cap the oldest go.
+# The cap is above every working set measured: 8 distinct evaluators for the
+# seeded point queries, 110 for the whole test suite in one process.
 _lambdify_cache: dict = {}
 _LAMBDIFY_CAP = 256
 

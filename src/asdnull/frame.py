@@ -8,7 +8,6 @@ The frame e_i is dual to the coframe theta^i, slots ordered (A, A') as in
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .tensor import _nested
 
@@ -18,18 +17,13 @@ _R = range(4)
 # eta_ij = eta^ij = _ETA[i] when j = 3 - i, and 0 otherwise.
 _ETA = (1, -1, -1, 1)
 _PAIRS = tuple(itertools.combinations(_R, 2))
-_HALF = Fraction(1, 2)
-
-
-def _signed(s: int, v):
-    """s v for a sign s, without the gcd of a product with an int."""
-    return v if s > 0 else -v
 
 
 def _frame_curvature(tet) -> tuple:
-    """(Gamma, R) of a `spinor.NullTetrad` as field elements, from the coframe
-    by Cartan's structure equations: Gamma[k][i][j] = g(e_k, nabla_{e_i} e_j) and R[i][j][k][l] =
-    g(e_i, R(e_k, e_l) e_j), which is e_i^a e_j^b e_k^c e_l^d R_abcd.
+    """(nab, R) of a `spinor.NullTetrad` as field elements, from the coframe
+    by Cartan's structure equations: nab[i][j][k] = theta^k(nabla_{e_i} e_j)
+    and R[i][j][k][l] = g(e_i, R(e_k, e_l) e_j), which is
+    e_i^a e_j^b e_k^c e_l^d R_abcd.
 
     The commutators [e_i, e_j] = C^k_ij e_k come from d theta^k, so
     C^k_ij = -d theta^k(e_i, e_j).  The frame metric is constant, so Koszul's
@@ -59,16 +53,16 @@ def _cartan(tet) -> tuple:
             C[k][i][j], C[k][j][i] = c, -c
 
     def low(k, i, j):  # C_kij = eta_kl C^l_ij
-        return _signed(_ETA[k], C[3 - k][i][j])
+        return _ETA[k] * C[3 - k][i][j]
 
     # Gamma_kij = -Gamma_jik: metric compatibility with a constant frame metric
     gam = _nested(3, zero)
     for k, j in _PAIRS:
         for i in _R:
-            v = F.scale(low(k, i, j) - low(i, j, k) + low(j, k, i), _HALF)
+            v = (low(k, i, j) - low(i, j, k) + low(j, k, i)) / 2
             gam[k][i][j], gam[j][i][k] = v, -v
-    # Gamma^m_lj = eta^mn Gamma_nlj
-    gup = [[[_signed(_ETA[m], gam[3 - m][l][j]) for j in _R] for l in _R] for m in _R]
+    # Gamma^m_lj = eta^mn Gamma_nlj = theta^m(nabla_{e_l} e_j)
+    gup = [[[_ETA[m] * gam[3 - m][l][j] for j in _R] for l in _R] for m in _R]
     # each Gamma's four partials, taken once and reused for every direction e_k
     dgam = {(k, i, j): [F.diff(gam[k][i][j], x[a]) for a in _R]
             for k, j in _PAIRS for i in _R if gam[k][i][j]}
@@ -94,4 +88,10 @@ def _cartan(tet) -> tuple:
             for (a, b, c, d) in ((i, j, k, l), (k, l, i, j)):
                 R[a][b][c][d], R[b][a][c][d] = v, -v
                 R[a][b][d][c], R[b][a][d][c] = -v, v
-    return gam, R
+    return [[[gup[k][i][j] for k in _R] for j in _R] for i in _R], R
+
+
+def _frame_ricci(tet) -> list:
+    """The frame Ricci R_ij = eta^kl R_kilj of a `spinor.NullTetrad`."""
+    R, zero = _frame_curvature(tet)[1], tet.g.field.K.zero
+    return [[sum((_ETA[k] * R[k][i][3 - k][j] for k in _R), zero) for j in _R] for i in _R]

@@ -32,7 +32,7 @@ from .expr import (
     is_zero_all,
     random_points,
 )
-from .frame import _ETA, _HALF, _frame_curvature, _signed
+from .frame import _frame_curvature, _frame_ricci
 from .quartic import RootStructure, quartic_root_structure
 from .tensor import (
     Metric,
@@ -42,6 +42,8 @@ from .tensor import (
     VectorField,
     adjugate4,
     det4,
+    ricci,
+    scalar_curvature,
     vector_norm,
     _comps_el,
     _nabla_vector,
@@ -121,8 +123,8 @@ class NullTetrad:
         """theta or frame as elements of the metric's current field."""
         return self.g.field.up(getattr(self, f"_{name}_el"))
 
-    def reconstruction_residuals(self) -> list[Expr]:
-        F = self.g.field
+    def reconstruction_el(self) -> list:
+        """theta theta - g on and above the diagonal, as field elements."""
         th = self.field_el("theta")
         gg = self.g.el
         s00, s01, s10, s11 = (th[_SLOT[0, 0]], th[_SLOT[0, 1]],
@@ -132,8 +134,11 @@ class NullTetrad:
             for b in range(a, 4):
                 rec = (s00[a] * s11[b] + s00[b] * s11[a]
                        - s01[a] * s10[b] - s01[b] * s10[a])
-                out.append(F.expr(rec - gg[a][b]))
+                out.append(rec - gg[a][b])
         return out
+
+    def reconstruction_residuals(self) -> list[Expr]:
+        return [self.g.field.expr(r) for r in self.reconstruction_el()]
 
     def reconstruction_verdict(self, cfg: SampleConfig = SampleConfig()) -> Verdict:
         return is_zero_all(self.reconstruction_residuals(), cfg)
@@ -280,13 +285,12 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
             psi = []
             for k in range(5):
                 perms = set(itertools.permutations([1] * k + [0] * (4 - k)))
-                psi.append(F.scale(sum((tbl[p] for p in perms), F.K.zero),
-                                   Fraction(1, 4 * len(perms))))
+                psi.append(sum((tbl[p] for p in perms), F.K.zero) / (4 * len(perms)))
             return tuple(psi)
 
-        lam = F.scale(_eps_pairs(lambda A, B: v[A, B, 1 - B, 1 - A]), Fraction(1, 24))
-        sym = {(A, B, Cp, Dp): F.scale(w[A, B, Cp, Dp] + w[B, A, Cp, Dp] + w[A, B, Dp, Cp]
-                                       + w[B, A, Dp, Cp], Fraction(1, 16))
+        lam = _eps_pairs(lambda A, B: v[A, B, 1 - B, 1 - A]) / 24
+        sym = {(A, B, Cp, Dp): (w[A, B, Cp, Dp] + w[B, A, Cp, Dp] + w[A, B, Dp, Cp]
+                                + w[B, A, Dp, Cp]) / 16
                for A, B, Cp, Dp in itertools.product(_R2, repeat=4) if A <= B and Cp <= Dp}
         phi = [[[[sym[min(A, B), max(A, B), min(Cp, Dp), max(Cp, Dp)] for Dp in _R2]
                  for Cp in _R2] for B in _R2] for A in _R2]
@@ -310,9 +314,16 @@ def weyl_spinors(g: Metric, tet: NullTetrad) -> tuple[WeylSpinor, WeylSpinor]:
 def tetrad_ricci(g: Metric, tet: NullTetrad) -> tuple[TensorField, Expr]:
     """(R_ab, R) without the coordinate Riemann: the metric is Ricci-flat
     exactly when Phi and Lambda vanish; otherwise
-    R_ab = theta^i_a theta^j_b eta^kl R_kilj.  R = 24 Lambda."""
+    R_ab = theta^i_a theta^j_b eta^kl R_kilj.  R = 24 Lambda.
+
+    The frame curvature is that of theta theta, so a tetrad that reconstructs
+    g only at samples (cos(x)^2 against 1 - sin(x)^2) takes the coordinate
+    route, whose views are g's."""
     key = "ricci"
     if key in tet._coeff_cache:
+        return tet._coeff_cache[key]
+    if any(tet.reconstruction_el()):
+        tet._coeff_cache[key] = ricci(g), scalar_curvature(g)
         return tet._coeff_cache[key]
     curvature_spinors(g, tet)
     F = g.field
@@ -321,10 +332,7 @@ def tetrad_ricci(g: Metric, tet: NullTetrad) -> tuple[TensorField, Expr]:
         _, _, phi, lam = F.up(tet._el["curvature_spinors"])
         if not lam and not any(c for a in phi for b in a for cp in b for c in cp):
             return _nested(2, F.K.zero), lam
-        R = _frame_curvature(tet)[1]
-        th = tet.field_el("theta")
-        ric = [[sum((_signed(_ETA[k], R[k][i][3 - k][j]) for k in _R), F.K.zero) for j in _R]
-               for i in _R]
+        th, ric = tet.field_el("theta"), _frame_ricci(tet)
         half = [[sum((ric[i][j] * th[j][b] for j in _R if th[j][b]), F.K.zero) for b in _R]
                 for i in _R]
         out = _nested(2)
@@ -335,7 +343,7 @@ def tetrad_ricci(g: Metric, tet: NullTetrad) -> tuple[TensorField, Expr]:
         return out, lam
 
     ric, lam = F.run(compute)
-    tet._coeff_cache[key] = (TensorField(g.chart, "ll", el=ric), F.expr(F.scale(lam, Fraction(24))))
+    tet._coeff_cache[key] = (TensorField(g.chart, "ll", el=ric), F.expr(lam * 24))
     return tet._coeff_cache[key]
 
 
@@ -367,12 +375,11 @@ def spin_coefficients(g: Metric, tet: NullTetrad):
     F = g.field
 
     def compute():
-        gam = _frame_curvature(tet)[0]
-        nab = [[[_signed(_ETA[k], gam[3 - k][i][j]) for k in _R] for j in _R] for i in _R]
-        gu = [[[F.scale(nab[i][_SLOT[Cc, 0]][_SLOT[Ee, 0]] + nab[i][_SLOT[Cc, 1]][_SLOT[Ee, 1]],
-                        _HALF) for Ee in _R2] for Cc in _R2] for i in _R]
-        gp = [[[F.scale(nab[i][_SLOT[0, Cc]][_SLOT[0, Ee]] + nab[i][_SLOT[1, Cc]][_SLOT[1, Ee]],
-                        _HALF) for Ee in _R2] for Cc in _R2] for i in _R]
+        nab = _frame_curvature(tet)[0]
+        gu = [[[(nab[i][_SLOT[Cc, 0]][_SLOT[Ee, 0]] + nab[i][_SLOT[Cc, 1]][_SLOT[Ee, 1]]) / 2
+                for Ee in _R2] for Cc in _R2] for i in _R]
+        gp = [[[(nab[i][_SLOT[0, Cc]][_SLOT[0, Ee]] + nab[i][_SLOT[1, Cc]][_SLOT[1, Ee]]) / 2
+                for Ee in _R2] for Cc in _R2] for i in _R]
         return gu, gp, nab
 
     tet._el[key] = F.run(compute)

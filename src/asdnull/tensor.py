@@ -13,7 +13,6 @@ the coframe instead (`frame`), so this chain serves metrics without one,
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import sympy as sp
@@ -514,7 +513,6 @@ def _nabla_vector(g: Metric, k: VectorField):
         zero = F.K.zero
         kl = [sum((gg[a][b] * kv[b] for b in _R if kv[b]), zero) for a in _R]
         dk = [[F.diff(kv[c], x[a]) for c in _R] for a in _R]  # dk[a][c] = d_a K^c
-        half = Fraction(1, 2)
         nk = _nested(2)
         for a in _R:
             for b in range(a, 4):
@@ -522,9 +520,9 @@ def _nabla_vector(g: Metric, k: VectorField):
                        + sum((gg[c][b] * dk[a][c] for c in _R if dk[a][c]), zero)
                        + sum((gg[a][c] * dk[b][c] for c in _R if dk[b][c]), zero))
                 curl = F.diff(kl[b], x[a]) - F.diff(kl[a], x[b])
-                nk[a][b], nk[b][a] = F.scale(lie + curl, half), F.scale(lie - curl, half)
+                nk[a][b], nk[b][a] = (lie + curl) / 2, (lie - curl) / 2
         div = (sum((dk[a][a] for a in _R), zero)
-               + F.scale(sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det, half))
+               + sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det / 2)
         return kl, nk, div
 
     return F.up(g._memo(("nabla_vector", *map(Field.view, k0)), compute))

@@ -180,6 +180,26 @@ def test_flat_metric_model_is_accepted(capsys, tmp_path):
     assert checks["scalar_curvature"]["value"] == "0"
 
 
+def test_curvature_of_a_tetrad_that_reconstructs_only_at_samples(capsys, tmp_path):
+    """theta theta has 1 - sin(t + y)^2 where g has cos(t + y)^2: the Ricci
+    tensor and the scalar curvature are g's, as without a tetrad."""
+    g = [[f"cos(t + y)^2*({c})" for c in row] for row in FLAT_METRIC["g"]]
+    tetrad = {**FLAT_METRIC["tetrad"], "theta00p": ["1 - sin(t + y)^2", "0", "0", "0"],
+              "theta01p": ["0", "0", "0", "cos(t + y)^2"]}
+    outs = []
+    for doc in ({**FLAT_METRIC, "g": g, "tetrad": tetrad},
+                {"kind": "metric", "coordinates": FLAT_METRIC["coordinates"], "g": g}):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out = _run_capture(capsys, ["curvature", str(path)])
+        assert code == 1  # not Ricci-flat
+        outs.append({c["name"]: c for c in json.loads(out)["checks"]})
+    with_tetrad, without = outs
+    assert with_tetrad == without
+    assert with_tetrad["ricci_flat"]["verdict"] == "nonzero"
+    assert "sin" not in with_tetrad["scalar_curvature"]["value"] != "0"
+
+
 def test_report_all_informational_checks(capsys):
     code, out = _run_capture(
         capsys, ["report-all", str(MODELS / "betazero_a2x.json")])
