@@ -16,6 +16,7 @@ from .expr import (
     EvalError,
     Expr,
     ExprError,
+    Field,
     SampleConfig,
     Verdict,
     is_zero,
@@ -30,6 +31,7 @@ from .spinor import (
     weyl_spinors,
 )
 from .tensor import (
+    FIBRE,
     Chart,
     Metric,
     OneForm,
@@ -37,6 +39,7 @@ from .tensor import (
     VectorField,
     pair_product,
     wedge,
+    _entered,
 )
 
 __all__ = [
@@ -86,11 +89,23 @@ class HeavenlyData:
 
 
 def _tetrad_from_coframe(chart: Chart, coframe: list[OneForm]) -> NullTetrad:
-    """g = theta^00' theta^11' - theta^01' theta^10' with the coframe as its tetrad."""
-    pp = pair_product(coframe[0], coframe[3])
-    qq = pair_product(coframe[1], coframe[2])
-    g = Metric(chart, [[pp[a][b] - qq[a][b] for b in range(4)] for a in range(4)])
-    return NullTetrad(g, coframe)
+    """g = theta^00' theta^11' - theta^01' theta^10' with the coframe as its
+    tetrad: the 16 components enter g's field once and g is their symmetric
+    product there."""
+    F = Field(chart.syms + (sp.Symbol(FIBRE),))
+    forms = _entered(F, coframe)
+    if F.splits([c for w in coframe for c in w.comps]):
+        # the displays are normalize(tree), not views (Field.convert): g's too
+        pp = pair_product(coframe[0], coframe[3])
+        qq = pair_product(coframe[1], coframe[2])
+        g = Metric(chart, [[pp[a][b] - qq[a][b] for b in range(4)] for a in range(4)],
+                   field=F)
+    else:
+        t = [w.el for w in forms]
+        g = Metric(chart, el=[[t[0][a] * t[3][b] + t[0][b] * t[3][a]
+                               - t[1][a] * t[2][b] - t[1][b] * t[2][a]
+                               for b in range(4)] for a in range(4)], field=F)
+    return NullTetrad(g, forms)
 
 
 def family_coframe(chart: Chart, family: str, params: Mapping) -> list[OneForm]:
@@ -174,8 +189,8 @@ def build_twisting(A0, A1, A2, A3, G,
         "G": _coerce_xy("G", G, extra=("z",)),
     }
     z = sp.Symbol("z")
-    H = Expr(sp.diff(params["G"].sym, z, 2))
-    if H.is_proven_zero():
+    H = sp.diff(params["G"].sym, z, 2)
+    if not Field(trees=[H]).fold(H):
         raise ExprError("degenerate twisting metric: G_zz vanishes identically")
     chart = Chart(CHART_TXYZ)
     proj = ProjectiveStructure.build(

@@ -189,39 +189,93 @@ class _FieldGrew(Exception):
     """A derivative brought a gen its field lacked; the field has grown."""
 
 
+def _exponent(g: sp.Expr) -> sp.Expr | None:
+    """u with g = exp(u): sympy writes exp(1) as the constant E, so E and
+    exp(1/2) are powers of one gen."""
+    if isinstance(g, sp.exp):
+        return g.args[0]
+    return sp.S.One if g is sp.E else None
+
+
+class _Unplaced(Exception):
+    """A tree holds a gen the field lacks."""
+
+
+def _singular(s: sp.Expr) -> ExprError:
+    return ExprError(f"input {s} is singular (zoo, nan, or a divisor that is zero "
+                     "in the field)")
+
+
 class Field:
     """The sparse fraction field Q(gens) that one geometry's chain computes in.
 
     The gens are the given symbols plus whatever sympy's `sring` finds in the
-    normal forms of the inputs (parameter symbols and kernel subterms), closed
-    under differentiation: a kernel's argument is in the field, and sin(u)
-    brings cos(u) and back.  sympy merges exp(m/2)^2 into exp(m), so every
-    exp(c m) with the same m is a power of one gen exp(m/q).
+    normal forms of the leaves of the inputs (parameter symbols and kernel
+    subterms), closed under differentiation: a kernel's argument is in the
+    field, and sin(u) brings cos(u) and back.  sympy merges exp(m/2)^2 into
+    exp(m), so every exp(c m) with the same m is a power of one gen exp(m/q).
 
     An element keeps coprime numerator and denominator over QQ with the
     denominator's leading coefficient positive in lex order over the gens as
-    sympy's `_sort_gens` orders them, which is what `normalize` does to the
-    same rational function; `view` returns that tree.  The field grows when an
-    input carries a gen it lacks, and `up` moves older elements into it."""
+    sympy's `_sort_gens` orders them: the canonical form of a rational
+    function (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 3).
+    `view` returns its tree, a fixed point of `normalize`.
+
+    A sympy tree enters by folding (`convert`, `fold`): sums, products and
+    integer powers become the field's own arithmetic, and only the leaves it
+    cannot take apart (exp, log, sin, cos, any other function) are normalized,
+    each once per field.  The display tree of an input stays `normalize(t)`:
+    it is the element's view, except where normalize is not idempotent on t
+    (`convert`).  The field grows when an input carries a gen it lacks, and
+    `up` moves older elements into it."""
 
     def __init__(self, symbols: Iterable[sp.Symbol] = (), trees: Iterable[sp.Expr] = ()):
         self._gens: set = set()
         self._exp_den: dict = {}  # m -> q of the shared gen exp(m/q)
+        self._leaves: dict = {}  # leaf -> (normal form, its gens, num and den over them)
         self.K = None
-        self._grow(set(symbols), list(trees))
+        self._grow(set(symbols) | self._gens_of(trees))
 
     # -- gens -------------------------------------------------------------------
 
-    @staticmethod
-    def _found_gens(n: sp.Expr) -> tuple:
-        num, den = n.as_numer_denom()
-        ring, _ = sring((num, den), domain=QQ)
-        return ring.symbols
+    def _leaf(self, s: sp.Expr) -> tuple:
+        """(normal form, gens, numerator and denominator over the gens) of a
+        leaf the fold does not take apart: its one normalization."""
+        out = self._leaves.get(s)
+        if out is None:
+            n = normalize(s)
+            if n.has(*_BAD):
+                raise ZeroDivisionError
+            ring, polys = sring(n.as_numer_denom(), domain=QQ)
+            out = self._leaves[s] = (n, ring.symbols, polys)
+        return out
 
-    def _grow(self, new: set, trees: list) -> None:
-        for n in trees:
-            new.update(self._found_gens(n))
+    def _walk(self, s: sp.Expr, leaves: set) -> None:
+        """Add the symbols and leaves of s to `leaves`."""
+        if s.is_Add or s.is_Mul:
+            for a in s.args:
+                self._walk(a, leaves)
+        elif s.is_Pow and s.exp.is_Integer:
+            self._walk(s.base, leaves)
+        elif not s.is_Rational:
+            leaves.add(s)
+
+    def _gens_of(self, trees: Iterable[sp.Expr]) -> set:
+        gens: set = set()
+        for s in trees:
+            leaves: set = set()
+            self._walk(s, leaves)
+            try:
+                for leaf in leaves:
+                    gens.update((leaf,) if leaf.is_Symbol else self._leaf(leaf)[1])
+            except ZeroDivisionError:
+                raise _singular(s) from None
+        return gens
+
+    def _grow(self, new: set) -> None:
         todo = [g for g in new if g not in self._gens]
+        if not todo and self.K is not None:
+            return
         while todo:
             g = todo.pop()
             if g in self._gens:
@@ -229,15 +283,16 @@ class Field:
             self._gens.add(g)
             if isinstance(g, _KERNEL_CLASSES):
                 u = g.args[0]
-                more = list(self._found_gens(normalize(u)))
+                more = list(self._gens_of([u]))
                 if isinstance(g, sp.sin):
                     more.append(sp.cos(u))
                 elif isinstance(g, sp.cos):
                     more.append(sp.sin(u))
                 todo += [h for h in more if h not in self._gens]
         for g in self._gens:
-            if isinstance(g, sp.exp):
-                c, m = g.args[0].as_coeff_Mul(rational=True)
+            u = _exponent(g)
+            if u is not None:
+                c, m = u.as_coeff_Mul(rational=True)
                 self._exp_den[m] = math.lcm(self._exp_den.get(m, 1), c.q)
         gens = {self._shared(g)[0] for g in self._gens}
         K = _FracField(_sort_gens(gens), QQ, lex)
@@ -246,32 +301,26 @@ class Field:
         self.K = K
         self._index = {g: i for i, g in enumerate(K.symbols)}
         self._chains: dict = {}
+        self._leaf_el: dict = {}
 
     def _shared(self, g: sp.Expr) -> tuple[sp.Expr, int]:
         """(field gen, power) with g = gen**power."""
-        if isinstance(g, sp.exp):
-            c, m = g.args[0].as_coeff_Mul(rational=True)
+        u = _exponent(g)
+        if u is not None:
+            c, m = u.as_coeff_Mul(rational=True)
             q = self._exp_den[m]
             return sp.exp(m / q), int(c * q)
         return g, 1
 
-    def _place(self, gens: tuple) -> list[tuple[int, int]]:
-        out = []
+    def _placed(self, gens: tuple, polys) -> "FracElement":
+        """The element of num/den polynomials over `gens`, placed monomial by
+        monomial into the field's ring."""
+        slots = []
         for g in gens:
-            base, k = self._shared(g) if g in self._gens else (None, 0)
-            if base not in self._index:
-                self._grow(set(gens), [])
-                return self._place(gens)
-            out.append((self._index[base], k))
-        return out
-
-    # -- conversion ---------------------------------------------------------------
-
-    def element(self, n: sp.Expr):
-        """The element equal to the normal form `n`."""
-        num, den = n.as_numer_denom()
-        ring, polys = sring((num, den), domain=QQ)
-        slots = self._place(ring.symbols)
+            if g not in self._gens:
+                raise _Unplaced
+            base, k = self._shared(g)
+            slots.append((self._index[base], k))
         R = self.K.ring
         out = []
         for p in polys:
@@ -285,11 +334,124 @@ class Field:
             out.append(R.from_dict(d))
         return self.K.new(*out)
 
+    # -- conversion ---------------------------------------------------------------
+
+    def element(self, n: sp.Expr):
+        """The element equal to the normal form `n`, its gens read by sympy's
+        `sring`: the tree route that `fold` is checked against."""
+        ring, polys = sring(n.as_numer_denom(), domain=QQ)
+        try:
+            return self._placed(ring.symbols, polys)
+        except _Unplaced:
+            self._grow(set(ring.symbols))
+            return self._placed(ring.symbols, polys)
+
+    def fold(self, s: sp.Expr, leaves: set | None = None):
+        """The element of a sympy tree, folded through the field's arithmetic;
+        the field grows first if the tree carries a gen it lacks.  The leaves
+        met are added to `leaves`.  A tree that is singular (zoo, nan, or a
+        divisor that is zero in the field) raises ExprError naming it."""
+        met: set = set() if leaves is None else leaves
+        try:
+            try:
+                return self._fold(s, met)
+            except _Unplaced:
+                self._grow(self._gens_of([s]))
+                return self._fold(s, met)
+        except ZeroDivisionError:
+            raise _singular(s) from None
+
+    def _fold(self, s: sp.Expr, leaves: set):
+        if s.is_Symbol:
+            i = self._index.get(s)
+            if i is None:
+                raise _Unplaced
+            return self.K.gens[i]
+        if s.is_Rational:
+            return self.K.one._scaled(s.p, s.q)
+        if s.is_Add:
+            return self._sum([self._fold(a, leaves) for a in s.args])
+        if s.is_Mul:
+            return self._product([self._fold(a, leaves) for a in s.args])
+        if s.is_Pow and s.exp.is_Integer:
+            f, n = self._fold(s.base, leaves), int(s.exp)
+            if n >= 0:
+                return f._canon(f.numer**n, f.denom**n)
+            if not f:
+                raise ZeroDivisionError
+            return f._canon(f.denom**-n, f.numer**-n)
+        leaves.add(s)  # zoo and nan end here: _leaf rejects them
+        el = self._leaf_el.get(s)
+        if el is None:
+            _, gens, polys = self._leaf(s)
+            el = self._leaf_el[s] = self._placed(gens, polys)
+        return el
+
+    def _sum(self, terms: list):
+        """Terms with a constant denominator add as polynomials; the others are
+        summed per denominator, then across denominators."""
+        K = self.K
+        poly, rest = K.ring.zero, {}
+        for f in terms:
+            if not f:
+                continue
+            D = f.denom
+            if D.is_ground:
+                poly += f.numer.quo_ground(D.LC)
+            else:
+                rest[D] = rest.get(D, K.ring.zero) + f.numer
+        out = K.zero._canon(poly, K.ring.one)
+        for D, N in rest.items():
+            out = out + K.new(N, D)
+        return out
+
+    def _product(self, factors: list):
+        """Factors with a constant denominator multiply as polynomials; the
+        others follow one by one."""
+        K = self.K
+        num, c, rest = K.ring.one, QQ.one, []
+        for f in factors:
+            if not f:
+                return K.zero
+            if f.denom.is_ground:
+                num, c = num * f.numer, c * f.denom.LC
+            else:
+                rest.append(f)
+        out = K.zero._canon(num, K.ring.ground_new(c))
+        for f in rest:
+            out = out * f
+        return out
+
     def convert(self, s: sp.Expr):
-        """(normal form, element) of a sympy tree: the one normalization an
-        input pays on its way in."""
-        n = normalize(s)
-        return n, self.element(n)
+        """(display tree, element) of a sympy tree.  The display is the
+        element's view, which equals `normalize(s)`, except when a leaf of s
+        is exp of a sum with a negative part: sympy's cancel is not idempotent
+        there (exp(x z - y) becomes exp(-y) exp(x z), which a second pass moves
+        into the denominator), so the display stays `normalize(s)`."""
+        leaves: set = set()
+        el = self.fold(s, leaves)
+        return (normalize(s) if self._split(leaves) else self.view(el)), el
+
+    def splits(self, trees: Iterable[sp.Expr]) -> bool:
+        """Whether a tree's display is `normalize` of it rather than its
+        element's view (`convert`)."""
+        leaves: set = set()
+        for s in trees:
+            self._walk(s, leaves)
+        return self._split(leaves)
+
+    def _split(self, leaves: set) -> bool:
+        for leaf in leaves:
+            if isinstance(leaf, sp.exp):
+                n = self._leaf(leaf)[0]
+                if n.is_Mul and n.as_numer_denom()[1] != 1:
+                    return True
+        return False
+
+    def convert_all(self, trees: Sequence[sp.Expr]) -> list:
+        """`convert` over a batch, the field grown once for all of it."""
+        self._grow(self._gens_of(trees))
+        return [self.convert(s) for s in trees]
 
     def up(self, obj):
         """Elements (nested in lists or tuples) moved into the current field."""
@@ -297,7 +459,7 @@ class Field:
             return type(obj)(self.up(v) for v in obj)
         if obj.field is self.K or obj.field == self.K:
             return obj
-        return self.element(self.view(obj))
+        return self.fold(self.view(obj))
 
     @staticmethod
     def view(el) -> sp.Expr:
@@ -323,18 +485,18 @@ class Field:
                 pass
             elif isinstance(g, _KERNEL_CLASSES):
                 u = g.args[0]
-                du = self.diff(self.element(normalize(u)), v)
+                du = self.diff(self.fold(u), v)
                 if isinstance(g, sp.exp):
                     d = self.K.gens[i] * du
                 elif isinstance(g, sp.log):
-                    d = du / self.element(normalize(u))
+                    d = du / self.fold(u)
                 elif isinstance(g, sp.sin):
-                    d = self.element(sp.cos(u)) * du
+                    d = self.fold(sp.cos(u)) * du
                 else:
-                    d = -self.element(sp.sin(u)) * du
+                    d = -self.fold(sp.sin(u)) * du
             else:
                 K = self.K
-                d = self.element(normalize(sp.diff(g, v)))
+                d = self.fold(sp.diff(g, v))
                 if self.K != K:
                     raise _FieldGrew
             self._chains[key] = d

@@ -46,6 +46,7 @@ from .tensor import (
     scalar_curvature,
     vector_norm,
     _comps_el,
+    _entered,
     _nabla_vector,
     _nested,
     _nested_map,
@@ -94,7 +95,8 @@ class NullTetrad:
 
     theta and the frame are computed in the metric's field (grown if the
     coframe carries a gen the metric lacks); theta is also shown as sympy
-    normal forms."""
+    normal forms.  A coframe whose one-forms hold their elements (a builder's,
+    converted with g) is not converted again."""
 
     def __init__(self, g: Metric, coframe: list[OneForm], validate: bool = True,
                  cfg: SampleConfig = SampleConfig()):
@@ -103,9 +105,10 @@ class NullTetrad:
         self.g = g
         self.chart = g.chart
         F = g.field
-        conv = [[F.convert(w.comps[a]) for a in _R] for w in coframe]
-        self.theta = [[n for n, _ in row] for row in conv]
-        self._theta_el = F.up([[el for _, el in row] for row in conv])
+        if any(w.el is None for w in coframe):
+            coframe = _entered(F, coframe)
+        self.theta = [list(w.comps) for w in coframe]
+        self._theta_el = F.up([w.el for w in coframe])
         det = det4(self._theta_el)
         if not det:
             raise ExprError("tetrad coframe is degenerate")

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import sympy as sp
 
-from .expr import Expr, ExprError, Field, SampleConfig, Verdict, is_zero_all, normalize
+from .expr import Expr, ExprError, Field, SampleConfig, Verdict, is_zero_all
 
 __all__ = [
     "Chart",
@@ -172,7 +172,7 @@ class VectorField(TensorField):
 class OneForm(TensorField):
     def __init__(self, chart: Chart, comps=None, el: list | None = None):
         chart.require_dim(4)
-        super().__init__(chart, "l", [_sym(c) for c in comps] if el is None else None, el)
+        super().__init__(chart, "l", None if comps is None else [_sym(c) for c in comps], el)
 
     def __call__(self, v: VectorField) -> Expr:
         return Expr(sum(self.comps[a] * v.comps[a] for a in _R))
@@ -188,6 +188,14 @@ class OneForm(TensorField):
         return OneForm(self.chart, [self.comps[a] * s for a in _R])
 
     __rmul__ = __mul__
+
+
+def _entered(F: Field, forms: list[OneForm]) -> list[OneForm]:
+    """The one-forms converted into F in one batch, each holding its display
+    trees and its elements."""
+    conv = F.convert_all([c for w in forms for c in w.comps])
+    return [OneForm(w.chart, [n for n, _ in conv[4 * i:4 * i + 4]],
+                    [e for _, e in conv[4 * i:4 * i + 4]]) for i, w in enumerate(forms)]
 
 
 class TwoForm(TensorField):
@@ -227,18 +235,30 @@ class ThreeForm(TensorField):
 
 
 class Metric:
-    """Symmetric nondegenerate metric on a 4D chart, with memoized curvature."""
+    """Symmetric nondegenerate metric on a 4D chart, with memoized curvature.
 
-    def __init__(self, chart: Chart, comps):
+    The components enter the metric's fraction field (a new one unless
+    `field` is given) by `Field.convert`, the upper triangle authoritative;
+    or they are given as elements `el` of `field` (a builder's g formed from
+    its coframe) and shown by their views."""
+
+    def __init__(self, chart: Chart, comps=None, el: list | None = None,
+                 field: Field | None = None):
         chart.require_dim(4)
         self.chart = chart
-        rows = [[normalize(_sym(comps[a][b])) for b in _R] for a in _R]
-        for a in _R:  # upper triangle is authoritative
-            for b in range(a + 1, 4):
-                rows[b][a] = rows[a][b]
-        self.comps = rows
         self._cache: dict = {}
-        self._field: Field | None = None
+        F = self._field = field or Field(chart.syms + (sp.Symbol(FIBRE),))
+        upper = [(a, b) for a in _R for b in range(a, 4)]
+        if el is None:
+            conv = F.convert_all([_sym(comps[a][b]) for a, b in upper])
+        else:
+            conv = [(F.view(el[a][b]), el[a][b]) for a, b in upper]
+        rows, els = _nested(2), _nested(2)
+        for (a, b), (n, e) in zip(upper, conv):
+            rows[a][b] = rows[b][a] = n
+            els[a][b] = els[b][a] = e
+        self.comps = rows
+        self._cache["el"] = els
 
     def __getitem__(self, idx):
         a, b = idx
@@ -253,17 +273,12 @@ class Metric:
     def field(self) -> Field:
         """The fraction field of this metric's chain: chart symbols, the fibre
         symbol, and the gens of the components."""
-        if self._field is None:
-            syms = self.chart.syms + (sp.Symbol(FIBRE),)
-            self._field = Field(syms, [c for row in self.comps for c in row])
         return self._field
 
     @property
     def el(self) -> list:
         """The components as field elements."""
-        F = self.field
-        return F.up(self._memo("el", lambda: [[F.element(c) for c in row]
-                                               for row in self.comps]))
+        return self.field.up(self._cache["el"])
 
     def _det_el(self):
         return self.field.up(self._memo("det", lambda: det4(self.el)))

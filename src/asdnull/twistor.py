@@ -84,7 +84,7 @@ def lax_pair(bg) -> LaxPair:
     spin_coefficients(g, tet)
     gp = F.up(tet._el["spin_coefficients"][1])
     E = tet.field_el("frame")
-    lam = F.element(sp.Symbol(FIBRE))
+    lam = F.fold(sp.Symbol(FIBRE))
     pi = (F.K.one, lam)
     out = []
     for A in _R2:
@@ -116,10 +116,10 @@ def _commutator(F: Field, vars_syms, X, Y) -> list:
 def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()) -> SpanSolve:
     """Write target = sum c_k fields[k] over the expression field; exact minor
     solve when possible, seeded least-squares fallback otherwise."""
-    trees = [Expr(c).normal for f in (target, *fields) for c in f]
-    F = Field([sp.Symbol(n) for n in vars_names], trees)
-    return _solve_in_span(F, vars_names, [F.element(Expr(c).normal) for c in target],
-                          [[F.element(Expr(c).normal) for c in f] for f in fields], cfg)
+    F = Field([sp.Symbol(n) for n in vars_names],
+              [Expr(c).sym for f in (target, *fields) for c in f])
+    return _solve_in_span(F, vars_names, [F.fold(Expr(c).sym) for c in target],
+                          [[F.fold(Expr(c).sym) for c in f] for f in fields], cfg)
 
 
 def _solve_in_span(F: Field, vars_names, b, cols, cfg: SampleConfig) -> SpanSolve:
@@ -195,7 +195,7 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
     phi, eta, k = F.up((phi, eta, _vector_el(g, K)))
     kaa = tet.vector_el(k)
     gp = F.up(tet._el["spin_coefficients"][1])
-    lam = F.element(sp.Symbol(FIBRE))
+    lam = F.fold(sp.Symbol(FIBRE))
     pi = (F.K.one, lam)  # pi^{A'} = (1, lam) on the affine patch
     pi_lo = (-lam, F.K.one)  # pi_{A'} = pi^{B'} eps_{B'A'}
     # phi^{A'B'} = eps^{A'C'} eps^{B'D'} phi_{C'D'}
@@ -219,5 +219,5 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
 def lift_commutation_check(kl: LiftedKilling, lp: LaxPair,
                            cfg: SampleConfig = SampleConfig()):
     """[K~, L_A] must close onto span{L0, L1}; returns the two SpanSolves."""
-    kel = [lp.field.element(Expr(c).normal) for c in kl.comps]
+    kel = [lp.field.fold(Expr(c).sym) for c in kl.comps]
     return [_bracket_in_span(lp, kel, L, cfg) for L in lp.el]

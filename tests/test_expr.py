@@ -1,6 +1,7 @@
 """Expression core: grammar, normal form, differentiation, evaluation, sampling."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from asdnull.expr import (
     to_text,
 )
 from asdnull import expr as expr_module
+from asdnull.cli import load_model
+from asdnull.construct import build_nontwisting, build_ppwave, build_twisting, family_coframe
+from asdnull.tensor import pair_product
 from oracles import CORPUS as ORACLE_CORPUS
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
@@ -330,17 +334,150 @@ def test_field_grows_and_moves_old_elements():
     assert F.view(F.up(a) * b) == normalize(x / y * (sp.exp(x / 3) + sp.exp(x)))
 
 
+def _builder_inputs(bg) -> tuple:
+    """The trees a builder converts, in its chart: the coframe's components,
+    g's as the symmetric products of the coframe, and K's."""
+    coframe = family_coframe(bg.g.chart, bg.family, bg.params)
+    pp, qq = pair_product(coframe[0], coframe[3]), pair_product(coframe[1], coframe[2])
+    trees = [c for w in coframe for c in w.comps]
+    trees += [pp[a][b] - qq[a][b] for a in range(4) for b in range(a, 4)]
+    trees += list(bg.K.comps) if bg.K is not None else []
+    return bg.g.chart.syms + (sp.Symbol("lam"),), trees
+
+
+def _random_tree(rng, depth: int) -> sp.Expr:
+    """A seeded tree over x, y, z: sums, products, integer powers, shared
+    factors, nested kernels and exp of sums with a negative part."""
+    x, y, z = sp.symbols("x y z")
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice([x, y, z, sp.Rational(rng.randint(-4, 4), rng.randint(1, 3))])
+    def sub():
+        return _random_tree(rng, depth - 1)
+
+    kind = rng.choice(["add", "mul", "pow", "kernel", "kernel", "exp_neg", "shared"])
+    if kind == "add":
+        return sp.Add(*[sub() for _ in range(rng.randint(2, 3))])
+    if kind == "mul":
+        return sp.Mul(*[sub() for _ in range(rng.randint(2, 3))])
+    if kind == "pow":
+        return sp.Pow(sub() + rng.choice([x, y, z]), rng.choice([-2, -1, 2, 3]))
+    if kind == "kernel":
+        return rng.choice([sp.exp, sp.sin, sp.cos, sp.log])(sub() + rng.choice([x, y, z]))
+    if kind == "exp_neg":
+        a, b = (sp.Rational(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(2))
+        return sp.exp(a * rng.choice([x * z, x, z]) - b * y) / rng.choice([x, z, 1 + x]) + sub()
+    f = sub() + rng.choice([x, y, z])
+    return (f * sub() + f * sub()) / (f * (sub() + rng.choice([x, y, z])))
+
+
+def _random_trees(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = _random_tree(rng, 3)
+        if not t.has(sp.zoo, sp.nan, sp.I, sp.oo):
+            out.append(t)
+    return out
+
+
+def _check_conversions(syms, trees) -> int:
+    """Field.convert against the tree route: the element equals
+    Field.element(normalize(t)) in the same field, the display is normalize(t)
+    byte for byte, and it is the element's view unless the tree splits.
+    Returns how many trees split."""
+    F = Field(syms)
+    split = 0
+    for t, (shown, el) in zip(trees, F.convert_all(trees)):
+        n = normalize(t)
+        K = F.K
+        assert F.element(n) == el and F.K is K, t
+        assert sp.srepr(shown) == sp.srepr(n), t
+        if F.splits([t]):
+            split += 1
+        else:
+            assert F.view(el) == n, t
+    return split
+
+
+def test_conversion_matches_normalize_on_builder_and_model_inputs(corpus):
+    models = Path(__file__).resolve().parent.parent / "models"
+    geometries = list(corpus.values())
+    geometries += [m.geometry for m in map(load_model, sorted(models.glob("*.json")))
+                   if m.geometry is not None]
+    split = sum(_check_conversions(*_builder_inputs(bg)) for bg in geometries)
+    assert split > 0  # twisting_exp holds exp(z x - y)
+
+
+def test_conversion_matches_normalize_on_random_trees():
+    trees = _random_trees(seed=7, count=60)
+    assert any(t.has(sp.exp) for t in trees) and any(t.has(sp.log) for t in trees)
+    _check_conversions(sp.symbols("x y z"), trees)
+
+
+def test_singular_input_is_a_typed_error_naming_it():
+    x, y = sp.symbols("x y")
+    F = Field((x, y))
+    for bad in (sp.zoo * x, x / ((x + 1)**2 - x**2 - 2 * x - 1),
+                sp.exp(x) / (y * sp.exp(x) - sp.exp(x) * (y - 1) - sp.exp(x)), sp.nan + y):
+        with pytest.raises(ExprError, match="singular") as info:
+            F.convert(bad)
+        assert str(bad) in str(info.value)
+
+
+def test_normalize_is_not_idempotent_on_exp_of_a_negative_part():
+    """sympy's cancel splits exp(x z - y) into exp(-y) exp(x z) and a second
+    pass moves exp(-y) into the denominator.  The field's view is the second
+    form; the display of the input stays the first."""
+    x, y, z = sp.symbols("x y z")
+    t = -3 * x * y**2 + sp.exp(x * z - y) / x
+    once, twice = normalize(t), normalize(normalize(t))
+    first = (-3 * x**2 * y**2 + sp.exp(-y) * sp.exp(x * z)) / x
+    second = (-3 * x**2 * y**2 * sp.exp(y) + sp.exp(x * z)) * sp.exp(-y) / x
+    assert sp.srepr(once) == sp.srepr(first) and sp.srepr(twice) == sp.srepr(second)
+    assert once != twice
+    F = Field((x, y, z))
+    shown, el = F.convert(t)
+    assert F.splits([t])
+    assert sp.srepr(F.view(el)) == sp.srepr(second)
+    assert sp.srepr(shown) == sp.srepr(first)
+
+
+def test_polynomial_builds_normalize_no_tree(monkeypatch):
+    """A polynomial nontwisting, twisting or pp-wave member enters its field
+    by folding: no normalize or sp.cancel on a sum, product or power."""
+    cases = [
+        (build_nontwisting, [parse(t) for t in ("x", "x + y", "y", "x*y", "1/2", "x^2")]),
+        (build_twisting, [parse(t) for t in ("y", "x", "y^2", "x*y", "z^2/2 + z*x + y")]),
+        (build_twisting, [0, 0, 0, 0, parse("x*z^3/6 - y*z^2/2")]),
+        (build_ppwave, [parse("X^2 + Y^3")]),
+    ]
+    trees = []
+
+    def counting(fn):
+        def wrapped(s, *args, **kwargs):
+            if s.is_Add or s.is_Mul or s.is_Pow:
+                trees.append(s)
+            return fn(s, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(expr_module, "normalize", counting(expr_module.normalize))
+    monkeypatch.setattr(sp, "cancel", counting(sp.cancel))
+    for build, args in cases:
+        build(*args)
+        assert trees == [], (build.__name__, trees[:3])
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
 
-# the functions that may normalize a sympy tree: the field's own conversions,
-# the Expr boundary (its normal form and the zero checks of powers, log and the
-# parser), exact evaluation, the metric's input, and the builder and ODE inputs
-# that enter no field; the tree oracles live in tests/oracles.py
+# the functions that may normalize a sympy tree: the field's leaves and the
+# displays it keeps as normalize(tree), the Expr boundary (its normal form and
+# the zero checks of powers, log and the parser), exact evaluation, and the
+# builder and ODE inputs that enter no field; inputs enter a field by folding
+# (Field.convert), and the tree oracles live in tests/oracles.py
 NORMALIZING = {
-    "expr.normalize", "expr.Field._grow", "expr.Field.convert", "expr.Field._d_gen",
+    "expr.normalize", "expr.Field._leaf", "expr.Field.convert",
     "expr.Expr.normal", "expr.Expr.__pow__", "expr._kernel", "expr._Parser.power",
-    "expr.evaluate", "tensor.Metric.__init__",
-    "construct._sparling_w0", "projective.geodesic_integrate",
+    "expr.evaluate", "construct._sparling_w0", "projective.geodesic_integrate",
 }
 
 # the functions that may differentiate a sympy tree: the builders' inputs (the

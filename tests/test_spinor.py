@@ -491,3 +491,18 @@ def test_weyl_divergence_matches_tree_oracle(corpus, heavenly_type3):
                    ("heavenly_type3_rescaled", *_rescaled_pair(bg, 1 + X**2 / 9 + Z * Y / 7))]
     for name, g, tet in geometries:
         assert weyl_divergence_spinor(g, tet) == tree_weyl_divergence(g, tet), name
+
+
+_X, _Y = sp.symbols("x y")
+
+
+@pytest.mark.parametrize("bad", [sp.zoo * _X, _X / ((_Y + 1)**2 - _Y**2 - 2 * _Y - 1)],
+                         ids=["zoo", "zero_divisor"])
+def test_singular_coframe_component_is_a_typed_error(bad):
+    """A coframe component that divides by zero is rejected by name."""
+    g = build_flat().g
+    rows = [list(r) for r in build_flat().tet.theta]
+    rows[2][3] = bad
+    with pytest.raises(ExprError, match="singular") as info:
+        NullTetrad(g, [OneForm(g.chart, r) for r in rows])
+    assert str(bad) in str(info.value)

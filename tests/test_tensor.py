@@ -249,3 +249,17 @@ def test_field_views_are_normal_forms(corpus):
         views = {v for part in _views(bg) for v in _flat(part)}
         bad = [v for v in views if normalize(v) != v]
         assert not bad, (name, bad[:3])
+
+
+_X = sp.Symbol("x")
+
+
+@pytest.mark.parametrize("bad", [sp.zoo * _X, _X / ((_X + 1)**2 - _X**2 - 2 * _X - 1)],
+                         ids=["zoo", "zero_divisor"])
+def test_singular_metric_component_is_a_typed_error(bad):
+    """A component that divides by zero (zoo, or a divisor that is zero only
+    after cancelling) is rejected by name, not built with det 1."""
+    comps = [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, bad]]
+    with pytest.raises(ExprError, match="singular") as info:
+        Metric(Chart(("t", "x", "y", "z")), comps)
+    assert str(bad) in str(info.value)
