@@ -469,6 +469,29 @@ class Field:
     def expr(self, el) -> "Expr":
         return Expr._normal(self.view(el))
 
+    def evaluate(self, el, a: "Assignment | Mapping[str, Number]") -> Fraction | float:
+        """The value of an element at a point, as `evaluate` of its view gives
+        it.  At an exact point whose used gens are all symbols it is the
+        numerator's value over the denominator's, each polynomial evaluated
+        over Q; the gens are read from the element's own field, which may be
+        older than this one.  A float point, or a used gen that is a kernel or
+        another function, takes the tree route with its float order."""
+        if not isinstance(a, Assignment):
+            a = Assignment(a)
+        gens, N, D = el.field.symbols, el.numer, el.denom
+        used = [i for i, (dn, dd) in enumerate(zip(N.degrees(), D.degrees()))
+                if dn > 0 or dd > 0]
+        if not a.is_exact() or not all(gens[i].is_Symbol for i in used):
+            return evaluate(self.expr(el), a)
+        missing = {gens[i].name for i in used} - set(a)
+        if missing:
+            raise EvalError(f"unassigned symbols: {sorted(missing)}")
+        x = {i: a[gens[i].name] for i in used}
+        den = _poly_at(D, x)
+        if not den:
+            raise EvalError("division by zero at the point")
+        return _poly_at(N, x) / den
+
     # -- differentiation ------------------------------------------------------------
 
     def _d_gen(self, i: int, v: sp.Symbol):
@@ -996,6 +1019,27 @@ class Assignment(dict):
             except (ValueError, ZeroDivisionError) as ex:
                 raise ExprError(f"bad value {val!r} for {name!r}: {ex}") from ex
         return cls(pairs)
+
+
+def _poly_at(p, x: Mapping[int, int | Fraction]) -> Fraction:
+    """A polynomial over QQ at the point x (gen index -> value), summed over
+    one common denominator: an integer per term and one gcd at the end."""
+    degs = p.degrees()
+    powers, scale = {}, 1
+    for i, v in x.items():
+        d = degs[i]
+        if d > 0:
+            n, q = v.numerator, v.denominator
+            powers[i] = [n**e * q**(d - e) for e in range(d + 1)]
+            scale *= q**d
+    lcd = math.lcm(*(c.denominator for c in p.values()))
+    total = 0
+    for monom, c in p.items():
+        t = c.numerator * (lcd // c.denominator)
+        for i, row in powers.items():
+            t *= row[monom[i]]
+        total += t
+    return Fraction(total, lcd * scale)
 
 
 def _subs_exact(s: sp.Expr, a: Assignment) -> sp.Expr:

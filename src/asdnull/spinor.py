@@ -27,7 +27,6 @@ from .expr import (
     Field,
     SampleConfig,
     Verdict,
-    evaluate,
     is_zero,
     is_zero_all,
     random_points,
@@ -397,7 +396,7 @@ def petrov_classify(w: WeylSpinor, at: Assignment | dict,
                     tol: float = 1e-8) -> PetrovType:
     """Type of the quartic (1,x)^4 . C at a point, projectively."""
     at = at if isinstance(at, Assignment) else Assignment(at)
-    vals = [evaluate(p, at) for p in w.psi]
+    vals = [w.field.evaluate(el, at) for el in w.el]
     coeffs = [vals[0], 4 * vals[1], 6 * vals[2], 4 * vals[3], vals[4]]
     if all(isinstance(v, Fraction) for v in coeffs):
         structure = quartic_root_structure(coeffs)

@@ -305,13 +305,13 @@ class Metric:
 
     def signature_at(self, point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts at a sample point."""
-        from .expr import Assignment, evaluate
         import numpy as np
 
-        a = point if isinstance(point, Assignment) else Assignment(point)
-        m = np.array(
-            [[float(evaluate(self[i, j], a)) for j in _R] for i in _R], dtype=float
-        )
+        # the elements as made: Field.evaluate reads each in its own field,
+        # where `el` would first move them into a grown one
+        F, el = self.field, self._cache["el"]
+        m = np.array([[float(F.evaluate(el[i][j], point)) for j in _R] for i in _R],
+                     dtype=float)
         ev = np.linalg.eigvalsh(m)
         return int((ev > 0).sum()), int((ev < 0).sum())
 

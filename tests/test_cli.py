@@ -285,9 +285,30 @@ def test_report_all_matches_recorded_report(model, capsys, monkeypatch):
 
 
 # szekeres, invariants and twist on each model, recorded before these stages
-# moved into the metric's field (report-all runs neither szekeres nor
-# invariants): (exit code, the report's "checks" array or the error line)
+# moved into the metric's field, and classify at its default point, recorded
+# before exact evaluation read the field's elements (report-all runs none of
+# szekeres, invariants and classify): (exit code, the report's "checks" array
+# or the error line)
 SUBCOMMAND_OUTPUTS = {
+    ("classify", "betazero_a2x"): (0,
+        '[{"name":"petrov_type","value":"III (real roots [3,1], complex pairs [-])",'
+        '"verdict":"pass"}]'),
+    ("classify", "flat_projective"): (2,
+        'error: this check needs a tetrad (builder model or explicit tetrad)'),
+    ("classify", "heavenly_ppwave"): (0,
+        '[{"name":"petrov_type","value":"O","verdict":"pass"}]'),
+    ("classify", "nontwisting_generic"): (0,
+        '[{"name":"petrov_type","value":"III (real roots [3,1], complex pairs [-])",'
+        '"verdict":"pass"}]'),
+    ("classify", "ppwave"): (0,
+        '[{"name":"petrov_type","value":"N (real roots [4], complex pairs [-])",'
+        '"verdict":"pass"}]'),
+    ("classify", "sparling_tod"): (0,
+        '[{"name":"petrov_type","value":"N (real roots [4], complex pairs [-])",'
+        '"verdict":"pass"}]'),
+    ("classify", "twisting_exp"): (0,
+        '[{"name":"petrov_type","value":"I (real roots [1,1], complex pairs [1])",'
+        '"verdict":"pass"}]'),
     ("szekeres", "betazero_a2x"): (1,
         '[{"name":"szekeres_obstruction_absent","value":-2.5,"verdict":"nonzero",'
         '"witness":{}}]'),
@@ -347,7 +368,7 @@ SUBCOMMAND_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["szekeres", "invariants", "twist"])
+@pytest.mark.parametrize("command", ["classify", "szekeres", "invariants", "twist"])
 @pytest.mark.parametrize("model", sorted(p.stem for p in MODELS.glob("*.json")))
 def test_subcommand_matches_recorded_output(command, model, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)

@@ -31,6 +31,7 @@ from asdnull import expr as expr_module
 from asdnull.cli import load_model
 from asdnull.construct import build_nontwisting, build_ppwave, build_twisting, family_coframe
 from asdnull.tensor import pair_product
+from mutants import MUTANTS
 from oracles import CORPUS as ORACLE_CORPUS
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
@@ -532,3 +533,14 @@ def test_trees_are_differentiated_only_at_the_boundary():
     """Derived stages differentiate in a metric's field (Field.diff); an
     sp.diff call anywhere else brings a tree stage back."""
     assert _callers(_is_sp_diff) == DIFFERENTIATING
+
+
+def test_mutant_snippets_occur_once():
+    """Every row of tests/mutants.py still plants its fault: the snippet
+    occurs exactly once in its file, and each test it names is defined."""
+    root = Path(__file__).resolve().parent.parent
+    for m in MUTANTS:
+        assert (root / m.path).read_text(encoding="utf-8").count(m.snippet) == 1, m.name
+        for node in m.tests:
+            path, name = node.split("::")
+            assert f"\ndef {name.split('[')[0]}(" in (root / path).read_text(encoding="utf-8"), node

@@ -3,20 +3,27 @@ shear-free identities, and the conformal Ricci-flatness obstruction."""
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
+from asdnull.cli import load_model
 from asdnull.expr import (
     Assignment,
+    EvalError,
     Expr,
     ExprError,
     Field,
     SampleConfig,
+    evaluate,
     is_zero,
     is_zero_all,
     normalize,
     parse,
+    random_points,
 )
 from asdnull.construct import build_flat, build_nontwisting, build_ppwave, build_twisting
 from asdnull.frame import _frame_curvature
@@ -262,6 +269,103 @@ def test_petrov_conformally_invariant(betazero_a2x_bg):
         g2, tet2 = _rescaled_pair(bg, omega)
         cu2, _ = weyl_spinors(g2, tet2)
         assert petrov_classify(cu2, PT).type == base
+
+
+def _outcome(fn):
+    """(type, repr) of fn()'s value, or its EvalError's message."""
+    try:
+        v = fn()
+    except EvalError as ex:
+        return "EvalError", str(ex)
+    return type(v).__name__, repr(v)
+
+
+def _both_routes(F, el, at):
+    """Field.evaluate of an element and evaluate of its view, each an outcome."""
+    return _outcome(lambda: F.evaluate(el, at)), _outcome(lambda: evaluate(F.expr(el), at))
+
+
+def test_field_evaluation_matches_tree_route(corpus):
+    """Every Weyl spinor and metric component of the corpus and the models
+    takes the same value (or the same error) from its element as from its
+    view, at seeded rational points."""
+    models = Path(__file__).resolve().parent.parent / "models"
+    geometries = list(corpus.values())
+    geometries += [m.geometry for m in map(load_model, sorted(models.glob("*.json")))
+                   if m.geometry is not None]
+    kinds = Counter()
+    for seed, bg in enumerate(geometries):
+        cu, cp = weyl_spinors(bg.g, bg.tet)
+        F = bg.g.field
+        els = [*cu.el, *cp.el, *(bg.g.el[a][b] for a in R4 for b in range(a, 4))]
+        for at in itertools.islice(random_points(bg.g.chart.names, seed), 3):
+            for el in els:
+                new, old = _both_routes(F, el, at)
+                assert new == old, (bg.family, at, F.view(el))
+                kinds[new[0]] += 1
+    assert kinds["Fraction"] and kinds["float"]  # twisting_exp holds exp gens
+
+
+def test_field_evaluation_edges(sparling_uv_bg, twisting_exp_bg):
+    """A pole, a missing symbol, a kernel gen and an undefined function give
+    the tree route's message or float."""
+    cu, _ = weyl_spinors(sparling_uv_bg.g, sparling_uv_bg.tet)
+    pole = Assignment({"T": 1, "X": 1, "Y": 2, "Z": 2})  # T Y = X Z
+    seen = set()
+    for el in cu.el:
+        for at in (pole, Assignment({"T": 1, "X": 1, "Y": 2})):
+            new, old = _both_routes(cu.field, el, at)
+            assert new == old, at
+            seen.add(new[1])
+    assert {"division by zero at the point", "unassigned symbols: ['Z']"} <= seen
+    cu, _ = weyl_spinors(twisting_exp_bg.g, twisting_exp_bg.tet)
+    at = Assignment({"t": 1, "x": Fraction(2, 3), "y": 3, "z": -5})
+    floats = [_both_routes(cu.field, el, at) for el in cu.el]
+    assert all(new == old for new, old in floats)
+    assert any(new[0] == "float" for new, _ in floats)
+    a2 = sp.Function("a2")(*sp.symbols("x y"))
+    bg = build_nontwisting(0, Expr(a2), 0, 0, 0, 0)
+    cu, _ = weyl_spinors(bg.g, bg.tet)
+    new, old = _both_routes(cu.field, cu.el[3], PT)
+    assert new == old and new[0] == "EvalError", new
+
+
+def test_field_evaluation_of_an_element_older_than_its_field():
+    """An element made before its field grew is read by its own field's gens."""
+    bg = build_ppwave(parse("X^3*Y + Y^4"))
+    cu, _ = weyl_spinors(bg.g, bg.tet)
+    F, at = cu.field, Assignment({"T": 2, "X": Fraction(-1, 3), "Y": 5, "Z": 7})
+    assert any(F.view(el).free_symbols for el in cu.el)
+    before = [F.evaluate(el, at) for el in cu.el]
+    K = F.K
+    A, X = sp.symbols("A X")
+    F.fold(A + sp.exp(A * X))  # A sorts first: every gen index shifts
+    assert F.K != K and F.K.symbols[0] == A
+    assert all(el.field == K for el in cu.el)
+    assert [F.evaluate(el, at) for el in cu.el] == before
+    for el in cu.el:
+        new, old = _both_routes(F, el, at)
+        assert new == old
+
+
+def test_petrov_classify_evaluates_no_tree(sparling_uv_bg, monkeypatch):
+    """Sparling-Tod's type at an exact point comes from its elements: no
+    sympy subs, cancel or field view."""
+    cu, _ = weyl_spinors(sparling_uv_bg.g, sparling_uv_bg.tet)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sp.Basic, "subs", counted("subs", sp.Basic.subs))
+    monkeypatch.setattr(sp, "cancel", counted("cancel", sp.cancel))
+    monkeypatch.setattr(Field, "view", staticmethod(counted("view", Field.view)))
+    at = Assignment({"T": Fraction(1, 2), "X": 1, "Y": Fraction(3, 2), "Z": 2})
+    assert petrov_classify(cu, at).type == "N"
+    assert not calls, calls
 
 
 def test_invariants_vanish_for_special_types(betazero_a2x_bg, ppwave_bg, flat_bg):
