@@ -10,10 +10,9 @@ reason no test can catch it.  The tier-1 suite does not collect this file;
 `tests/test_expr.py::test_mutant_snippets_occur_once` keeps the table in step
 with the code.
 
-    python3 tests/mutants.py                        # every row
-    python3 tests/mutants.py scaled_sign eval_pole  # the named rows
+    python3 tests/mutants.py
 
-Rows run two at a time; `TMPDIR` decides where their copies go.
+`TMPDIR` decides where the copies go.
 
 Exit status 0 when every mutant is killed and every expected survivor
 survives, 1 otherwise.
@@ -21,19 +20,16 @@ survives, 1 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "models", "perfbench", "pyproject.toml")
-JOBS = 2  # rows run at once: one per CPU of a small machine
 
 
 @dataclass(frozen=True)
@@ -145,8 +141,8 @@ def _failed(output: str) -> set[str]:
     return out
 
 
-def run(m: Mutant) -> tuple[Mutant, str, str]:
-    """(row, outcome, detail): "killed" when every named test fails or
+def run(m: Mutant) -> tuple[str, str]:
+    """(outcome, detail): "killed" when every named test fails or
     errors, "survived" when one passes, "broken" when the row cannot run."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{m.name}-") as tmp:
         tree = Path(tmp)
@@ -154,40 +150,33 @@ def run(m: Mutant) -> tuple[Mutant, str, str]:
         target = tree / m.path
         text = target.read_text()
         if text.count(m.snippet) != 1:
-            return m, "broken", f"snippet occurs {text.count(m.snippet)} times"
+            return "broken", f"snippet occurs {text.count(m.snippet)} times"
         target.write_text(text.replace(m.snippet, m.replacement))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *m.tests],
             cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
-        return m, "broken", f"pytest exit {proc.returncode}: {proc.stdout[-400:]}{proc.stderr[-400:]}"
+        return "broken", f"pytest exit {proc.returncode}: {proc.stdout[-400:]}{proc.stderr[-400:]}"
     caught = _failed(proc.stdout)
     passed = [t for t in m.tests if t not in caught]
     if passed:
-        return m, "survived", "passed: " + ", ".join(passed)
-    return m, "killed", f"{len(m.tests)} of {len(m.tests)} failed"
+        return "survived", "passed: " + ", ".join(passed)
+    return "killed", f"{len(m.tests)} of {len(m.tests)} failed"
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="rows to run (default: all)")
-    args = ap.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        ap.error(f"unknown rows: {sorted(unknown)}")
-    rows = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     start = time.perf_counter()
     wrong = []  # live survivors, killed equivalents and rows that could not run
     counts = {"killed": 0, "survived": 0, "broken": 0}
-    with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        for m, outcome, detail in pool.map(run, rows):
-            counts[outcome] += 1
-            expected = "survived" if m.equivalent else "killed"
-            if outcome != expected:
-                wrong.append(m)
-            note = f" (equivalent: {m.equivalent})" if m.equivalent else ""
-            print(f"{m.name:32} {outcome}{note}: {detail}", flush=True)
-    print(f"{len(rows)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
+    for m in MUTANTS:
+        outcome, detail = run(m)
+        counts[outcome] += 1
+        expected = "survived" if m.equivalent else "killed"
+        if outcome != expected:
+            wrong.append(m)
+        note = f" (equivalent: {m.equivalent})" if m.equivalent else ""
+        print(f"{m.name:32} {outcome}{note}: {detail}", flush=True)
+    print(f"{len(MUTANTS)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
           f"{counts['broken']} could not run, in {time.perf_counter() - start:.0f} s")
     for m in wrong:
         print(f"  unexpected: {m.name}")

@@ -3,11 +3,22 @@ conformal behaviour."""
 
 import itertools
 
+import numpy as np
 import sympy as sp
 import pytest
 
 from asdnull.construct import build_twisting
-from asdnull.expr import Expr, ExprError, SampleConfig, is_zero_all, normalize, parse
+from asdnull.expr import (
+    Assignment,
+    Expr,
+    ExprError,
+    SampleConfig,
+    evaluate,
+    is_zero_all,
+    normalize,
+    parse,
+    random_points,
+)
 from asdnull.spinor import (
     curvature_spinors,
     killing_decompose,
@@ -48,6 +59,31 @@ def test_flat_christoffels_vanish(flat_bg):
 
 def test_flat_signature(flat_bg):
     assert flat_bg.g.signature_at({"t": 1, "x": 1, "y": 1, "z": 1}) == (2, 2)
+
+
+def _display_signature(g: Metric, at) -> tuple[int, int]:
+    """The signature from each component's display tree, `g[i, j]`."""
+    ev = np.linalg.eigvalsh([[float(evaluate(g[i, j], at)) for j in R4] for i in R4])
+    return int((ev > 0).sum()), int((ev < 0).sum())
+
+
+def test_signature_matches_display_route(twisting_exp_bg, sparling_uv_bg, flat_bg):
+    """signature_at reads the elements; at exact and float points it agrees
+    with the display trees, also for twisting_exp's exp gens and for a
+    metric whose display is not its elements' view (an exp of a sum with a
+    negative part)."""
+    x, y, z = sp.symbols("x y z")
+    split = Metric(flat_bg.g.chart, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
+                                     [0, 0, 0, -3 * x * y**2 + sp.exp(x * z - y) / x]])
+    assert split.comps[3][3] != split.field.view(split._cache["el"][3][3])
+    signatures = set()
+    for g in (twisting_exp_bg.g, sparling_uv_bg.g, split):
+        for at in itertools.islice(random_points(g.chart.names, 3), 4):
+            for point in (at, Assignment({k: float(v) for k, v in at.items()})):
+                old = _display_signature(g, point)
+                assert g.signature_at(point) == old, (g.comps, point)
+                signatures.add(old)
+    assert signatures == {(2, 2), (3, 1)}  # split's g_zz takes both signs
 
 
 def test_ppwave_connection_and_ricci(ppwave_bg):
