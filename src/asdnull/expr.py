@@ -22,11 +22,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement, FracField
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import sring
+from sympy.polys.rings import PolyRing, sring
 
 __all__ = [
     "Expr",
@@ -91,98 +90,292 @@ def _check_finite(s: sp.Expr, context: str = "expression") -> sp.Expr:
     return s
 
 
-class _Frac(FracElement):
-    """A field element whose sum and product follow Henrici when a denominator
-    is more than a monomial: the gcds run on the denominators and on cross
-    factors, never on the full products.  The result is the canonical form
-    sympy's cancel gives; with monomial denominators sympy's own route, whose
-    gcd is then cheap, is faster.  A product or quotient with an int or a
-    Fraction renormalizes the contents only."""
+def _scale(p, k: int):
+    """The polynomial k p over ZZ."""
+    if k == 1:
+        return p
+    return p.new([(m, c * k) for m, c in p.items()])
 
-    def _canon(f, p, q):
-        if not p:
-            return f.field.zero
-        cp, p = p.primitive()
-        cq, q = q.primitive()
-        c = cp / cq
-        p, q = p.mul_ground(c.numerator), q.mul_ground(c.denominator)
-        if q.LC < 0:
-            p, q = -p, -q
-        return f.raw_new(p, q)
 
-    def _peer(f, g) -> bool:
-        """g is an element of f's field and one denominator is no monomial."""
-        return (isinstance(g, _Frac) and (len(f.denom) > 1 or len(g.denom) > 1)
-                and (g.field is f.field or g.field == f.field))
+def _primitive(p) -> tuple[int, "PolyElement"]:
+    """(content, primitive part) of a nonzero polynomial over ZZ, the content
+    signed so that the primitive part's leading coefficient is positive."""
+    g = math.gcd(*p.values())
+    if p[max(p)] < 0:
+        g = -g
+    if g == 1:
+        return 1, p
+    return g, p.new([(m, c // g) for m, c in p.items()])
+
+
+def _shifted(p, i: int, j: int):
+    """p / x_i^j for a gen x_i."""
+    return p.new([(m[:i] + (m[i] - j,) + m[i + 1:], c) for m, c in p.items()])
+
+
+def _exquo(p, b):
+    """p / b over ZZ, or None when b does not divide p."""
+    q, r = p.div(b)
+    return None if r else q
+
+
+class _El:
+    """An element c N / prod b_i^e_i of a field (`_Elements`): N a primitive
+    polynomial over ZZ with a positive leading coefficient, c a rational
+    (zero only for the zero element) and e a map from base index to a
+    positive exponent.  N is divisible by no b_i with e_i > 0, so the element
+    is in lowest terms."""
+
+    __slots__ = ("field", "c", "num", "e")
+
+    def __init__(self, field: "_Elements", c: Fraction, num, e: dict):
+        self.field, self.c, self.num, self.e = field, c, num, e
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __neg__(f):
+        return _El(f.field, -f.c, f.num, f.e)
 
     def __add__(f, g):
-        if not f._peer(g):
-            return super().__add__(g)
+        if isinstance(g, (int, Fraction)):
+            g = f.field.constant(g)
+        return f.field.add(f, g)
+
+    __radd__ = __add__
+
+    def __sub__(f, g):
+        return f + (-g)
+
+    def __mul__(f, g):
+        if isinstance(g, (int, Fraction)):
+            return f.field.scaled(f, g)
+        return f.field.mul(f, g)
+
+    __rmul__ = __mul__
+
+    def __truediv__(f, g):
+        if isinstance(g, (int, Fraction)):
+            return f.field.scaled(f, 1 / Fraction(g))
+        return f.field.mul(f, f.field.inverse(g))
+
+    def __pow__(f, n: int):
+        if n < 0:
+            return f.field.inverse(f) ** -n
+        return _El(f.field, f.c**n, f.num**n, {i: k * n for i, k in f.e.items()})
+
+    def __eq__(f, g):
+        if not isinstance(g, _El):
+            return NotImplemented
+        return f.field is g.field and f.c == g.c and f.e == g.e and f.num == g.num
+
+    def as_expr(f) -> sp.Expr:
+        """c.num N / (c.den prod b_i^e_i), both sides expanded: the tree of
+        sympy's cancel."""
+        num = _scale(f.num, f.c.numerator)
+        den = _scale(f.field.expand(f.e), f.c.denominator)
+        return num.as_expr() / den.as_expr()
+
+
+class _Elements:
+    """The elements of one field, each c N / prod b_i^e_i over the field's
+    base: pairwise coprime irreducible primitive polynomials over ZZ with
+    positive leading coefficients.  The gens are the base's first entries; a
+    polynomial enters the base only when it becomes a denominator (`factor`).
+
+    Cancellation is exact trial division by the base elements a denominator
+    holds: a product divides each numerator by the other operand's
+    denominator, a sum divides its numerator by every base element with a
+    positive exponent.  Because each b_i is irreducible, what trial division
+    leaves is in lowest terms; a base that were only pairwise coprime would
+    let a factor of a composite b_i hide in N."""
+
+    def __init__(self, symbols: tuple):
+        self.ring = R = PolyRing(symbols, ZZ, lex)
+        self.symbols = R.symbols
+        self.ngens = R.ngens
+        self.base: list = list(R.gens)
+        self.gens_of: list = [(i,) for i in range(R.ngens)]
+        self._powers: dict = {}  # (i, k) -> b_i^k
+        self._factored: dict = {}  # polynomial -> its exponents over the base
+        self.zero = _El(self, Fraction(0), R.zero, {})
+        self.one = _El(self, Fraction(1), R.one, {})
+        self.gens = tuple(_El(self, Fraction(1), g, {}) for g in R.gens)
+
+    # -- construction ---------------------------------------------------------
+
+    def constant(self, q: int | Fraction) -> _El:
+        return self.scaled(self.one, q)
+
+    def new(self, c: Fraction, t, e: dict, cancel: Iterable[int] | None = None) -> _El:
+        """c t / prod b_i^e_i for any polynomial t over ZZ: its content and
+        sign move into c, and t is trial-divided by the base elements in
+        `cancel` (all of e by default)."""
+        if not t:
+            return self.zero
+        g, t = _primitive(t)
+        t, e = self._cancel(t, e, e if cancel is None else cancel)
+        return _El(self, c * g, t, e)
+
+    def quotient(self, num: dict, den: dict) -> _El:
+        """The element num / den of two coefficient maps over QQ."""
+        (a, p), (b, q) = map(self._integral, (num, den))
+        return self.mul(self.new(Fraction(b, a), p, {}), self.inverse(self.new(Fraction(1), q, {})))
+
+    def _integral(self, d: dict) -> tuple:
+        """(L, p) with d = p / L and p over ZZ."""
+        L = math.lcm(*(c.denominator for c in d.values()))
+        return L, self.ring.from_dict({m: c.numerator * (L // c.denominator)
+                                       for m, c in d.items()})
+
+    # -- the base ---------------------------------------------------------------
+
+    def power(self, i: int, k: int):
+        """b_i^k, kept once computed."""
+        p = self._powers.get((i, k))
+        if p is None:
+            p = self._powers[i, k] = self.base[i]**k
+        return p
+
+    def expand(self, e: dict):
+        """prod b_i^e_i, expanded: the gens as one monomial."""
+        mono, out = [0] * self.ngens, None
+        for i, k in e.items():
+            if i < self.ngens:
+                mono[i] = k
+            else:
+                p = self.power(i, k)
+                out = p if out is None else out * p
+        if out is None:
+            return self.ring.from_dict({tuple(mono): 1}) if e else self.ring.one
+        return out.mul_monom(tuple(mono)) if any(mono) else out
+
+    def _divide_out(self, p, i: int, k: int) -> tuple:
+        """(p / b_i^j, j) for the largest j <= k with b_i^j dividing p: for a
+        gen, a shift by its lowest degree in p."""
+        if i < self.ngens:
+            j = k
+            for m in p:
+                if m[i] < j:
+                    j = m[i]
+                    if not j:
+                        return p, 0
+            return _shifted(p, i, j), j
+        b, j = self.base[i], 0
+        while j < k:
+            q = _exquo(p, b)
+            if q is None:
+                break
+            p, j = q, j + 1
+        return p, j
+
+    def _cancel(self, t, e: dict, idx: Iterable[int]) -> tuple:
+        """(t, e) with every b_i, i in idx, divided out of t as far as e_i
+        allows."""
+        out = e
+        for i in idx:
+            k = e[i]
+            t, j = self._divide_out(t, i, k)
+            if j:
+                if out is e:
+                    out = dict(e)
+                if j == k:
+                    del out[i]
+                else:
+                    out[i] = k - j
+        return t, out
+
+    def factor(self, p) -> dict:
+        """The exponents of a primitive polynomial with a positive leading
+        coefficient over the base, the base grown by what it lacks: p is
+        trial-divided by the base first, and only the cofactor left is
+        factored into irreducibles, which enter the base."""
+        e = self._factored.get(p)
+        if e is not None:
+            return e
+        e, rest = {}, p
+        for i in range(len(self.base)):
+            rest, k = self._divide_out(rest, i, math.inf)
+            if k:
+                e[i] = k
+        if not rest.is_ground:
+            for f, k in rest.factor_list()[1]:
+                e[self._enter(f if f.LC > 0 else -f)] = k
+        self._factored[p] = e
+        return e
+
+    def _enter(self, b) -> int:
+        self.base.append(b)
+        self.gens_of.append(tuple(i for i, d in enumerate(b.degrees()) if d > 0))
+        return len(self.base) - 1
+
+    def used(self, f: _El) -> list:
+        """The indices of the gens f depends on."""
+        out = {i for i, d in enumerate(f.num.degrees()) if d > 0}
+        for i in f.e:
+            out.update(self.gens_of[i])
+        return sorted(out)
+
+    # -- arithmetic ---------------------------------------------------------------
+
+    def _check(self, g: _El) -> None:
+        if g.field is not self:
+            raise ExprError("elements of two different fields")
+
+    def scaled(self, f: _El, q: int | Fraction) -> _El:
+        if not q or not f:
+            return self.zero
+        return _El(self, f.c * q, f.num, f.e)
+
+    def _raised(self, p, e: dict, to: dict):
+        """p prod b_i^(to_i - e_i)."""
+        extra = {i: k - e.get(i, 0) for i, k in to.items() if k != e.get(i, 0)}
+        return p * self.expand(extra) if extra else p
+
+    def add(self, f: _El, g: _El) -> _El:
+        """Over the exponent maximum, then trial division by every base
+        element with a positive exponent."""
+        self._check(g)
         if not g:
             return f
         if not f:
             return g
-        a, b, c, d = f.numer, f.denom, g.numer, g.denom
-        if b == d:
-            return f.new(a + c, b)
-        h = b.gcd(d)
-        b1, d1 = b.exquo(h), d.exquo(h)
-        t = a * d1 + c * b1
-        h2 = t.gcd(h)
-        return f._canon(t.exquo(h2), b1 * d.exquo(h2))
+        e = f.e
+        p, q = f.num, g.num
+        if g.e != e:
+            e = dict(e)
+            for i, k in g.e.items():
+                if k > e.get(i, 0):
+                    e[i] = k
+            p, q = self._raised(p, f.e, e), self._raised(q, g.e, e)
+        a, b = f.c, g.c
+        L = math.lcm(a.denominator, b.denominator)
+        return self.new(Fraction(1, L), _scale(p, a.numerator * (L // a.denominator))
+                        + _scale(q, b.numerator * (L // b.denominator)), e)
 
-    def __sub__(f, g):
-        if not f._peer(g):
-            return super().__sub__(g)
-        return f + (-g)
-
-    def _scaled(f, n: int, d: int):
-        """f n / d: a constant leaves numerator and denominator coprime, so
-        only the contents are renormalized, where sympy runs a full gcd."""
-        if not f or not n:
-            return f.field.zero
-        if d == 1 and abs(n) == 1:
-            return f if n > 0 else -f
-        return f._canon(f.numer.mul_ground(n), f.denom.mul_ground(d))
-
-    def __mul__(f, g):
-        if isinstance(g, (int, Fraction)):
-            return f._scaled(g.numerator, g.denominator)
-        if not f._peer(g):
-            return super().__mul__(g)
+    def mul(self, f: _El, g: _El) -> _El:
+        """The exponents add; each numerator is trial-divided only by the base
+        elements of the other operand's denominator."""
+        self._check(g)
         if not f or not g:
-            return f.field.zero
-        a, b, c, d = f.numer, f.denom, g.numer, g.denom
-        g1, g2 = a.gcd(d), c.gcd(b)
-        return f._canon(a.exquo(g1) * c.exquo(g2), b.exquo(g2) * d.exquo(g1))
+            return self.zero
+        p, q = f.num, g.num
+        if not f.e and not g.e:
+            return _El(self, f.c * g.c, p * q, {})
+        e = dict(f.e)
+        for i, k in g.e.items():
+            p, j = self._divide_out(p, i, k)
+            e[i] = e.get(i, 0) + k - j
+        for i, k in f.e.items():
+            q, j = self._divide_out(q, i, k)
+            e[i] -= j
+        return _El(self, f.c * g.c, p * q, {i: k for i, k in e.items() if k})
 
-    def __rmul__(f, g):
-        if isinstance(g, (int, Fraction)):
-            return f._scaled(g.numerator, g.denominator)
-        return super().__rmul__(g)
-
-    def __truediv__(f, g):
-        if isinstance(g, (int, Fraction)):
-            if not g:
-                raise ZeroDivisionError
-            return f._scaled(g.denominator, g.numerator)
-        if not f._peer(g):
-            return super().__truediv__(g)
-        if not g:
-            raise ZeroDivisionError
-        return f * f._canon(g.denom, g.numer)
-
-
-class _FracField(FracField):
-    """FracField whose elements are _Frac."""
-
-    def __new__(cls, symbols, domain, order=lex):
-        obj = super().__new__(cls, symbols, domain, order)
-        obj.dtype = _Frac(obj, obj.ring.zero).raw_new
-        obj.zero = obj.dtype(obj.ring.zero)
-        obj.one = obj.dtype(obj.ring.one)
-        obj.gens = obj._gens()
-        return obj
+    def inverse(self, f: _El) -> _El:
+        """1/f = (1/c) prod b_i^e_i / N: N enters the base.  The zero
+        element's c is 0, so 1/c raises ZeroDivisionError for it."""
+        self._check(f)
+        return _El(self, 1 / f.c, self.expand(f.e), self.factor(f.num))
 
 
 class _FieldGrew(Exception):
@@ -215,11 +408,17 @@ class Field:
     field, and sin(u) brings cos(u) and back.  sympy merges exp(m/2)^2 into
     exp(m), so every exp(c m) with the same m is a power of one gen exp(m/q).
 
-    An element keeps coprime numerator and denominator over QQ with the
-    denominator's leading coefficient positive in lex order over the gens as
-    sympy's `_sort_gens` orders them: the canonical form of a rational
-    function (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 3).
-    `view` returns its tree, a fixed point of `normalize`.
+    An element is c N / prod b_i^e_i (`_El`): N primitive over ZZ with a
+    positive leading coefficient in lex order over the gens as sympy's
+    `_sort_gens` orders them, c rational, and e the exponents over the field's
+    base of irreducible polynomials (`_Elements`), which holds the gens and
+    grows when a new polynomial becomes a denominator.  Sums and products
+    cancel by trial division over the base, with no polynomial gcd (Henrici,
+    J. ACM 3 (1956) 6-9; Bach, Driscoll & Shallit, J. Algorithms 15 (1993)
+    199-222).  The denominator is expanded only for `view`, whose tree is
+    c.num N / (c.den prod b_i^e_i): the canonical form of a rational function
+    (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 3), a
+    fixed point of `normalize`.
 
     A sympy tree enters by folding (`convert`, `fold`): sums, products and
     integer powers become the field's own arithmetic, and only the leaves it
@@ -294,13 +493,13 @@ class Field:
             if u is not None:
                 c, m = u.as_coeff_Mul(rational=True)
                 self._exp_den[m] = math.lcm(self._exp_den.get(m, 1), c.q)
-        gens = {self._shared(g)[0] for g in self._gens}
-        K = _FracField(_sort_gens(gens), QQ, lex)
-        if self.K is not None and K == self.K:
+        gens = tuple(_sort_gens({self._shared(g)[0] for g in self._gens}))
+        if self.K is not None and gens == self.K.symbols:
             return
-        self.K = K
+        self.K = K = _Elements(gens)
         self._index = {g: i for i, g in enumerate(K.symbols)}
         self._chains: dict = {}
+        self._d_bases: dict = {}
         self._leaf_el: dict = {}
 
     def _shared(self, g: sp.Expr) -> tuple[sp.Expr, int]:
@@ -312,7 +511,7 @@ class Field:
             return sp.exp(m / q), int(c * q)
         return g, 1
 
-    def _placed(self, gens: tuple, polys) -> "FracElement":
+    def _placed(self, gens: tuple, polys) -> _El:
         """The element of num/den polynomials over `gens`, placed monomial by
         monomial into the field's ring."""
         slots = []
@@ -321,18 +520,17 @@ class Field:
                 raise _Unplaced
             base, k = self._shared(g)
             slots.append((self._index[base], k))
-        R = self.K.ring
         out = []
         for p in polys:
             d = {}
             for monom, coeff in p.items():
-                e = [0] * R.ngens
+                e = [0] * self.K.ngens
                 for (i, k), j in zip(slots, monom):
                     e[i] += k * j
                 e = tuple(e)
                 d[e] = d.get(e, 0) + coeff
-            out.append(R.from_dict(d))
-        return self.K.new(*out)
+            out.append(d)
+        return self.K.quotient(*out)
 
     # -- conversion ---------------------------------------------------------------
 
@@ -368,18 +566,13 @@ class Field:
                 raise _Unplaced
             return self.K.gens[i]
         if s.is_Rational:
-            return self.K.one._scaled(s.p, s.q)
+            return self.K.constant(Fraction(s.p, s.q))
         if s.is_Add:
             return self._sum([self._fold(a, leaves) for a in s.args])
         if s.is_Mul:
             return self._product([self._fold(a, leaves) for a in s.args])
         if s.is_Pow and s.exp.is_Integer:
-            f, n = self._fold(s.base, leaves), int(s.exp)
-            if n >= 0:
-                return f._canon(f.numer**n, f.denom**n)
-            if not f:
-                raise ZeroDivisionError
-            return f._canon(f.denom**-n, f.numer**-n)
+            return self._fold(s.base, leaves) ** int(s.exp)
         leaves.add(s)  # zoo and nan end here: _leaf rejects them
         el = self._leaf_el.get(s)
         if el is None:
@@ -387,37 +580,35 @@ class Field:
             el = self._leaf_el[s] = self._placed(gens, polys)
         return el
 
-    def _sum(self, terms: list):
-        """Terms with a constant denominator add as polynomials; the others are
-        summed per denominator, then across denominators."""
-        K = self.K
-        poly, rest = K.ring.zero, {}
+    def _sum(self, terms: list) -> _El:
+        """Terms over one denominator add as polynomials over ZZ, scaled to
+        the common denominator of their rationals; the groups are then summed
+        across denominators."""
+        K, groups = self.K, {}
         for f in terms:
-            if not f:
-                continue
-            D = f.denom
-            if D.is_ground:
-                poly += f.numer.quo_ground(D.LC)
-            else:
-                rest[D] = rest.get(D, K.ring.zero) + f.numer
-        out = K.zero._canon(poly, K.ring.one)
-        for D, N in rest.items():
-            out = out + K.new(N, D)
+            if f:
+                groups.setdefault(frozenset(f.e.items()), []).append(f)
+        out = K.zero
+        for group in groups.values():
+            L = math.lcm(*(f.c.denominator for f in group))
+            t = sum((_scale(f.num, f.c.numerator * (L // f.c.denominator)) for f in group),
+                    K.ring.zero)
+            out = out + K.new(Fraction(1, L), t, group[0].e)
         return out
 
-    def _product(self, factors: list):
-        """Factors with a constant denominator multiply as polynomials; the
-        others follow one by one."""
+    def _product(self, factors: list) -> _El:
+        """Factors with no denominator multiply as polynomials; the others
+        follow one by one."""
         K = self.K
-        num, c, rest = K.ring.one, QQ.one, []
+        num, c, rest = K.ring.one, Fraction(1), []
         for f in factors:
             if not f:
                 return K.zero
-            if f.denom.is_ground:
-                num, c = num * f.numer, c * f.denom.LC
-            else:
+            if f.e:
                 rest.append(f)
-        out = K.zero._canon(num, K.ring.ground_new(c))
+            else:
+                num, c = num * f.num, c * f.c
+        out = _El(K, c, num, {})
         for f in rest:
             out = out * f
         return out
@@ -457,40 +648,42 @@ class Field:
         """Elements (nested in lists or tuples) moved into the current field."""
         if isinstance(obj, (list, tuple)):
             return type(obj)(self.up(v) for v in obj)
-        if obj.field is self.K or obj.field == self.K:
+        if obj.field is self.K:
             return obj
         return self.fold(self.view(obj))
 
     @staticmethod
-    def view(el) -> sp.Expr:
+    def view(el: _El) -> sp.Expr:
         """The tree of an element: a fixed point of `normalize`."""
         return el.as_expr()
 
-    def expr(self, el) -> "Expr":
+    def expr(self, el: _El) -> "Expr":
         return Expr._normal(self.view(el))
 
-    def evaluate(self, el, a: "Assignment | Mapping[str, Number]") -> Fraction | float:
+    def evaluate(self, el: _El, a: "Assignment | Mapping[str, Number]") -> Fraction | float:
         """The value of an element at a point, as `evaluate` of its view gives
-        it.  At an exact point whose used gens are all symbols it is the
-        numerator's value over the denominator's, each polynomial evaluated
-        over Q; the gens are read from the element's own field, which may be
-        older than this one.  A float point, or a used gen that is a kernel or
-        another function, takes the tree route with its float order."""
+        it.  At an exact point whose used gens are all symbols it is
+        c N(x) / prod b_i(x)^e_i, each polynomial evaluated over Q and the
+        denominator never expanded; the gens and the base are read from the
+        element's own field, which may be older than this one.  A float
+        point, or a used gen that is a kernel or another function, takes the
+        tree route with its float order."""
         if not isinstance(a, Assignment):
             a = Assignment(a)
-        gens, N, D = el.field.symbols, el.numer, el.denom
-        used = [i for i, (dn, dd) in enumerate(zip(N.degrees(), D.degrees()))
-                if dn > 0 or dd > 0]
+        K = el.field
+        gens, used = K.symbols, K.used(el)
         if not a.is_exact() or not all(gens[i].is_Symbol for i in used):
             return evaluate(self.expr(el), a)
         missing = {gens[i].name for i in used} - set(a)
         if missing:
             raise EvalError(f"unassigned symbols: {sorted(missing)}")
         x = {i: a[gens[i].name] for i in used}
-        den = _poly_at(D, x)
+        den = Fraction(el.c.denominator)
+        for i, k in el.e.items():
+            den *= _poly_at(K.base[i], x) ** k
         if not den:
             raise EvalError("division by zero at the point")
-        return _poly_at(N, x) / den
+        return el.c.numerator * _poly_at(el.num, x) / den
 
     # -- differentiation ------------------------------------------------------------
 
@@ -520,7 +713,7 @@ class Field:
             else:
                 K = self.K
                 d = self.fold(sp.diff(g, v))
-                if self.K != K:
+                if self.K is not K:
                     raise _FieldGrew
             self._chains[key] = d
         return self._chains[key]
@@ -534,37 +727,83 @@ class Field:
                 out = fn()
             except _FieldGrew:
                 continue
-            if self.K == K:
+            if self.K is K:
                 return out
 
-    def diff(self, f, v: sp.Symbol):
+    def _d_base(self, i: int, v: sp.Symbol) -> tuple:
+        """(c, P, u) with D_v b_i = c P for base element i, P primitive over
+        ZZ (c = 0 when D_v b_i = 0), and u = P / b_i when b_i divides P (an
+        exp gen: D exp(w) = exp(w) D w), else None.  Only for elements whose
+        gens have derivatives without a denominator."""
+        key = (i, v)
+        out = self._d_bases.get(key)
+        if out is None:
+            K = self.K
+            b = K.base[i]
+            d = self._sum([self._d_gen(k, v) * K.new(Fraction(1), b.diff(k), {})
+                           for k in K.gens_of[i]])
+            u = _exquo(d.num, b) if d else None
+            out = self._d_bases[key] = (d.c, d.num, u)
+        return out
+
+    def diff(self, f: _El, v: sp.Symbol) -> _El:
         """D_v f = sum over gens g of (df/dg) D_v g: the chain rule through the
-        kernel gens."""
+        kernel gens.
+
+        When every D_v g is a polynomial, D = L D_v is a derivation over ZZ
+        and the denominator of D_v (c N / prod b_i^e_i) is known without a
+        division: with P the product of the b_i that do not divide D b_i,
+            D_v f = c (D N P - N R) / (L P prod b_i^e_i),
+            R = sum over b_i in P of e_i D b_i P / b_i
+                + P sum over the others of e_i D b_i / b_i.
+        A b_i in P divides no term of the numerator but N e_i D b_i P / b_i, of
+        which it divides no factor, so its exponent rises to e_i + 1 with
+        nothing to cancel.  The other b_i keep e_i and the numerator is
+        trial-divided by them: D_x ((x y + x + 1) / (y + 1)) = 1."""
         if not f:
             return f
-        N, D = f.numer, f.denom
-        chain = []
-        for i, (dn, dd) in enumerate(zip(N.degrees(), D.degrees())):
-            if dn or dd:
-                d = self._d_gen(i, v)
-                if d:
-                    chain.append((i, d))
-        if not chain:
-            return self.K.zero
-        if all(d.denom == 1 for _, d in chain):
-            dN = sum((N.diff(i) * d.numer for i, d in chain), N.ring.zero)
-            dD = sum((D.diff(i) * d.numer for i, d in chain), D.ring.zero)
-            if not dD:
-                return self.K.new(dN, D)
-            # (N/D)' = (N' D/h - N D'/h) / (D D/h) with h = gcd(D, D'): the
-            # repeated factors of D cancel before the final gcd
-            h = D.gcd(dD)
-            D1 = D.exquo(h)
-            return self.K.new(dN * D1 - N * dD.exquo(h), D * D1)
         K = self.K
-        dN = sum((K.new(N.diff(i)) * d for i, d in chain), K.zero)
-        dD = sum((K.new(D.diff(i)) * d for i, d in chain), K.zero)
-        return (dN * K.new(D) - K.new(N) * dD) / K.new(D * D)
+        chain = [(i, d) for i in K.used(f) if (d := self._d_gen(i, v))]
+        if not chain:
+            return K.zero
+        if any(d.e for _, d in chain):
+            return self._diff_rational(f, chain)
+        L = math.lcm(*(d.c.denominator for _, d in chain))
+        N = f.num
+        dN = sum((N.diff(i) * _scale(d.num, d.c.numerator * (L // d.c.denominator))
+                  for i, d in chain), K.ring.zero)
+        if not f.e:
+            return K.new(f.c / L, dN, {})
+        rows = []  # (i, e_i, D b_i over ZZ, D b_i / b_i or None)
+        for i, k in f.e.items():
+            c, p, u = self._d_base(i, v)
+            if c:
+                s = int(c * L)
+                rows.append((i, k, _scale(p, s), None if u is None else _scale(u, s)))
+        grown = {i for i, _, _, u in rows if u is None}
+        P = K.expand(dict.fromkeys(grown, 1))
+        R = K.ring.zero
+        for i, k, dp, u in rows:
+            if u is None:
+                R += _scale(dp * K.expand(dict.fromkeys(grown - {i}, 1)), k)
+            else:
+                R += _scale(u * P, k)
+        e = {i: k + (i in grown) for i, k in f.e.items()}
+        return K.new(f.c / L, dN * P - N * R, e, [i for i in e if i not in grown])
+
+    def _diff_rational(self, f: _El, chain: list) -> _El:
+        """D_v f = c (D N / B - (N / B) sum e_i D b_i / b_i) in the field's
+        arithmetic, for a gen whose derivative has a denominator (log, say)."""
+        K = self.K
+
+        def d(p) -> _El:
+            return self._sum([di * K.new(Fraction(1), p.diff(i), {}) for i, di in chain])
+
+        g = _El(K, Fraction(1), f.num, f.e)
+        out = d(f.num) * _El(K, Fraction(1), K.ring.one, f.e)
+        for i, k in f.e.items():
+            out = out - g * d(K.base[i]) * _El(K, Fraction(k), K.ring.one, {i: 1})
+        return out * f.c
 
 
 class Expr:
@@ -1022,7 +1261,7 @@ class Assignment(dict):
 
 
 def _poly_at(p, x: Mapping[int, int | Fraction]) -> Fraction:
-    """A polynomial over QQ at the point x (gen index -> value), summed over
+    """A polynomial over ZZ at the point x (gen index -> value), summed over
     one common denominator: an integer per term and one gcd at the end.
     sympy's own `p(*values)` evaluates gen by gen through smaller rings and
     takes about 7 times as long on Sparling-Tod's Weyl spinor."""
@@ -1034,14 +1273,12 @@ def _poly_at(p, x: Mapping[int, int | Fraction]) -> Fraction:
             n, q = v.numerator, v.denominator
             powers[i] = [n**e * q**(d - e) for e in range(d + 1)]
             scale *= q**d
-    lcd = math.lcm(*(c.denominator for c in p.values()))
     total = 0
-    for monom, c in p.items():
-        t = c.numerator * (lcd // c.denominator)
+    for monom, t in p.items():
         for i, row in powers.items():
             t *= row[monom[i]]
         total += t
-    return Fraction(total, lcd * scale)
+    return Fraction(total, scale)
 
 
 def _subs_exact(s: sp.Expr, a: Assignment) -> sp.Expr:

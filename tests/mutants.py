@@ -74,12 +74,12 @@ MUTANTS = (
            "sum((R[k][i][3 - k][j] for k in _R), zero)",
            ("tests/test_spinor.py::test_tetrad_ricci_matches_coordinate_route",)),
     Mutant("scaled_sign", "src/asdnull/expr.py",
-           "return f if n > 0 else -f",
-           "return f",
+           "return _El(self, f.c * q, f.num, f.e)",
+           "return _El(self, abs(f.c * q), f.num, f.e)",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("constant_quotient_inverted", "src/asdnull/expr.py",
-           "return f._scaled(g.denominator, g.numerator)",
-           "return f._scaled(g.numerator, g.denominator)",
+           "return f.field.scaled(f, 1 / Fraction(g))",
+           "return f.field.scaled(f, Fraction(g))",
            ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
     Mutant("e_not_exp_1", "src/asdnull/expr.py",
            "return sp.S.One if g is sp.E else None",
@@ -90,34 +90,76 @@ MUTANTS = (
            "return self.view(el), el",
            ("tests/test_expr.py::test_normalize_is_not_idempotent_on_exp_of_a_negative_part",
             "tests/test_expr.py::test_conversion_matches_normalize_on_builder_and_model_inputs")),
-    Mutant("sum_constant_denominator_kept", "src/asdnull/expr.py",
-           "poly += f.numer.quo_ground(D.LC)",
-           "poly += f.numer",
+    Mutant("sum_common_denominator_dropped", "src/asdnull/expr.py",
+           "_scale(f.num, f.c.numerator * (L // f.c.denominator)) for f in group",
+           "_scale(f.num, f.c.numerator) for f in group",
+           ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
+    Mutant("fold_inverse_power_not_inverted", "src/asdnull/expr.py",
+           "return self._fold(s.base, leaves) ** int(s.exp)",
+           "return self._fold(s.base, leaves) ** abs(int(s.exp))",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("coframe_metric_sign", "src/asdnull/construct.py",
            "- t[1][a] * t[2][b] - t[1][b] * t[2][a]",
            "+ t[1][a] * t[2][b] + t[1][b] * t[2][a]",
            ("tests/test_construct.py::test_flat_builder",
             "tests/test_construct.py::test_nontwisting_determined_coefficient")),
-    Mutant("fold_zero_divisor_check", "src/asdnull/expr.py",
-           "            if not f:\n                raise ZeroDivisionError\n"
-           "            return f._canon(f.denom**-n, f.numer**-n)",
-           "            return f._canon(f.denom**-n, f.numer**-n)",
-           ("tests/test_expr.py::test_singular_input_is_a_typed_error_naming_it",),
-           equivalent="_canon of a zero denominator raises the same ZeroDivisionError"),
+    Mutant("zero_element_invertible", "src/asdnull/expr.py",
+           "self.zero = _El(self, Fraction(0), R.zero, {})",
+           "self.zero = _El(self, Fraction(1), R.zero, {})",
+           ("tests/test_expr.py::test_singular_input_is_a_typed_error_naming_it",)),
     Mutant("eval_pole", "src/asdnull/expr.py",
            "        if not den:\n"
            "            raise EvalError(\"division by zero at the point\")\n",
            "",
            ("tests/test_spinor.py::test_field_evaluation_edges",)),
     Mutant("eval_current_field_gens", "src/asdnull/expr.py",
-           "gens, N, D = el.field.symbols, el.numer, el.denom",
-           "gens, N, D = self.K.symbols, el.numer, el.denom",
+           "        K = el.field\n",
+           "        K = self.K\n",
            ("tests/test_spinor.py::test_field_evaluation_of_an_element_older_than_its_field",)),
     Mutant("eval_exponent_ignored", "src/asdnull/expr.py",
            "powers[i] = [n**e * q**(d - e) for e in range(d + 1)]",
            "powers[i] = [n * q**(d - e) for e in range(d + 1)]",
            ("tests/test_spinor.py::test_field_evaluation_matches_tree_route",)),
+    Mutant("eval_base_exponent_ignored", "src/asdnull/expr.py",
+           "den *= _poly_at(K.base[i], x) ** k",
+           "den *= _poly_at(K.base[i], x)",
+           ("tests/test_spinor.py::test_field_evaluation_matches_tree_route",)),
+    # the factored field: the sum's trial division, its exponent maximum, the
+    # derivative's exponents, and irreducible base entry
+    Mutant("sum_trial_division_skipped", "src/asdnull/expr.py",
+           "+ _scale(q, b.numerator * (L // b.denominator)), e)",
+           "+ _scale(q, b.numerator * (L // b.denominator)), e, ())",
+           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",
+            "tests/test_tensor.py::test_field_views_are_normal_forms")),
+    Mutant("sum_first_operand_exponents", "src/asdnull/expr.py",
+           "                if k > e.get(i, 0):\n",
+           "                if i not in e:\n",
+           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
+    Mutant("diff_grows_a_constant_base_element", "src/asdnull/expr.py",
+           "            if c:\n                s = int(c * L)",
+           "            if True:\n                s = int(c * L)",
+           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
+    Mutant("base_entered_unfactored", "src/asdnull/expr.py",
+           "for f, k in rest.factor_list()[1]:",
+           "for f, k in [(rest, 1)]:",
+           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
+    Mutant("base_entry_trial_division_skipped", "src/asdnull/expr.py",
+           "for i in range(len(self.base)):",
+           "for i in range(self.ngens):",
+           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
+    # the frame and spinor stages
+    Mutant("gup_i_j_swapped", "src/asdnull/frame.py",
+           "_ETA[m] * gam[3 - m][l][j]",
+           "_ETA[m] * gam[3 - m][j][l]",
+           ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
+    Mutant("lambda_over_12", "src/asdnull/spinor.py",
+           "v[A, B, 1 - B, 1 - A]) / 24",
+           "v[A, B, 1 - B, 1 - A]) / 12",
+           ("tests/test_spinor.py::test_tetrad_ricci_matches_coordinate_route",)),
+    Mutant("ricci_reconstruction_check_disabled", "src/asdnull/spinor.py",
+           "    if any(tet.reconstruction_el()):\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_curvature_of_a_tetrad_that_reconstructs_only_at_samples",)),
 )
 
 

@@ -24,6 +24,7 @@ from asdnull.construct import (
     sigma_pullback_residuals,
 )
 from asdnull.expr import (
+    POINT_ERRORS,
     Assignment,
     Expr,
     ExprError,
@@ -152,7 +153,7 @@ def _consensus_type(bg, seed=4, n=10):
         })
         try:
             types.add(petrov_classify(cu, pt).type)
-        except Exception:
+        except POINT_ERRORS:  # a pole or a degenerate point, as petrov_classify_samples skips
             continue
         found += 1
     return types

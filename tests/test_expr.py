@@ -2,6 +2,7 @@
 
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,8 +30,16 @@ from asdnull.expr import (
 )
 from asdnull import expr as expr_module
 from asdnull.cli import load_model
-from asdnull.construct import build_nontwisting, build_ppwave, build_twisting, family_coframe
+from asdnull.construct import (
+    build_nontwisting,
+    build_ppwave,
+    build_sparling_tod,
+    build_twisting,
+    family_coframe,
+)
+from asdnull.spinor import weyl_spinors
 from asdnull.tensor import pair_product
+from asdnull.twistor import integrability_check, lax_pair
 from mutants import MUTANTS
 from oracles import CORPUS as ORACLE_CORPUS
 
@@ -325,6 +334,59 @@ def test_field_derivation_matches_sympy_diff():
             assert F.view(F.diff(el, v)) == normalize(sp.diff(s, v)), (text, v)
 
 
+def _random_fraction(rng) -> sp.Expr:
+    """A seeded rational function over t, x, y, z built from the factors a
+    field meets: powers of t y - x z, monomials, constants, negative leading
+    coefficients, exp(x z - y), and x^2 - y^2 over x - y in a numerator."""
+    t, x, y, z = sp.symbols("t x y z")
+    atoms = [
+        (t * y - x * z)**rng.choice([-3, -2, -1, 1, 2]),
+        x**rng.randint(0, 2) * y**rng.randint(0, 2) * z**rng.choice([-2, -1, 1]),
+        sp.Rational(rng.choice([-5, -3, -1, 2, 7]), rng.randint(1, 4)),
+        rng.choice([-3, -1, 2]) * x + y - z * t,
+        sp.exp(x * z - y),
+        1 / (x**2 - y**2),
+        (x - y) * (t + rng.randint(-2, 2)),
+    ]
+    picked = [rng.choice(atoms) for _ in range(rng.randint(1, 3))]
+    s = sp.Mul(*picked)
+    if rng.random() < 0.5:
+        s += rng.choice(atoms) * rng.choice(atoms)
+    return s
+
+
+def test_factored_arithmetic_matches_cancel():
+    """Sums, differences, products, quotients, powers and derivatives of
+    elements over a factored base equal sympy's cancel of the tree: every
+    trial division is needed, and a composite base element (x^2 - y^2 with
+    x - y in a numerator) leaves a result out of lowest terms."""
+    rng = random.Random(12)
+    t, x, y, z = xs = sp.symbols("t x y z")
+    F = Field(xs, [sp.exp(x * z - y)])
+    els = [F.fold(_random_fraction(rng)) for _ in range(14)]
+    K = F.K
+    assert any(i >= K.ngens and K.base[i] == K.ring.from_expr(x - y)
+               for i in range(len(K.base)))
+    cases = []
+    for _ in range(30):
+        a, b = rng.sample(els, 2)
+        u, v = F.view(a), F.view(b)
+        # (a + b) - b and (a * b) / b cancel what the first step brought in
+        cases += [(a + b, u + v), (a - b, u - v), (a * b, u * v), ((a + b) - b, u)]
+        if b:
+            cases += [(a / b, u / v), ((a * b) / b, u)]
+    for a in els:
+        n = rng.choice([-2, -1, 2, 3])
+        cases.append((a**n, F.view(a)**n))
+        cases += [(F.diff(a, s), sp.diff(F.view(a), s)) for s in xs]
+    for el, tree in cases:
+        assert F.K is K
+        assert sp.srepr(F.view(el)) == sp.srepr(sp.cancel(tree)), tree
+    base = K.base[K.ngens:]  # pairwise distinct irreducibles, so pairwise coprime
+    assert len(set(base)) == len(base)
+    assert all(b.factor_list() == (1, [(b, 1)]) for b in base)
+
+
 def test_field_grows_and_moves_old_elements():
     x, y = sp.symbols("x y")
     F = Field([x, y], [x / y])
@@ -466,6 +528,55 @@ def test_polynomial_builds_normalize_no_tree(monkeypatch):
     for build, args in cases:
         build(*args)
         assert trees == [], (build.__name__, trees[:3])
+
+
+def test_field_arithmetic_runs_no_polynomial_gcd(monkeypatch):
+    """Building Sparling-Tod and a twisting member and running weyl_spinors,
+    lax_pair and integrability_check calls no polynomial gcd, cofactors or
+    ring cancel in a field: cancellation is trial division over the base.
+    Base entry (`_Elements.factor`) may call `factor_list` and nothing else,
+    once per polynomial that enters the base.  The ring calls that sympy's
+    cancel makes inside the tree normalizations of the boundary (NORMALIZING)
+    are not counted."""
+    from sympy.polys.rings import PolyElement
+
+    calls, scope = Counter(), []
+
+    def scoped(name, fn):
+        def wrapper(*args, **kwargs):
+            scope.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[scope[-1] if scope else "field", name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gcd", "cofactors", "cancel", "factor_list"):
+        monkeypatch.setattr(PolyElement, name, counted(name, getattr(PolyElement, name)))
+    monkeypatch.setattr(sp, "cancel", scoped("tree", sp.cancel))
+    monkeypatch.setattr(expr_module._Elements, "factor",
+                        scoped("base entry", expr_module._Elements.factor))
+    cases = [
+        (build_sparling_tod, [parse("1")], 1),  # T Y - X Z enters the base
+        (build_twisting, [0, parse("-2*x"), parse("3/2*y"), 0,
+                          parse("z^2/2 + 3/4*z*x - 2/3*y")], 0),
+    ]
+    cfg = SampleConfig(count=20, seed=1)
+    for build, args, entered in cases:
+        calls.clear()
+        bg = build(*args)
+        weyl_spinors(bg.g, bg.tet)
+        integrability_check(lax_pair(bg), cfg)
+        K = bg.g.field.K
+        assert len(K.base) - K.ngens == entered, build.__name__
+        assert {k: n for k, n in calls.items() if k[0] != "tree"} == (
+            {("base entry", "factor_list"): entered} if entered else {}), build.__name__
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
