@@ -90,33 +90,9 @@ def _check_finite(s: sp.Expr, context: str = "expression") -> sp.Expr:
     return s
 
 
-def _scale(p, k: int):
-    """The polynomial k p over ZZ."""
-    if k == 1:
-        return p
-    return p.new([(m, c * k) for m, c in p.items()])
-
-
-def _primitive(p) -> tuple[int, "PolyElement"]:
-    """(content, primitive part) of a nonzero polynomial over ZZ, the content
-    signed so that the primitive part's leading coefficient is positive."""
-    g = math.gcd(*p.values())
-    if p[max(p)] < 0:
-        g = -g
-    if g == 1:
-        return 1, p
-    return g, p.new([(m, c // g) for m, c in p.items()])
-
-
 def _shifted(p, i: int, j: int):
     """p / x_i^j for a gen x_i."""
     return p.new([(m[:i] + (m[i] - j,) + m[i + 1:], c) for m, c in p.items()])
-
-
-def _exquo(p, b):
-    """p / b over ZZ, or None when b does not divide p."""
-    q, r = p.div(b)
-    return None if r else q
 
 
 class _El:
@@ -172,8 +148,8 @@ class _El:
     def as_expr(f) -> sp.Expr:
         """c.num N / (c.den prod b_i^e_i), both sides expanded: the tree of
         sympy's cancel."""
-        num = _scale(f.num, f.c.numerator)
-        den = _scale(f.field.expand(f.e), f.c.denominator)
+        num = f.num.mul_ground(f.c.numerator)
+        den = f.field.expand(f.e).mul_ground(f.c.denominator)
         return num.as_expr() / den.as_expr()
 
 
@@ -196,8 +172,6 @@ class _Elements:
         self.ngens = R.ngens
         self.base: list = list(R.gens)
         self.gens_of: list = [(i,) for i in range(R.ngens)]
-        self._powers: dict = {}  # (i, k) -> b_i^k
-        self._factored: dict = {}  # polynomial -> its exponents over the base
         self.zero = _El(self, Fraction(0), R.zero, {})
         self.one = _El(self, Fraction(1), R.one, {})
         self.gens = tuple(_El(self, Fraction(1), g, {}) for g in R.gens)
@@ -213,7 +187,9 @@ class _Elements:
         `cancel` (all of e by default)."""
         if not t:
             return self.zero
-        g, t = _primitive(t)
+        g, t = t.primitive()
+        if t.LC < 0:
+            g, t = -g, -t
         t, e = self._cancel(t, e, e if cancel is None else cancel)
         return _El(self, c * g, t, e)
 
@@ -230,13 +206,6 @@ class _Elements:
 
     # -- the base ---------------------------------------------------------------
 
-    def power(self, i: int, k: int):
-        """b_i^k, kept once computed."""
-        p = self._powers.get((i, k))
-        if p is None:
-            p = self._powers[i, k] = self.base[i]**k
-        return p
-
     def expand(self, e: dict):
         """prod b_i^e_i, expanded: the gens as one monomial."""
         mono, out = [0] * self.ngens, None
@@ -244,7 +213,7 @@ class _Elements:
             if i < self.ngens:
                 mono[i] = k
             else:
-                p = self.power(i, k)
+                p = self.base[i]**k
                 out = p if out is None else out * p
         if out is None:
             return self.ring.from_dict({tuple(mono): 1}) if e else self.ring.one
@@ -263,8 +232,8 @@ class _Elements:
             return _shifted(p, i, j), j
         b, j = self.base[i], 0
         while j < k:
-            q = _exquo(p, b)
-            if q is None:
+            q, r = p.div(b)
+            if r:
                 break
             p, j = q, j + 1
         return p, j
@@ -290,9 +259,6 @@ class _Elements:
         coefficient over the base, the base grown by what it lacks: p is
         trial-divided by the base first, and only the cofactor left is
         factored into irreducibles, which enter the base."""
-        e = self._factored.get(p)
-        if e is not None:
-            return e
         e, rest = {}, p
         for i in range(len(self.base)):
             rest, k = self._divide_out(rest, i, math.inf)
@@ -301,7 +267,6 @@ class _Elements:
         if not rest.is_ground:
             for f, k in rest.factor_list()[1]:
                 e[self._enter(f if f.LC > 0 else -f)] = k
-        self._factored[p] = e
         return e
 
     def _enter(self, b) -> int:
@@ -350,8 +315,8 @@ class _Elements:
             p, q = self._raised(p, f.e, e), self._raised(q, g.e, e)
         a, b = f.c, g.c
         L = math.lcm(a.denominator, b.denominator)
-        return self.new(Fraction(1, L), _scale(p, a.numerator * (L // a.denominator))
-                        + _scale(q, b.numerator * (L // b.denominator)), e)
+        return self.new(Fraction(1, L), p.mul_ground(a.numerator * (L // a.denominator))
+                        + q.mul_ground(b.numerator * (L // b.denominator)), e)
 
     def mul(self, f: _El, g: _El) -> _El:
         """The exponents add; each numerator is trial-divided only by the base
@@ -412,10 +377,11 @@ class Field:
     positive leading coefficient in lex order over the gens as sympy's
     `_sort_gens` orders them, c rational, and e the exponents over the field's
     base of irreducible polynomials (`_Elements`), which holds the gens and
-    grows when a new polynomial becomes a denominator.  Sums and products
-    cancel by trial division over the base, with no polynomial gcd (Henrici,
-    J. ACM 3 (1956) 6-9; Bach, Driscoll & Shallit, J. Algorithms 15 (1993)
-    199-222).  The denominator is expanded only for `view`, whose tree is
+    grows when a new polynomial becomes a denominator.  Sums, products and
+    derivatives cancel by trial division over the base (Henrici, J. ACM 3
+    (1956) 6-9; Bach, Driscoll & Shallit, J. Algorithms 15 (1993) 199-222);
+    no gcd runs outside base entry (`factor_list` on a new denominator's
+    cofactor).  The denominator is expanded only for `view`, whose tree is
     c.num N / (c.den prod b_i^e_i): the canonical form of a rational function
     (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 3), a
     fixed point of `normalize`.
@@ -499,7 +465,6 @@ class Field:
         self.K = K = _Elements(gens)
         self._index = {g: i for i, g in enumerate(K.symbols)}
         self._chains: dict = {}
-        self._d_bases: dict = {}
         self._leaf_el: dict = {}
 
     def _shared(self, g: sp.Expr) -> tuple[sp.Expr, int]:
@@ -591,7 +556,7 @@ class Field:
         out = K.zero
         for group in groups.values():
             L = math.lcm(*(f.c.denominator for f in group))
-            t = sum((_scale(f.num, f.c.numerator * (L // f.c.denominator)) for f in group),
+            t = sum((f.num.mul_ground(f.c.numerator * (L // f.c.denominator)) for f in group),
                     K.ring.zero)
             out = out + K.new(Fraction(1, L), t, group[0].e)
         return out
@@ -730,80 +695,34 @@ class Field:
             if self.K is K:
                 return out
 
-    def _d_base(self, i: int, v: sp.Symbol) -> tuple:
-        """(c, P, u) with D_v b_i = c P for base element i, P primitive over
-        ZZ (c = 0 when D_v b_i = 0), and u = P / b_i when b_i divides P (an
-        exp gen: D exp(w) = exp(w) D w), else None.  Only for elements whose
-        gens have derivatives without a denominator."""
-        key = (i, v)
-        out = self._d_bases.get(key)
-        if out is None:
-            K = self.K
-            b = K.base[i]
-            d = self._sum([self._d_gen(k, v) * K.new(Fraction(1), b.diff(k), {})
-                           for k in K.gens_of[i]])
-            u = _exquo(d.num, b) if d else None
-            out = self._d_bases[key] = (d.c, d.num, u)
-        return out
-
     def diff(self, f: _El, v: sp.Symbol) -> _El:
         """D_v f = sum over gens g of (df/dg) D_v g: the chain rule through the
-        kernel gens.
-
-        When every D_v g is a polynomial, D = L D_v is a derivation over ZZ
-        and the denominator of D_v (c N / prod b_i^e_i) is known without a
-        division: with P the product of the b_i that do not divide D b_i,
-            D_v f = c (D N P - N R) / (L P prod b_i^e_i),
-            R = sum over b_i in P of e_i D b_i P / b_i
-                + P sum over the others of e_i D b_i / b_i.
-        A b_i in P divides no term of the numerator but N e_i D b_i P / b_i, of
-        which it divides no factor, so its exponent rises to e_i + 1 with
-        nothing to cancel.  The other b_i keep e_i and the numerator is
-        trial-divided by them: D_x ((x y + x + 1) / (y + 1)) = 1."""
+        kernel gens.  With D the chain derivative, f = c N / prod b_i^e_i and
+        P = prod b_i over the b_i in f's denominator,
+            D_v f = c (D N P - N S) / (P prod b_i^e_i),
+            S = sum of e_i D b_i P / b_i,
+        computed in the field's arithmetic.  The last product trial-divides
+        the numerator by every b_i, which takes back the b_i that divide
+        D b_i (one with D b_i = 0, or an exp gen: D exp(w) = exp(w) D w); the
+        others keep e_i + 1: D_x ((x y + x + 1) / (y + 1)) = 1.  Nothing here
+        is inverted, so no polynomial enters the base."""
         if not f:
             return f
         K = self.K
         chain = [(i, d) for i in K.used(f) if (d := self._d_gen(i, v))]
         if not chain:
             return K.zero
-        if any(d.e for _, d in chain):
-            return self._diff_rational(f, chain)
-        L = math.lcm(*(d.c.denominator for _, d in chain))
-        N = f.num
-        dN = sum((N.diff(i) * _scale(d.num, d.c.numerator * (L // d.c.denominator))
-                  for i, d in chain), K.ring.zero)
-        if not f.e:
-            return K.new(f.c / L, dN, {})
-        rows = []  # (i, e_i, D b_i over ZZ, D b_i / b_i or None)
-        for i, k in f.e.items():
-            c, p, u = self._d_base(i, v)
-            if c:
-                s = int(c * L)
-                rows.append((i, k, _scale(p, s), None if u is None else _scale(u, s)))
-        grown = {i for i, _, _, u in rows if u is None}
-        P = K.expand(dict.fromkeys(grown, 1))
-        R = K.ring.zero
-        for i, k, dp, u in rows:
-            if u is None:
-                R += _scale(dp * K.expand(dict.fromkeys(grown - {i}, 1)), k)
-            else:
-                R += _scale(u * P, k)
-        e = {i: k + (i in grown) for i, k in f.e.items()}
-        return K.new(f.c / L, dN * P - N * R, e, [i for i in e if i not in grown])
-
-    def _diff_rational(self, f: _El, chain: list) -> _El:
-        """D_v f = c (D N / B - (N / B) sum e_i D b_i / b_i) in the field's
-        arithmetic, for a gen whose derivative has a denominator (log, say)."""
-        K = self.K
 
         def d(p) -> _El:
             return self._sum([di * K.new(Fraction(1), p.diff(i), {}) for i, di in chain])
 
-        g = _El(K, Fraction(1), f.num, f.e)
-        out = d(f.num) * _El(K, Fraction(1), K.ring.one, f.e)
-        for i, k in f.e.items():
-            out = out - g * d(K.base[i]) * _El(K, Fraction(k), K.ring.one, {i: 1})
-        return out * f.c
+        def poly(p) -> _El:  # a numerator or a product of base elements: primitive
+            return _El(K, Fraction(1), p, {})
+
+        S = self._sum([d(K.base[i]) * poly(K.expand({j: 1 for j in f.e if j != i})) * k
+                       for i, k in f.e.items()])
+        top = d(f.num) * poly(K.expand(dict.fromkeys(f.e, 1))) - poly(f.num) * S
+        return top * _El(K, f.c, K.ring.one, {i: k + 1 for i, k in f.e.items()})
 
 
 class Expr:

@@ -91,8 +91,8 @@ MUTANTS = (
            ("tests/test_expr.py::test_normalize_is_not_idempotent_on_exp_of_a_negative_part",
             "tests/test_expr.py::test_conversion_matches_normalize_on_builder_and_model_inputs")),
     Mutant("sum_common_denominator_dropped", "src/asdnull/expr.py",
-           "_scale(f.num, f.c.numerator * (L // f.c.denominator)) for f in group",
-           "_scale(f.num, f.c.numerator) for f in group",
+           "f.num.mul_ground(f.c.numerator * (L // f.c.denominator)) for f in group",
+           "f.num.mul_ground(f.c.numerator) for f in group",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("fold_inverse_power_not_inverted", "src/asdnull/expr.py",
            "return self._fold(s.base, leaves) ** int(s.exp)",
@@ -125,19 +125,19 @@ MUTANTS = (
            "den *= _poly_at(K.base[i], x)",
            ("tests/test_spinor.py::test_field_evaluation_matches_tree_route",)),
     # the factored field: the sum's trial division, its exponent maximum, the
-    # derivative's exponents, and irreducible base entry
+    # derivative's e_i D b_i / b_i terms, and irreducible base entry
     Mutant("sum_trial_division_skipped", "src/asdnull/expr.py",
-           "+ _scale(q, b.numerator * (L // b.denominator)), e)",
-           "+ _scale(q, b.numerator * (L // b.denominator)), e, ())",
+           "+ q.mul_ground(b.numerator * (L // b.denominator)), e)",
+           "+ q.mul_ground(b.numerator * (L // b.denominator)), e, ())",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",
             "tests/test_tensor.py::test_field_views_are_normal_forms")),
     Mutant("sum_first_operand_exponents", "src/asdnull/expr.py",
            "                if k > e.get(i, 0):\n",
            "                if i not in e:\n",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
-    Mutant("diff_grows_a_constant_base_element", "src/asdnull/expr.py",
-           "            if c:\n                s = int(c * L)",
-           "            if True:\n                s = int(c * L)",
+    Mutant("diff_base_exponent_dropped", "src/asdnull/expr.py",
+           "poly(K.expand({j: 1 for j in f.e if j != i})) * k",
+           "poly(K.expand({j: 1 for j in f.e if j != i}))",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
     Mutant("base_entered_unfactored", "src/asdnull/expr.py",
            "for f, k in rest.factor_list()[1]:",

@@ -535,7 +535,8 @@ def test_field_arithmetic_runs_no_polynomial_gcd(monkeypatch):
     lax_pair and integrability_check calls no polynomial gcd, cofactors or
     ring cancel in a field: cancellation is trial division over the base.
     Base entry (`_Elements.factor`) may call `factor_list` and nothing else,
-    once per polynomial that enters the base.  The ring calls that sympy's
+    once per polynomial that enters the base; factor_list's own gcds (its
+    square-free step, in the dense routines) are not counted.  The ring calls that sympy's
     cancel makes inside the tree normalizations of the boundary (NORMALIZING)
     are not counted."""
     from sympy.polys.rings import PolyElement
