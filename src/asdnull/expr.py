@@ -579,14 +579,16 @@ class Field:
         return out
 
     def convert(self, s: sp.Expr):
-        """(display tree, element) of a sympy tree.  The display is the
-        element's view, which equals `normalize(s)`, except when a leaf of s
-        is exp of a sum with a negative part: sympy's cancel is not idempotent
-        there (exp(x z - y) becomes exp(-y) exp(x z), which a second pass moves
-        into the denominator), so the display stays `normalize(s)`."""
+        """(display, element) of a sympy tree.  The display is an Expr that
+        holds the element, its tree the element's view, which equals
+        `normalize(s)`; except when a leaf of s is exp of a sum with a
+        negative part: sympy's cancel is not idempotent there (exp(x z - y)
+        becomes exp(-y) exp(x z), which a second pass moves into the
+        denominator), so the display is `Expr(normalize(s))`, made at once and
+        holding no element."""
         leaves: set = set()
         el = self.fold(s, leaves)
-        return (normalize(s) if self._split(leaves) else self.view(el)), el
+        return (Expr(normalize(s)) if self._split(leaves) else self.expr(el)), el
 
     def splits(self, trees: Iterable[sp.Expr]) -> bool:
         """Whether a tree's display is `normalize` of it rather than its
@@ -622,8 +624,13 @@ class Field:
         """The tree of an element: a fixed point of `normalize`."""
         return el.as_expr()
 
-    def expr(self, el: _El) -> "Expr":
-        return Expr._normal(self.view(el))
+    @staticmethod
+    def expr(el: _El) -> "Expr":
+        """An Expr that holds el; its tree, el's view, is made on first read."""
+        e = object.__new__(Expr)
+        e._s = e._norm = None
+        e._el = el
+        return e
 
     def evaluate(self, el: _El, a: "Assignment | Mapping[str, Number]") -> Fraction | float:
         """The value of an element at a point, as `evaluate` of its view gives
@@ -726,23 +733,21 @@ class Field:
 
 
 class Expr:
-    """Immutable expression; arithmetic is lazy, normalization is cached."""
+    """Immutable expression; arithmetic is lazy, normalization is cached.
 
-    __slots__ = ("_s", "_norm")
+    An Expr made by a field (`Field.expr`) holds its element and makes its
+    tree, the element's view, on first read of `sym` or `normal`.  A view is a
+    fixed point of `normalize`, so such an Expr is zero exactly when its
+    element is, and `is_zero` proves that without a tree."""
 
-    @classmethod
-    def _normal(cls, s: sp.Expr) -> "Expr":
-        """An Expr whose tree is already its normal form (a field view)."""
-        e = object.__new__(cls)
-        e._s = e._norm = s
-        return e
+    __slots__ = ("_s", "_norm", "_el")
 
     def __init__(self, raw):
         if isinstance(raw, Expr):
-            self._s = raw._s
-            self._norm = raw._norm
+            self._s, self._norm, self._el = raw._s, raw._norm, raw._el
             return
-        elif isinstance(raw, Fraction):
+        self._el = None
+        if isinstance(raw, Fraction):
             self._s = sp.Rational(raw.numerator, raw.denominator)
         elif isinstance(raw, int):
             self._s = sp.Integer(raw)
@@ -758,34 +763,44 @@ class Expr:
     # -- normal form --------------------------------------------------------
 
     @property
+    def el(self):
+        """The field element this Expr holds, or None for a tree."""
+        return self._el
+
+    @property
     def sym(self) -> sp.Expr:
-        """Underlying sympy expression (not necessarily normalized)."""
-        return self._s
+        """Underlying sympy expression (not necessarily normalized); for an
+        Expr that holds an element, its view."""
+        return self.normal if self._s is None else self._s
 
     @property
     def normal(self) -> sp.Expr:
         """Canonical num/den rational form over symbols and kernel subterms."""
         if self._norm is None:
-            n = normalize(self._s)
-            _check_finite(n, "normal form")
-            self._norm = n
+            if self._el is not None:
+                self._s = self._norm = Field.view(self._el)
+            else:
+                n = normalize(self._s)
+                _check_finite(n, "normal form")
+                self._norm = n
         return self._norm
 
     def is_proven_zero(self) -> bool:
+        if self._el is not None:
+            return not self._el
         return self.normal is sp.S.Zero or self.normal == 0
 
     # -- structure -----------------------------------------------------------
 
     def free_symbols(self) -> set[str]:
-        return {s.name for s in self._s.free_symbols}
+        return {s.name for s in self.sym.free_symbols}
 
     def has_kernels(self) -> bool:
-        return self._s.has(*_KERNEL_CLASSES)
+        return self.sym.has(*_KERNEL_CLASSES)
 
     def substitute(self, mapping: Mapping[str, "Expr | Number"]) -> "Expr":
-        subs = {sp.Symbol(k): Expr(v)._s if not isinstance(v, Expr) else v._s
-                for k, v in mapping.items()}
-        return Expr(self._s.subs(subs, simultaneous=True))
+        subs = {sp.Symbol(k): Expr(v).sym for k, v in mapping.items()}
+        return Expr(self.sym.subs(subs, simultaneous=True))
 
     def diff(self, var: "str | Expr", order: int = 1) -> "Expr":
         return differentiate(self, var, order)
@@ -794,24 +809,24 @@ class Expr:
 
     def _coerce(self, other) -> sp.Expr:
         if isinstance(other, Expr):
-            return other._s
+            return other.sym
         if isinstance(other, (int, Fraction)):
-            return Expr(other)._s
+            return Expr(other).sym
         raise ExprError(f"cannot combine Expr with {type(other).__name__}")
 
     def __add__(self, other):
-        return Expr(self._s + self._coerce(other))
+        return Expr(self.sym + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Expr(self._s - self._coerce(other))
+        return Expr(self.sym - self._coerce(other))
 
     def __rsub__(self, other):
-        return Expr(self._coerce(other) - self._s)
+        return Expr(self._coerce(other) - self.sym)
 
     def __mul__(self, other):
-        return Expr(self._s * self._coerce(other))
+        return Expr(self.sym * self._coerce(other))
 
     __rmul__ = __mul__
 
@@ -819,20 +834,20 @@ class Expr:
         d = self._coerce(other)
         if d is sp.S.Zero or d == 0:
             raise ExprError("division by zero expression")
-        return Expr(self._s / d)
+        return Expr(self.sym / d)
 
     def __rtruediv__(self, other):
-        if self._s == 0:
+        if self.sym == 0:
             raise ExprError("division by zero expression")
-        return Expr(self._coerce(other) / self._s)
+        return Expr(self._coerce(other) / self.sym)
 
     def __neg__(self):
-        return Expr(-self._s)
+        return Expr(-self.sym)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ExprError("powers must be integer literals")
-        base = self._s
+        base = self.sym
         if n <= 0:
             if sp.cancel(base) == 0:
                 raise ExprError(f"zero base with non-positive exponent {n}")
@@ -842,11 +857,11 @@ class Expr:
 
     def equals_normal(self, other: "Expr") -> bool:
         """Structural equality of normal forms."""
-        return self.normal == Expr(other).normal
+        return self.normal == _as_expr(other).normal
 
     def __eq__(self, other):
         if isinstance(other, (Expr, int, Fraction)):
-            return self.equals_normal(Expr(other))
+            return self.equals_normal(other)
         return NotImplemented
 
     def __hash__(self):
@@ -857,6 +872,11 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({to_text(self)!r})"
+
+
+def _as_expr(e) -> Expr:
+    """e itself when it is an Expr, so that the tree it makes is kept."""
+    return e if isinstance(e, Expr) else Expr(e)
 
 
 # -- constructors -------------------------------------------------------------
@@ -885,9 +905,9 @@ def rational(p: int, q: int) -> Expr:
 
 def _kernel(name: str, arg: Expr) -> Expr:
     if name == "log":
-        if sp.cancel(arg._s) == 0:
+        if sp.cancel(arg.sym) == 0:
             raise ExprError("log of zero expression")
-    return Expr(_KERNELS[name](Expr(arg)._s))
+    return Expr(_KERNELS[name](Expr(arg).sym))
 
 
 def exp(arg: Expr) -> Expr:
@@ -1122,7 +1142,7 @@ def _print_sym(s: sp.Expr, prec: int = 0) -> str:
 
 def to_text(e: Expr) -> str:
     """Grammar-conforming text; parse(to_text(e)) has the same normal form."""
-    return _print_sym(Expr(e).normal)
+    return _print_sym(_as_expr(e).normal)
 
 
 # -- differentiation -------------------------------------------------------------
@@ -1130,12 +1150,12 @@ def to_text(e: Expr) -> str:
 
 def differentiate(e: Expr, var: str | Expr, order: int = 1) -> Expr:
     if isinstance(var, Expr):
-        if not var._s.is_Symbol:
+        if not var.sym.is_Symbol:
             raise ExprError("differentiation variable must be a symbol")
-        v = var._s
+        v = var.sym
     else:
         v = sp.Symbol(var)
-    return Expr(sp.diff(Expr(e)._s, v, order))
+    return Expr(sp.diff(Expr(e).sym, v, order))
 
 
 # -- assignments and evaluation ---------------------------------------------------
@@ -1231,7 +1251,7 @@ def _normal_names(e: Expr) -> set[str]:
 def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
     """Exact rational result for kernel-free expressions at rational points;
     float otherwise."""
-    e = Expr(e)
+    e = _as_expr(e)
     if not isinstance(a, Assignment):
         a = Assignment(a)
     missing = _normal_names(e) - set(a)
@@ -1319,9 +1339,12 @@ def random_points(names: Sequence[str], seed: int,
 
 
 def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
-    """ProvenZero if the normal form is 0; else sample `count` seeded rational
-    points, comparing |value| against tolerance * max(1, term magnitude)."""
-    e = Expr(e)
+    """ProvenZero if e holds the zero element (no tree is made) or its normal
+    form is 0; else sample `count` seeded rational points, comparing |value|
+    against tolerance * max(1, term magnitude)."""
+    e = _as_expr(e)
+    if e.el is not None and not e.el:
+        return Verdict.proven()
     n = e.normal
     if n == 0:
         return Verdict.proven()

@@ -94,8 +94,8 @@ class NullTetrad:
 
     theta and the frame are computed in the metric's field (grown if the
     coframe carries a gen the metric lacks); theta is also shown as sympy
-    normal forms.  A coframe whose one-forms hold their elements (a builder's,
-    converted with g) is not converted again."""
+    normal forms, made on first read.  A coframe whose one-forms hold their
+    elements (a builder's, converted with g) is not converted again."""
 
     def __init__(self, g: Metric, coframe: list[OneForm], validate: bool = True,
                  cfg: SampleConfig = SampleConfig()):
@@ -106,7 +106,7 @@ class NullTetrad:
         F = g.field
         if any(w.el is None for w in coframe):
             coframe = _entered(F, coframe)
-        self.theta = [list(w.comps) for w in coframe]
+        self._coframe = coframe
         self._theta_el = F.up([w.el for w in coframe])
         det = det4(self._theta_el)
         if not det:
@@ -120,6 +120,11 @@ class NullTetrad:
             v = self.reconstruction_verdict(cfg)
             if not v.is_zero():
                 raise ExprError(f"tetrad does not reconstruct the metric: {v}")
+
+    @property
+    def theta(self) -> list:
+        """theta^i_a as sympy trees."""
+        return [list(w.comps) for w in self._coframe]
 
     def field_el(self, name: str):
         """theta or frame as elements of the metric's current field."""
@@ -302,7 +307,7 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
     tet._coeff_cache[key] = (
         WeylSpinor([F.expr(c) for c in cu], primed=False, field=F, el=cu),
         WeylSpinor([F.expr(c) for c in cp], primed=True, field=F, el=cp),
-        _nested_map(F.view, phi),
+        _nested_map(F.expr, phi),
         F.expr(lam),
     )
     return tet._coeff_cache[key]
@@ -370,11 +375,20 @@ def _split_frame_two_form(ff) -> tuple[list, list]:
 def spin_coefficients(g: Metric, tet: NullTetrad):
     """(Gamma_u, Gamma_p, nab): Gamma_u[slot DD'][C][E] = Gamma_{DD'C}^E, the
     primed counterpart, and nab[i][j][k] = theta^k(nabla_{e_i} e_j), from the
-    frame connection."""
+    frame connection, as sympy trees."""
     key = "spin_coefficients"
-    if key in tet._coeff_cache:
-        return tet._coeff_cache[key]
+    if key not in tet._coeff_cache:
+        tet._coeff_cache[key] = tuple(_nested_map(Field.view, t)
+                                      for t in _spin_coefficients(g, tet))
+    return tet._coeff_cache[key]
+
+
+def _spin_coefficients(g: Metric, tet: NullTetrad):
+    """spin_coefficients as field elements, memoized on the tetrad."""
+    key = "spin_coefficients"
     F = g.field
+    if key in tet._el:
+        return F.up(tet._el[key])
 
     def compute():
         nab = _frame_curvature(tet)[0]
@@ -385,8 +399,7 @@ def spin_coefficients(g: Metric, tet: NullTetrad):
         return gu, gp, nab
 
     tet._el[key] = F.run(compute)
-    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in tet._el[key])
-    return tet._coeff_cache[key]
+    return tet._el[key]
 
 
 # -- Petrov classification -----------------------------------------------------------
@@ -442,11 +455,11 @@ def scalar_invariants(w: WeylSpinor) -> tuple[Expr, Expr]:
 def _conformal_killing(g: Metric, K: VectorField):
     """(residuals of nabla_(a K_b) - eta/2 g_ab, eta, nabla_a K_b); eta and
     nabla_a K_b as field elements, the residuals memoized on the metric and
-    keyed on K's normal forms."""
+    keyed on K's components."""
     F = g.field
     _, nk, div = _nabla_vector(g, K)
     eta, gg = div / 2, g.el
-    key = ("conformal_killing", *map(Field.view, _vector_el(g, K)))
+    key = ("conformal_killing", *K.comps)
     if key not in g._cache:
         g._cache[key] = [F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
                          for a in _R for b in range(a, 4)]
@@ -461,8 +474,8 @@ def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], 
 
 def conformal_killing_verdict(g: Metric, K: VectorField, cfg: SampleConfig) -> Verdict:
     """The zero test of the conformal Killing residuals under cfg, memoized
-    on the metric next to the residuals and keyed on K's normal forms."""
-    key = ("conformal_killing_verdict", cfg, *map(Field.view, _vector_el(g, K)))
+    on the metric next to the residuals and keyed on K's components."""
+    key = ("conformal_killing_verdict", cfg, *K.comps)
     if key not in g._cache:
         g._cache[key] = is_zero_all(_conformal_killing(g, K)[0], cfg)
     return g._cache[key]
@@ -471,7 +484,7 @@ def conformal_killing_verdict(g: Metric, K: VectorField, cfg: SampleConfig) -> V
 def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
     """(phi, psi, eta) of killing_decompose as field elements, memoized on the
     tetrad once K has passed the conformal Killing test under cfg."""
-    key = ("killing_spinors", cfg, *map(Field.view, _vector_el(g, K)))
+    key = ("killing_spinors", cfg, *K.comps)
     if key not in tet._coeff_cache:
         v = conformal_killing_verdict(g, K, cfg)
         if not v.is_zero():
@@ -529,7 +542,7 @@ def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
     F = g.field
     phi0, psi0, _ = _killing_spinors(g, tet, K, cfg)
     iota0, o0 = _null_factors(g, tet, K, cfg)
-    spin_coefficients(g, tet)
+    _spin_coefficients(g, tet)
 
     def compute():
         x = g.chart.syms
@@ -614,7 +627,7 @@ class SzekeresResult:
 def _weyl_divergence(g: Metric, tet: NullTetrad) -> dict:
     """weyl_divergence_spinor as field elements."""
     curvature_spinors(g, tet)
-    spin_coefficients(g, tet)
+    _spin_coefficients(g, tet)
     F = g.field
 
     def compute():

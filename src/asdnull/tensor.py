@@ -83,33 +83,40 @@ class Chart:
 class TensorField:
     """Dense tensor: valence is a string over 'u' (contravariant) / 'l'.
 
-    A tensor computed in a metric's field keeps its elements in `el` and makes
-    the sympy components (`comps`) on first read."""
+    A tensor computed in a metric's field keeps its elements in `el`; its
+    entries are Exprs that hold them (`shown`, unless given), and the sympy
+    components (`comps`) are their trees, made on first read."""
 
     def __init__(self, chart: Chart, valence: str, comps: list | None = None,
-                 el: list | None = None):
+                 el: list | None = None, shown: list | None = None):
         if len(valence) == 0:
             raise ExprError("use Expr for scalars")
         self.chart = chart
         self.valence = valence
         self._comps = comps
         self.el = el
+        self._shown = shown
+
+    @property
+    def shown(self) -> list:
+        """The entries as Exprs holding the elements."""
+        if self._shown is None:
+            self._shown = _nested_map(Field.expr, self.el)
+        return self._shown
 
     @property
     def comps(self) -> list:
         if self._comps is None:
-            self._comps = _nested_map(Field.view, self.el)
+            self._comps = _nested_map(lambda e: e.sym, self.shown)
         return self._comps
 
     def __getitem__(self, idx):
-        c = self.comps
         if isinstance(idx, int):
             idx = (idx,)
+        c = self.comps if self.el is None else self.shown
         for i in idx:
             c = c[i]
-        if not isinstance(c, sp.Expr):
-            return c
-        return Expr._normal(c) if self.el is not None else Expr(c)
+        return Expr(c) if isinstance(c, sp.Expr) else c
 
     def raw(self, *idx):
         c = self.comps
@@ -170,9 +177,11 @@ class VectorField(TensorField):
 
 
 class OneForm(TensorField):
-    def __init__(self, chart: Chart, comps=None, el: list | None = None):
+    def __init__(self, chart: Chart, comps=None, el: list | None = None,
+                 shown: list | None = None):
         chart.require_dim(4)
-        super().__init__(chart, "l", None if comps is None else [_sym(c) for c in comps], el)
+        super().__init__(chart, "l", None if comps is None else [_sym(c) for c in comps],
+                         el, shown)
 
     def __call__(self, v: VectorField) -> Expr:
         return Expr(sum(self.comps[a] * v.comps[a] for a in _R))
@@ -191,11 +200,11 @@ class OneForm(TensorField):
 
 
 def _entered(F: Field, forms: list[OneForm]) -> list[OneForm]:
-    """The one-forms converted into F in one batch, each holding its display
-    trees and its elements."""
+    """The one-forms converted into F in one batch, each holding its elements
+    and its displays (`Field.convert`)."""
     conv = F.convert_all([c for w in forms for c in w.comps])
-    return [OneForm(w.chart, [n for n, _ in conv[4 * i:4 * i + 4]],
-                    [e for _, e in conv[4 * i:4 * i + 4]]) for i, w in enumerate(forms)]
+    return [OneForm(w.chart, el=[e for _, e in conv[4 * i:4 * i + 4]],
+                    shown=[n for n, _ in conv[4 * i:4 * i + 4]]) for i, w in enumerate(forms)]
 
 
 class TwoForm(TensorField):
@@ -240,7 +249,8 @@ class Metric:
     The components enter the metric's fraction field (a new one unless
     `field` is given) by `Field.convert`, the upper triangle authoritative;
     or they are given as elements `el` of `field` (a builder's g formed from
-    its coframe) and shown by their views."""
+    its coframe).  Either way they are shown by their displays, whose trees
+    (`comps`) are made on first read."""
 
     def __init__(self, chart: Chart, comps=None, el: list | None = None,
                  field: Field | None = None):
@@ -252,17 +262,25 @@ class Metric:
         if el is None:
             conv = F.convert_all([_sym(comps[a][b]) for a, b in upper])
         else:
-            conv = [(F.view(el[a][b]), el[a][b]) for a, b in upper]
-        rows, els = _nested(2), _nested(2)
+            conv = [(F.expr(el[a][b]), el[a][b]) for a, b in upper]
+        shown, els = _nested(2), _nested(2)
         for (a, b), (n, e) in zip(upper, conv):
-            rows[a][b] = rows[b][a] = n
+            shown[a][b] = shown[b][a] = n
             els[a][b] = els[b][a] = e
-        self.comps = rows
+        self._shown = shown
+        self._comps = None
         self._cache["el"] = els
+
+    @property
+    def comps(self) -> list:
+        """The components as sympy trees."""
+        if self._comps is None:
+            self._comps = [[e.sym for e in row] for row in self._shown]
+        return self._comps
 
     def __getitem__(self, idx):
         a, b = idx
-        return Expr(self.comps[a][b])
+        return self._shown[a][b]
 
     def _memo(self, key: str, fn: Callable):
         if key not in self._cache:
@@ -515,7 +533,7 @@ def vector_norm(g: Metric, k: VectorField) -> Expr:
 
 def _nabla_vector(g: Metric, k: VectorField):
     """(K_a, nabla_a K_b, nabla_a K^a) as field elements, memoized on the
-    metric and keyed on K's normal forms.  No Christoffels: the antisymmetric
+    metric and keyed on K's components.  No Christoffels: the antisymmetric
     part of nabla_a K_b is (dK_flat)_ab / 2, the symmetric part is
     (L_K g)_ab / 2 = (K^c d_c g_ab + g_cb d_a K^c + g_ac d_b K^c) / 2, and
     nabla_a K^a = d_a K^a + K^a d_a(det g) / (2 det g)."""
@@ -540,7 +558,7 @@ def _nabla_vector(g: Metric, k: VectorField):
                + sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det / 2)
         return kl, nk, div
 
-    return F.up(g._memo(("nabla_vector", *map(Field.view, k0)), compute))
+    return F.up(g._memo(("nabla_vector", *k.comps), compute))
 
 
 def lie_derivative_metric(g: Metric, k: VectorField) -> TensorField:

@@ -25,7 +25,7 @@ from .expr import (
     is_zero_all,
     random_points,
 )
-from .spinor import _killing_spinors, spin_coefficients, _SLOT, _eps, _R2
+from .spinor import _killing_spinors, _spin_coefficients, _SLOT, _eps, _R2
 from .tensor import FIBRE, _vector_el
 
 __all__ = [
@@ -63,6 +63,9 @@ class LiftedKilling:
     chart_names: tuple[str, ...]
     fibre: str
     comps: list[Expr]  # K components followed by the d_lam coefficient
+    # the metric's field and comps as its elements
+    field: Field = dataclasses.field(repr=False, compare=False)
+    el: tuple = dataclasses.field(repr=False, compare=False)
 
 
 @dataclass
@@ -81,8 +84,7 @@ def lax_pair(bg) -> LaxPair:
     if "lax_pair" in tet._coeff_cache:
         return tet._coeff_cache["lax_pair"]
     F = g.field
-    spin_coefficients(g, tet)
-    gp = F.up(tet._el["spin_coefficients"][1])
+    gp = _spin_coefficients(g, tet)[1]
     E = tet.field_el("frame")
     lam = F.fold(sp.Symbol(FIBRE))
     pi = (F.K.one, lam)
@@ -191,10 +193,9 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
         raise ExprError("geometry has no Killing vector to lift")
     F = g.field
     phi, _, eta = _killing_spinors(g, tet, K, cfg)
-    spin_coefficients(g, tet)
     phi, eta, k = F.up((phi, eta, _vector_el(g, K)))
     kaa = tet.vector_el(k)
-    gp = F.up(tet._el["spin_coefficients"][1])
+    gp = _spin_coefficients(g, tet)[1]
     lam = F.fold(sp.Symbol(FIBRE))
     pi = (F.K.one, lam)  # pi^{A'} = (1, lam) on the affine patch
     pi_lo = (-lam, F.K.one)  # pi_{A'} = pi^{B'} eps_{B'A'}
@@ -212,12 +213,11 @@ def lift_killing(bg, cfg: SampleConfig = SampleConfig()) -> LiftedKilling:
         for Ap in _R2:
             T[Cp] -= pi_lo[Ap] * phi_up[Ap][Cp]
         T[Cp] += eta * pi[Cp] / 2
-    comps = [F.expr(c) for c in (*k, T[1] - lam * T[0])]
-    return LiftedKilling(g.chart.names, FIBRE, comps)
+    el = (*k, T[1] - lam * T[0])
+    return LiftedKilling(g.chart.names, FIBRE, [F.expr(c) for c in el], F, el)
 
 
 def lift_commutation_check(kl: LiftedKilling, lp: LaxPair,
                            cfg: SampleConfig = SampleConfig()):
     """[K~, L_A] must close onto span{L0, L1}; returns the two SpanSolves."""
-    kel = [lp.field.fold(Expr(c).sym) for c in kl.comps]
-    return [_bracket_in_span(lp, kel, L, cfg) for L in lp.el]
+    return [_bracket_in_span(lp, kl.el, L, cfg) for L in lp.el]

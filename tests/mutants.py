@@ -86,8 +86,8 @@ MUTANTS = (
            "return None",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("display_exception_dropped", "src/asdnull/expr.py",
-           "return (normalize(s) if self._split(leaves) else self.view(el)), el",
-           "return self.view(el), el",
+           "return (Expr(normalize(s)) if self._split(leaves) else self.expr(el)), el",
+           "return self.expr(el), el",
            ("tests/test_expr.py::test_normalize_is_not_idempotent_on_exp_of_a_negative_part",
             "tests/test_expr.py::test_conversion_matches_normalize_on_builder_and_model_inputs")),
     Mutant("sum_common_denominator_dropped", "src/asdnull/expr.py",
@@ -160,6 +160,35 @@ MUTANTS = (
            "    if any(tet.reconstruction_el()):\n",
            "    if False:\n",
            ("tests/test_cli.py::test_curvature_of_a_tetrad_that_reconstructs_only_at_samples",)),
+    # inputs fold into the field: a tree normalization added back
+    Mutant("twisting_tree_check_restored", "src/asdnull/construct.py",
+           "    H = sp.diff(params[\"G\"].sym, z, 2)\n",
+           "    H = sp.diff(params[\"G\"].sym, z, 2)\n"
+           "    if sp.cancel(H) == 0:\n"
+           "        raise ExprError(\"degenerate twisting metric: G_zz vanishes identically\")\n",
+           ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",)),
+    Mutant("metric_init_normalizes", "src/asdnull/tensor.py",
+           "        self._cache[\"el\"] = els\n",
+           "        self._cache[\"el\"] = els\n"
+           "        self._comps = [[sp.cancel(e.sym) for e in row] for row in shown]\n",
+           ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
+            "tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read")),
+    # displays on first read: the zero element's shortcut and the lazy views
+    Mutant("zero_shortcut_accepts_nonzero", "src/asdnull/expr.py",
+           "    if e.el is not None and not e.el:\n",
+           "    if e.el is not None:\n",
+           ("tests/test_displays.py::test_lazy_displays_and_verdicts_match_the_eager_views",
+            "tests/test_displays.py::test_zero_element_is_proven_without_a_tree")),
+    Mutant("proven_zero_element_inverted", "src/asdnull/expr.py",
+           "            return not self._el\n",
+           "            return bool(self._el)\n",
+           ("tests/test_displays.py::test_zero_element_is_proven_without_a_tree",)),
+    Mutant("spin_coefficient_views_eager", "src/asdnull/spinor.py",
+           "    tet._el[key] = F.run(compute)\n    return tet._el[key]\n",
+           "    tet._el[key] = F.run(compute)\n"
+           "    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in tet._el[key])\n"
+           "    return tet._el[key]\n",
+           ("tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read",)),
 )
 
 

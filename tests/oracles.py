@@ -199,8 +199,8 @@ def curvature_reassembly_residuals(g, tet) -> list[Expr]:
             rec = (
                 cu.component(A, B, C, D).sym * _eps(Ap, Bp) * _eps(Cp, Dp)
                 + cp.component(Ap, Bp, Cp, Dp).sym * _eps(A, B) * _eps(C, D)
-                + phi[A][B][Cp][Dp] * _eps(Ap, Bp) * _eps(C, D)
-                + phi[C][D][Ap][Bp] * _eps(A, B) * _eps(Cp, Dp)
+                + phi[A][B][Cp][Dp].sym * _eps(Ap, Bp) * _eps(C, D)
+                + phi[C][D][Ap][Bp].sym * _eps(A, B) * _eps(Cp, Dp)
                 + 2 * lam_s * (_eps(A, C) * _eps(B, D) * _eps(Ap, Cp) * _eps(Bp, Dp)
                                - _eps(A, D) * _eps(B, C) * _eps(Ap, Dp) * _eps(Bp, Cp))
             )

@@ -1,6 +1,7 @@
 """CLI: model loading, subcommands, exit codes, deterministic reports."""
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -413,14 +414,22 @@ def _benchmark_tracer():
 
 
 def test_benchmark_layers_resolve():
-    """Every function the traced benchmark wraps exists under its name."""
+    """Every (module, attribute) the traced benchmark wraps resolves in
+    asdnull as `Tracer.install` resolves it: a function of the module, or a
+    function or property in a class's own namespace.  A rename would
+    otherwise break only the traced benchmark run."""
+    missing = []
     for layer, targets in _benchmark_tracer().LAYERS.items():
         for module_name, attr in targets:
-            module = getattr(asdnull, module_name)
+            module = importlib.import_module(f"asdnull.{module_name}")
             if isinstance(attr, tuple):
-                assert attr[1] in vars(getattr(module, attr[0])), layer
+                found = vars(getattr(module, attr[0], object)).get(attr[1])
+                ok = isinstance(found, property) or inspect.isfunction(found)
             else:
-                assert callable(getattr(module, attr, None)), layer
+                ok = inspect.isfunction(getattr(module, attr, None))
+            if not ok:
+                missing.append((layer, module_name, attr))
+    assert not missing
 
 
 def test_benchmark_memo_keys_exist():

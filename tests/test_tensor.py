@@ -251,7 +251,7 @@ def _views(bg):
     lp = lax_pair(bg)
     yield from (christoffels(g).comps, riemann(g).comps, riemann_lower(g).comps,
                 ricci(g).comps, spin_coefficients(g, tet))
-    yield [phi[i][j][k][m] for i, j, k, m in itertools.product(range(2), repeat=4)]
+    yield [phi[i][j][k][m].sym for i, j, k, m in itertools.product(range(2), repeat=4)]
     yield [e.sym for e in (*cu.psi, *cp.psi, lam, *lp.L0, *lp.L1, *scalar_invariants(cu))]
     try:
         sz = szekeres_obstruction(g, tet, CFG)

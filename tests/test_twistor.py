@@ -152,8 +152,9 @@ def test_lift_commutation_negative_control(nontwisting_generic_bg):
     bg = nontwisting_generic_bg
     lp = lax_pair(bg)
     fake = lift_killing(bg, CFG)
-    bad = dataclasses.replace(
-        fake, comps=[fake.comps[0] + parse("z"), *fake.comps[1:]])
+    F = fake.field
+    el = (fake.el[0] + F.fold(sp.Symbol("z")), *fake.el[1:])
+    bad = dataclasses.replace(fake, comps=[F.expr(c) for c in el], el=el)
     solves = lift_commutation_check(bad, lp, CFG)
     assert any(s.verdict.kind == "nonzero" for s in solves)
 
