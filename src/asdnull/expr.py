@@ -632,31 +632,6 @@ class Field:
         e._el = el
         return e
 
-    def evaluate(self, el: _El, a: "Assignment | Mapping[str, Number]") -> Fraction | float:
-        """The value of an element at a point, as `evaluate` of its view gives
-        it.  At an exact point whose used gens are all symbols it is
-        c N(x) / prod b_i(x)^e_i, each polynomial evaluated over Q and the
-        denominator never expanded; the gens and the base are read from the
-        element's own field, which may be older than this one.  A float
-        point, or a used gen that is a kernel or another function, takes the
-        tree route with its float order."""
-        if not isinstance(a, Assignment):
-            a = Assignment(a)
-        K = el.field
-        gens, used = K.symbols, K.used(el)
-        if not a.is_exact() or not all(gens[i].is_Symbol for i in used):
-            return evaluate(self.expr(el), a)
-        missing = {gens[i].name for i in used} - set(a)
-        if missing:
-            raise EvalError(f"unassigned symbols: {sorted(missing)}")
-        x = {i: a[gens[i].name] for i in used}
-        den = Fraction(el.c.denominator)
-        for i, k in el.e.items():
-            den *= _poly_at(K.base[i], x) ** k
-        if not den:
-            raise EvalError("division by zero at the point")
-        return el.c.numerator * _poly_at(el.num, x) / den
-
     # -- differentiation ------------------------------------------------------------
 
     def _d_gen(self, i: int, v: sp.Symbol):
@@ -1250,10 +1225,32 @@ def _normal_names(e: Expr) -> set[str]:
 
 def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
     """Exact rational result for kernel-free expressions at rational points;
-    float otherwise."""
+    float otherwise.
+
+    An Expr that holds an element, at an exact point where every gen the
+    element uses is a symbol, is read from the element: c N(x) / prod
+    b_i(x)^e_i, each polynomial evaluated over Q and the denominator never
+    expanded.  The gens and the base are the element's own field's, which may
+    be older than the field that made it.  Every other case takes the tree
+    route on e itself, so the view it makes is kept."""
     e = _as_expr(e)
     if not isinstance(a, Assignment):
         a = Assignment(a)
+    el = e.el
+    if el is not None and a.is_exact():
+        K = el.field
+        gens, used = K.symbols, K.used(el)
+        if all(gens[i].is_Symbol for i in used):
+            missing = {gens[i].name for i in used} - set(a)
+            if missing:
+                raise EvalError(f"unassigned symbols: {sorted(missing)}")
+            x = {i: a[gens[i].name] for i in used}
+            den = Fraction(el.c.denominator)
+            for i, k in el.e.items():
+                den *= _poly_at(K.base[i], x) ** k
+            if not den:
+                raise EvalError("division by zero at the point")
+            return el.c.numerator * _poly_at(el.num, x) / den
     missing = _normal_names(e) - set(a)
     if missing:
         raise EvalError(f"unassigned symbols: {sorted(missing)}")

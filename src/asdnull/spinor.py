@@ -15,7 +15,6 @@ import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import sympy as sp
 
@@ -27,6 +26,7 @@ from .expr import (
     Field,
     SampleConfig,
     Verdict,
+    evaluate,
     is_zero,
     is_zero_all,
     random_points,
@@ -409,12 +409,9 @@ def petrov_classify(w: WeylSpinor, at: Assignment | dict,
                     tol: float = 1e-8) -> PetrovType:
     """Type of the quartic (1,x)^4 . C at a point, projectively."""
     at = at if isinstance(at, Assignment) else Assignment(at)
-    vals = [w.field.evaluate(el, at) for el in w.el]
-    coeffs = [vals[0], 4 * vals[1], 6 * vals[2], 4 * vals[3], vals[4]]
-    if all(isinstance(v, Fraction) for v in coeffs):
-        structure = quartic_root_structure(coeffs)
-    else:
-        structure = quartic_root_structure([float(v) for v in coeffs], tol)
+    vals = [evaluate(c, at) for c in w.psi]
+    structure = quartic_root_structure(
+        [vals[0], 4 * vals[1], 6 * vals[2], 4 * vals[3], vals[4]], tol)
     if structure.is_zero:
         return PetrovType("O", structure)
     return PetrovType(petrov_type_from_partition(structure.partition), structure)
@@ -600,8 +597,11 @@ def type_constraint_check(w: WeylSpinor, iota: SpinorField,
 
 def classification_points(w: WeylSpinor, cfg: SampleConfig, n: int) -> list[Assignment]:
     """n seeded points (stream seed + 1, entries p/q with 1 <= |p|, q <= 9) over
-    the symbols of the Weyl spinor, for pointwise Petrov classification."""
-    names = sorted({nm for c in w.psi for nm in c.free_symbols()})
+    the symbols of the Weyl spinor, for pointwise Petrov classification: those
+    of the gens its elements use, read in each element's own field, so no
+    view is made."""
+    names = sorted({s.name for el in w.el for i in el.field.used(el)
+                    for s in el.field.symbols[i].free_symbols})
     return list(itertools.islice(random_points(names, cfg.seed + 1, 9), n))
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import sympy as sp
 
-from .expr import Expr, ExprError, Field, SampleConfig, Verdict, is_zero_all
+from .expr import Expr, ExprError, Field, SampleConfig, Verdict, evaluate, is_zero_all
 
 __all__ = [
     "Chart",
@@ -307,28 +307,23 @@ class Metric:
 
     @property
     def inverse(self) -> list:
+        """g^ab as sympy trees, made on first read."""
+        return self._memo("inv", lambda: _nested_map(Field.view, self._inverse_el()))
+
+    def _inverse_el(self) -> list:
         def compute():
             det = self._det_el()
             if not det:
                 raise ExprError("metric is degenerate: det normalizes to zero")
             adj = adjugate4(self.el)
-            inv = [[adj[a][b] / det for b in _R] for a in _R]
-            self._cache["inv_el"] = inv
-            return _nested_map(Field.view, inv)
-        return self._memo("inv", compute)
-
-    def _inverse_el(self) -> list:
-        self.inverse  # fills "inv_el" inside the inverse layer
-        return self.field.up(self._cache["inv_el"])
+            return [[adj[a][b] / det for b in _R] for a in _R]
+        return self.field.up(self._memo("inv_el", compute))
 
     def signature_at(self, point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts at a sample point."""
         import numpy as np
 
-        # the elements as made: Field.evaluate reads each in its own field,
-        # where `el` would first move them into a grown one
-        F, el = self.field, self._cache["el"]
-        m = np.array([[float(F.evaluate(el[i][j], point)) for j in _R] for i in _R],
+        m = np.array([[float(evaluate(self[i, j], point)) for j in _R] for i in _R],
                      dtype=float)
         ev = np.linalg.eigvalsh(m)
         return int((ev > 0).sum()), int((ev < 0).sum())

@@ -107,14 +107,15 @@ MUTANTS = (
            "self.zero = _El(self, Fraction(0), R.zero, {})",
            "self.zero = _El(self, Fraction(1), R.zero, {})",
            ("tests/test_expr.py::test_singular_input_is_a_typed_error_naming_it",)),
+    # evaluation from an element, and the Petrov quartic
     Mutant("eval_pole", "src/asdnull/expr.py",
-           "        if not den:\n"
-           "            raise EvalError(\"division by zero at the point\")\n",
+           "            if not den:\n"
+           "                raise EvalError(\"division by zero at the point\")\n",
            "",
            ("tests/test_spinor.py::test_field_evaluation_edges",)),
-    Mutant("eval_current_field_gens", "src/asdnull/expr.py",
-           "        K = el.field\n",
-           "        K = self.K\n",
+    Mutant("eval_current_field_gens", "src/asdnull/spinor.py",
+           "    vals = [evaluate(c, at) for c in w.psi]\n",
+           "    vals = [evaluate(w.field.expr(c), at) for c in w.field.up(w.el)]\n",
            ("tests/test_spinor.py::test_field_evaluation_of_an_element_older_than_its_field",)),
     Mutant("eval_exponent_ignored", "src/asdnull/expr.py",
            "powers[i] = [n**e * q**(d - e) for e in range(d + 1)]",
@@ -124,6 +125,26 @@ MUTANTS = (
            "den *= _poly_at(K.base[i], x) ** k",
            "den *= _poly_at(K.base[i], x)",
            ("tests/test_spinor.py::test_field_evaluation_matches_tree_route",)),
+    Mutant("classification_points_read_views", "src/asdnull/spinor.py",
+           "    names = sorted({s.name for el in w.el for i in el.field.used(el)\n"
+           "                    for s in el.field.symbols[i].free_symbols})\n",
+           "    names = sorted({nm for c in w.psi for nm in c.free_symbols()})\n",
+           ("tests/test_displays.py::test_szekeres_views_each_weyl_spinor_element_once",)),
+    Mutant("quartic_root_at_infinity_dropped", "src/asdnull/quartic.py",
+           "    inf_mult = 5 - len(p)\n",
+           "    inf_mult = 0\n",
+           ("tests/test_quartic.py::test_root_at_infinity",
+            "tests/test_quartic.py::test_exact_structure_of_quartics_built_from_known_factors")),
+    Mutant("quartic_complex_pairs_counted_real", "src/asdnull/quartic.py",
+           "nreal = dup_count_real_roots(factor, ZZ)",
+           "nreal = len(factor) - 1",
+           ("tests/test_quartic.py::test_complex_pairs_annotated",
+            "tests/test_quartic.py::test_exact_structure_of_quartics_built_from_known_factors")),
+    Mutant("quartic_multiplicity_one", "src/asdnull/quartic.py",
+           "for factor, mult in dup_sqf_list(p, ZZ)[1]:",
+           "for factor, mult in [(f, 1) for f, _ in dup_sqf_list(p, ZZ)[1]]:",
+           ("tests/test_quartic.py::test_partition_consistency",
+            "tests/test_quartic.py::test_exact_structure_of_quartics_built_from_known_factors")),
     # the factored field: the sum's trial division, its exponent maximum, the
     # derivative's e_i D b_i / b_i terms, and irreducible base entry
     Mutant("sum_trial_division_skipped", "src/asdnull/expr.py",

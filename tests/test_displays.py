@@ -9,7 +9,8 @@ from pathlib import Path
 import sympy as sp
 
 from asdnull import expr as expr_module
-from asdnull.cli import load_model
+from asdnull import spinor as spinor_module
+from asdnull.cli import load_model, run
 from asdnull.construct import build_sparling_tod, build_twisting
 from asdnull.expr import Expr, Field, SampleConfig, is_zero, parse
 from asdnull.spinor import (
@@ -165,3 +166,47 @@ def test_zero_element_is_proven_without_a_tree(monkeypatch):
     assert len(views) == 1
     copy = Expr(n)
     assert copy.el is nonzero and str(copy) == "x/y" and len(views) == 1
+
+
+def test_szekeres_views_each_weyl_spinor_element_once(monkeypatch, capsys):
+    """`szekeres` on twisting_exp classifies 8 points, each through the tree
+    route (the Weyl spinor holds exp gens).  It makes the view of each
+    Weyl-spinor element at most once, kept in the spinor's own Expr; finding
+    the points' symbols makes none."""
+    classified, made, before = [], [], []
+    classify, view = spinor_module.petrov_classify, expr_module._El.as_expr
+
+    def recorded(w, at, tol=1e-8):
+        if not classified:
+            before.extend(made)
+        classified.append(w)
+        return classify(w, at, tol)
+
+    monkeypatch.setattr(spinor_module, "petrov_classify", recorded)
+    monkeypatch.setattr(expr_module._El, "as_expr", lambda el: made.append(el) or view(el))
+    assert run(["szekeres", str(MODELS / "twisting_exp.json")]) == 1
+    capsys.readouterr()
+    assert len(classified) == 8 and all(w is classified[0] for w in classified)
+    views = [sum(v is el for v in made) for el in classified[0].el]
+    assert max(views) == 1, views
+    assert not [v for v in before if any(v is el for el in classified[0].el)]
+
+
+def test_report_all_reads_the_inverse_metric_as_elements(monkeypatch, capsys):
+    """heavenly_ppwave's report-all reads g^ab through its elements (the
+    endomorphism check, the scalar curvature) and makes none of its trees:
+    `Metric.inverse` makes them only when it is read."""
+    stacks, view = [], expr_module._El.as_expr
+
+    def recorded(el):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return view(el)
+
+    monkeypatch.setattr(expr_module._El, "as_expr", recorded)
+    assert run(["report-all", str(MODELS / "heavenly_ppwave.json")]) == 0
+    capsys.readouterr()
+    assert stacks and not [s for s in stacks if "inverse" in s]

@@ -1,5 +1,6 @@
 """Root-multiplicity structure of quartics, exact and numeric paths."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -65,6 +66,61 @@ def test_partition_consistency():
         assert sum(rs.partition) == 4
         assert sorted(rs.real_roots + tuple(m for m in rs.complex_pairs for _ in range(2)),
                       reverse=True) == sorted(rs.partition, reverse=True)
+
+
+def _times(p, f):
+    out = [F(0)] * (len(p) + len(f) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(f):
+            out[i + j] += a * b
+    return out
+
+
+def _known_quartic(rng):
+    """(ascending coefficients, partition, real roots, complex pairs) of a
+    quartic built from known factors: distinct rational roots, x^2 - k with k
+    not a rational square (two real roots) and x^2 + b x + c with b^2 < 4c (a
+    complex pair), each raised to a multiplicity; a leading-coefficient drop
+    of 0 to 4, counted as a real root at infinity; and a rational scale, so
+    that the coefficients are not integers."""
+    drop = rng.randint(0, 4)
+    p = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))]
+    real, pairs = [drop] if drop else [], []
+    # distinct factors, so that no two merge into a higher multiplicity
+    roots = rng.sample([F(n, d) for n in range(-6, 7) for d in (1, 2, 3)], 4)
+    ks = rng.sample([F(2), F(3), F(5), F(3, 2), F(5, 3), F(7, 2)], 2)
+    bs = rng.sample([F(n, d) for n in range(-5, 6) for d in (1, 2, 3)], 2)
+    left = 4 - drop
+    while left:
+        kind = rng.choice(["root", "real pair", "complex pair"] if left >= 2 else ["root"])
+        m = rng.randint(1, left if kind == "root" else left // 2)
+        if kind == "root":
+            f, real = [-roots.pop(), F(1)], real + [m]
+        elif kind == "real pair":
+            f, real = [-ks.pop(), F(0), F(1)], real + [m, m]
+        else:
+            b = bs.pop()
+            f, pairs = [b * b / 4 + F(rng.randint(1, 9), rng.randint(1, 4)), b, F(1)], pairs + [m]
+        for _ in range(m):
+            p = _times(p, f)
+        left -= m * (len(f) - 1)
+    partition = real + [m for m in pairs for _ in range(2)]
+    return (p + [F(0)] * drop, *(tuple(sorted(v, reverse=True)) for v in (partition, real, pairs)))
+
+
+def test_exact_structure_of_quartics_built_from_known_factors():
+    """The partition and the real/complex annotation of 400 seeded quartics
+    are the ones known by construction."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        coeffs, partition, real, pairs = _known_quartic(rng)
+        assert len(coeffs) == 5
+        rs = quartic_root_structure(coeffs)
+        assert (rs.partition, rs.real_roots, rs.complex_pairs) == (partition, real, pairs), coeffs
+        assert not rs.is_zero
+        seen.add((partition, real, pairs))
+    assert len(seen) == 9  # every partition with every real/complex annotation it admits
 
 
 def test_numeric_simple_roots():

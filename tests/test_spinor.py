@@ -281,8 +281,10 @@ def _outcome(fn):
 
 
 def _both_routes(F, el, at):
-    """Field.evaluate of an element and evaluate of its view, each an outcome."""
-    return _outcome(lambda: F.evaluate(el, at)), _outcome(lambda: evaluate(F.expr(el), at))
+    """evaluate of an Expr holding the element and of an Expr holding only its
+    view, which takes the tree route, each an outcome."""
+    return (_outcome(lambda: evaluate(F.expr(el), at)),
+            _outcome(lambda: evaluate(Expr(F.view(el)), at)))
 
 
 def test_field_evaluation_matches_tree_route(corpus):
@@ -330,22 +332,26 @@ def test_field_evaluation_edges(sparling_uv_bg, twisting_exp_bg):
     assert new == old and new[0] == "EvalError", new
 
 
-def test_field_evaluation_of_an_element_older_than_its_field():
-    """An element made before its field grew is read by its own field's gens."""
+def test_field_evaluation_of_an_element_older_than_its_field(monkeypatch):
+    """An element made before its field grew is read by its own field's gens,
+    and petrov_classify reads it there, making no view."""
     bg = build_ppwave(parse("X^3*Y + Y^4"))
     cu, _ = weyl_spinors(bg.g, bg.tet)
     F, at = cu.field, Assignment({"T": 2, "X": Fraction(-1, 3), "Y": 5, "Z": 7})
     assert any(F.view(el).free_symbols for el in cu.el)
-    before = [F.evaluate(el, at) for el in cu.el]
+    before = [evaluate(F.expr(el), at) for el in cu.el]
     K = F.K
     A, X = sp.symbols("A X")
     F.fold(A + sp.exp(A * X))  # A sorts first: every gen index shifts
     assert F.K != K and F.K.symbols[0] == A
     assert all(el.field == K for el in cu.el)
-    assert [F.evaluate(el, at) for el in cu.el] == before
+    assert [evaluate(F.expr(el), at) for el in cu.el] == before
     for el in cu.el:
         new, old = _both_routes(F, el, at)
         assert new == old
+    views = []
+    monkeypatch.setattr(Field, "view", staticmethod(lambda el: views.append(el) or el.as_expr()))
+    assert petrov_classify(cu, at).type == "N" and not views  # not moved into F.K
 
 
 def test_petrov_classify_evaluates_no_tree(sparling_uv_bg, monkeypatch):

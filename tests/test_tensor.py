@@ -62,16 +62,18 @@ def test_flat_signature(flat_bg):
 
 
 def _display_signature(g: Metric, at) -> tuple[int, int]:
-    """The signature from each component's display tree, `g[i, j]`."""
-    ev = np.linalg.eigvalsh([[float(evaluate(g[i, j], at)) for j in R4] for i in R4])
+    """The signature from each component's display tree, `g[i, j].sym`, by
+    the tree route."""
+    ev = np.linalg.eigvalsh([[float(evaluate(Expr(g[i, j].sym), at)) for j in R4]
+                             for i in R4])
     return int((ev > 0).sum()), int((ev < 0).sum())
 
 
 def test_signature_matches_display_route(twisting_exp_bg, sparling_uv_bg, flat_bg):
-    """signature_at reads the elements; at exact and float points it agrees
-    with the display trees, also for twisting_exp's exp gens and for a
-    metric whose display is not its elements' view (an exp of a sum with a
-    negative part)."""
+    """signature_at reads the elements at exact points; at exact and float
+    points it agrees with the display trees by the tree route, also for
+    twisting_exp's exp gens and for a metric whose display is not its
+    elements' view (an exp of a sum with a negative part)."""
     x, y, z = sp.symbols("x y z")
     split = Metric(flat_bg.g.chart, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
                                      [0, 0, 0, -3 * x * y**2 + sp.exp(x * z - y) / x]])
