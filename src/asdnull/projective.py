@@ -1,6 +1,8 @@
 """2D projective structures: torsion-free connections and their second-order
-ODEs, geodesic sprays, projective equivalence, the flatness obstruction, and
-fixed-step geodesic integration."""
+ODEs, geodesic sprays, projective equivalence, the flatness obstruction
+(Liouville's relative invariants of y'' = A3 y'^3 + A2 y'^2 + A1 y' + A0:
+R. Liouville, J. Ecole Polytechnique 59 (1889) 7-76; R. Bryant, M. Dunajski
+& M. Eastwood, arXiv:0801.0300), and fixed-step geodesic integration."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, Field
 from .tensor import FIBRE
 
 __all__ = [
@@ -125,22 +127,35 @@ def spray(p: ProjectiveStructure) -> Spray:
 
 
 def flatness_invariant(p: ProjectiveStructure) -> Expr:
-    """Scalar obstruction (in x, y, lam) to point-equivalence with y'' = 0."""
+    """Scalar obstruction (in x, y, lam) to point-equivalence with y'' = 0:
+    2 L_a lam + 2 L_b, with Liouville's two relative invariants of the cubic
+    ODE (R. Liouville, J. Ecole Polytechnique 59 (1889) 7-76; Bryant,
+    Dunajski & Eastwood, J. Differential Geom. 83 (2009) 465-499,
+    arXiv:0801.0300), subscripts partial derivatives:
+        L_a = A1_yy - 2 A2_xy + 3 A3_xx - 3 A0 A3_y + 3 A1 A3_x + A2 A1_y
+              - 2 A2 A2_x - 6 A3 A0_y + 3 A3 A1_x
+        L_b = 3 A0_yy - 2 A1_xy + A2_xx - 3 A0 A2_y + 6 A0 A3_x + 2 A1 A1_y
+              - A1 A2_x - 3 A2 A0_y + 3 A3 A0_x
+    This is the invariant of the spray d_x + lam d_y + F d_lam, F = A0 +
+    A1 lam + A2 lam^2 + A3 lam^3, with its cancellations carried out: it is
+    linear in lam.  It is computed in a field on the chart (x, y, lam), so a
+    flat structure gives the zero element and a nonzero one makes its view on
+    first read."""
     x, y = (sp.Symbol(n) for n in p.chart2)
     lam = sp.Symbol(FIBRE)
-    F = _poly_F(p)
+    trees = [Expr(a).sym for a in p.A]
+    F = Field((x, y, lam), trees)
 
-    def ddx(e):
-        return sp.diff(e, x) + lam * sp.diff(e, y) + F * sp.diff(e, lam)
+    def compute():
+        A0, A1, A2, A3 = A = [F.fold(t) for t in trees]
+        (A0x, A1x, A2x, A3x), (A0y, A1y, A2y, A3y) = ([F.diff(a, v) for a in A] for v in (x, y))
+        La = (F.diff(A1y, y) - 2 * F.diff(A2y, x) + 3 * F.diff(A3x, x) - 3 * A0 * A3y
+              + 3 * A1 * A3x + A2 * A1y - 2 * A2 * A2x - 6 * A3 * A0y + 3 * A3 * A1x)
+        Lb = (3 * F.diff(A0y, y) - 2 * F.diff(A1y, x) + F.diff(A2x, x) - 3 * A0 * A2y
+              + 6 * A0 * A3x + 2 * A1 * A1y - A1 * A2x - 3 * A2 * A0y + 3 * A3 * A0x)
+        return 2 * La * F.fold(lam) + 2 * Lb
 
-    F1 = sp.diff(F, lam)
-    F0 = sp.diff(F, y)
-    F11 = sp.diff(F, lam, 2)
-    F01 = sp.diff(F, y, 1, lam, 1)
-    F00 = sp.diff(F, y, 2)
-    inv = (ddx(ddx(F11)) - 4 * ddx(F01) - F1 * ddx(F11)
-           + 4 * F1 * F01 - 3 * F0 * F11 + 6 * F00)
-    return Expr(sp.expand(inv))
+    return Field.expr(F.run(compute))
 
 
 def derivative_of_first_order(b) -> ProjectiveStructure:

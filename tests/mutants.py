@@ -194,6 +194,21 @@ MUTANTS = (
            "        self._comps = [[sp.cancel(e.sym) for e in row] for row in shown]\n",
            ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
             "tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read")),
+    # the projective flatness invariant: Liouville's closed form
+    Mutant("liouville_a2_a1y_dropped", "src/asdnull/projective.py",
+           " + A2 * A1y",
+           "",
+           ("tests/test_projective.py::test_flatness_invariant_matches_tree_oracle",)),
+    Mutant("liouville_a0_a3x_halved", "src/asdnull/projective.py",
+           "6 * A0 * A3x",
+           "3 * A0 * A3x",
+           ("tests/test_projective.py::test_flatness_invariant_matches_tree_oracle",)),
+    Mutant("liouville_slots_swapped", "src/asdnull/projective.py",
+           "return 2 * La * F.fold(lam) + 2 * Lb",
+           "return 2 * Lb * F.fold(lam) + 2 * La",
+           ("tests/test_projective.py::test_flatness_invariant_matches_tree_oracle",
+            "tests/test_projective.py::test_flatness_nonzero_witness",
+            "tests/test_projective.py::test_flatness_constant_coefficients_regression")),
     # displays on first read: the zero element's shortcut and the lazy views
     Mutant("zero_shortcut_accepts_nonzero", "src/asdnull/expr.py",
            "    if e.el is not None and not e.el:\n",
@@ -224,12 +239,14 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _failed(output: str) -> set[str]:
-    """Node IDs that pytest's short summary (-rfE) reports failed or errored."""
+    """Node IDs that pytest's short summary (-rfE) reports failed or errored;
+    a parametrized test's failure (`name[params]`) also counts as `name`'s."""
     out = set()
     for line in output.splitlines():
         for tag in ("FAILED ", "ERROR "):
             if line.startswith(tag):
-                out.add(line[len(tag):].split(" - ")[0].strip())
+                node = line[len(tag):].split(" - ")[0].strip()
+                out |= {node, node.split("[")[0]}
     return out
 
 

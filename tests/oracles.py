@@ -14,7 +14,7 @@ import sympy as sp
 
 from asdnull.expr import Assignment, EvalError, Expr, differentiate, evaluate, normalize, parse
 from asdnull.spinor import curvature_spinors, spin_coefficients
-from asdnull.tensor import christoffels, riemann_lower
+from asdnull.tensor import FIBRE, christoffels, riemann_lower
 
 R4 = range(4)
 R2 = (0, 1)
@@ -301,3 +301,30 @@ def recompose_two_form(tet, phi, psi) -> list:
             for b in R4:
                 comps[a][b] += val * th[i][a] * th[j][b]
     return [[normalize(comps[a][b]) for b in R4] for a in R4]
+
+
+# -- the projective flatness invariant ---------------------------------------------------
+
+
+def tree_flatness_invariant(p) -> Expr:
+    """The flatness obstruction of y'' = F(x, y, lam), F = A0 + A1 lam +
+    A2 lam^2 + A3 lam^3, from the spray: with d/dx the total derivative
+    d_x + lam d_y + F d_lam,
+        d/dx^2 F_ll - 4 d/dx F_yl - F_l d/dx F_ll + 4 F_l F_yl - 3 F_y F_ll + 6 F_yy,
+    expanded."""
+    x, y = (sp.Symbol(n) for n in p.chart2)
+    lam = sp.Symbol(FIBRE)
+    a0, a1, a2, a3 = (Expr(a).sym for a in p.A)
+    F = a0 + lam * a1 + lam**2 * a2 + lam**3 * a3
+
+    def ddx(e):
+        return sp.diff(e, x) + lam * sp.diff(e, y) + F * sp.diff(e, lam)
+
+    F1 = sp.diff(F, lam)
+    F0 = sp.diff(F, y)
+    F11 = sp.diff(F, lam, 2)
+    F01 = sp.diff(F, y, 1, lam, 1)
+    F00 = sp.diff(F, y, 2)
+    inv = (ddx(ddx(F11)) - 4 * ddx(F01) - F1 * ddx(F11)
+           + 4 * F1 * F01 - 3 * F0 * F11 + 6 * F00)
+    return Expr(sp.expand(inv))

@@ -286,11 +286,31 @@ def test_report_all_matches_recorded_report(model, capsys, monkeypatch):
 
 
 # szekeres, invariants and twist on each model, recorded before these stages
-# moved into the metric's field, and classify at its default point, recorded
+# moved into the metric's field, classify at its default point, recorded
 # before exact evaluation read the field's elements (report-all runs none of
-# szekeres, invariants and classify): (exit code, the report's "checks" array
-# or the error line)
+# szekeres, invariants and classify), and projective-flatness, recorded while
+# the invariant was still the spray formula on trees: (exit code, the report's
+# "checks" array or the error line)
 SUBCOMMAND_OUTPUTS = {
+    ("projective-flatness", "betazero_a2x"): (1,
+        '[{"name":"flatness_invariant","value":-3.8800705467372136,"verdict":"nonzero",'
+        '"witness":{"lam":"25/27","x":"22/21"}}]'),
+    ("projective-flatness", "flat_projective"): (0,
+        '[{"name":"flatness_invariant","verdict":"proven_zero"}]'),
+    ("projective-flatness", "heavenly_ppwave"): (2,
+        'error: projective-flatness expects a projective model or a builder with '
+        'projective data'),
+    ("projective-flatness", "nontwisting_generic"): (1,
+        '[{"name":"flatness_invariant","value":-32.48279259034639,"verdict":"nonzero",'
+        '"witness":{"lam":"25/27","x":"22/21","y":"39/62"}}]'),
+    ("projective-flatness", "ppwave"): (2,
+        'error: projective-flatness expects a projective model or a builder with '
+        'projective data'),
+    ("projective-flatness", "sparling_tod"): (2,
+        'error: projective-flatness expects a projective model or a builder with '
+        'projective data'),
+    ("projective-flatness", "twisting_exp"): (0,
+        '[{"name":"flatness_invariant","verdict":"proven_zero"}]'),
     ("classify", "betazero_a2x"): (0,
         '[{"name":"petrov_type","value":"III (real roots [3,1], complex pairs [-])",'
         '"verdict":"pass"}]'),
@@ -369,7 +389,8 @@ SUBCOMMAND_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["classify", "szekeres", "invariants", "twist"])
+@pytest.mark.parametrize("command", ["classify", "szekeres", "invariants", "twist",
+                                     "projective-flatness"])
 @pytest.mark.parametrize("model", sorted(p.stem for p in MODELS.glob("*.json")))
 def test_subcommand_matches_recorded_output(command, model, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)

@@ -40,7 +40,7 @@ from asdnull.construct import (
 from asdnull.spinor import weyl_spinors
 from asdnull.tensor import pair_product
 from asdnull.twistor import integrability_check, lax_pair
-from mutants import MUTANTS
+from mutants import MUTANTS, _failed
 from oracles import CORPUS as ORACLE_CORPUS
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
@@ -595,14 +595,13 @@ NORMALIZING = {
 
 # the functions that may differentiate a sympy tree: the builders' inputs (the
 # displayed coframes, the heavenly Hessian, the constraints and residuals on the
-# input functions), the field's derivation of a gen and the Expr boundary, and
-# the 2D projective ODEs, which stay on trees
+# input functions), the field's derivation of a gen and the Expr boundary; the
+# 2D projective flatness invariant differentiates in a field on its chart
 DIFFERENTIATING = {
     "construct._nontwisting_coframe", "construct._twisting_coframe",
     "construct._fefferman_coframe", "construct._heavenly_hessian",
     "construct.build_twisting", "construct.build_heavenly", "construct.g_residual",
     "expr.Field._d_gen", "expr.differentiate",
-    "projective.flatness_invariant", "projective.flatness_invariant.ddx",
 }
 
 
@@ -656,3 +655,19 @@ def test_mutant_snippets_occur_once():
         for node in m.tests:
             path, name = node.split("::")
             assert f"\ndef {name.split('[')[0]}(" in (root / path).read_text(encoding="utf-8"), node
+
+
+def test_mutant_runner_counts_parametrized_failures():
+    """A row naming a parametrized test is killed by the failure of any of its
+    parameters: pytest reports those as `name[params]`."""
+    summary = ("=========================== short test summary info ===========================\n"
+               "FAILED tests/test_quartic.py::test_exact_partitions[roots1-partition1] - assert\n"
+               "ERROR tests/test_cli.py::test_report_all_matches_recorded_report[ppwave]\n"
+               "FAILED tests/test_projective.py::test_flatness_nonzero_witness - assert 1 == 0\n"
+               "1 passed, 2 failed, 1 error in 0.52s\n")
+    caught = _failed(summary)
+    assert {"tests/test_quartic.py::test_exact_partitions",
+            "tests/test_quartic.py::test_exact_partitions[roots1-partition1]",
+            "tests/test_cli.py::test_report_all_matches_recorded_report",
+            "tests/test_projective.py::test_flatness_nonzero_witness"} <= caught
+    assert "tests/test_quartic.py::test_partition_consistency" not in caught

@@ -2,10 +2,12 @@
 obstruction, geodesic integration."""
 
 import random
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
+from asdnull.cli import load_model
 from asdnull.expr import Expr, ExprError, SampleConfig, is_zero, parse
 from asdnull.projective import (
     Connection2D,
@@ -17,9 +19,11 @@ from asdnull.projective import (
     projective_equivalence_shift,
     spray,
 )
+from oracles import tree_flatness_invariant
 
 CFG = SampleConfig()
 X, Y = sp.symbols("x y")
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _random_connection(rng):
@@ -125,6 +129,66 @@ def test_flatness_nonzero_witness():
     inv = flatness_invariant(ps)
     assert sp.expand(inv.sym - 16 * Y) == 0
     assert is_zero(inv, CFG).kind == "nonzero"
+
+
+def _random_cubic(rng):
+    """y'' = A3 y'^3 + ... + A0, each A_i zero (half of them) or one or two
+    terms of degree at most 2 in x, y; in half the cubics one A_i is also
+    multiplied by a parameter a, an inverse polynomial, or an exp or sin
+    leaf."""
+    extras = (sp.Symbol("a"), 1 / (X + Y + 1), 1 / (X**2 + 1), 1 / (X + Y),
+              sp.exp(X * Y - Y), sp.sin(X))
+
+    def poly():
+        if rng.random() < 0.5:
+            return sp.S.Zero
+        return sum(sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+                   * rng.choice((1, X, Y, X**2, X * Y, Y**2))
+                   for _ in range(rng.randint(1, 2)))
+
+    A = [poly() for _ in range(4)]
+    if rng.random() < 0.5:
+        A[rng.randrange(4)] *= rng.choice(extras)
+    return ProjectiveStructure.build(("x", "y"), A, parameters=("a",))
+
+
+def _flatness_inputs(corpus):
+    """Every projective structure the package meets: the builders' and the
+    models', the criterion-8 ODEs and 200 seeded random cubics."""
+    out = [(f"corpus {name}", bg.proj) for name, bg in corpus.items() if bg.proj is not None]
+    out += [(f"model {path.stem}", m.proj) for path in sorted(MODELS.glob("*.json"))
+            if (m := load_model(str(path))).proj is not None]
+    out += [("A=0", ProjectiveStructure.build(("x", "y"), [0, 0, 0, 0])),
+            ("A=(y, x, 1/2, 0)", ProjectiveStructure.build(
+                ("x", "y"), [parse("y"), parse("x"), parse("1/2"), 0])),
+            ("constant c", ProjectiveStructure.build(
+                ("x", "y"), [Expr(sp.Symbol("c"))] * 4, parameters=("c",)))]
+    out += [(f"b={b}", derivative_of_first_order(parse(b)))
+            for b in ("x*y", "y^2", "x", "2*x + 3*y", "x^2*y")]
+    rng = random.Random(15)
+    out += [(f"connection {k}", ode_from_connection(_random_connection(rng))) for k in range(5)]
+    out += [(f"random cubic {k}", _random_cubic(rng)) for k in range(200)]
+    return out
+
+
+def test_flatness_invariant_matches_tree_oracle(corpus):
+    """Liouville's closed form, computed in a field, against the spray
+    invariant on trees: equal normal forms and equal verdicts, witnesses and
+    values."""
+    kinds = set()
+    for name, ps in _flatness_inputs(corpus):
+        inv, ref = flatness_invariant(ps), tree_flatness_invariant(ps)
+        assert inv.el is not None, name
+        assert sp.srepr(inv.normal) == sp.srepr(ref.normal), name
+        verdict = is_zero(inv, CFG)
+        assert verdict == is_zero(ref, CFG), name
+        kinds.add(verdict.kind)
+    assert kinds == {"proven_zero", "nonzero"}
+    # a linear ODE is flat: its invariant holds the zero element, which the
+    # zero test proves with no tree
+    for b in ("x*y", "x^2*y + 1/(1 + x^2)", "exp(x)*y"):
+        inv = flatness_invariant(derivative_of_first_order(parse(b)))
+        assert inv.el is not None and not inv.el, b
 
 
 def test_derivative_of_first_order_map():
