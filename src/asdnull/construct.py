@@ -1,7 +1,13 @@
 """Builders for the explicit metric families: nontwisting and twisting normal
 forms, Fefferman-like metrics, pp-waves, the Sparling-Tod family, and the
 heavenly (pseudo-hyper-Kaehler) form, each packaged with its standard tetrad,
-Killing vector, projective data, and constraint residuals."""
+Killing vector, projective data, and constraint residuals.
+
+A builder folds its parsed inputs once into a new field over its chart and
+the fibre (`expr.Field`) and computes everything else there, by `Field.diff`
+and field arithmetic: the coframe, g as the coframe's symmetric product, the
+nontwisting A0, the Sparling-Tod W0 and the transport and heavenly residuals.
+Every display is its element's view, made on first read."""
 
 from __future__ import annotations
 
@@ -37,9 +43,7 @@ from .tensor import (
     OneForm,
     TwoForm,
     VectorField,
-    pair_product,
     wedge,
-    _entered,
 )
 
 __all__ = [
@@ -88,34 +92,65 @@ class HeavenlyData:
     residual: Expr  # Theta_YT - Theta_ZX + Theta_TT Theta_XX - Theta_XT^2
 
 
-def _tetrad_from_coframe(chart: Chart, coframe: list[OneForm]) -> NullTetrad:
-    """g = theta^00' theta^11' - theta^01' theta^10' with the coframe as its
-    tetrad: the 16 components enter g's field once and g is their symmetric
-    product there."""
-    F = Field(chart.syms + (sp.Symbol(FIBRE),))
-    forms = _entered(F, coframe)
-    if F.splits([c for w in coframe for c in w.comps]):
-        # the displays are normalize(tree), not views (Field.convert): g's too
-        pp = pair_product(coframe[0], coframe[3])
-        qq = pair_product(coframe[1], coframe[2])
-        g = Metric(chart, [[pp[a][b] - qq[a][b] for b in range(4)] for a in range(4)],
-                   field=F)
-    else:
-        t = [w.el for w in forms]
-        g = Metric(chart, el=[[t[0][a] * t[3][b] + t[0][b] * t[3][a]
-                               - t[1][a] * t[2][b] - t[1][b] * t[2][a]
-                               for b in range(4)] for a in range(4)], field=F)
-    return NullTetrad(g, forms)
+_x, _y, _z = sp.symbols("x y z")
+_T, _X, _Y, _Z = sp.symbols("T X Y Z")
+_NONTWISTING = ("beta", "A1", "A2", "A3", "P", "Q")
+_A = ("A0", "A1", "A2", "A3")
 
 
-def family_coframe(chart: Chart, family: str, params: Mapping) -> list[OneForm]:
-    """Coframe read-off from a displayed family factorization.  The assignment
-    puts the Killing vector at e_{00'}, so iota = o = (1, 0)."""
+def _trees(family: str, params: Mapping) -> dict:
+    """The trees a family's coframe folds: its parameters', and for
+    Sparling-Tod s = YT - ZX and H(u, v) taken at u = Y/s, v = Z/s."""
+    if family == "flat":
+        return dict.fromkeys(_NONTWISTING, sp.S.Zero)
+    if family == "sparling_tod":
+        u, v, s = *sp.symbols("u v"), _Y * _T - _Z * _X
+        return {"H": Expr(params["H"]).sym.subs({u: _Y / s, v: _Z / s}), "s": s}
+    return {k: Expr(v).sym for k, v in params.items()}
+
+
+def _inputs(F: Field, family: str, trees: dict) -> dict:
+    """The family's inputs as elements of F, each tree folded once (inside
+    F.run); Sparling-Tod's W0 = H/s^3 with s entering F's base as itself."""
+    if family == "sparling_tod":
+        return {"W0": F.fold(trees["H"]) * F.fold(trees["s"]) ** -3}
+    return {k: F.fold(t) for k, t in trees.items()}
+
+
+def _rows(F: Field, *rows) -> list:
+    """Coframe rows with their integer entries made elements of F."""
+    return [[F.K.constant(c) if isinstance(c, int) else c for c in row] for row in rows]
+
+
+def _built(chart: Chart, family: str, params: Mapping, more=None) -> tuple:
+    """(field, tetrad, more(F, p, rows)): the family's inputs p folded once
+    into a new field over the chart, the fibre and their trees, its coframe
+    rows and what `more` adds computed there (Field.run).  g = theta^00'
+    theta^11' - theta^01' theta^10' is the coframe's symmetric product."""
+    trees = _trees(family, params)
+    F = Field(chart.syms + (sp.Symbol(FIBRE),), trees.values())
+
+    def compute():
+        p = _inputs(F, family, trees)
+        rows = _COFRAMES[family](F, p)
+        return rows, more(F, p, rows) if more else None
+
+    t, extra = F.run(compute)
+    g = Metric(chart, el=[[t[0][a] * t[3][b] + t[0][b] * t[3][a]
+                           - t[1][a] * t[2][b] - t[1][b] * t[2][a]
+                           for b in range(4)] for a in range(4)], field=F)
+    return F, NullTetrad(g, [OneForm(chart, el=row) for row in t]), extra
+
+
+def family_coframe(g: Metric, family: str, params: Mapping) -> list[OneForm]:
+    """Coframe read-off from a displayed family factorization, computed in g's
+    field.  The assignment puts the Killing vector at e_{00'}, so
+    iota = o = (1, 0)."""
     if family not in _COFRAMES:
         raise ExprError(f"unknown tetrad family {family!r}")
-    if family == "flat":
-        params = dict.fromkeys(("beta", "A1", "A2", "A3", "P", "Q"), 0)
-    return _COFRAMES[family](chart, {k: Expr(v) for k, v in params.items()})
+    F, trees = g.field, _trees(family, params)
+    rows = F.run(lambda: _COFRAMES[family](F, _inputs(F, family, trees)))
+    return [OneForm(g.chart, el=row) for row in rows]
 
 
 def _coerce_xy(name: str, value, extra=()) -> Expr:
@@ -142,43 +177,54 @@ def build_nontwisting(A1, A2, A3, beta, P, Q) -> BuiltGeometry:
         "P": _coerce_xy("P", P), "Q": _coerce_xy("Q", Q),
     }
     chart = Chart(CHART_TXYZ)
-    b = params["beta"]
-    A0 = (b.diff("x") + b * b.diff("y") - b * params["A1"]
-          - b**2 * params["A2"] - b**3 * params["A3"])
+    F, tet, A0 = _built(chart, "nontwisting", params, _nontwisting_a0)
     proj = ProjectiveStructure.build(
-        ("x", "y"), [A0, params["A1"], params["A2"], params["A3"]]
+        ("x", "y"), [F.expr(A0), params["A1"], params["A2"], params["A3"]]
     )
-    tet = _tetrad_from_coframe(chart, _nontwisting_coframe(chart, params))
     K = VectorField(chart, [1, 0, 0, 0])
     return BuiltGeometry(tet.g, tet, K, proj, "nontwisting", params, [])
 
 
-def _nontwisting_coframe(chart: Chart, p) -> list[OneForm]:
-    y, z = sp.Symbol("y"), sp.Symbol("z")
-    beta, A1, A2, A3, P, Q = (p[k].sym for k in ("beta", "A1", "A2", "A3", "P", "Q"))
+def _nontwisting_a0(F: Field, p, rows):
+    b = p["beta"]
+    return (F.diff(b, _x) + b * F.diff(b, _y) - b * p["A1"]
+            - b**2 * p["A2"] - b**3 * p["A3"])
+
+
+def _nontwisting_coframe(F: Field, p) -> list:
+    beta, A1, A2, A3, P, Q = (p[k] for k in _NONTWISTING)
+    z = F.fold(_z)
     D = Q - z * A3
-    E = z * (-sp.diff(beta, y) + A1 + beta * A2 + beta**2 * A3)
-    F = z * (A2 + 2 * beta * A3) + P
-    return [
-        OneForm(chart, [1, 0, -D, 0]),
-        OneForm(chart, [0, -E, -F, 1]),
-        OneForm(chart, [0, 1, 0, 0]),
-        OneForm(chart, [0, -beta, 1, 0]),
-    ]
+    E = z * (-F.diff(beta, _y) + A1 + beta * A2 + beta**2 * A3)
+    Fz = z * (A2 + 2 * beta * A3) + P
+    return _rows(F, [1, 0, -D, 0], [0, -E, -Fz, 1], [0, 1, 0, 0], [0, -beta, 1, 0])
+
+
+def _cubic(F: Field, A: list):
+    """A0 + z A1 + z^2 A2 + z^3 A3."""
+    z = F.fold(_z)
+    return A[0] + z * A[1] + z**2 * A[2] + z**3 * A[3]
+
+
+def _transport(F: Field, A: list, H):
+    """(d_x + z d_y + (A0 + z A1 + z^2 A2 + z^3 A3) d_z) H in F, H = G_zz."""
+    return F.diff(H, _x) + F.fold(_z) * F.diff(H, _y) + _cubic(F, A) * F.diff(H, _z)
 
 
 def g_residual(A0, A1, A2, A3, G) -> Expr:
-    """Transport residual (d_x + z d_y + (A0 + z A1 + z^2 A2 + z^3 A3) d_z) G_zz."""
-    x, y, z = sp.Symbol("x"), sp.Symbol("y"), sp.Symbol("z")
-    a = [Expr(v).sym for v in (A0, A1, A2, A3)]
-    Gs = Expr(G).sym
-    H = sp.diff(Gs, z, 2)
-    pol = a[0] + z * a[1] + z**2 * a[2] + z**3 * a[3]
-    return Expr(sp.diff(H, x) + z * sp.diff(H, y) + pol * sp.diff(H, z))
+    """Transport residual (d_x + z d_y + (A0 + z A1 + z^2 A2 + z^3 A3) d_z) G_zz,
+    computed in a field over its inputs."""
+    trees = [Expr(v).sym for v in (A0, A1, A2, A3, G)]
+    F = Field((_x, _y, _z), trees)
+
+    def compute():
+        *A, Gf = (F.fold(t) for t in trees)
+        return _transport(F, A, F.diff(F.diff(Gf, _z), _z))
+
+    return F.expr(F.run(compute))
 
 
-def build_twisting(A0, A1, A2, A3, G,
-                   cfg: SampleConfig = SampleConfig()) -> BuiltGeometry:
+def build_twisting(A0, A1, A2, A3, G) -> BuiltGeometry:
     """Twisting family from ODE data A0..A3(x, y) and a potential G(x, y, z).
 
     The transport constraint on G_zz is attached as a residual, not enforced:
@@ -188,96 +234,65 @@ def build_twisting(A0, A1, A2, A3, G,
         "A2": _coerce_xy("A2", A2), "A3": _coerce_xy("A3", A3),
         "G": _coerce_xy("G", G, extra=("z",)),
     }
-    z = sp.Symbol("z")
-    H = sp.diff(params["G"].sym, z, 2)
-    if not Field(trees=[H]).fold(H):
-        raise ExprError("degenerate twisting metric: G_zz vanishes identically")
     chart = Chart(CHART_TXYZ)
+    F, tet, residual = _built(chart, "twisting", params, _twisting_transport)
     proj = ProjectiveStructure.build(
         ("x", "y"), [params["A0"], params["A1"], params["A2"], params["A3"]]
     )
-    tet = _tetrad_from_coframe(chart, _twisting_coframe(chart, params))
     K = VectorField(chart, [1, 0, 0, 0])
-    residual = g_residual(A0, A1, A2, A3, G)
     return BuiltGeometry(tet.g, tet, K, proj, "twisting", params,
-                         [("transport", residual)])
+                         [("transport", F.expr(residual))])
 
 
-def _twisting_coframe(chart: Chart, p) -> list[OneForm]:
-    y, z = sp.Symbol("y"), sp.Symbol("z")
-    a0, a1, a2, a3 = (p[k].sym for k in ("A0", "A1", "A2", "A3"))
-    G = p["G"].sym
-    H = sp.diff(G, z, 2)
-    Gz = sp.diff(G, z)
-    pol = a0 + z * a1 + z**2 * a2 + z**3 * a3
-    C = -Gz * a2 - 2 * a3 * (z * Gz - G) + sp.diff(Gz, y)
-    D = -Gz * a3
-    return [
-        OneForm(chart, [1, -C, -D, 0]),
-        OneForm(chart, [0, -pol, 0, 1]),
-        OneForm(chart, [0, H, 0, 0]),
-        OneForm(chart, [0, -z, 1, 0]),
-    ]
+def _twisting_transport(F: Field, p, rows):
+    H = rows[2][1]  # theta^10' = G_zz dx
+    if not H:
+        raise ExprError("degenerate twisting metric: G_zz vanishes identically")
+    return _transport(F, [p[k] for k in _A], H)
 
 
-def _fefferman_coframe(chart: Chart, p) -> list[OneForm]:
-    y, z = sp.Symbol("y"), sp.Symbol("z")
-    ga, de, ro, si = (p[k].sym for k in ("gamma", "delta", "rho", "sigma"))
-    a0, a1, a2, a3 = (p[k].sym for k in ("A0", "A1", "A2", "A3"))
-    pol = a0 + z * a1 + z**2 * a2 + z**3 * a3
-    C = -(z + ga) * a2 - 2 * a3 * (z**2 / 2 - de) + sp.diff(ga, y) - ro
-    D = -(z + ga) * a3 - si
-    return [
-        OneForm(chart, [1, -C, -D, 0]),
-        OneForm(chart, [0, -pol, 0, 1]),
-        OneForm(chart, [0, 1, 0, 0]),
-        OneForm(chart, [0, -z, 1, 0]),
-    ]
+def _twisting_coframe(F: Field, p) -> list:
+    A, G, z = [p[k] for k in _A], p["G"], F.fold(_z)
+    Gz = F.diff(G, _z)
+    H = F.diff(Gz, _z)
+    C = -Gz * A[2] - 2 * A[3] * (z * Gz - G) + F.diff(Gz, _y)
+    D = -Gz * A[3]
+    return _rows(F, [1, -C, -D, 0], [0, -_cubic(F, A), 0, 1], [0, H, 0, 0], [0, -z, 1, 0])
 
 
-def _ppwave_coframe(chart: Chart, p) -> list[OneForm]:
-    Q = p["Q"].sym
-    return [
-        OneForm(chart, [1, 0, -Q, 0]),
-        OneForm(chart, [0, 0, 0, 1]),
-        OneForm(chart, [0, 1, 0, 0]),
-        OneForm(chart, [0, 0, 1, 0]),
-    ]
+def _fefferman_coframe(F: Field, p) -> list:
+    ga, de, ro, si = (p[k] for k in ("gamma", "delta", "rho", "sigma"))
+    A, z = [p[k] for k in _A], F.fold(_z)
+    C = -(z + ga) * A[2] - 2 * A[3] * (z**2 / 2 - de) + F.diff(ga, _y) - ro
+    D = -(z + ga) * A[3] - si
+    return _rows(F, [1, -C, -D, 0], [0, -_cubic(F, A), 0, 1], [0, 1, 0, 0], [0, -z, 1, 0])
 
 
-def _sparling_w0(chart: Chart, H: Expr) -> sp.Expr:
-    """W0 = H(u, v)/(YT - ZX)^3 at u = Y/(YT - ZX), v = Z/(YT - ZX)."""
-    T, X, Y, Z = chart.syms
-    s = Y * T - Z * X
-    return sp.cancel(H.substitute({"u": Expr(Y / s), "v": Expr(Z / s)}).sym / s**3)
+def _ppwave_coframe(F: Field, p) -> list:
+    return _rows(F, [1, 0, -p["Q"], 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0])
 
 
-def _sparling_coframe(chart: Chart, p) -> list[OneForm]:
-    W0 = p["W0"].sym if "W0" in p else _sparling_w0(chart, p["H"])
-    Y, Z = chart.syms[2:]
-    return [
-        OneForm(chart, [1, 0, -W0 * Z * Z, W0 * Z * Y]),
-        OneForm(chart, [0, 0, 0, 1]),
-        OneForm(chart, [0, 1, -W0 * Y * Z, W0 * Y * Y]),
-        OneForm(chart, [0, 0, 1, 0]),
-    ]
+def _sparling_coframe(F: Field, p) -> list:
+    W0, Y, Z = p["W0"], F.fold(_Y), F.fold(_Z)
+    return _rows(F, [1, 0, -W0 * Z * Z, W0 * Z * Y], [0, 0, 0, 1],
+                 [0, 1, -W0 * Y * Z, W0 * Y * Y], [0, 0, 1, 0])
 
 
-def _heavenly_hessian(chart: Chart, theta: Expr) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-    """(Theta_XX, Theta_TX, Theta_TT)."""
-    T, X = chart.syms[:2]
-    ts = theta.sym
-    return sp.diff(ts, X, 2), sp.diff(ts, T, 1, X, 1), sp.diff(ts, T, 2)
+def _heavenly_hessian(F: Field, theta) -> tuple:
+    """(Theta_XX, Theta_TX, Theta_TT) in F."""
+    thT = F.diff(theta, _T)
+    return F.diff(F.diff(theta, _X), _X), F.diff(thT, _X), F.diff(thT, _T)
 
 
-def _heavenly_coframe(chart: Chart, p) -> list[OneForm]:
-    thXX, thTX, thTT = _heavenly_hessian(chart, p["Theta"])
-    return [
-        OneForm(chart, [1, 0, -thXX, -thTX]),
-        OneForm(chart, [0, 0, 0, 1]),
-        OneForm(chart, [0, 1, thTX, thTT]),
-        OneForm(chart, [0, 0, 1, 0]),
-    ]
+def _heavenly_residual(F: Field, p, rows):
+    th = p["Theta"]
+    thXX, thTX, thTT = _heavenly_hessian(F, th)
+    return F.diff(F.diff(th, _Y), _T) - F.diff(F.diff(th, _Z), _X) + thTT * thXX - thTX**2
+
+
+def _heavenly_coframe(F: Field, p) -> list:
+    thXX, thTX, thTT = _heavenly_hessian(F, p["Theta"])
+    return _rows(F, [1, 0, -thXX, -thTX], [0, 0, 0, 1], [0, 1, thTX, thTT], [0, 0, 1, 0])
 
 
 _COFRAMES = {
@@ -300,7 +315,7 @@ def build_fefferman_like(gamma, delta, rho, sigma, A0, A1, A2, A3) -> BuiltGeome
         "A2": _coerce_xy("A2", A2), "A3": _coerce_xy("A3", A3),
     }
     chart = Chart(CHART_TXYZ)
-    tet = _tetrad_from_coframe(chart, _fefferman_coframe(chart, params))
+    _, tet, _ = _built(chart, "fefferman", params)
     K = VectorField(chart, [1, 0, 0, 0])
     proj = ProjectiveStructure.build(
         ("x", "y"), [params["A0"], params["A1"], params["A2"], params["A3"]]
@@ -334,7 +349,7 @@ def build_ppwave(Q) -> BuiltGeometry:
     if bad:
         raise ExprError(f"Q must depend only on (X, Y), got {sorted(bad)}")
     chart = Chart(CHART_PLEB)
-    tet = _tetrad_from_coframe(chart, _ppwave_coframe(chart, {"Q": Qe}))
+    _, tet, _ = _built(chart, "ppwave", {"Q": Qe})
     K = VectorField(chart, [1, 0, 0, 0])
     constraints = _ricci_constraints(tet.g, tet)
     return BuiltGeometry(tet.g, tet, K, None, "ppwave", {"Q": Qe}, constraints)
@@ -373,13 +388,11 @@ def build_sparling_tod(H) -> BuiltGeometry:
     if bad:
         raise ExprError(f"H must be an expression in (u, v), got {sorted(bad)}")
     chart = Chart(CHART_PLEB)
-    T, X, Y, Z = chart.syms
-    W0 = _sparling_w0(chart, He)
-    tet = _tetrad_from_coframe(chart, _sparling_coframe(chart, {"W0": Expr(W0)}))
-    K = VectorField(chart, [Z, Y, 0, 0])  # Y d_X + Z d_T in (T, X, Y, Z) order
+    F, tet, W0 = _built(chart, "sparling_tod", {"H": He}, lambda F, p, rows: p["W0"])
+    K = VectorField(chart, [_Z, _Y, 0, 0])  # Y d_X + Z d_T in (T, X, Y, Z) order
     constraints = _ricci_constraints(tet.g, tet) + _asd_constraints(tet.g, tet)
     return BuiltGeometry(tet.g, tet, K, None, "sparling_tod",
-                         {"H": He, "W0": Expr(W0)}, constraints)
+                         {"H": He, "W0": F.expr(W0)}, constraints)
 
 
 def sparling_tod_transform(pt: Assignment | Mapping) -> Assignment:
@@ -412,12 +425,8 @@ def build_heavenly(theta) -> tuple[BuiltGeometry, HeavenlyData]:
     if bad:
         raise ExprError(f"Theta must depend only on (T, X, Y, Z), got {sorted(bad)}")
     chart = Chart(CHART_PLEB)
-    T, X, Y, Z = chart.syms
-    ts = th.sym
-    thXX, thTX, thTT = _heavenly_hessian(chart, th)
-    tet = _tetrad_from_coframe(chart, _heavenly_coframe(chart, {"Theta": th}))
-    residual = Expr(sp.diff(ts, Y, 1, T, 1) - sp.diff(ts, Z, 1, X, 1)
-                    + thTT * thXX - thTX**2)
+    F, tet, residual = _built(chart, "heavenly", {"Theta": th}, _heavenly_residual)
+    residual = F.expr(residual)
     bg = BuiltGeometry(tet.g, tet, None, None, "heavenly", {"Theta": th},
                        [("heavenly", residual)])
     return bg, HeavenlyData(th, residual)
@@ -492,13 +501,14 @@ def heavenly_sigma_pullback_residuals(bg: BuiltGeometry) -> list[Expr]:
     pi0, pi1 = sp.symbols("pi0 pi1")
     s00, s01, s11 = _sigma_forms(bg.tet)
     sigma = (s00 * Expr(pi0**2) + s01 * Expr(2 * pi0 * pi1) + s11 * Expr(pi1**2))
-    qt = -_heavenly_hessian(chart, bg.params["Theta"])[0]
+    F, th = bg.g.field, bg.params["Theta"].sym
+    qt = F.expr(F.run(lambda: -_heavenly_hessian(F, F.fold(th))[0]))
     dT = OneForm(chart, [1, 0, 0, 0])
     dX = OneForm(chart, [0, 1, 0, 0])
     dY = OneForm(chart, [0, 0, 1, 0])
     dZ = OneForm(chart, [0, 0, 0, 1])
     template = (
-        (wedge(dT, dX) + wedge(dY, dX) * Expr(qt)) * Expr(pi0**2)
+        (wedge(dT, dX) + wedge(dY, dX) * qt) * Expr(pi0**2)
         + (wedge(dT, dY) - wedge(dX, dZ)) * Expr(pi0 * pi1)
         + wedge(dZ, dY) * Expr(pi1**2)
     )

@@ -384,15 +384,16 @@ class Field:
     cofactor).  The denominator is expanded only for `view`, whose tree is
     c.num N / (c.den prod b_i^e_i): the canonical form of a rational function
     (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 3), a
-    fixed point of `normalize`.
+    fixed point of `normalize` except where cancel rewrites the fraction in a
+    kernel's argument.
 
     A sympy tree enters by folding (`convert`, `fold`): sums, products and
     integer powers become the field's own arithmetic, and only the leaves it
     cannot take apart (exp, log, sin, cos, any other function) are normalized,
-    each once per field.  The display tree of an input stays `normalize(t)`:
-    it is the element's view, except where normalize is not idempotent on t
-    (`convert`).  The field grows when an input carries a gen it lacks, and
-    `up` moves older elements into it."""
+    each once per field.  Every display is the element's view: one display
+    rule, also where normalize is not idempotent on an input (`convert`).
+    The field grows when an input carries a gen it lacks, and `up` moves
+    older elements into it."""
 
     def __init__(self, symbols: Iterable[sp.Symbol] = (), trees: Iterable[sp.Expr] = ()):
         self._gens: set = set()
@@ -509,22 +510,21 @@ class Field:
             self._grow(set(ring.symbols))
             return self._placed(ring.symbols, polys)
 
-    def fold(self, s: sp.Expr, leaves: set | None = None):
+    def fold(self, s: sp.Expr):
         """The element of a sympy tree, folded through the field's arithmetic;
-        the field grows first if the tree carries a gen it lacks.  The leaves
-        met are added to `leaves`.  A tree that is singular (zoo, nan, or a
-        divisor that is zero in the field) raises ExprError naming it."""
-        met: set = set() if leaves is None else leaves
+        the field grows first if the tree carries a gen it lacks.  A tree that
+        is singular (zoo, nan, or a divisor that is zero in the field) raises
+        ExprError naming it."""
         try:
             try:
-                return self._fold(s, met)
+                return self._fold(s)
             except _Unplaced:
                 self._grow(self._gens_of([s]))
-                return self._fold(s, met)
+                return self._fold(s)
         except ZeroDivisionError:
             raise _singular(s) from None
 
-    def _fold(self, s: sp.Expr, leaves: set):
+    def _fold(self, s: sp.Expr):
         if s.is_Symbol:
             i = self._index.get(s)
             if i is None:
@@ -533,13 +533,12 @@ class Field:
         if s.is_Rational:
             return self.K.constant(Fraction(s.p, s.q))
         if s.is_Add:
-            return self._sum([self._fold(a, leaves) for a in s.args])
+            return self._sum([self._fold(a) for a in s.args])
         if s.is_Mul:
-            return self._product([self._fold(a, leaves) for a in s.args])
+            return self._product([self._fold(a) for a in s.args])
         if s.is_Pow and s.exp.is_Integer:
-            return self._fold(s.base, leaves) ** int(s.exp)
-        leaves.add(s)  # zoo and nan end here: _leaf rejects them
-        el = self._leaf_el.get(s)
+            return self._fold(s.base) ** int(s.exp)
+        el = self._leaf_el.get(s)  # zoo and nan end here: _leaf rejects them
         if el is None:
             _, gens, polys = self._leaf(s)
             el = self._leaf_el[s] = self._placed(gens, polys)
@@ -580,31 +579,13 @@ class Field:
 
     def convert(self, s: sp.Expr):
         """(display, element) of a sympy tree.  The display is an Expr that
-        holds the element, its tree the element's view, which equals
-        `normalize(s)`; except when a leaf of s is exp of a sum with a
-        negative part: sympy's cancel is not idempotent there (exp(x z - y)
-        becomes exp(-y) exp(x z), which a second pass moves into the
-        denominator), so the display is `Expr(normalize(s))`, made at once and
-        holding no element."""
-        leaves: set = set()
-        el = self.fold(s, leaves)
-        return (Expr(normalize(s)) if self._split(leaves) else self.expr(el)), el
-
-    def splits(self, trees: Iterable[sp.Expr]) -> bool:
-        """Whether a tree's display is `normalize` of it rather than its
-        element's view (`convert`)."""
-        leaves: set = set()
-        for s in trees:
-            self._walk(s, leaves)
-        return self._split(leaves)
-
-    def _split(self, leaves: set) -> bool:
-        for leaf in leaves:
-            if isinstance(leaf, sp.exp):
-                n = self._leaf(leaf)[0]
-                if n.is_Mul and n.as_numer_denom()[1] != 1:
-                    return True
-        return False
+        holds the element; its tree, the element's view, is made on first
+        read.  The view equals `normalize(s)`, or `normalize(normalize(s))`
+        where normalize is not idempotent on s (an exp of a sum with a
+        negative part: sympy's cancel turns exp(x z - y) into exp(-y) exp(x z)
+        and a second pass moves exp(-y) into the denominator)."""
+        el = self.fold(s)
+        return self.expr(el), el
 
     def convert_all(self, trees: Sequence[sp.Expr]) -> list:
         """`convert` over a batch, the field grown once for all of it."""
@@ -621,7 +602,7 @@ class Field:
 
     @staticmethod
     def view(el: _El) -> sp.Expr:
-        """The tree of an element: a fixed point of `normalize`."""
+        """The tree of an element, in the canonical form of `normalize`."""
         return el.as_expr()
 
     @staticmethod
@@ -711,9 +692,9 @@ class Expr:
     """Immutable expression; arithmetic is lazy, normalization is cached.
 
     An Expr made by a field (`Field.expr`) holds its element and makes its
-    tree, the element's view, on first read of `sym` or `normal`.  A view is a
-    fixed point of `normalize`, so such an Expr is zero exactly when its
-    element is, and `is_zero` proves that without a tree."""
+    tree, the element's view, on first read of `sym` or `normal`.  A view is
+    zero exactly when its element is, so `is_zero` proves such an Expr zero
+    without a tree."""
 
     __slots__ = ("_s", "_norm", "_el")
 

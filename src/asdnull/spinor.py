@@ -240,7 +240,7 @@ def standard_tetrad(g: Metric, family: str, params: dict) -> NullTetrad:
     factorization is iota = o = (1, 0)."""
     from .construct import family_coframe  # read-offs live with the builders
 
-    return NullTetrad(g, family_coframe(g.chart, family, params))
+    return NullTetrad(g, family_coframe(g, family, params))
 
 
 # -- curvature decomposition -------------------------------------------------------

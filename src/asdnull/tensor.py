@@ -38,7 +38,6 @@ __all__ = [
     "twist_three_form",
     "vector_norm",
     "conformal_rescale",
-    "pair_product",
     "wedge",
 ]
 
@@ -334,15 +333,6 @@ class Metric:
 
 
 # -- 1-form algebra helpers -------------------------------------------------------
-
-
-def pair_product(f1: OneForm, f2: OneForm) -> list:
-    """Symmetric product f1 (x) f2 + f2 (x) f1 as a component matrix.
-
-    This makes displayed metric strings literal: a product of the two tetrad
-    pairs reproduces 2(theta^00' sym theta^11' - theta^01' sym theta^10')."""
-    return [[f1.comps[a] * f2.comps[b] + f1.comps[b] * f2.comps[a] for b in _R]
-            for a in _R]
 
 
 def wedge(f1: OneForm, f2: OneForm) -> TwoForm:

@@ -85,18 +85,18 @@ MUTANTS = (
            "return sp.S.One if g is sp.E else None",
            "return None",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
-    Mutant("display_exception_dropped", "src/asdnull/expr.py",
-           "return (Expr(normalize(s)) if self._split(leaves) else self.expr(el)), el",
-           "return self.expr(el), el",
+    Mutant("display_rule_normalizes_again", "src/asdnull/expr.py",
+           "        return self.expr(el), el",
+           "        return Expr(normalize(s)), el",
            ("tests/test_expr.py::test_normalize_is_not_idempotent_on_exp_of_a_negative_part",
-            "tests/test_expr.py::test_conversion_matches_normalize_on_builder_and_model_inputs")),
+            "tests/test_expr.py::test_trees_are_normalized_only_at_the_boundary")),
     Mutant("sum_common_denominator_dropped", "src/asdnull/expr.py",
            "f.num.mul_ground(f.c.numerator * (L // f.c.denominator)) for f in group",
            "f.num.mul_ground(f.c.numerator) for f in group",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("fold_inverse_power_not_inverted", "src/asdnull/expr.py",
-           "return self._fold(s.base, leaves) ** int(s.exp)",
-           "return self._fold(s.base, leaves) ** abs(int(s.exp))",
+           "return self._fold(s.base) ** int(s.exp)",
+           "return self._fold(s.base) ** abs(int(s.exp))",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("coframe_metric_sign", "src/asdnull/construct.py",
            "- t[1][a] * t[2][b] - t[1][b] * t[2][a]",
@@ -183,17 +183,53 @@ MUTANTS = (
            ("tests/test_cli.py::test_curvature_of_a_tetrad_that_reconstructs_only_at_samples",)),
     # inputs fold into the field: a tree normalization added back
     Mutant("twisting_tree_check_restored", "src/asdnull/construct.py",
-           "    H = sp.diff(params[\"G\"].sym, z, 2)\n",
-           "    H = sp.diff(params[\"G\"].sym, z, 2)\n"
-           "    if sp.cancel(H) == 0:\n"
-           "        raise ExprError(\"degenerate twisting metric: G_zz vanishes identically\")\n",
-           ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",)),
+           "    F, tet, residual = _built(chart, \"twisting\", params, _twisting_transport)\n",
+           "    F, tet, residual = _built(chart, \"twisting\", params, _twisting_transport)\n"
+           "    if sp.cancel(params[\"G\"].sym) == 0:\n"
+           "        raise ExprError(\"degenerate twisting metric: G vanishes identically\")\n",
+           ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
+            "tests/test_expr.py::test_trees_are_normalized_only_at_the_boundary")),
     Mutant("metric_init_normalizes", "src/asdnull/tensor.py",
            "        self._cache[\"el\"] = els\n",
            "        self._cache[\"el\"] = els\n"
            "        self._comps = [[sp.cancel(e.sym) for e in row] for row in shown]\n",
            ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
             "tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read")),
+    # the builders in the field: a coframe term, W0's power of s, and the
+    # residuals' signs
+    Mutant("twisting_c_gz_y_dropped", "src/asdnull/construct.py",
+           " + F.diff(Gz, _y)",
+           "",
+           ("tests/test_construct.py::test_builders_match_tree_oracle",
+            "tests/test_twistor.py::test_twisting_lax_integrable",
+            "tests/test_cli.py::test_report_all_matches_recorded_report")),
+    Mutant("sparling_w0_s_squared", "src/asdnull/construct.py",
+           "F.fold(trees[\"s\"]) ** -3",
+           "F.fold(trees[\"s\"]) ** -2",
+           ("tests/test_construct.py::test_builders_match_tree_oracle",
+            "tests/test_construct.py::test_sparling_tod_uv_constraints",
+            "tests/test_acceptance.py::test_criterion_9_sparling_tod_as_stated")),
+    Mutant("nontwisting_e_beta_y_sign", "src/asdnull/construct.py",
+           "z * (-F.diff(beta, _y) + A1",
+           "z * (F.diff(beta, _y) + A1",
+           ("tests/test_construct.py::test_builders_match_tree_oracle",
+            "tests/test_spinor.py::test_betazero_structural_formulas")),
+    Mutant("heavenly_tx_squared_sign", "src/asdnull/construct.py",
+           "+ thTT * thXX - thTX**2",
+           "+ thTT * thXX + thTX**2",
+           ("tests/test_construct.py::test_builders_match_tree_oracle",
+            "tests/test_construct.py::test_heavenly_vacuum_type3")),
+    Mutant("transport_z_d_y_dropped", "src/asdnull/construct.py",
+           "F.fold(_z) * F.diff(H, _y)",
+           "F.diff(H, _y)",
+           ("tests/test_construct.py::test_builders_match_tree_oracle",
+            "tests/test_construct.py::test_g_residual_cases",
+            "tests/test_construct.py::test_twisting_exp_constraint_sampled")),
+    Mutant("nontwisting_a0_a1_sign", "src/asdnull/construct.py",
+           "- b * p[\"A1\"]",
+           "+ b * p[\"A1\"]",
+           ("tests/test_construct.py::test_builders_match_tree_oracle",
+            "tests/test_construct.py::test_nontwisting_determined_coefficient")),
     # the projective flatness invariant: Liouville's closed form
     Mutant("liouville_a2_a1y_dropped", "src/asdnull/projective.py",
            " + A2 * A1y",

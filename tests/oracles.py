@@ -328,3 +328,104 @@ def tree_flatness_invariant(p) -> Expr:
     inv = (ddx(ddx(F11)) - 4 * ddx(F01) - F1 * ddx(F11)
            + 4 * F1 * F01 - 3 * F0 * F11 + 6 * F00)
     return Expr(sp.expand(inv))
+
+
+def tree_liouville_invariant(p) -> Expr:
+    """2 L_a lam + 2 L_b with Liouville's two relative invariants of
+    y'' = A0 + A1 y' + A2 y'^2 + A3 y'^3, differentiated on trees."""
+    x, y = (sp.Symbol(n) for n in p.chart2)
+    lam = sp.Symbol(FIBRE)
+    A0, A1, A2, A3 = (Expr(a).sym for a in p.A)
+
+    def d(a, *vs):
+        return sp.diff(a, *vs)
+
+    La = (d(A1, y, y) - 2 * d(A2, x, y) + 3 * d(A3, x, x) - 3 * A0 * d(A3, y)
+          + 3 * A1 * d(A3, x) + A2 * d(A1, y) - 2 * A2 * d(A2, x) - 6 * A3 * d(A0, y)
+          + 3 * A3 * d(A1, x))
+    Lb = (3 * d(A0, y, y) - 2 * d(A1, x, y) + d(A2, x, x) - 3 * A0 * d(A2, y)
+          + 6 * A0 * d(A3, x) + 2 * A1 * d(A1, y) - A1 * d(A2, x) - 3 * A2 * d(A0, y)
+          + 3 * A3 * d(A0, x))
+    return Expr(2 * La * lam + 2 * Lb)
+
+
+# -- the builders ------------------------------------------------------------------------
+
+_x, _y, _z = sp.symbols("x y z")
+_T, _X, _Y, _Z = sp.symbols("T X Y Z")
+
+
+def _tree_cubic(a) -> sp.Expr:
+    return a[0] + _z * a[1] + _z**2 * a[2] + _z**3 * a[3]
+
+
+def tree_nontwisting_a0(p) -> sp.Expr:
+    """A0 = beta_x + beta beta_y - beta A1 - beta^2 A2 - beta^3 A3."""
+    b, A1, A2, A3 = (Expr(p[k]).sym for k in ("beta", "A1", "A2", "A3"))
+    return sp.diff(b, _x) + b * sp.diff(b, _y) - b * A1 - b**2 * A2 - b**3 * A3
+
+
+def tree_sparling_w0(H) -> sp.Expr:
+    """W0 = H(u, v)/(YT - ZX)^3 at u = Y/(YT - ZX), v = Z/(YT - ZX)."""
+    s = _Y * _T - _Z * _X
+    return sp.cancel(Expr(H).substitute({"u": Expr(_Y / s), "v": Expr(_Z / s)}).sym / s**3)
+
+
+def tree_heavenly_hessian(theta) -> tuple:
+    """(Theta_XX, Theta_TX, Theta_TT)."""
+    ts = Expr(theta).sym
+    return sp.diff(ts, _X, 2), sp.diff(ts, _T, 1, _X, 1), sp.diff(ts, _T, 2)
+
+
+def tree_coframe(family: str, params) -> list:
+    """The rows theta^i_a of a builder family's coframe, as trees."""
+    p = {k: Expr(v).sym for k, v in params.items()}
+    if family == "nontwisting":
+        beta, A1, A2, A3, P, Q = (p[k] for k in ("beta", "A1", "A2", "A3", "P", "Q"))
+        D = Q - _z * A3
+        E = _z * (-sp.diff(beta, _y) + A1 + beta * A2 + beta**2 * A3)
+        Fz = _z * (A2 + 2 * beta * A3) + P
+        return [[1, 0, -D, 0], [0, -E, -Fz, 1], [0, 1, 0, 0], [0, -beta, 1, 0]]
+    if family == "twisting":
+        a, G = [p[k] for k in ("A0", "A1", "A2", "A3")], p["G"]
+        Gz = sp.diff(G, _z)
+        C = -Gz * a[2] - 2 * a[3] * (_z * Gz - G) + sp.diff(Gz, _y)
+        D = -Gz * a[3]
+        return [[1, -C, -D, 0], [0, -_tree_cubic(a), 0, 1], [0, sp.diff(G, _z, 2), 0, 0],
+                [0, -_z, 1, 0]]
+    if family == "fefferman":
+        ga, de, ro, si = (p[k] for k in ("gamma", "delta", "rho", "sigma"))
+        a = [p[k] for k in ("A0", "A1", "A2", "A3")]
+        C = -(_z + ga) * a[2] - 2 * a[3] * (_z**2 / 2 - de) + sp.diff(ga, _y) - ro
+        D = -(_z + ga) * a[3] - si
+        return [[1, -C, -D, 0], [0, -_tree_cubic(a), 0, 1], [0, 1, 0, 0], [0, -_z, 1, 0]]
+    if family == "ppwave":
+        return [[1, 0, -p["Q"], 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    if family == "sparling_tod":
+        W0 = tree_sparling_w0(params["H"])
+        return [[1, 0, -W0 * _Z * _Z, W0 * _Z * _Y], [0, 0, 0, 1],
+                [0, 1, -W0 * _Y * _Z, W0 * _Y * _Y], [0, 0, 1, 0]]
+    if family == "heavenly":
+        thXX, thTX, thTT = tree_heavenly_hessian(p["Theta"])
+        return [[1, 0, -thXX, -thTX], [0, 0, 0, 1], [0, 1, thTX, thTT], [0, 0, 1, 0]]
+    raise ValueError(f"no tree coframe for {family!r}")
+
+
+def tree_metric(rows) -> list:
+    """g = theta^00' theta^11' - theta^01' theta^10', symmetric products."""
+    return [[rows[0][a] * rows[3][b] + rows[0][b] * rows[3][a]
+             - rows[1][a] * rows[2][b] - rows[1][b] * rows[2][a] for b in R4] for a in R4]
+
+
+def tree_transport_residual(A0, A1, A2, A3, G) -> Expr:
+    """(d_x + z d_y + (A0 + z A1 + z^2 A2 + z^3 A3) d_z) G_zz."""
+    a = [Expr(v).sym for v in (A0, A1, A2, A3)]
+    H = sp.diff(Expr(G).sym, _z, 2)
+    return Expr(sp.diff(H, _x) + _z * sp.diff(H, _y) + _tree_cubic(a) * sp.diff(H, _z))
+
+
+def tree_heavenly_residual(theta) -> Expr:
+    """Theta_YT - Theta_ZX + Theta_TT Theta_XX - Theta_TX^2."""
+    ts = Expr(theta).sym
+    thXX, thTX, thTT = tree_heavenly_hessian(theta)
+    return Expr(sp.diff(ts, _Y, 1, _T, 1) - sp.diff(ts, _Z, 1, _X, 1) + thTT * thXX - thTX**2)

@@ -3,6 +3,8 @@ machinery."""
 
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -26,12 +28,15 @@ from asdnull.expr import (
     EvalError,
     Expr,
     ExprError,
+    Field,
     SampleConfig,
     evaluate,
     is_zero,
     is_zero_all,
+    normalize,
     parse,
 )
+from asdnull.cli import load_model
 from asdnull.spinor import petrov_classify, standard_tetrad, weyl_spinors
 from asdnull.tensor import (
     conformal_rescale,
@@ -40,9 +45,18 @@ from asdnull.tensor import (
     twist_three_form,
     weyl,
 )
+from oracles import (
+    tree_coframe,
+    tree_heavenly_residual,
+    tree_metric,
+    tree_nontwisting_a0,
+    tree_sparling_w0,
+    tree_transport_residual,
+)
 
 CFG = SampleConfig()
 R4 = range(4)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _rng_poly_xy(rng, degree=2):
@@ -304,3 +318,121 @@ def test_builder_input_validation():
         build_sparling_tod(parse("x*u"))
     with pytest.raises(ExprError):
         build_heavenly(parse("t"))
+
+
+# -- the builders in the field against their tree oracles ------------------------------
+
+x, y, z = sp.symbols("x y z")
+T, X, Y, Z = sp.symbols("T X Y Z")
+u, v = sp.symbols("u v")
+_LEAVES = {
+    "xy": (1 / (x + y + 1), 1 / (x**2 + 1), sp.exp(x * y - y), sp.sin(x), sp.exp(x)),
+    "XY": (1 / (X + Y + 1), sp.exp(X * Y - Y), sp.sin(X), sp.exp(X)),
+    "uv": (sp.exp(u), sp.sin(u), 1 / (u + v), sp.exp(u - v), 1 / (v + 1)),
+    "TXYZ": (sp.exp(X - Y), sp.sin(T), 1 / (X + 1), sp.exp(X)),
+}
+
+
+def _poly(rng, monomials, zero: float = 0.4) -> sp.Expr:
+    """0 (with probability `zero`), else a rational multiple of one of the
+    monomials."""
+    if rng.random() < zero:
+        return sp.S.Zero
+    return sp.Rational(rng.randint(-3, 3) or 1, rng.randint(1, 3)) * rng.choice(monomials)
+
+
+def _with_leaf(rng, inputs: list, leaves) -> list:
+    """The inputs with one of them multiplied by an exp, sin or denominator
+    leaf (a zero input gets the leaf alone)."""
+    k = rng.randrange(len(inputs))
+    leaf = rng.choice(leaves)
+    inputs[k] = inputs[k] * leaf if inputs[k] != 0 else leaf
+    return [Expr(t) for t in inputs]
+
+
+def _random_members(seed: int, per_family: int) -> list:
+    """Seeded members of the six builder families, each with one exp, sin or
+    denominator leaf; twisting's G_zz and Sparling-Tod's H are non-constant."""
+    rng = random.Random(seed)
+    xy = (1, x, y, x**2, x * y, y**2)
+    txyz = (T**2, X**3, T * Y, X * Z, T * X**2, X * Y * Z, T**2 * X)
+    out = []
+    for _ in range(per_family):
+        def polys(n):
+            return [_poly(rng, xy) for _ in range(n)]
+        G = (sp.Rational(rng.randint(1, 5), 2) * z**2 + _poly(rng, (x * z, y * z**3, z**3, x * y))
+             + rng.choice((0, 0, sp.exp(z * x - y) / x**2)))
+        out += [
+            build_nontwisting(*_with_leaf(rng, polys(6), _LEAVES["xy"])),
+            build_twisting(*_with_leaf(rng, polys(4) + [G], _LEAVES["xy"])),
+            build_fefferman_like(*_with_leaf(rng, polys(8), _LEAVES["xy"])),
+            build_ppwave(*_with_leaf(rng, [_poly(rng, (1, X, Y, X**2, X * Y, Y**3), 0)],
+                                     _LEAVES["XY"])),
+            build_sparling_tod(*_with_leaf(rng, [_poly(rng, (1, u, v, u * v), 0)
+                                                 + rng.choice((u, v))], _LEAVES["uv"])),
+            build_heavenly(*_with_leaf(rng, [_poly(rng, txyz, 0) + _poly(rng, txyz)],
+                                       _LEAVES["TXYZ"]))[0],
+        ]
+    return out
+
+
+def _check_builder(bg, metric: bool = True) -> int:
+    """The builder's coframe, A0, W0, residuals and (with `metric`) g are the
+    elements of the tree oracle's normal forms in g's field, and each
+    residual's zero verdict (kind, witness, value) is that of the tree's
+    normal form.  Returns the residuals checked."""
+    F, p = bg.g.field, bg.params
+    rows = tree_coframe(bg.family, p)
+    K = F.K
+
+    def element(t):
+        return F.element(normalize(sp.sympify(t)))
+
+    th = bg.tet.field_el("theta")
+    assert all(th[i][a] == element(rows[i][a]) for i in R4 for a in R4), (bg.family, p)
+    if metric:
+        g, gt = bg.g.el, tree_metric(rows)
+        assert all(g[a][b] == element(gt[a][b]) for a in R4 for b in range(a, 4)), p
+    pairs = []
+    if bg.family == "nontwisting":
+        assert F.up(bg.proj.A[0].el) == element(tree_nontwisting_a0(p)), p
+    if bg.family == "sparling_tod":
+        assert F.up(p["W0"].el) == element(tree_sparling_w0(p["H"])), p
+    if bg.family == "twisting":
+        inputs = [p[k] for k in ("A0", "A1", "A2", "A3", "G")]
+        ref = tree_transport_residual(*inputs)
+        pairs += [(bg.constraints[0][1], ref), (g_residual(*inputs), ref)]
+    if bg.family == "heavenly":
+        pairs.append((bg.constraints[0][1], tree_heavenly_residual(p["Theta"])))
+    for new, ref in pairs:  # g_residual's element is in a field of its own
+        # the view is normalize(normalize(t)): normalize is not idempotent on
+        # an exp of a sum with a negative part, and there the verdicts of the
+        # two normal forms share their kind and witness but may differ in
+        # the value's last digit
+        fixed, verdict, tree_verdict = normalize(ref.normal), is_zero(new, CFG), is_zero(ref, CFG)
+        assert sp.srepr(Field.view(new.el)) == sp.srepr(fixed), (bg.family, p)
+        if sp.srepr(fixed) != sp.srepr(ref.normal):
+            assert verdict.kind == tree_verdict.kind, (bg.family, p)
+            assert verdict.witness == tree_verdict.witness, (bg.family, p)
+            tree_verdict = is_zero(Expr(fixed), CFG)
+        assert verdict == tree_verdict, (bg.family, p)
+    assert F.K is K
+    return len(pairs)
+
+
+def test_builders_match_tree_oracle(corpus):
+    """Every builder computes in its metric's field what the tree oracles
+    compute with sp.diff, sp.cancel and normalize: on the corpus, on the
+    builder models and on 30 seeded members of each family, with exp, sin
+    and denominator leaves and a non-constant Sparling-Tod H."""
+    geometries = list(corpus.values())
+    geometries += [m.geometry for m in map(load_model, sorted(MODELS.glob("*.json")))
+                   if m.kind == "builder"]
+    members = _random_members(seed=16, per_family=30)
+    # g is the coframe's symmetric product in the field: its tree check runs
+    # on the corpus and the models, the coframe's on every member
+    residuals = sum(_check_builder(bg) for bg in geometries)
+    residuals += sum(_check_builder(bg, metric=False) for bg in members)
+    families = Counter(bg.family for bg in members)
+    assert min(families.values()) >= 30 and len(families) == 6, families
+    assert residuals >= 2 * 30 + 30

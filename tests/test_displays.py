@@ -98,8 +98,7 @@ def _lazy_results(bg):
     yield from (("reconstruction", e) for e in tet.reconstruction_residuals())
     for a in range(4):
         for b in range(4):
-            if g[a, b].el is not None:  # not a display kept as normalize(tree)
-                yield "g", g[a, b]
+            yield "g", g[a, b]
     if K is not None:
         res, eta = conformal_killing_residuals(g, K)
         yield from (("conformal_killing", e) for e in (*res, eta))
@@ -131,14 +130,12 @@ def test_lazy_displays_and_verdicts_match_the_eager_views(corpus):
         assert len(trees) == 2 * 4 * 2 * 2 + 4**3  # Gamma_u, Gamma_p, nab
         assert all(sp.srepr(s) == sp.srepr(Field.view(el)) for s, el in zip(trees, els)), name
         th = tet.field_el("theta")
-        for i, w in enumerate(tet._coframe):
+        for i in range(4):
             for a in range(4):
-                if w[a].el is not None:  # not a display kept as normalize(tree)
-                    assert sp.srepr(tet.theta[i][a]) == sp.srepr(Field.view(th[i][a])), name
+                assert sp.srepr(tet.theta[i][a]) == sp.srepr(Field.view(th[i][a])), name
         for a in range(4):
             for b in range(4):
-                if g[a, b].el is not None:
-                    assert sp.srepr(g.comps[a][b]) == sp.srepr(Field.view(g.el[a][b])), name
+                assert sp.srepr(g.comps[a][b]) == sp.srepr(Field.view(g.el[a][b])), name
 
 
 def _flat(obj) -> list:
