@@ -472,10 +472,20 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _sample_config(args) -> SampleConfig:
+    """The sampling options; a value SampleConfig rejects names its option."""
+    for option, value in (("--points", {"count": args.points}), ("--tol", {"tolerance": args.tol})):
+        try:
+            SampleConfig(**value)
+        except ExprError as ex:
+            raise InputError(f"{option}: {ex}") from None
+    return SampleConfig(count=args.points, seed=args.seed, tolerance=args.tol)
+
+
 def run(argv) -> int:
     args = make_parser().parse_args(argv)
-    cfg = SampleConfig(count=args.points, seed=args.seed, tolerance=args.tol)
     try:
+        cfg = _sample_config(args)
         model = load_model(args.model)
         checks = COMMANDS[args.command](model, args, cfg)
     except (InputError, ExprError, EvalError) as ex:

@@ -7,7 +7,11 @@ A builder folds its parsed inputs once into a new field over its chart and
 the fibre (`expr.Field`) and computes everything else there, by `Field.diff`
 and field arithmetic: the coframe, g as the coframe's symmetric product, the
 nontwisting A0, the Sparling-Tod W0 and the transport and heavenly residuals.
-Every display is its element's view, made on first read."""
+The stages on a built geometry stay in fields too: the heavenly Sigma
+two-forms are wedges of the coframe's elements (`_wedge_el`), the
+Sigma-pullback residuals compute in a field of their own over the chart and
+(pi0, pi1), and the Fefferman type-N conditions in g's field.  Every display
+is its element's view, made on first read."""
 
 from __future__ import annotations
 
@@ -43,7 +47,6 @@ from .tensor import (
     OneForm,
     TwoForm,
     VectorField,
-    wedge,
 )
 
 __all__ = [
@@ -330,12 +333,16 @@ def fefferman_typeN_check(bg: BuiltGeometry, cfg: SampleConfig = SampleConfig(),
     otherwise type III (or O in degenerate corners)."""
     if bg.family != "fefferman":
         raise ExprError("type-N check applies to the Fefferman-like builder")
-    p = bg.params
-    ga, de, ro, si = (p[k] for k in ("gamma", "delta", "rho", "sigma"))
-    a1, a2, a3 = (p[k] for k in ("A1", "A2", "A3"))
-    c1 = ga * a3 + si - a2 / 3
-    c2 = ga * a2 - 2 * a3 * de - ga.diff("y") + ro - 2 * a1 / 3
-    conditions = is_zero_all([c1, c2], cfg)
+    F, trees = bg.g.field, _trees("fefferman", bg.params)
+
+    def compute():
+        p = _inputs(F, "fefferman", trees)
+        ga, de, ro, si = (p[k] for k in ("gamma", "delta", "rho", "sigma"))
+        a1, a2, a3 = (p[k] for k in ("A1", "A2", "A3"))
+        return (ga * a3 + si - a2 / 3,
+                ga * a2 - 2 * a3 * de - F.diff(ga, _y) + ro - 2 * a1 / 3)
+
+    conditions = is_zero_all([F.expr(c) for c in F.run(compute)], cfg)
     cu, _ = weyl_spinors(bg.g, bg.tet)
     pts = classification_points(cu, cfg, points)
     consensus, _, mixed = petrov_classify_samples(cu, pts)
@@ -436,17 +443,26 @@ def heavenly_two_forms(theta) -> tuple[TwoForm, TwoForm, TwoForm]:
     """The covariantly constant self-dual two-forms
     Sigma^{0'0'} = theta^00' ^ theta^10',
     Sigma^{0'1'} = (theta^00' ^ theta^11' + theta^01' ^ theta^10')/2,
-    Sigma^{1'1'} = theta^01' ^ theta^11'."""
+    Sigma^{1'1'} = theta^01' ^ theta^11', as elements of the metric's field."""
     bg, _ = build_heavenly(theta)
-    return _sigma_forms(bg.tet)
+    return tuple(TwoForm(bg.g.chart, el=s) for s in _sigma_el(bg.tet.field_el("theta")))
 
 
-def _sigma_forms(tet: NullTetrad) -> tuple[TwoForm, TwoForm, TwoForm]:
-    th = [OneForm(tet.chart, tet.theta[i]) for i in range(4)]
-    s00 = wedge(th[0], th[2])
-    s01 = (wedge(th[0], th[3]) + wedge(th[1], th[2])) * Expr(sp.Rational(1, 2))
-    s11 = wedge(th[1], th[3])
-    return s00, s01, s11
+def _wedge_el(a: list, b: list) -> list:
+    """(a ^ b)_cd = a_c b_d - a_d b_c of two one-forms' field elements."""
+    return [[a[c] * b[d] - a[d] * b[c] for d in range(4)] for c in range(4)]
+
+
+def _sigma_el(th: list) -> tuple:
+    """(Sigma^{0'0'}, Sigma^{0'1'}, Sigma^{1'1'}) from the coframe's rows."""
+    w03, w12 = _wedge_el(th[0], th[3]), _wedge_el(th[1], th[2])
+    s01 = [[(w03[c][d] + w12[c][d]) / 2 for d in range(4)] for c in range(4)]
+    return _wedge_el(th[0], th[2]), s01, _wedge_el(th[1], th[3])
+
+
+def _combination(terms) -> list:
+    """sum of f M over the (M, f) terms, entry by entry."""
+    return [[sum(M[c][d] * f for M, f in terms) for d in range(4)] for c in range(4)]
 
 
 def endomorphism_check(theta, cfg: SampleConfig = SampleConfig()) -> Verdict:
@@ -461,29 +477,20 @@ def heavenly_endomorphism_check(bg: BuiltGeometry,
     """endomorphism_check on an already built heavenly geometry."""
     F = bg.g.field
     ginv = bg.g._inverse_el()
-    th = bg.tet.field_el("theta")
+    s00, s01, s11 = _sigma_el(bg.tet.field_el("theta"))
     R4 = range(4)
-
-    def wedge_el(i, j):
-        return [[th[i][a] * th[j][b] - th[i][b] * th[j][a] for b in R4] for a in R4]
 
     def matmul(A, B):
         return [[sum((A[a][c] * B[c][b] for c in R4 if A[a][c]), F.K.zero) for b in R4]
                 for a in R4]
 
-    def endo(*forms):
-        return matmul(ginv, [[sum((f[a][b] * s for f, s in forms), F.K.zero) for b in R4]
-                             for a in R4])
-
-    s00, s11 = wedge_el(0, 2), wedge_el(1, 3)
-    R = endo((s00, 1), (s11, -1))
-    Iend = endo((s00, 1), (s11, 1))
-    S = endo((wedge_el(0, 3), 1), (wedge_el(1, 2), 1))  # 2 Sigma^{0'1'}
-    residuals = []
-    for M, sign in ((matmul(R, R), 1), (matmul(Iend, Iend), -1), (matmul(S, S), 1),
-                    (matmul(Iend, matmul(R, S)), 1)):
-        residuals += [F.expr(sign * M[a][b] - (1 if a == b else 0)) for a in R4 for b in R4]
-    return is_zero_all(residuals, cfg)
+    R = matmul(ginv, _combination([(s00, 1), (s11, -1)]))
+    Iend = matmul(ginv, _combination([(s00, 1), (s11, 1)]))
+    S = matmul(ginv, _combination([(s01, 2)]))
+    squares = ((matmul(R, R), 1), (matmul(Iend, Iend), -1), (matmul(S, S), 1),
+               (matmul(Iend, matmul(R, S)), 1))
+    return is_zero_all([F.expr(sign * M[a][b] - (a == b))
+                        for M, sign in squares for a in R4 for b in R4], cfg)
 
 
 def sigma_pullback_residuals(theta) -> list[Expr]:
@@ -496,21 +503,23 @@ def sigma_pullback_residuals(theta) -> list[Expr]:
 
 
 def heavenly_sigma_pullback_residuals(bg: BuiltGeometry) -> list[Expr]:
-    """sigma_pullback_residuals on an already built heavenly geometry."""
-    chart = bg.g.chart
-    pi0, pi1 = sp.symbols("pi0 pi1")
-    s00, s01, s11 = _sigma_forms(bg.tet)
-    sigma = (s00 * Expr(pi0**2) + s01 * Expr(2 * pi0 * pi1) + s11 * Expr(pi1**2))
-    F, th = bg.g.field, bg.params["Theta"].sym
-    qt = F.expr(F.run(lambda: -_heavenly_hessian(F, F.fold(th))[0]))
-    dT = OneForm(chart, [1, 0, 0, 0])
-    dX = OneForm(chart, [0, 1, 0, 0])
-    dY = OneForm(chart, [0, 0, 1, 0])
-    dZ = OneForm(chart, [0, 0, 0, 1])
-    template = (
-        (wedge(dT, dX) + wedge(dY, dX) * qt) * Expr(pi0**2)
-        + (wedge(dT, dY) - wedge(dX, dZ)) * Expr(pi0 * pi1)
-        + wedge(dZ, dY) * Expr(pi1**2)
-    )
-    diff = sigma - template
-    return [diff[a, b] for a in range(4) for b in range(a + 1, 4)]
+    """sigma_pullback_residuals on an already built heavenly geometry,
+    computed in a field of its own over the chart and (pi0, pi1), so g's
+    field does not grow."""
+    pis = sp.symbols("pi0 pi1")
+    th = bg.params["Theta"].sym
+    F = Field(bg.g.chart.syms + pis, [th])
+
+    def compute():
+        p = {"Theta": F.fold(th)}
+        s00, s01, s11 = _sigma_el(_heavenly_coframe(F, p))
+        qt = -_heavenly_hessian(F, p["Theta"])[0]
+        a, b = map(F.fold, pis)
+        dT, dX, dY, dZ = _rows(F, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+        diff = _combination([  # Sigma(pi) minus the template
+            (s00, a * a), (s01, 2 * a * b), (s11, b * b),
+            (_wedge_el(dT, dX), -a * a), (_wedge_el(dY, dX), -qt * a * a),
+            (_wedge_el(dT, dY), -a * b), (_wedge_el(dX, dZ), a * b), (_wedge_el(dZ, dY), -b * b)])
+        return [diff[c][d] for c in range(4) for d in range(c + 1, 4)]
+
+    return [F.expr(r) for r in F.run(compute)]

@@ -393,7 +393,8 @@ class Field:
     each once per field.  Every display is the element's view: one display
     rule, also where normalize is not idempotent on an input (`convert`).
     The field grows when an input carries a gen it lacks, and `up` moves
-    older elements into it."""
+    older elements into it by placing their polynomials over the new gens,
+    with no view and no second normalization of a leaf."""
 
     def __init__(self, symbols: Iterable[sp.Symbol] = (), trees: Iterable[sp.Expr] = ()):
         self._gens: set = set()
@@ -478,25 +479,24 @@ class Field:
         return g, 1
 
     def _placed(self, gens: tuple, polys) -> _El:
-        """The element of num/den polynomials over `gens`, placed monomial by
-        monomial into the field's ring."""
-        slots = []
-        for g in gens:
-            if g not in self._gens:
-                raise _Unplaced
-            base, k = self._shared(g)
-            slots.append((self._index[base], k))
-        out = []
-        for p in polys:
-            d = {}
-            for monom, coeff in p.items():
-                e = [0] * self.K.ngens
-                for (i, k), j in zip(slots, monom):
-                    e[i] += k * j
-                e = tuple(e)
-                d[e] = d.get(e, 0) + coeff
-            out.append(d)
-        return self.K.quotient(*out)
+        """The element of num/den polynomials over `gens`."""
+        if any(g not in self._gens for g in gens):
+            raise _Unplaced
+        return self.K.quotient(*(self._moved(p, gens) for p in polys))
+
+    def _moved(self, p, gens: tuple) -> dict:
+        """The coefficient map of a polynomial over `gens`, placed monomial by
+        monomial into the field's ring: an exp gen is a power of the shared
+        gen exp(m/q)."""
+        slots = [(self._index[base], k) for base, k in map(self._shared, gens)]
+        d = {}
+        for monom, coeff in p.items():
+            e = [0] * self.K.ngens
+            for (i, k), j in zip(slots, monom):
+                e[i] += k * j
+            e = tuple(e)
+            d[e] = d.get(e, 0) + coeff
+        return d
 
     # -- conversion ---------------------------------------------------------------
 
@@ -593,12 +593,22 @@ class Field:
         return [self.convert(s) for s in trees]
 
     def up(self, obj):
-        """Elements (nested in lists or tuples) moved into the current field."""
+        """Elements (nested in lists or tuples) moved into the current field:
+        an older element's numerator and base polynomials are placed over the
+        current gens (`_moved`), so no view is made and no leaf normalized."""
         if isinstance(obj, (list, tuple)):
             return type(obj)(self.up(v) for v in obj)
-        if obj.field is self.K:
+        old, K = obj.field, self.K
+        if old is K:
             return obj
-        return self.fold(self.view(obj))
+
+        def placed(p) -> _El:
+            return K.new(Fraction(1), K.ring.from_dict(self._moved(p, old.symbols)), {})
+
+        out = placed(obj.num) * obj.c
+        for i, k in obj.e.items():
+            out = out / placed(old.base[i]) ** k
+        return out
 
     @staticmethod
     def view(el: _El) -> sp.Expr:
@@ -1262,9 +1272,17 @@ def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
 
 @dataclass(frozen=True)
 class SampleConfig:
+    """How `is_zero` samples; count < 1 or a negative, inf or nan tolerance raises."""
+
     count: int = 50
     seed: int = 0
     tolerance: float = 1e-10
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ExprError(f"sample count must be at least 1, got {self.count}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ExprError(f"tolerance must be finite and non-negative, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

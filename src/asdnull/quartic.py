@@ -71,8 +71,10 @@ def _exact_structure(coeffs: list[Fraction]) -> RootStructure:
 
 # -- numeric fallback -----------------------------------------------------------
 
+TOL = 1e-8  # relative: a smaller leading coefficient drops, closer roots cluster
 
-def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
+
+def _numeric_structure(coeffs: list[float]) -> RootStructure:
     import numpy as np  # here, not at module level, so importing asdnull skips numpy
 
     arr = np.array(coeffs, dtype=float)  # ascending
@@ -81,7 +83,7 @@ def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
         return RootStructure((), (), (), is_zero=True)
     arr = arr / scale
     lead = 4
-    while lead >= 0 and abs(arr[lead]) <= tol:
+    while lead >= 0 and abs(arr[lead]) <= TOL:
         lead -= 1
     inf_mult = 4 - lead
     partition: list[int] = []
@@ -100,7 +102,7 @@ def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
             cluster = [r]
             used[i] = True
             for j in range(i + 1, len(roots)):
-                if not used[j] and abs(roots[j] - r) <= tol * max(1.0, abs(r)):
+                if not used[j] and abs(roots[j] - r) <= TOL * max(1.0, abs(r)):
                     cluster.append(roots[j])
                     used[j] = True
             clusters.append(cluster)
@@ -110,7 +112,7 @@ def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
                 continue
             center = np.mean(cluster)
             mult = len(cluster)
-            if abs(center.imag) <= tol * max(1.0, abs(center)):
+            if abs(center.imag) <= TOL * max(1.0, abs(center)):
                 partition.append(mult)
                 real.append(mult)
             else:
@@ -118,7 +120,7 @@ def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
                     if jdx in seen_conjugate:
                         continue
                     other = np.mean(clusters[jdx])
-                    if abs(other - np.conj(center)) <= tol * max(1.0, abs(center)):
+                    if abs(other - np.conj(center)) <= TOL * max(1.0, abs(center)):
                         seen_conjugate.add(jdx)
                         break
                 partition.extend([mult, mult])
@@ -130,10 +132,10 @@ def _numeric_structure(coeffs: list[float], tol: float = 1e-8) -> RootStructure:
     )
 
 
-def quartic_root_structure(coeffs, tol: float = 1e-8) -> RootStructure:
+def quartic_root_structure(coeffs) -> RootStructure:
     """coeffs ascending [c0..c4] for c0 + c1 x + ... + c4 x^4, Fractions or floats."""
     if len(coeffs) != 5:
         raise ValueError("expected five coefficients c0..c4")
     if all(isinstance(c, (int, Fraction)) for c in coeffs):
         return _exact_structure([Fraction(c) for c in coeffs])
-    return _numeric_structure([float(c) for c in coeffs], tol)
+    return _numeric_structure([float(c) for c in coeffs])

@@ -97,8 +97,7 @@ class NullTetrad:
     normal forms, made on first read.  A coframe whose one-forms hold their
     elements (a builder's, converted with g) is not converted again."""
 
-    def __init__(self, g: Metric, coframe: list[OneForm], validate: bool = True,
-                 cfg: SampleConfig = SampleConfig()):
+    def __init__(self, g: Metric, coframe: list[OneForm]):
         if len(coframe) != 4:
             raise ExprError("a tetrad needs four one-forms")
         self.g = g
@@ -116,10 +115,8 @@ class NullTetrad:
         self._frame_el = [[adj[a][i] / det for a in _R] for i in _R]
         self._coeff_cache: dict = {}
         self._el: dict = {}  # field elements behind the memoized coefficients
-        if validate:
-            v = self.reconstruction_verdict(cfg)
-            if not v.is_zero():
-                raise ExprError(f"tetrad does not reconstruct the metric: {v}")
+        if not (v := self.reconstruction_verdict()).is_zero():
+            raise ExprError(f"tetrad does not reconstruct the metric: {v}")
 
     @property
     def theta(self) -> list:
@@ -405,25 +402,24 @@ def _spin_coefficients(g: Metric, tet: NullTetrad):
 # -- Petrov classification -----------------------------------------------------------
 
 
-def petrov_classify(w: WeylSpinor, at: Assignment | dict,
-                    tol: float = 1e-8) -> PetrovType:
+def petrov_classify(w: WeylSpinor, at: Assignment | dict) -> PetrovType:
     """Type of the quartic (1,x)^4 . C at a point, projectively."""
     at = at if isinstance(at, Assignment) else Assignment(at)
     vals = [evaluate(c, at) for c in w.psi]
     structure = quartic_root_structure(
-        [vals[0], 4 * vals[1], 6 * vals[2], 4 * vals[3], vals[4]], tol)
+        [vals[0], 4 * vals[1], 6 * vals[2], 4 * vals[3], vals[4]])
     if structure.is_zero:
         return PetrovType("O", structure)
     return PetrovType(petrov_type_from_partition(structure.partition), structure)
 
 
-def petrov_classify_samples(w: WeylSpinor, points: list[Assignment],
-                            tol: float = 1e-8) -> tuple[str, list[PetrovType], bool]:
+def petrov_classify_samples(w: WeylSpinor,
+                            points: list[Assignment]) -> tuple[str, list[PetrovType], bool]:
     """Pointwise types plus the consensus type; flag when points disagree."""
     results = []
     for pt in points:
         try:
-            results.append(petrov_classify(w, pt, tol))
+            results.append(petrov_classify(w, pt))
         except POINT_ERRORS:
             continue
     if not results:

@@ -1,5 +1,5 @@
 """Coordinate tensor calculus on a 4D chart: curvature, Lie derivatives,
-exterior algebra, conformal rescaling.
+the twist three-form, conformal rescaling.
 
 Everything is dense and exact; metrics memoize their inverse and curvature so
 repeated queries share work.  The coordinate curvature chain (det, inverse,
@@ -7,7 +7,8 @@ Christoffels, Riemann, Ricci, Weyl) computes in one sparse fraction field per
 metric (`expr.Field`); components are shown as sympy normal forms and exposed
 as Expr at the API boundary.  A metric with a tetrad takes its curvature from
 the coframe instead (`frame`), so this chain serves metrics without one,
-`weyl_mixed` and the tests' independent checks.
+`weyl_mixed` and the tests' independent checks.  The form classes hold
+components and define no arithmetic; wedges are taken on field elements.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "twist_three_form",
     "vector_norm",
     "conformal_rescale",
-    "wedge",
 ]
 
 _R = range(4)
@@ -176,26 +176,14 @@ class VectorField(TensorField):
 
 
 class OneForm(TensorField):
+    """Rank-1 covariant tensor.  Forms define no arithmetic: they combine as
+    field elements (`construct._wedge_el`)."""
+
     def __init__(self, chart: Chart, comps=None, el: list | None = None,
                  shown: list | None = None):
         chart.require_dim(4)
         super().__init__(chart, "l", None if comps is None else [_sym(c) for c in comps],
                          el, shown)
-
-    def __call__(self, v: VectorField) -> Expr:
-        return Expr(sum(self.comps[a] * v.comps[a] for a in _R))
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.chart, [self.comps[a] + other.comps[a] for a in _R])
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.chart, [self.comps[a] - other.comps[a] for a in _R])
-
-    def __mul__(self, f) -> "OneForm":
-        s = _sym(f)
-        return OneForm(self.chart, [self.comps[a] * s for a in _R])
-
-    __rmul__ = __mul__
 
 
 def _entered(F: Field, forms: list[OneForm]) -> list[OneForm]:
@@ -209,33 +197,17 @@ def _entered(F: Field, forms: list[OneForm]) -> list[OneForm]:
 class TwoForm(TensorField):
     """Antisymmetric rank-2 covariant tensor."""
 
-    def __init__(self, chart: Chart, comps=None, el: list | None = None):
+    def __init__(self, chart: Chart, el: list):
         chart.require_dim(4)
-        super().__init__(chart, "ll", [[_sym(comps[a][b]) for b in _R] for a in _R]
-                         if el is None else None, el)
-
-    def __add__(self, other):
-        return TwoForm(self.chart,
-                       [[self.comps[a][b] + other.comps[a][b] for b in _R] for a in _R])
-
-    def __sub__(self, other):
-        return TwoForm(self.chart,
-                       [[self.comps[a][b] - other.comps[a][b] for b in _R] for a in _R])
-
-    def __mul__(self, f):
-        s = _sym(f)
-        return TwoForm(self.chart, [[self.comps[a][b] * s for b in _R] for a in _R])
-
-    __rmul__ = __mul__
+        super().__init__(chart, "ll", el=el)
 
 
 class ThreeForm(TensorField):
     """Totally antisymmetric rank-3; stored dense, built from 4 independent comps."""
 
-    def __init__(self, chart: Chart, comps=None, el: list | None = None):
+    def __init__(self, chart: Chart, el: list):
         chart.require_dim(4)
-        super().__init__(chart, "lll", [[[_sym(comps[a][b][c]) for c in _R] for b in _R]
-                                        for a in _R] if el is None else None, el)
+        super().__init__(chart, "lll", el=el)
 
     def independent_components(self) -> dict[tuple[int, int, int], Expr]:
         return {(a, b, c): self[a, b, c]
@@ -330,15 +302,6 @@ class Metric:
     def scale(self, omega) -> "Metric":
         w = _sym(omega)
         return Metric(self.chart, [[self.comps[a][b] * w for b in _R] for a in _R])
-
-
-# -- 1-form algebra helpers -------------------------------------------------------
-
-
-def wedge(f1: OneForm, f2: OneForm) -> TwoForm:
-    return TwoForm(f1.chart,
-                   [[f1.comps[a] * f2.comps[b] - f1.comps[b] * f2.comps[a]
-                     for b in _R] for a in _R])
 
 
 # -- curvature ----------------------------------------------------------------------

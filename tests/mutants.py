@@ -113,10 +113,6 @@ MUTANTS = (
            "                raise EvalError(\"division by zero at the point\")\n",
            "",
            ("tests/test_spinor.py::test_field_evaluation_edges",)),
-    Mutant("eval_current_field_gens", "src/asdnull/spinor.py",
-           "    vals = [evaluate(c, at) for c in w.psi]\n",
-           "    vals = [evaluate(w.field.expr(c), at) for c in w.field.up(w.el)]\n",
-           ("tests/test_spinor.py::test_field_evaluation_of_an_element_older_than_its_field",)),
     Mutant("eval_exponent_ignored", "src/asdnull/expr.py",
            "powers[i] = [n**e * q**(d - e) for e in range(d + 1)]",
            "powers[i] = [n * q**(d - e) for e in range(d + 1)]",
@@ -245,6 +241,35 @@ MUTANTS = (
            ("tests/test_projective.py::test_flatness_invariant_matches_tree_oracle",
             "tests/test_projective.py::test_flatness_nonzero_witness",
             "tests/test_projective.py::test_flatness_constant_coefficients_regression")),
+    # elements stay elements: the heavenly Sigma stage, the type-N conditions
+    # and Field.up placing an older element's polynomials
+    Mutant("sigma01_half_dropped", "src/asdnull/construct.py",
+           "(w03[c][d] + w12[c][d]) / 2",
+           "(w03[c][d] + w12[c][d])",
+           ("tests/test_construct.py::test_sigma_stage_matches_tree_oracle",
+            "tests/test_construct.py::test_heavenly_two_forms_and_algebra",
+            "tests/test_cli.py::test_heavenly_command",
+            "tests/test_acceptance.py::test_criterion_6_heavenly_consistency")),
+    Mutant("template_qt_sign", "src/asdnull/construct.py",
+           "qt = -_heavenly_hessian(F, p[\"Theta\"])[0]",
+           "qt = _heavenly_hessian(F, p[\"Theta\"])[0]",
+           ("tests/test_construct.py::test_sigma_stage_matches_tree_oracle",
+            "tests/test_construct.py::test_heavenly_two_forms_and_algebra",
+            "tests/test_cli.py::test_report_all_matches_recorded_report")),
+    Mutant("typeN_gamma_y_sign", "src/asdnull/construct.py",
+           "- F.diff(ga, _y) + ro",
+           "+ F.diff(ga, _y) + ro",
+           ("tests/test_construct.py::test_fefferman_conditions_match_tree_route",)),
+    Mutant("up_exp_rescale_dropped", "src/asdnull/expr.py",
+           "e[i] += k * j",
+           "e[i] += j",
+           ("tests/test_expr.py::test_up_moves_elements_without_a_view",
+            "tests/test_expr.py::test_field_grows_and_moves_old_elements",
+            "tests/test_expr.py::test_conversion_matches_normalize_on_random_trees")),
+    Mutant("up_base_exponent_dropped", "src/asdnull/expr.py",
+           "out = out / placed(old.base[i]) ** k",
+           "out = out / placed(old.base[i])",
+           ("tests/test_expr.py::test_up_moves_elements_without_a_view",)),
     # displays on first read: the zero element's shortcut and the lazy views
     Mutant("zero_shortcut_accepts_nonzero", "src/asdnull/expr.py",
            "    if e.el is not None and not e.el:\n",

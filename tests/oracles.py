@@ -6,6 +6,7 @@ elements become trees with `.as_expr()`.  A fault in the fraction field
 therefore cannot cancel against the same fault in its check.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -429,3 +430,80 @@ def tree_heavenly_residual(theta) -> Expr:
     ts = Expr(theta).sym
     thXX, thTX, thTT = tree_heavenly_hessian(theta)
     return Expr(sp.diff(ts, _Y, 1, _T, 1) - sp.diff(ts, _Z, 1, _X, 1) + thTT * thXX - thTX**2)
+
+
+# -- the heavenly Sigma stage and the Fefferman type-N conditions -------------------
+
+
+def tree_wedge(a, b) -> list:
+    """(a ^ b)_cd = a_c b_d - a_d b_c of two one-forms' components."""
+    return [[a[c] * b[d] - a[d] * b[c] for d in R4] for c in R4]
+
+
+def tree_sigma_forms(theta) -> tuple:
+    """(Sigma^{0'0'}, Sigma^{0'1'}, Sigma^{1'1'}) over the coframe rows theta:
+    theta^00' ^ theta^10', (theta^00' ^ theta^11' + theta^01' ^ theta^10')/2
+    and theta^01' ^ theta^11'."""
+    w03, w12 = tree_wedge(theta[0], theta[3]), tree_wedge(theta[1], theta[2])
+    s01 = [[(w03[c][d] + w12[c][d]) * sp.Rational(1, 2) for d in R4] for c in R4]
+    return tree_wedge(theta[0], theta[2]), s01, tree_wedge(theta[1], theta[3])
+
+
+def _combination(*terms) -> list:
+    return [[sum(M[c][d] * f for M, f in terms) for d in R4] for c in R4]
+
+
+def tree_sigma_pullback_residuals(theta, Theta) -> list[Expr]:
+    """Sigma(pi) = Sigma^{A'B'} pi_A' pi_B' over the coframe rows theta, minus
+    the template pi0^2 (dT^dX + Qt dY^dX) + pi0 pi1 (dT^dY - dX^dZ)
+    + pi1^2 dZ^dY with Qt = -Theta_XX, above the diagonal."""
+    pi0, pi1 = sp.symbols("pi0 pi1")
+    s00, s01, s11 = tree_sigma_forms(theta)
+    qt = -tree_heavenly_hessian(Theta)[0]
+    dT, dX, dY, dZ = ([int(i == a) for a in R4] for i in R4)
+    sigma = _combination((s00, pi0**2), (s01, 2 * pi0 * pi1), (s11, pi1**2))
+    template = _combination(
+        (tree_wedge(dT, dX), pi0**2), (tree_wedge(dY, dX), qt * pi0**2),
+        (tree_wedge(dT, dY), pi0 * pi1), (tree_wedge(dX, dZ), -pi0 * pi1),
+        (tree_wedge(dZ, dY), pi1**2))
+    return [Expr(sp.sympify(sigma[c][d] - template[c][d])) for c in R4 for d in range(c + 1, 4)]
+
+
+_SLOTS = [[sp.Dummy(f"theta{i}{a}") for a in R4] for i in R4]
+
+
+def tree_endomorphism_residuals(theta) -> list[Expr]:
+    """R^2 - Id, -I^2 - Id, S^2 - Id and IRS - Id for R = g^-1 (Sigma^{0'0'}
+    - Sigma^{1'1'}), I = g^-1 (Sigma^{0'0'} + Sigma^{1'1'}) and
+    S = g^-1 2 Sigma^{0'1'}, with g and its inverse (adjugate over the
+    determinant) from the coframe rows theta, as sympy matrices.  Each entry
+    of theta that is not a number stands in as a symbol of its slot while the
+    matrices are formed and normalized, and is put back in the residuals."""
+    entries = [[sp.sympify(t) for t in row] for row in theta]
+    rows = tuple(tuple(t if t.is_number else _SLOTS[i][a] for a, t in enumerate(row))
+                 for i, row in enumerate(entries))
+    back = {_SLOTS[i][a]: t for i, row in enumerate(entries) for a, t in enumerate(row)}
+    return [Expr(normalize(e.xreplace(back))) for e in _endomorphism_residuals(rows)]
+
+
+@functools.lru_cache
+def _endomorphism_residuals(rows: tuple) -> tuple:
+    def normal(M):
+        return sp.Matrix(M).applyfunc(normalize)
+
+    g = normal(tree_metric(rows))
+    ginv = normal(g.adjugate() / normalize(g.det(method="berkowitz")))
+    s00, s01, s11 = map(normal, tree_sigma_forms(rows))
+    R, I, S = normal(ginv * (s00 - s11)), normal(ginv * (s00 + s11)), normal(ginv * 2 * s01)
+    Id = sp.eye(4)
+    return tuple(normalize(e) for M in (R * R - Id, -I * I - Id, S * S - Id,
+                                        I * normal(R * S) - Id) for e in M)
+
+
+def tree_fefferman_conditions(p) -> list[Expr]:
+    """The Fefferman-like metric's type-N conditions gamma A3 + sigma - A2/3
+    and gamma A2 - 2 A3 delta - gamma_y + rho - 2 A1/3."""
+    ga, de, ro, si, a1, a2, a3 = (Expr(p[k]).sym for k in
+                                  ("gamma", "delta", "rho", "sigma", "A1", "A2", "A3"))
+    return [Expr(ga * a3 + si - a2 / 3),
+            Expr(ga * a2 - 2 * a3 * de - sp.diff(ga, _y) + ro - 2 * a1 / 3)]

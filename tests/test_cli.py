@@ -181,6 +181,26 @@ def test_flat_metric_model_is_accepted(capsys, tmp_path):
     assert checks["scalar_curvature"]["value"] == "0"
 
 
+@pytest.mark.parametrize("option, value", [("--points", "0"), ("--points", "-3"),
+                                           ("--tol", "nan"), ("--tol", "inf")])
+def test_sampling_options_that_would_pass_anything_are_rejected(option, value, capsys,
+                                                                tmp_path):
+    """No sample points, or a tolerance that is not a finite non-negative
+    number, would report a nonzero Ricci tensor as sampled_zero: an input
+    error that names the option."""
+    g = [row[:] for row in FLAT_METRIC["g"]]
+    g[3][3] = "x^2*t"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "metric", "coordinates": FLAT_METRIC["coordinates"],
+                                "g": g}))
+    code, out = _run_capture(capsys, ["curvature", str(path)])
+    assert code == 1
+    assert {c["name"]: c for c in json.loads(out)["checks"]}["ricci_flat"]["verdict"] == "nonzero"
+    assert run(["curvature", str(path), option, value]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and f"error: {option}: " in captured.err
+
+
 def test_curvature_of_a_tetrad_that_reconstructs_only_at_samples(capsys, tmp_path):
     """theta theta has 1 - sin(t + y)^2 where g has cos(t + y)^2: the Ricci
     tensor and the scalar curvature are g's, as without a tetrad."""

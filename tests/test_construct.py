@@ -19,6 +19,8 @@ from asdnull.construct import (
     endomorphism_check,
     fefferman_typeN_check,
     g_residual,
+    heavenly_endomorphism_check,
+    heavenly_sigma_pullback_residuals,
     heavenly_two_forms,
     sigma_pullback_residuals,
     sparling_tod_transform,
@@ -47,9 +49,13 @@ from asdnull.tensor import (
 )
 from oracles import (
     tree_coframe,
+    tree_endomorphism_residuals,
+    tree_fefferman_conditions,
     tree_heavenly_residual,
     tree_metric,
     tree_nontwisting_a0,
+    tree_sigma_forms,
+    tree_sigma_pullback_residuals,
     tree_sparling_w0,
     tree_transport_residual,
 )
@@ -405,19 +411,25 @@ def _check_builder(bg, metric: bool = True) -> int:
     if bg.family == "heavenly":
         pairs.append((bg.constraints[0][1], tree_heavenly_residual(p["Theta"])))
     for new, ref in pairs:  # g_residual's element is in a field of its own
-        # the view is normalize(normalize(t)): normalize is not idempotent on
-        # an exp of a sum with a negative part, and there the verdicts of the
-        # two normal forms share their kind and witness but may differ in
-        # the value's last digit
-        fixed, verdict, tree_verdict = normalize(ref.normal), is_zero(new, CFG), is_zero(ref, CFG)
-        assert sp.srepr(Field.view(new.el)) == sp.srepr(fixed), (bg.family, p)
-        if sp.srepr(fixed) != sp.srepr(ref.normal):
-            assert verdict.kind == tree_verdict.kind, (bg.family, p)
-            assert verdict.witness == tree_verdict.witness, (bg.family, p)
-            tree_verdict = is_zero(Expr(fixed), CFG)
-        assert verdict == tree_verdict, (bg.family, p)
+        _match_tree(new, ref, (bg.family, p))
     assert F.K is K
     return len(pairs)
+
+
+def _match_tree(new: Expr, ref: Expr, what):
+    """new holds an element whose view is normalize(normalize(t)) of ref's
+    tree t, and its zero verdict is the tree's.  normalize is not idempotent
+    on an exp of a sum with a negative part, and there the verdicts of the
+    two normal forms share their kind and witness but may differ in the
+    value's last digit; new's verdict is then the second form's."""
+    fixed, verdict, tree_verdict = normalize(ref.normal), is_zero(new, CFG), is_zero(ref, CFG)
+    assert sp.srepr(Field.view(new.el)) == sp.srepr(fixed), what
+    if sp.srepr(fixed) != sp.srepr(ref.normal):
+        assert verdict.kind == tree_verdict.kind, what
+        assert verdict.witness == tree_verdict.witness, what
+        tree_verdict = is_zero(Expr(fixed), CFG)
+    assert verdict == tree_verdict, what
+    return verdict
 
 
 def test_builders_match_tree_oracle(corpus):
@@ -436,3 +448,67 @@ def test_builders_match_tree_oracle(corpus):
     families = Counter(bg.family for bg in members)
     assert min(families.values()) >= 30 and len(families) == 6, families
     assert residuals >= 2 * 30 + 30
+
+
+def _is_view_of(shown: Expr, tree) -> bool:
+    """shown's tree is normalize(tree), or normalize(normalize(tree)) where
+    normalize is not idempotent on it."""
+    once, view = normalize(sp.sympify(tree)), sp.srepr(shown.sym)
+    return view == sp.srepr(once) or view == sp.srepr(normalize(once))
+
+
+def _random_thetas(seed: int, count: int) -> list:
+    """Seeded heavenly potentials: a sum of two monomials, one of them
+    multiplied by an exp, sin or denominator leaf."""
+    rng = random.Random(seed)
+    txyz = (T**2, X**3, T * Y, X * Z, T * X**2, X * Y * Z, T**2 * X, X**2 * Y)
+    return [_with_leaf(rng, [_poly(rng, txyz, 0) + _poly(rng, txyz, 0)], _LEAVES["TXYZ"])[0]
+            for _ in range(count)]
+
+
+def test_sigma_stage_matches_tree_oracle(heavenly_ppwave):
+    """The Sigma two-forms, the endomorphism algebra and the Sigma-pullback
+    residuals, computed on field elements, against the tree wedge, the tree
+    matrices and the tree template of tests/oracles.py over the coframe's
+    trees: on heavenly_ppwave, on Theta = 0 and on 22 seeded Theta.  A
+    Theta with Theta_T != 0 has a nonzero pullback residual."""
+    thetas = [heavenly_ppwave[1].theta, Expr(0)] + _random_thetas(seed=17, count=22)
+    timed = nonzero = 0
+    for theta in thetas:
+        bg, _ = build_heavenly(theta)
+        F, rows = bg.g.field, bg.tet.theta
+        K = F.K
+        for form, tree in zip(heavenly_two_forms(theta), tree_sigma_forms(rows)):
+            assert all(_is_view_of(form[c, d], tree[c][d]) for c in R4 for d in R4), theta
+        assert (heavenly_endomorphism_check(bg, CFG)
+                == is_zero_all(tree_endomorphism_residuals(rows), CFG)), theta
+        ref = tree_sigma_pullback_residuals(rows, bg.params["Theta"])
+        new = heavenly_sigma_pullback_residuals(bg)
+        verdicts = [_match_tree(n, r, theta) for n, r in zip(new, ref)]
+        assert len(new) == len(ref) == 6 and F.K is K
+        timed += sp.diff(theta.sym, T) != 0
+        nonzero += not all(verdicts)
+    assert timed >= 5 and nonzero >= 5, (timed, nonzero)
+
+
+def test_fefferman_conditions_match_tree_route():
+    """The type-N conditions, computed in g's field, against the tree route
+    of tests/oracles.py (sp.diff and normalize) on 25 seeded Fefferman-like
+    members with exp, sin and denominator leaves; gamma depends on y in
+    some, and the conditions fail in some."""
+    rng = random.Random(17)
+    xy = (1, x, y, x**2, x * y, y**2)
+    sloped = failing = 0
+    for _ in range(25):
+        bg = build_fefferman_like(*_with_leaf(rng, [_poly(rng, xy) for _ in range(8)],
+                                              _LEAVES["xy"]))
+        K = bg.g.field.K
+        verdict, _, _ = fefferman_typeN_check(bg, CFG, points=3)
+        tree = tree_fefferman_conditions(bg.params)
+        ref = is_zero_all(tree, CFG)
+        assert (verdict.kind, verdict.witness) == (ref.kind, ref.witness), bg.params
+        assert verdict == is_zero_all([Expr(normalize(c.normal)) for c in tree], CFG), bg.params
+        assert bg.g.field.K is K
+        sloped += sp.diff(bg.params["gamma"].sym, y) != 0
+        failing += not verdict
+    assert sloped >= 3 and failing >= 10, (sloped, failing)

@@ -2,6 +2,7 @@
 and makes its tree, the element's view, only when something reads it; an Expr
 holding the zero element is proven zero without a tree."""
 
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ from asdnull import expr as expr_module
 from asdnull import spinor as spinor_module
 from asdnull.cli import load_model, run
 from asdnull.construct import build_sparling_tod, build_twisting
-from asdnull.expr import Expr, Field, SampleConfig, is_zero, parse
+from asdnull.expr import Expr, Field, SampleConfig, is_zero, parse, to_text
 from asdnull.spinor import (
     _spin_coefficients,
     conformal_killing_residuals,
@@ -173,11 +174,11 @@ def test_szekeres_views_each_weyl_spinor_element_once(monkeypatch, capsys):
     classified, made, before = [], [], []
     classify, view = spinor_module.petrov_classify, expr_module._El.as_expr
 
-    def recorded(w, at, tol=1e-8):
+    def recorded(w, at):
         if not classified:
             before.extend(made)
         classified.append(w)
-        return classify(w, at, tol)
+        return classify(w, at)
 
     monkeypatch.setattr(spinor_module, "petrov_classify", recorded)
     monkeypatch.setattr(expr_module._El, "as_expr", lambda el: made.append(el) or view(el))
@@ -207,3 +208,17 @@ def test_report_all_reads_the_inverse_metric_as_elements(monkeypatch, capsys):
     assert run(["report-all", str(MODELS / "heavenly_ppwave.json")]) == 0
     capsys.readouterr()
     assert stacks and not [s for s in stacks if "inverse" in s]
+
+
+def test_heavenly_report_makes_only_the_view_it_prints(monkeypatch, capsys):
+    """report-all on heavenly_ppwave makes one view, the scalar curvature's,
+    and prints it: the Sigma stage computes on elements and makes none."""
+    made = []
+    view = expr_module._El.as_expr
+    monkeypatch.setattr(expr_module._El, "as_expr", lambda el: made.append(view(el)) or made[-1])
+    assert run(["report-all", str(MODELS / "heavenly_ppwave.json")]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert len(made) == 1, len(made)
+    assert checks["scalar_curvature"]["value"] == to_text(Expr(made[0]))
+    assert {checks[k]["verdict"] for k in ("endomorphism_algebra",
+                                           "sigma_pullback_template")} == {"proven_zero"}

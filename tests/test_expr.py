@@ -488,6 +488,37 @@ def test_conversion_matches_normalize_on_random_trees():
     assert second > 0 and moved <= 1
 
 
+def test_up_moves_elements_without_a_view(monkeypatch):
+    """Field.up places an older element's numerator and base polynomials over
+    the grown field's gens.  On the seeded random trees, after the field grew
+    by one symbol, every view stays byte for byte, the field gains only that
+    symbol, and moving makes no view and normalizes no leaf.  An element that
+    holds exp(x) and squared denominators moves into a field where exp(x) is
+    exp(x/2)^2."""
+    F = Field(sp.symbols("x y z"))
+    els = [el for _, el in F.convert_all(_random_trees(seed=7, count=60))]
+    views = [sp.srepr(F.view(el)) for el in els]
+    gens, w = set(F.K.symbols), sp.Symbol("w")
+    F.fold(w)
+    assert set(F.K.symbols) == gens | {w}
+    made = []
+    view = expr_module._El.as_expr
+    monkeypatch.setattr(expr_module._El, "as_expr", lambda el: made.append(el) or view(el))
+    monkeypatch.setattr(expr_module, "normalize", lambda s: made.append(s))
+    moved = F.up(els)
+    assert not made and all(el.field is F.K for el in moved)
+    monkeypatch.undo()
+    assert set(F.K.symbols) == gens | {w}
+    assert [sp.srepr(F.view(el)) for el in moved] == views
+    x, y = sp.symbols("x y")
+    t = y * sp.exp(x) / ((x + 1)**2 * (sp.exp(x) + y)**3)
+    G = Field((x, y))
+    a = G.fold(t)
+    G.fold(sp.exp(x / 2))
+    assert sp.exp(x) not in G.K.symbols
+    assert G.up(a) == G.fold(t) and G.view(G.up(a)) == normalize(t)
+
+
 def test_singular_input_is_a_typed_error_naming_it():
     x, y = sp.symbols("x y")
     F = Field((x, y))

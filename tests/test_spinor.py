@@ -51,7 +51,6 @@ from asdnull.spinor import (
 )
 from asdnull.tensor import (
     OneForm,
-    TwoForm,
     VectorField,
     _comps_el,
     conformal_rescale,
@@ -165,10 +164,10 @@ def test_ppwave_primed_vanishes(ppwave_bg):
 
 
 def _decompose_two_form(tet, F):
-    """F_ab -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in the tetrad,
-    by the package's frame projection and split."""
+    """F_ab, as trees, -> (phi_{A'B'} self-dual, psi_{AB} anti-self-dual) in
+    the tetrad, by the package's frame projection and split."""
     fld = tet.g.field
-    ff = _frame_rank2(tet, [_comps_el(fld, row) for row in F.comps])
+    ff = _frame_rank2(tet, [_comps_el(fld, row) for row in F])
     return tuple([c.as_expr() for c in part] for part in _split_frame_two_form(ff))
 
 
@@ -185,10 +184,9 @@ def test_two_form_decomposition_round_trip(nontwisting_generic_bg):
                     v = v * syms[rng.randint(0, 3)]
                 comps[a][b] = v
                 comps[b][a] = -v
-        F = TwoForm(bg.g.chart, comps)
-        phi, psi = _decompose_two_form(bg.tet, F)
+        phi, psi = _decompose_two_form(bg.tet, comps)
         back = recompose_two_form(bg.tet, phi, psi)
-        residuals = [Expr(back[a][b] - F.comps[a][b]) for a in R4 for b in R4]
+        residuals = [Expr(back[a][b] - comps[a][b]) for a in R4 for b in R4]
         assert is_zero_all(residuals, CFG).is_zero(), trial
 
 
@@ -236,14 +234,14 @@ def test_betazero_structural_formulas():
 def test_petrov_consensus_tie_goes_to_first_type(kinds, monkeypatch, betazero_a2x_bg):
     votes = iter(kinds)
     monkeypatch.setattr("asdnull.spinor.petrov_classify",
-                        lambda w, pt, tol: PetrovType(next(votes), None))
+                        lambda w, pt: PetrovType(next(votes), None))
     cu, _ = weyl_spinors(betazero_a2x_bg.g, betazero_a2x_bg.tet)
     consensus, results, mixed = petrov_classify_samples(cu, [PT] * 4)
     assert consensus == kinds[0] and mixed and len(results) == 4
 
 
 def test_petrov_samples_propagate_programming_errors(monkeypatch, betazero_a2x_bg):
-    def broken(w, pt, tol):
+    def broken(w, pt):
         raise TypeError("bug inside the classifier")
 
     monkeypatch.setattr("asdnull.spinor.petrov_classify", broken)

@@ -7,11 +7,12 @@ import numpy as np
 import sympy as sp
 import pytest
 
-from asdnull.construct import build_twisting
+from asdnull.construct import _wedge_el, build_twisting
 from asdnull.expr import (
     Assignment,
     Expr,
     ExprError,
+    Field,
     SampleConfig,
     evaluate,
     is_zero_all,
@@ -40,12 +41,16 @@ from asdnull.tensor import (
     riemann_lower,
     scalar_curvature,
     twist_three_form,
-    wedge,
     weyl,
     weyl_mixed,
 )
 from asdnull.twistor import lax_pair, lift_killing
-from oracles import exterior_derivative_oneform, metric_compatibility_residuals, tree_ricci
+from oracles import (
+    exterior_derivative_oneform,
+    metric_compatibility_residuals,
+    tree_ricci,
+    tree_wedge,
+)
 
 CFG = SampleConfig()
 R4 = range(4)
@@ -225,13 +230,20 @@ def test_degenerate_metric_rejected():
 
 
 def test_wedge_antisymmetry(flat_bg):
-    ch = flat_bg.g.chart
-    a = OneForm(ch, [1, sp.Symbol("x"), 0, 2])
-    b = OneForm(ch, [0, 1, sp.Symbol("y"), 0])
-    w = wedge(a, b)
+    """The element wedge is antisymmetric and is the tree wedge's element."""
+    x, y = sp.symbols("x y")
+    a = [1, x, 0, 2 * sp.exp(x) / y]
+    b = [0, 1, y, sp.sin(x) - y]
+    F = Field(flat_bg.g.chart.syms, map(sp.sympify, a + b))
+    K = F.K
+    w = _wedge_el(*([F.fold(sp.sympify(c)) for c in row] for row in (a, b)))
+    assert F.K is K
+    tree = tree_wedge(a, b)
     for i in R4:
         for j in R4:
-            assert sp.cancel(w.comps[i][j] + w.comps[j][i]) == 0
+            assert not w[i][j] + w[j][i]
+            assert w[i][j] == F.element(normalize(sp.sympify(tree[i][j])))
+    assert w[1][3] and not w[0][0]
 
 
 # G_zz = exp(zx - y) satisfies the transport constraint with A = 0; the z-linear
