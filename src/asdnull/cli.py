@@ -378,8 +378,11 @@ def cmd_projective_geodesic(m: Model, args, cfg) -> list[dict]:
     missing = [n for n in names if n not in init]
     if missing:
         raise InputError(f"--init must assign {names}, missing {missing}")
-    path = projective.geodesic_integrate(
-        m.proj, [float(init[n]) for n in names], args.step, args.steps)
+    try:
+        path = projective.geodesic_integrate(
+            m.proj, [float(init[n]) for n in names], args.step, args.steps)
+    except ExprError as ex:  # raised only by the step checks, the count first
+        raise InputError(f"{'--steps' if args.steps < 0 else '--step'}: {ex}") from None
     return [check_plain("geodesic_completed", path.completed,
                         [[round(c, 12) for c in p] for p in path.points])]
 

@@ -1318,20 +1318,34 @@ class Verdict:
         return f"nonzero (value {self.value:.3e} at {pt})"
 
 
-def _random_rational(rng: random.Random, bound: int) -> Fraction:
-    num = rng.randint(1, bound)
-    den = rng.randint(1, bound)
-    sign = 1 if rng.random() < 0.5 else -1
-    return Fraction(sign * num, den)
+def _draws(n: int, seed: int, bound: int = 97) -> Iterator[list[tuple[int, int]]]:
+    """The one seeded stream: per point, n (numerator, denominator) integer
+    pairs, |numerator| and denominator in 1..bound, each drawn from
+    `random.Random(seed)` as randint, randint and random (the sign).  The
+    float of a pair is p / q, the same double as float(Fraction(p, q)):
+    int true division is correctly rounded."""
+    rng = random.Random(seed)
+    randint, rand = rng.randint, rng.random
+    while True:
+        pairs = []
+        for _ in range(n):
+            p, q = randint(1, bound), randint(1, bound)
+            pairs.append((p if rand() < 0.5 else -p, q))
+        yield pairs
+
+
+def _point(names: Sequence[str], pairs: list[tuple[int, int]]) -> Assignment:
+    return Assignment({nm: Fraction(p, q) for nm, (p, q) in zip(names, pairs)})
 
 
 def random_points(names: Sequence[str], seed: int,
                   bound: int = 97) -> Iterator[Assignment]:
-    """The one sampler: an endless seeded stream of rational points with
-    numerators and denominators in 1..bound."""
-    rng = random.Random(seed)
-    while True:
-        yield Assignment({nm: _random_rational(rng, bound) for nm in names})
+    """The one sampler's points, each an Assignment of the Fractions p/q of
+    one draw of `_draws`: the spinor and twistor callers read these, while
+    `is_zero` evaluates the draws as floats and makes an Assignment only for
+    a witness."""
+    for pairs in _draws(len(names), seed, bound):
+        yield _point(names, pairs)
 
 
 def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
@@ -1358,7 +1372,7 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
         return Verdict.nonzero(Assignment(), float(value))
     fnum = _compiled(sp.Tuple(*terms), names)
     fden = _compiled(sp.Tuple(*dterms), names)
-    points = random_points(names, cfg.seed)
+    draws = _draws(len(names), cfg.seed)
     good = 0
     attempts = 0
     max_attempts = 10 * cfg.count
@@ -1369,23 +1383,23 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
                 f"sampling failed: could not find {cfg.count} regular points "
                 f"in {max_attempts} attempts"
             )
-        point = next(points)
-        vals = [float(point[nm]) for nm in names]
+        pairs = next(draws)
+        vals = [p / q for p, q in pairs]
         try:
             dparts = fden(*vals)
             dval = sum(dparts)
-            dmag = sum(abs(p) for p in dparts)
+            dmag = sum(map(abs, dparts))
             if abs(dval) < 1e-3 * max(1.0, dmag):
                 continue
             parts = fnum(*vals)
             value = sum(parts) / dval
-            mag = sum(abs(p) for p in parts) / abs(dval)
+            mag = sum(map(abs, parts)) / abs(dval)
         except POINT_ERRORS:
             continue
-        if any(math.isnan(x) or math.isinf(x) for x in (value, mag)):
+        if not (math.isfinite(value) and math.isfinite(mag)):
             continue
         if abs(value) > cfg.tolerance * max(1.0, mag):
-            return Verdict.nonzero(point, float(value))
+            return Verdict.nonzero(_point(names, pairs), float(value))
         good += 1
     return Verdict.sampled()
 

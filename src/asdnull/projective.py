@@ -6,6 +6,7 @@ R. Liouville, J. Ecole Polytechnique 59 (1889) 7-76; R. Bryant, M. Dunajski
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,33 +179,40 @@ class GeodesicPath:
 
 def geodesic_integrate(p: ProjectiveStructure, init, h: float, n: int) -> GeodesicPath:
     """Classical fixed-step 4th-order integration of
-    dx/ds = 1, dy/ds = lam, dlam/ds = F(x, y, lam)."""
+    dx/ds = 1, dy/ds = lam, dlam/ds = F(x, y, lam), for n >= 0 steps of a
+    finite size h (else ExprError).  The state is three floats and the four
+    stages are unrolled, stage j being (1, lam_j, F_j); each update keeps the
+    order and grouping of the vector form s + h/2 k_j and
+    s + h/6 (k1 + 2 k2 + 2 k3 + k4), so every point is the double that form
+    gives.  A stage that raises, or a state with a coordinate past 1e12 or
+    nan, ends the path with completed False."""
     from .expr import _compiled  # share the lambdify cache
 
+    if n < 0:
+        raise ExprError(f"step count must be non-negative, got {n}")
+    if not math.isfinite(h):
+        raise ExprError(f"step size must be finite, got {h}")
     xn, yn = p.chart2
     F = sp.cancel(_poly_F(p))
     fn = _compiled(F, (xn, yn, FIBRE))
-    x0, y0, l0 = (float(v) for v in init)
-    pts = [(x0, y0, l0)]
-
-    def rhs(state):
-        x, y, lam = state
-        return (1.0, lam, fn(x, y, lam))
-
-    state = (x0, y0, l0)
+    x, y, lam = (float(v) for v in init)
+    pts = [(x, y, lam)]
+    h2, h6 = h / 2, h / 6
     for _ in range(n):
         try:
-            k1 = rhs(state)
-            k2 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k1)))
-            k3 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k2)))
-            k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)))
+            a = fn(x, y, lam)
+            xm, l2 = x + h2, lam + h2 * a
+            b = fn(xm, y + h2 * lam, l2)
+            l3 = lam + h2 * b
+            c = fn(xm, y + h2 * l2, l3)
+            l4 = lam + h * c
+            d = fn(x + h, y + h * l3, l4)
         except (ZeroDivisionError, OverflowError, ValueError) as ex:
             return GeodesicPath(pts, False, f"integration aborted: {ex}")
-        state = tuple(
-            s + h / 6 * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        if any(abs(v) > 1e12 or v != v for v in state):
+        # dx/ds = 1 in every stage: h / 6 * (1 + 2 + 2 + 1), not h
+        x, y, lam = (x + h6 * 6.0, y + h6 * (lam + 2 * l2 + 2 * l3 + l4),
+                     lam + h6 * (a + 2 * b + 2 * c + d))
+        if not (abs(x) <= 1e12 and abs(y) <= 1e12 and abs(lam) <= 1e12):
             return GeodesicPath(pts, False, "integration aborted: state diverged")
-        pts.append(state)
+        pts.append((x, y, lam))
     return GeodesicPath(pts, True)

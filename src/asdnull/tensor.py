@@ -300,8 +300,14 @@ class Metric:
         return int((ev > 0).sum()), int((ev < 0).sum())
 
     def scale(self, omega) -> "Metric":
-        w = _sym(omega)
-        return Metric(self.chart, [[self.comps[a][b] * w for b in _R] for a in _R])
+        """omega g, formed on the elements in this metric's field, grown by
+        omega's gens: no component is viewed or folded again."""
+        F, w = self.field, _sym(omega)
+
+        def compute():
+            we = F.fold(w)
+            return [[e * we for e in row] for row in self.el]
+        return Metric(self.chart, el=F.run(compute), field=F)
 
 
 # -- curvature ----------------------------------------------------------------------

@@ -286,6 +286,26 @@ MUTANTS = (
            "    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in tet._el[key])\n"
            "    return tet._el[key]\n",
            ("tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read",)),
+    # the sampler's integer draws and the scalar RK4 step
+    Mutant("draw_sign_flipped", "src/asdnull/expr.py",
+           "pairs.append((p if rand() < 0.5 else -p, q))",
+           "pairs.append((-p if rand() < 0.5 else p, q))",
+           ("tests/test_expr.py::test_sampler_stream_is_pinned",
+            "tests/test_expr.py::test_zero_test_verdicts_are_pinned")),
+    Mutant("witness_from_next_draw", "src/asdnull/expr.py",
+           "return Verdict.nonzero(_point(names, pairs), float(value))",
+           "return Verdict.nonzero(_point(names, next(draws)), float(value))",
+           ("tests/test_expr.py::test_zero_test_verdicts_are_pinned",
+            "tests/test_expr.py::test_is_zero_examples")),
+    Mutant("rk4_stage_reads_l2_for_l3", "src/asdnull/projective.py",
+           "d = fn(x + h, y + h * l3, l4)",
+           "d = fn(x + h, y + h * l2, l4)",
+           ("tests/test_projective.py::test_geodesic_points_equal_the_tuple_rk4",
+            "tests/test_projective.py::test_geodesic_fourth_order_convergence")),
+    Mutant("divergence_check_without_lam", "src/asdnull/projective.py",
+           "if not (abs(x) <= 1e12 and abs(y) <= 1e12 and abs(lam) <= 1e12):",
+           "if not (abs(x) <= 1e12 and abs(y) <= 1e12):",
+           ("tests/test_projective.py::test_geodesic_points_equal_the_tuple_rk4",)),
 )
 
 

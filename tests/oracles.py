@@ -331,6 +331,37 @@ def tree_flatness_invariant(p) -> Expr:
     return Expr(sp.expand(inv))
 
 
+def tuple_geodesic(p, init, h: float, n: int) -> tuple[list, bool, str]:
+    """(points, completed, message) of the classical RK4 on tuple states,
+    dx/ds = 1, dy/ds = lam, dlam/ds = F, with F = A0 + A1 lam + A2 lam^2 +
+    A3 lam^3 cancelled and compiled by lambdify over the math module."""
+    x, y = p.chart2
+    lam = sp.Symbol(FIBRE)
+    a0, a1, a2, a3 = (Expr(a).sym for a in p.A)
+    F = sp.cancel(a0 + lam * a1 + lam**2 * a2 + lam**3 * a3)
+    fn = sp.lambdify([sp.Symbol(x), sp.Symbol(y), lam], F, modules="math")
+
+    def rhs(state):
+        return (1.0, state[2], fn(*state))
+
+    state = tuple(float(v) for v in init)
+    pts = [state]
+    for _ in range(n):
+        try:
+            k1 = rhs(state)
+            k2 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k1)))
+            k3 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k2)))
+            k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)))
+        except (ZeroDivisionError, OverflowError, ValueError) as ex:
+            return pts, False, f"integration aborted: {ex}"
+        state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
+                      for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+        if any(abs(v) > 1e12 or v != v for v in state):
+            return pts, False, "integration aborted: state diverged"
+        pts.append(state)
+    return pts, True, ""
+
+
 def tree_liouville_invariant(p) -> Expr:
     """2 L_a lam + 2 L_b with Liouville's two relative invariants of
     y'' = A0 + A1 y' + A2 y'^2 + A3 y'^3, differentiated on trees."""

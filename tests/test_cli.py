@@ -256,6 +256,17 @@ def test_geodesic_command(capsys):
     assert abs(pts[-1][1] - 0.1) < 1e-9
 
 
+@pytest.mark.parametrize("option, value", [("--steps", "-3"), ("--step", "nan"),
+                                           ("--step", "inf"), ("--step=-inf", None)])
+def test_geodesic_steps_that_integrate_nothing_are_rejected(option, value, capsys):
+    """A negative step count would report a one-point path as completed, and a
+    step size that is not finite a failed path: input errors naming the option."""
+    args = [option] if value is None else [option, value]
+    assert run(["projective-geodesic", str(MODELS / "flat_projective.json"), *args]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and f"error: {option.split('=')[0]}: " in captured.err
+
+
 def test_invariants_command(capsys):
     code, out = _run_capture(
         capsys, ["invariants", str(MODELS / "twisting_exp.json"),

@@ -25,6 +25,7 @@ from asdnull.expr import (
     is_zero,
     normalize,
     parse,
+    random_points,
     symbols,
     to_text,
 )
@@ -186,6 +187,59 @@ def test_is_zero_sampling_exhaustion():
     e = parse("log(-1 - x^2)")
     with pytest.raises(ExprError):
         is_zero(e, SampleConfig(count=5, seed=0))
+
+
+@pytest.mark.parametrize("seed, bound, first", [
+    (0, 97, {"x": Fraction(25, 27), "y": Fraction(22, 21), "z": Fraction(39, 62)}),
+    (0, 9, {"x": Fraction(1), "y": Fraction(9, 8), "z": Fraction(5, 8)}),
+    (7, 97, {"x": Fraction(21, 10), "y": Fraction(-7, 10), "z": Fraction(-13, 47)}),
+    (7, 9, {"x": Fraction(2), "y": Fraction(-1, 2), "z": Fraction(-1, 3)}),
+])
+def test_sampler_stream_is_pinned(seed, bound, first):
+    """The first point of the one seeded stream, recorded before the stream
+    was split into integer draws; each draw is its point's Fractions."""
+    point = next(random_points(("x", "y", "z"), seed, bound))
+    assert point == first and list(point) == ["x", "y", "z"]
+    pairs = next(expr_module._draws(3, seed, bound))
+    assert [Fraction(p, q) for p, q in pairs] == list(first.values())
+
+
+# (text, seed) -> (kind, witness, value) at 400 points, recorded before is_zero
+# evaluated the integer draws: kernel identities, perturbed copies, poles that
+# reject points, and constants
+PINNED_VERDICTS = [
+    ("sin(x*y)^2 + cos(x*y)^2 - 1", 0, ("sampled_zero", None, None)),
+    ("sin(x*y)^2 + cos(x*y)^2 - 1", 3, ("sampled_zero", None, None)),
+    ("sin(x + 2*y)^2 + cos(x + 2*y)^2 - 1 + x/1000", 0,
+     ("nonzero", {"x": Fraction(25, 27), "y": Fraction(22, 21)}, 0.0009259259259257889)),
+    ("sin(x + 2*y)^2 + cos(x + 2*y)^2 - 1 + x/1000", 3,
+     ("nonzero", {"x": Fraction(-31, 76), "y": Fraction(8, 13)}, -0.0004078947368419942)),
+    ("sin(x*y)^2 + cos(x*y)^2 - 1 + y/10^6", 0,
+     ("nonzero", {"x": Fraction(25, 27), "y": Fraction(22, 21)}, 1.0476190475080253e-06)),
+    ("1/(x - y) + exp(x)/(x*y - 1)^2", 0,
+     ("nonzero", {"x": Fraction(39, 62), "y": Fraction(28, 65)}, 8.573130532212831)),
+    ("1/(x - y) + exp(x)/(x*y - 1)^2", 3,
+     ("nonzero", {"x": Fraction(-31, 76), "y": Fraction(8, 13)}, -0.552307409048163)),
+    ("(x + y)/(x - y)^3 - z/(y - 1)", 0,
+     ("nonzero", {"x": Fraction(28, 65), "y": Fraction(18, 97), "z": Fraction(-11, 23)},
+      41.21933558531785)),
+    ("log(x^2 + 1)/(x - 1)", 3, ("nonzero", {"x": Fraction(-31, 76)}, -0.10931450793913855)),
+    ("exp(z*x - y)/x^2", 3,
+     ("nonzero", {"x": Fraction(-31, 76), "y": Fraction(8, 13), "z": Fraction(-25, 3)},
+      97.24469814617613)),
+    ("sin(1)^2 + cos(1)^2 - 1", 0, ("sampled_zero", None, None)),
+    ("exp(1) - 3", 0, ("nonzero", {}, -0.2817181715409549)),
+]
+
+
+@pytest.mark.parametrize("text, seed, verdict", PINNED_VERDICTS)
+def test_zero_test_verdicts_are_pinned(text, seed, verdict):
+    v = is_zero(parse(text), SampleConfig(count=400, seed=seed))
+    kind, witness, value = verdict
+    assert (v.kind, v.witness, v.value) == (kind, witness, value)
+    if witness is not None:
+        assert isinstance(v.witness, Assignment)
+        assert all(isinstance(c, Fraction) for c in v.witness.values())
 
 
 def _central_difference(e, var, point, h=1e-6):

@@ -19,7 +19,7 @@ from asdnull.projective import (
     projective_equivalence_shift,
     spray,
 )
-from oracles import tree_flatness_invariant, tree_liouville_invariant
+from oracles import tree_flatness_invariant, tree_liouville_invariant, tuple_geodesic
 
 CFG = SampleConfig()
 X, Y = sp.symbols("x y")
@@ -266,6 +266,50 @@ def test_geodesic_aborts_on_singularity():
     path = geodesic_integrate(ps, (0, 0, 1), 0.01, 200)
     assert not path.completed
     assert len(path.points) >= 1
+
+
+GEODESIC_CASES = [
+    # (A0, A1, A2, A3), init, h, n
+    (("0", "0", "0", "0"), (0.3, -0.2, 0.7), 0.013, 150),
+    (("y", "x", "1/2", "0"), (0, 1, 1), 0.4 / 32, 32),
+    (("x*y - 1/3", "y^2", "x", "-1/5"), (-0.4, 0.25, 0.6), 0.021, 120),
+    (("exp(x - y)", "0", "sin(y)", "x/7"), (0.1, 0.2, -0.3), 0.017, 90),
+    (("1/(1 - x)", "0", "0", "0"), (0, 0, 1), 0.01, 200),  # near the pole at x = 1
+    (("1/(1 - x)", "0", "0", "0"), (0, 0, 1), 0.25, 10),  # a stage on the pole
+    (("log(1/2 - x)", "0", "0", "0"), (0, 0, 1), 0.01, 100),  # math domain error
+    (("0", "0", "0", "1"), (0, 0, 2), 0.05, 200),  # lam and y blow up in one step
+    (("10^14", "0", "0", "0"), (0, 0, 0), 0.05, 10),  # lam passes 1e12 first, y later
+    (("0", "0", "y^2", "0"), (0, 1, 3), 0.05, 400),
+]
+
+
+@pytest.mark.parametrize("A, init, h, n", GEODESIC_CASES)
+def test_geodesic_points_equal_the_tuple_rk4(A, init, h, n):
+    """The scalar unrolled RK4 gives the tuple form's doubles, its abort
+    step and its message."""
+    ps = ProjectiveStructure.build(("x", "y"), [parse(a) for a in A])
+    path = geodesic_integrate(ps, init, h, n)
+    assert (path.points, path.completed, path.message) == tuple_geodesic(ps, init, h, n)
+
+
+def test_geodesic_cases_reach_both_aborts():
+    """The cases above complete, diverge, and raise in a stage."""
+    messages = set()
+    for A, init, h, n in GEODESIC_CASES:
+        path = geodesic_integrate(ProjectiveStructure.build(("x", "y"), [parse(a) for a in A]),
+                                  init, h, n)
+        messages.add(path.message)
+    assert messages == {"", "integration aborted: state diverged",
+                        "integration aborted: float division by zero",
+                        "integration aborted: math domain error"}
+
+
+@pytest.mark.parametrize("h, n", [(0.01, -1), (float("nan"), 10), (float("inf"), 10),
+                                  (float("-inf"), 0)])
+def test_geodesic_rejects_bad_steps(h, n):
+    flat = ProjectiveStructure.build(("x", "y"), [0, 0, 0, 0])
+    with pytest.raises(ExprError, match="step count" if n < 0 else "step size"):
+        geodesic_integrate(flat, (0, 0, 1), h, n)
 
 
 def test_projective_structure_validates_symbols():

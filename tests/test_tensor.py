@@ -2,11 +2,14 @@
 conformal behaviour."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import sympy as sp
 import pytest
 
+from asdnull import expr as expr_module
+from asdnull.cli import load_model
 from asdnull.construct import _wedge_el, build_twisting
 from asdnull.expr import (
     Assignment,
@@ -54,6 +57,7 @@ from oracles import (
 
 CFG = SampleConfig()
 R4 = range(4)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_flat_christoffels_vanish(flat_bg):
@@ -218,6 +222,23 @@ def test_conformal_rescale_identity_and_errors(flat_bg):
     assert all((g2[a, b] - flat_bg.g[a, b]).is_proven_zero() for a in R4 for b in R4)
     with pytest.raises(Exception):
         conformal_rescale(flat_bg.g, parse("x - x"))
+
+
+@pytest.mark.parametrize("model", ["ppwave", "twisting_exp", "sparling_tod"])
+def test_rescale_forms_omega_g_on_elements(model, monkeypatch):
+    """omega g is formed on g's elements in g's field, grown by omega's gens:
+    the rescale makes no view, and each component's view equals the tree
+    route's (omega times g's tree, folded into a fresh field)."""
+    g = load_model(MODELS / f"{model}.json").geometry.g
+    for omega in (parse("exp(T)"), parse("1 + x^2 + y*z"), parse("exp(t - x)/(1 + X^2)")):
+        views, view = [], expr_module._El.as_expr
+        monkeypatch.setattr(expr_module._El, "as_expr", lambda el: views.append(el) or view(el))
+        g2 = conformal_rescale(g, omega)
+        monkeypatch.undo()
+        assert views == [] and g2.field is g.field
+        tree = Metric(g.chart, [[g.comps[a][b] * omega.sym for b in R4] for a in R4])
+        for a, b in itertools.product(R4, repeat=2):
+            assert g2[a, b].sym == tree[a, b].sym, (model, str(omega), a, b)
 
 
 def test_degenerate_metric_rejected():
