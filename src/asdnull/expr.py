@@ -114,24 +114,26 @@ class _El:
         return _El(f.field, -f.c, f.num, f.e)
 
     def __add__(f, g):
-        if isinstance(g, (int, Fraction)):
+        if type(g) is not _El and isinstance(g, (int, Fraction)):
             g = f.field.constant(g)
         return f.field.add(f, g)
 
     __radd__ = __add__
 
     def __sub__(f, g):
-        return f + (-g)
+        if type(g) is not _El and isinstance(g, (int, Fraction)):
+            g = f.field.constant(g)
+        return f.field.add(f, g, -1)
 
     def __mul__(f, g):
-        if isinstance(g, (int, Fraction)):
+        if type(g) is not _El and isinstance(g, (int, Fraction)):
             return f.field.scaled(f, g)
         return f.field.mul(f, g)
 
     __rmul__ = __mul__
 
     def __truediv__(f, g):
-        if isinstance(g, (int, Fraction)):
+        if type(g) is not _El and isinstance(g, (int, Fraction)):
             return f.field.scaled(f, 1 / Fraction(g))
         return f.field.mul(f, f.field.inverse(g))
 
@@ -187,11 +189,18 @@ class _Elements:
         `cancel` (all of e by default)."""
         if not t:
             return self.zero
+        g, t, e = self._reduced(t, e, e if cancel is None else cancel)
+        return _El(self, c * g, t, e)
+
+    def _reduced(self, t, e: dict, cancel: Iterable[int]) -> tuple:
+        """(content, N, e) of a nonzero t over ZZ on the denominator e: N the
+        primitive part of t with a positive leading coefficient, trial-divided
+        by the base elements in `cancel`."""
         g, t = t.primitive()
         if t.LC < 0:
             g, t = -g, -t
-        t, e = self._cancel(t, e, e if cancel is None else cancel)
-        return _El(self, c * g, t, e)
+        t, e = self._cancel(t, e, cancel)
+        return g, t, e
 
     def quotient(self, num: dict, den: dict) -> _El:
         """The element num / den of two coefficient maps over QQ."""
@@ -297,14 +306,16 @@ class _Elements:
         extra = {i: k - e.get(i, 0) for i, k in to.items() if k != e.get(i, 0)}
         return p * self.expand(extra) if extra else p
 
-    def add(self, f: _El, g: _El) -> _El:
-        """Over the exponent maximum, then trial division by every base
-        element with a positive exponent."""
+    def add(self, f: _El, g: _El, sign: int = 1) -> _El:
+        """f + g, or f - g for sign -1: over the exponent maximum, then trial
+        division by every base element with a positive exponent.  The
+        numerators are scaled to the common denominator L of the two
+        rationals (a scale of 1 is skipped), and c is content / L."""
         self._check(g)
         if not g:
             return f
         if not f:
-            return g
+            return g if sign > 0 else -g
         e = f.e
         p, q = f.num, g.num
         if g.e != e:
@@ -315,8 +326,13 @@ class _Elements:
             p, q = self._raised(p, f.e, e), self._raised(q, g.e, e)
         a, b = f.c, g.c
         L = math.lcm(a.denominator, b.denominator)
-        return self.new(Fraction(1, L), p.mul_ground(a.numerator * (L // a.denominator))
-                        + q.mul_ground(b.numerator * (L // b.denominator)), e)
+        m, n = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+        p, q = p if m == 1 else p.mul_ground(m), q if n == 1 else q.mul_ground(n)
+        t = p + q if sign > 0 else p - q
+        if not t:
+            return self.zero
+        content, t, e = self._reduced(t, e, e)
+        return _El(self, Fraction(content, L), t, e)
 
     def mul(self, f: _El, g: _El) -> _El:
         """The exponents add; each numerator is trial-divided only by the base
@@ -341,6 +357,17 @@ class _Elements:
         element's c is 0, so 1/c raises ZeroDivisionError for it."""
         self._check(f)
         return _El(self, 1 / f.c, self.expand(f.e), self.factor(f.num))
+
+
+class _Memo:
+    """A memo's nest of elements and the `_Elements` they all belong to:
+    `Field.up` hands the nest back as it is while that is the field's
+    current one (`Field.held`)."""
+
+    __slots__ = ("K", "value")
+
+    def __init__(self, K: _Elements, value):
+        self.K, self.value = K, value
 
 
 class _FieldGrew(Exception):
@@ -592,13 +619,27 @@ class Field:
         self._grow(self._gens_of(trees))
         return [self.convert(s) for s in trees]
 
+    def held(self, nest) -> _Memo:
+        """A memo of the current field's elements (nested in lists or tuples),
+        as `run` returns them, kept beside that field, so that `up` reads it
+        back at no cost until the field grows."""
+        return _Memo(self.K, nest)
+
     def up(self, obj):
         """Elements (nested in lists or tuples) moved into the current field:
         an older element's numerator and base polynomials are placed over the
-        current gens (`_moved`), so no view is made and no leaf normalized."""
+        current gens (`_moved`), so no view is made and no leaf normalized.
+        A memo (`held`) of the current field is its nest as it is; one of an
+        older field has every leaf moved, once, and then holds the moved
+        nest.  Any other nest is walked leaf by leaf."""
+        K = self.K
+        if isinstance(obj, _Memo):
+            if obj.K is not K:
+                obj.value, obj.K = self.up(obj.value), K
+            return obj.value
         if isinstance(obj, (list, tuple)):
             return type(obj)(self.up(v) for v in obj)
-        old, K = obj.field, self.K
+        old = obj.field
         if old is K:
             return obj
 
@@ -673,18 +714,64 @@ class Field:
         kernel gens.  With D the chain derivative, f = c N / prod b_i^e_i and
         P = prod b_i over the b_i in f's denominator,
             D_v f = c (D N P - N S) / (P prod b_i^e_i),
-            S = sum of e_i D b_i P / b_i,
-        computed in the field's arithmetic.  The last product trial-divides
-        the numerator by every b_i, which takes back the b_i that divide
-        D b_i (one with D b_i = 0, or an exp gen: D exp(w) = exp(w) D w); the
-        others keep e_i + 1: D_x ((x y + x + 1) / (y + 1)) = 1.  Nothing here
-        is inverted, so no polynomial enters the base."""
+            S = sum of e_i D b_i P / b_i.
+        The last step trial-divides the numerator by every b_i, which takes
+        back the b_i that divide D b_i (one with D b_i = 0, or an exp gen:
+        D exp(w) = exp(w) D w); the others keep e_i + 1:
+        D_x ((x y + x + 1) / (y + 1)) = 1.  Nothing is inverted, so no
+        polynomial enters the base.
+
+        Two routes give the same element (it is canonical).  When every D g
+        the chain needs is a polynomial element (no denominator: always so
+        for D of a chart symbol over polynomial kernel arguments), the
+        numerator is one polynomial over ZZ and trial division runs once
+        (`_diff_by_polynomials`); with e empty that is c D N.  A chain with a
+        denominator (D log(u) = D u / u, or a kernel of a rational argument)
+        takes the field's element arithmetic (`_diff_by_elements`)."""
         if not f:
             return f
-        K = self.K
-        chain = [(i, d) for i in K.used(f) if (d := self._d_gen(i, v))]
+        chain = self._chain(f, v)
         if not chain:
-            return K.zero
+            return self.K.zero
+        if any(d.e for _, d in chain):
+            return self._diff_by_elements(f, chain)
+        return self._diff_by_polynomials(f, chain)
+
+    def _chain(self, f: _El, v: sp.Symbol) -> list:
+        """(i, D_v g_i) over the gens f uses whose derivative is nonzero."""
+        return [(i, d) for i in self.K.used(f) if (d := self._d_gen(i, v))]
+
+    def _diff_by_polynomials(self, f: _El, chain: list) -> _El:
+        """D_v f for a chain of polynomial elements c_i M_i: with L the common
+        denominator of the c_i, L D is a derivation of ZZ[gens], and
+        L c (D N P - N S) is formed over ZZ and reduced by one `new`."""
+        K = self.K
+        L = math.lcm(*(d.c.denominator for _, d in chain))
+        weights = []
+        for i, d in chain:
+            m = d.c.numerator * (L // d.c.denominator)
+            weights.append((i, d.num if m == 1 else d.num.mul_ground(m)))
+
+        def D(p):  # L D p over ZZ
+            out = K.ring.zero
+            for i, w in weights:
+                dp = p.diff(i)
+                if dp:
+                    out += w * dp
+            return out
+
+        if not f.e:
+            return K.new(f.c / L, D(f.num), {})
+        S = K.ring.zero
+        for i, k in f.e.items():
+            t = D(K.base[i]) * K.expand({j: 1 for j in f.e if j != i})
+            S += t if k == 1 else t.mul_ground(k)
+        T = D(f.num) * K.expand(dict.fromkeys(f.e, 1)) - f.num * S
+        return K.new(f.c / L, T, {i: k + 1 for i, k in f.e.items()})
+
+    def _diff_by_elements(self, f: _El, chain: list) -> _El:
+        """D_v f for any chain, in the field's element arithmetic."""
+        K = self.K
 
         def d(p) -> _El:
             return self._sum([di * K.new(Fraction(1), p.diff(i), {}) for i, di in chain])
@@ -1364,7 +1451,10 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
     dterms = list(sp.Add.make_args(sp.expand_mul(den)))
     if not names:
         tvals = [float(t.evalf()) for t in terms]
-        dval = float(sum(float(t.evalf()) for t in dterms))
+        dvals = [float(t.evalf()) for t in dterms]
+        dval = float(sum(dvals))
+        if abs(dval) < 1e-3 * max(1.0, sum(map(abs, dvals))):
+            raise ExprError("sampling failed: the denominator of a constant is numerically 0")
         value = sum(tvals) / dval
         mag = sum(abs(t) for t in tvals) / abs(dval)
         if abs(value) <= cfg.tolerance * max(1.0, mag):

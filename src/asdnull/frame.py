@@ -30,10 +30,10 @@ def _frame_curvature(tet) -> tuple:
     formula is algebraic: 2 Gamma_kij = C_kij - C_ijk + C_jki.  Then
     R_ijkl = e_k(Gamma_ilj) - e_l(Gamma_ikj) + Gamma_ikm Gamma^m_lj
     - Gamma_ilm Gamma^m_kj - C^m_kl Gamma_imj.  Memoized on the tetrad."""
-    key = "frame_curvature"
+    key, F = "frame_curvature", tet.g.field
     if key not in tet._el:
-        tet._el[key] = tet.g.field.run(lambda: _cartan(tet))
-    return tet.g.field.up(tet._el[key])
+        tet._el[key] = F.held(F.run(lambda: _cartan(tet)))
+    return F.up(tet._el[key])
 
 
 def _cartan(tet) -> tuple:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import sympy as sp
@@ -52,6 +53,14 @@ class ProjectiveStructure:
 
     def is_flat_input(self) -> bool:
         return all(Expr(a).is_proven_zero() for a in self.A)
+
+    @cached_property
+    def _spray_fn(self):
+        """F(x, y, lam) of the spray, cancelled and compiled on first use and
+        kept on the structure: the float evaluator of `geodesic_integrate`."""
+        from .expr import _compiled  # share the lambdify cache
+
+        return _compiled(sp.cancel(_poly_F(self)), (*self.chart2, FIBRE))
 
 
 @dataclass(frozen=True)
@@ -185,16 +194,13 @@ def geodesic_integrate(p: ProjectiveStructure, init, h: float, n: int) -> Geodes
     order and grouping of the vector form s + h/2 k_j and
     s + h/6 (k1 + 2 k2 + 2 k3 + k4), so every point is the double that form
     gives.  A stage that raises, or a state with a coordinate past 1e12 or
-    nan, ends the path with completed False."""
-    from .expr import _compiled  # share the lambdify cache
-
+    nan, ends the path with completed False.  F is compiled once per
+    structure (`ProjectiveStructure._spray_fn`)."""
     if n < 0:
         raise ExprError(f"step count must be non-negative, got {n}")
     if not math.isfinite(h):
         raise ExprError(f"step size must be finite, got {h}")
-    xn, yn = p.chart2
-    F = sp.cancel(_poly_F(p))
-    fn = _compiled(F, (xn, yn, FIBRE))
+    fn = p._spray_fn
     x, y, lam = (float(v) for v in init)
     pts = [(x, y, lam)]
     h2, h6 = h / 2, h / 6

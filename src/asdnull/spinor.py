@@ -106,13 +106,14 @@ class NullTetrad:
         if any(w.el is None for w in coframe):
             coframe = _entered(F, coframe)
         self._coframe = coframe
-        self._theta_el = F.up([w.el for w in coframe])
-        det = det4(self._theta_el)
+        theta = F.up([w.el for w in coframe])
+        det = det4(theta)
         if not det:
             raise ExprError("tetrad coframe is degenerate")
-        adj = adjugate4(self._theta_el)
+        adj = adjugate4(theta)
         # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
-        self._frame_el = [[adj[a][i] / det for a in _R] for i in _R]
+        self._theta_el = F.held(theta)
+        self._frame_el = F.held([[adj[a][i] / det for a in _R] for i in _R])
         self._coeff_cache: dict = {}
         self._el: dict = {}  # field elements behind the memoized coefficients
         if not (v := self.reconstruction_verdict()).is_zero():
@@ -300,7 +301,8 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
                  for Cp in _R2] for B in _R2] for A in _R2]
         return sym4(v), sym4(u), phi, lam
 
-    tet._el[key] = cu, cp, phi, lam = F.run(compute)
+    cu, cp, phi, lam = F.run(compute)
+    tet._el[key] = F.held((cu, cp, phi, lam))
     tet._coeff_cache[key] = (
         WeylSpinor([F.expr(c) for c in cu], primed=False, field=F, el=cu),
         WeylSpinor([F.expr(c) for c in cp], primed=True, field=F, el=cp),
@@ -395,8 +397,8 @@ def _spin_coefficients(g: Metric, tet: NullTetrad):
                 for Ee in _R2] for Cc in _R2] for i in _R]
         return gu, gp, nab
 
-    tet._el[key] = F.run(compute)
-    return tet._el[key]
+    tet._el[key] = F.held(F.run(compute))
+    return F.up(tet._el[key])
 
 
 # -- Petrov classification -----------------------------------------------------------
@@ -487,7 +489,7 @@ def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConf
         fk = _frame_rank2(tet, nk)
         phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R]
                                           for i in _R])
-        tet._coeff_cache[key] = (phi, psi, eta)
+        tet._coeff_cache[key] = g.field.held((phi, psi, eta))
     return g.field.up(tet._coeff_cache[key])
 
 
@@ -628,8 +630,8 @@ def _weyl_divergence(g: Metric, tet: NullTetrad) -> dict:
 
     def compute():
         x = g.chart.syms
-        psi = F.up(tet._el["curvature_spinors"][0])  # Psi_{ABCD} = psi[A + B + C + D]
-        gu = F.up(tet._el["spin_coefficients"][0])
+        psi = F.up(tet._el["curvature_spinors"])[0]  # Psi_{ABCD} = psi[A + B + C + D]
+        gu = F.up(tet._el["spin_coefficients"])[0]
         E = tet.field_el("frame")
         dpsi = [[F.diff(p, x[a]) for a in _R] for p in psi]
         div = {}

@@ -240,7 +240,7 @@ class Metric:
             els[a][b] = els[b][a] = e
         self._shown = shown
         self._comps = None
-        self._cache["el"] = els
+        self._cache["el"] = F.held(els)
 
     @property
     def comps(self) -> list:
@@ -258,6 +258,12 @@ class Metric:
             self._cache[key] = self.field.run(fn)
         return self._cache[key]
 
+    def _memo_el(self, key, fn: Callable):
+        """fn's elements, memoized as `Field.held` and read in the current
+        field."""
+        F = self.field
+        return F.up(self._memo(key, lambda: F.held(fn())))
+
     @property
     def field(self) -> Field:
         """The fraction field of this metric's chain: chart symbols, the fibre
@@ -270,7 +276,7 @@ class Metric:
         return self.field.up(self._cache["el"])
 
     def _det_el(self):
-        return self.field.up(self._memo("det", lambda: det4(self.el)))
+        return self._memo_el("det", lambda: det4(self.el))
 
     @property
     def det(self) -> Expr:
@@ -288,7 +294,7 @@ class Metric:
                 raise ExprError("metric is degenerate: det normalizes to zero")
             adj = adjugate4(self.el)
             return [[adj[a][b] / det for b in _R] for a in _R]
-        return self.field.up(self._memo("inv_el", compute))
+        return self._memo_el("inv_el", compute)
 
     def signature_at(self, point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts at a sample point."""
@@ -411,7 +417,7 @@ def _scalar_curvature_el(g: Metric):
         ginv = g._inverse_el()
         return sum((ginv[b][d] * ric[b][d] for b in _R for d in _R if ginv[b][d]), F.K.zero)
 
-    return g.field.up(g._memo("scalar_curvature", compute))
+    return g._memo_el("scalar_curvature", compute)
 
 
 def scalar_curvature(g: Metric) -> Expr:
@@ -473,7 +479,7 @@ def _vector_el(g: Metric, k: VectorField) -> list:
     """K's components as elements of g's field, converted once per metric."""
     key = ("vector_el", *k.comps)
     if key not in g._cache:
-        g._cache[key] = _comps_el(g.field, k.comps)
+        g._cache[key] = g.field.held(_comps_el(g.field, k.comps))
     return g.field.up(g._cache[key])
 
 
@@ -512,7 +518,7 @@ def _nabla_vector(g: Metric, k: VectorField):
                + sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det / 2)
         return kl, nk, div
 
-    return F.up(g._memo(("nabla_vector", *k.comps), compute))
+    return g._memo_el(("nabla_vector", *k.comps), compute)
 
 
 def lie_derivative_metric(g: Metric, k: VectorField) -> TensorField:

@@ -144,8 +144,8 @@ MUTANTS = (
     # the factored field: the sum's trial division, its exponent maximum, the
     # derivative's e_i D b_i / b_i terms, and irreducible base entry
     Mutant("sum_trial_division_skipped", "src/asdnull/expr.py",
-           "+ q.mul_ground(b.numerator * (L // b.denominator)), e)",
-           "+ q.mul_ground(b.numerator * (L // b.denominator)), e, ())",
+           "content, t, e = self._reduced(t, e, e)",
+           "content, t, e = self._reduced(t, e, ())",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",
             "tests/test_tensor.py::test_field_views_are_normal_forms")),
     Mutant("sum_first_operand_exponents", "src/asdnull/expr.py",
@@ -156,6 +156,20 @@ MUTANTS = (
            "poly(K.expand({j: 1 for j in f.e if j != i})) * k",
            "poly(K.expand({j: 1 for j in f.e if j != i}))",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
+    # the derivative's polynomial route: the e_i weight of D b_i, and the
+    # denominator raised to e_i + 1 before trial division
+    Mutant("diff_poly_weight_dropped", "src/asdnull/expr.py",
+           "S += t if k == 1 else t.mul_ground(k)",
+           "S += t",
+           ("tests/test_expr.py::test_derivative_routes_agree",
+            "tests/test_expr.py::test_factored_arithmetic_matches_cancel",
+            "tests/test_construct.py::test_builders_match_tree_oracle")),
+    Mutant("diff_poly_exponent_not_raised", "src/asdnull/expr.py",
+           "return K.new(f.c / L, T, {i: k + 1 for i, k in f.e.items()})",
+           "return K.new(f.c / L, T, dict(f.e))",
+           ("tests/test_expr.py::test_derivative_routes_agree",
+            "tests/test_expr.py::test_field_derivation_matches_sympy_diff",
+            "tests/test_cli.py::test_report_all_matches_recorded_report")),
     Mutant("base_entered_unfactored", "src/asdnull/expr.py",
            "for f, k in rest.factor_list()[1]:",
            "for f, k in [(rest, 1)]:",
@@ -186,8 +200,8 @@ MUTANTS = (
            ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
             "tests/test_expr.py::test_trees_are_normalized_only_at_the_boundary")),
     Mutant("metric_init_normalizes", "src/asdnull/tensor.py",
-           "        self._cache[\"el\"] = els\n",
-           "        self._cache[\"el\"] = els\n"
+           "        self._cache[\"el\"] = F.held(els)\n",
+           "        self._cache[\"el\"] = F.held(els)\n"
            "        self._comps = [[sp.cancel(e.sym) for e in row] for row in shown]\n",
            ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
             "tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read")),
@@ -241,8 +255,9 @@ MUTANTS = (
            ("tests/test_projective.py::test_flatness_invariant_matches_tree_oracle",
             "tests/test_projective.py::test_flatness_nonzero_witness",
             "tests/test_projective.py::test_flatness_constant_coefficients_regression")),
-    # elements stay elements: the heavenly Sigma stage, the type-N conditions
-    # and Field.up placing an older element's polynomials
+    # elements stay elements: the heavenly Sigma stage, the type-N conditions,
+    # Field.up placing an older element's polynomials, and a memo kept beside
+    # its field
     Mutant("sigma01_half_dropped", "src/asdnull/construct.py",
            "(w03[c][d] + w12[c][d]) / 2",
            "(w03[c][d] + w12[c][d])",
@@ -270,6 +285,13 @@ MUTANTS = (
            "out = out / placed(old.base[i]) ** k",
            "out = out / placed(old.base[i])",
            ("tests/test_expr.py::test_up_moves_elements_without_a_view",)),
+    Mutant("up_stale_memo_after_growth", "src/asdnull/expr.py",
+           "            if obj.K is not K:\n"
+           "                obj.value, obj.K = self.up(obj.value), K\n",
+           "",
+           ("tests/test_expr.py::test_up_keeps_a_current_memo_and_moves_every_leaf_after_growth",
+            "tests/test_expr.py::test_memos_hold_their_fields_elements",
+            "tests/test_spinor.py::test_killing_data_matches_tree_oracle")),
     # displays on first read: the zero element's shortcut and the lazy views
     Mutant("zero_shortcut_accepts_nonzero", "src/asdnull/expr.py",
            "    if e.el is not None and not e.el:\n",
@@ -281,10 +303,9 @@ MUTANTS = (
            "            return bool(self._el)\n",
            ("tests/test_displays.py::test_zero_element_is_proven_without_a_tree",)),
     Mutant("spin_coefficient_views_eager", "src/asdnull/spinor.py",
-           "    tet._el[key] = F.run(compute)\n    return tet._el[key]\n",
-           "    tet._el[key] = F.run(compute)\n"
-           "    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in tet._el[key])\n"
-           "    return tet._el[key]\n",
+           "    tet._el[key] = F.held(F.run(compute))\n",
+           "    tet._el[key] = F.held(F.run(compute))\n"
+           "    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in F.up(tet._el[key]))\n",
            ("tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read",)),
     # the sampler's integer draws and the scalar RK4 step
     Mutant("draw_sign_flipped", "src/asdnull/expr.py",

@@ -1,6 +1,7 @@
 """Expression core: grammar, normal form, differentiation, evaluation, sampling."""
 
 import ast
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -38,7 +39,12 @@ from asdnull.construct import (
     build_twisting,
 )
 from asdnull.spinor import weyl_spinors
-from asdnull.twistor import integrability_check, lax_pair
+from asdnull.twistor import (
+    integrability_check,
+    lax_pair,
+    lift_commutation_check,
+    lift_killing,
+)
 from mutants import MUTANTS, _failed
 from oracles import CORPUS as ORACLE_CORPUS
 from oracles import tree_coframe, tree_metric
@@ -179,6 +185,18 @@ def test_is_zero_relative_scaling():
     # huge cancelling terms must not defeat the tolerance
     e = parse("(x + 10^12)*(x - 10^12) - x^2 + 10^24")
     assert is_zero(e, CFG).is_zero()
+
+
+def test_is_zero_of_a_constant_over_a_numerical_zero_is_a_typed_error():
+    """A symbol-free expression whose denominator evaluates to about 0 fails
+    the zero test with a typed error, as sampling does when every point
+    lands on a pole; a regular constant still gets a verdict."""
+    for text in ("1/(sin(1)^2 + cos(1)^2 - 1)", "x/(sin(2)^2 + cos(2)^2 - 1)"):
+        with pytest.raises(ExprError, match="sampling failed"):
+            is_zero(parse(text), CFG)
+    assert is_zero(parse("sin(1)^2 + cos(1)^2 - 1"), CFG).kind == "sampled_zero"
+    v = is_zero(parse("1/(sin(1) + 1)"), CFG)
+    assert v.kind == "nonzero" and abs(v.value - 1 / (math.sin(1) + 1)) < 1e-12
 
 
 def test_is_zero_sampling_exhaustion():
@@ -412,7 +430,8 @@ def test_factored_arithmetic_matches_cancel():
     """Sums, differences, products, quotients, powers and derivatives of
     elements over a factored base equal sympy's cancel of the tree: every
     trial division is needed, and a composite base element (x^2 - y^2 with
-    x - y in a numerator) leaves a result out of lowest terms."""
+    x - y in a numerator) leaves a result out of lowest terms.  The
+    derivatives take both routes of Field.diff."""
     rng = random.Random(12)
     t, x, y, z = xs = sp.symbols("t x y z")
     F = Field(xs, [sp.exp(x * z - y)])
@@ -432,12 +451,118 @@ def test_factored_arithmetic_matches_cancel():
         n = rng.choice([-2, -1, 2, 3])
         cases.append((a**n, F.view(a)**n))
         cases += [(F.diff(a, s), sp.diff(F.view(a), s)) for s in xs]
+    # a chain with a denominator takes the element route of Field.diff:
+    # D log(x + t) = D(x + t) / (x + t), D exp(x/y) = exp(x/y) D(x/y)
+    G = Field(xs, [sp.log(x + t), sp.exp(x / y)])
+    for _ in range(8):
+        a = G.fold(_random_fraction(rng) * rng.choice([sp.log(x + t), sp.exp(x / y)]))
+        cases += [(G.diff(a, s), sp.diff(G.view(a), s)) for s in xs]
     for el, tree in cases:
         assert F.K is K
         assert sp.srepr(F.view(el)) == sp.srepr(sp.cancel(tree)), tree
     base = K.base[K.ngens:]  # pairwise distinct irreducibles, so pairwise coprime
     assert len(set(base)) == len(base)
     assert all(b.factor_list() == (1, [(b, 1)]) for b in base)
+
+
+def test_derivative_routes_agree():
+    """Where every derivative of a gen is a polynomial element, Field.diff
+    takes the polynomial route; the element route gives the same element
+    (c, N and e) on seeded elements.  These hold powers of base
+    denominators, no denominator at all, kernels whose derivative brings a
+    gen they lack (sin brings cos) or a rational coefficient (exp(x z/3)),
+    and are differentiated by every symbol, including w, which no element
+    holds."""
+    rng = random.Random(19)
+    t, x, y, z = sp.symbols("t x y z")
+    w = sp.Symbol("w")
+    kernels = [sp.exp(x * z - y), sp.exp(x * z / 3), sp.sin(x * y), sp.cos(t - z)]
+    F = Field((t, x, y, z, w), kernels)
+    trees = []
+    for _ in range(30):
+        s = _random_fraction(rng)
+        if rng.random() < 0.6:
+            s *= rng.choice(kernels) + rng.choice([1, x, t * y])
+        trees.append(s)
+    trees += [sp.expand((x * y - 2 * z)**2 * rng.choice(kernels) + t / 3) for _ in range(4)]
+    els = [F.fold(s) for s in trees]
+    K = F.K
+    assert any(not el.e for el in els) and any(k > 1 for el in els for k in el.e.values())
+    compared = 0
+    for s, el in zip(trees, els):
+        for v in (t, x, y, z, w):
+            chain = F._chain(el, v)
+            assert all(not d.e for _, d in chain)
+            if v == w:
+                assert not chain and not F.diff(el, v)
+                continue
+            fast, slow = F._diff_by_polynomials(el, chain), F._diff_by_elements(el, chain)
+            assert (fast.c, fast.num, fast.e) == (slow.c, slow.num, slow.e), (s, v)
+            compared += 1
+    assert F.K is K and compared == 4 * len(els)
+
+
+def test_up_keeps_a_current_memo_and_moves_every_leaf_after_growth():
+    """A memo (`Field.held`) comes back from `up` as the same object while its
+    field is current.  After the field grows, every leaf of the memo moves
+    (once: the memo then holds the moved nest), and so does every leaf of a
+    mixed nest of old and current elements, whatever its first leaf."""
+    x, y = sp.symbols("x y")
+    F = Field((x, y), [sp.exp(x)])
+    a, b = F.fold(x / (x + y)**2), F.fold(sp.exp(x) * y - 1)
+    assert a.field is b.field is F.K
+    memo = F.held([[a, b], (a * b,)])
+    nest = F.up(memo)
+    assert F.up(memo) is nest and nest[0][0] is a and nest[1][0].field is F.K
+    views = [F.view(el) for el in (a, b, a * b)]
+    F.fold(sp.Symbol("w"))
+    K = F.K
+    assert a.field is not K
+    moved = F.up(memo)
+    assert moved is not nest and F.up(memo) is moved
+    leaves = [moved[0][0], moved[0][1], moved[1][0]]
+    assert all(el.field is K for el in leaves)
+    assert [F.view(el) for el in leaves] == views
+    mixed = F.up((moved[0][0], [a, (b, moved[1][0])]))
+    assert all(el.field is K for el in (mixed[0], mixed[1][0], *mixed[1][1]))
+    assert mixed[1][0] == moved[0][0] and mixed[1][1][0] == moved[0][1]
+
+
+def _leaves(nest):
+    if isinstance(nest, (list, tuple)):
+        for v in nest:
+            yield from _leaves(v)
+    else:
+        yield nest
+
+
+def test_memos_hold_their_fields_elements():
+    """Every memo (`Field.held`) that a build and the checks of a family
+    member leave on the metric and the tetrad holds elements of the field
+    kept beside it, before and after the field grows; so `up` may hand a
+    current memo back without walking it."""
+    cfg = SampleConfig(count=20, seed=1)
+    cases = [
+        (build_twisting, [0, parse("-2*x"), parse("3/2*y"), 0, parse("z^2/2 + 3/4*z*x - 2/3*y")]),
+        (build_sparling_tod, [parse("1")]),
+        (build_ppwave, [parse("X^2*Y - Y^3/3")]),
+    ]
+    for build, args in cases:
+        bg = build(*args)
+        for grown in (False, True):
+            if grown:
+                bg.g.field.fold(sp.Symbol("w"))
+            weyl_spinors(bg.g, bg.tet)
+            lp = lax_pair(bg)
+            integrability_check(lp, cfg)
+            lift_commutation_check(lift_killing(bg, cfg), lp, cfg)
+            memos = [m for cache in (bg.g._cache, bg.tet._el, bg.tet._coeff_cache)
+                     for m in cache.values() if isinstance(m, expr_module._Memo)]
+            memos += [bg.tet._theta_el, bg.tet._frame_el]
+            assert len(memos) >= 8, build.__name__
+            for m in memos:
+                assert all(el.field is m.K for el in _leaves(m.value)), build.__name__
+        assert bg.g.field.up(bg.tet._frame_el)[0][0].field is bg.g.field.K
 
 
 def test_field_grows_and_moves_old_elements():
@@ -687,7 +812,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
 NORMALIZING = {
     "expr.normalize", "expr.Field._leaf",
     "expr.Expr.normal", "expr.Expr.__pow__", "expr._kernel", "expr._Parser.power",
-    "expr.evaluate", "projective.geodesic_integrate",
+    "expr.evaluate", "projective.ProjectiveStructure._spray_fn",
 }
 
 # the functions that may differentiate a sympy tree: the field's derivation of

@@ -304,6 +304,24 @@ def test_geodesic_cases_reach_both_aborts():
                         "integration aborted: math domain error"}
 
 
+def test_geodesic_spray_is_compiled_once_per_structure(monkeypatch):
+    """The spray's F is cancelled and compiled on a structure's first
+    geodesic and kept on the structure: a second geodesic runs no sp.cancel,
+    and its points are still the tuple RK4's."""
+    cancels = []
+    cancel = sp.cancel
+    monkeypatch.setattr(sp, "cancel", lambda *a, **k: cancels.append(a) or cancel(*a, **k))
+    for A, init, h, n in GEODESIC_CASES:
+        ps = ProjectiveStructure.build(("x", "y"), [parse(a) for a in A])
+        before = len(cancels)
+        assert geodesic_integrate(ps, init, h, 0).points == [tuple(map(float, init))]
+        assert len(cancels) > before, A
+        before = len(cancels)
+        path = geodesic_integrate(ps, init, h, n)
+        assert len(cancels) == before, A
+        assert (path.points, path.completed, path.message) == tuple_geodesic(ps, init, h, n)
+
+
 @pytest.mark.parametrize("h, n", [(0.01, -1), (float("nan"), 10), (float("inf"), 10),
                                   (float("-inf"), 0)])
 def test_geodesic_rejects_bad_steps(h, n):

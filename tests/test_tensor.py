@@ -86,7 +86,7 @@ def test_signature_matches_display_route(twisting_exp_bg, sparling_uv_bg, flat_b
     x, y, z = sp.symbols("x y z")
     split = Metric(flat_bg.g.chart, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
                                      [0, 0, 0, -3 * x * y**2 + sp.exp(x * z - y) / x]])
-    assert split.comps[3][3] == split.field.view(split._cache["el"][3][3])
+    assert split.comps[3][3] == split.field.view(split.el[3][3])
     signatures = set()
     for g in (twisting_exp_bg.g, sparling_uv_bg.g, split):
         for at in itertools.islice(random_points(g.chart.names, 3), 4):
