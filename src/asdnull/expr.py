@@ -38,12 +38,6 @@ __all__ = [
     "Verdict",
     "parse",
     "symbols",
-    "integer",
-    "rational",
-    "exp",
-    "log",
-    "sin",
-    "cos",
     "differentiate",
     "evaluate",
     "is_zero",
@@ -79,9 +73,32 @@ class EvalError(ExprError):
     """Evaluation failed at a point (pole, log domain, unassigned symbol)."""
 
 
+def _remember(cache: dict, key, value, cap: int):
+    """value, stored under key in a memo of at most `cap` entries: past the
+    cap the oldest entries go first."""
+    cache[key] = value
+    while len(cache) > cap:
+        del cache[next(iter(cache))]
+    return value
+
+
+# normal forms keyed by tree; past the cap the oldest go.  The cap is above
+# every working set measured: 12 distinct trees for report-all over the 7
+# models in one process, 2 for the seeded point queries.
+_normal_cache: dict = {}
+_NORMAL_CAP = 256
+
+
 def normalize(s: sp.Expr) -> sp.Expr:
-    """The one normal form: a single cancelled num/den over symbols and kernels."""
-    return sp.cancel(sp.together(s))
+    """The one normal form: a single cancelled num/den over symbols and kernels.
+
+    Memoized by tree in `_normal_cache`, at most `_NORMAL_CAP` entries, the
+    oldest dropped first: a tree equal to one already normalized, even a
+    distinct object, gets the same normal form with no second `sp.cancel`."""
+    n = _normal_cache.get(s)
+    if n is None:
+        n = _remember(_normal_cache, s, sp.cancel(sp.together(s)), _NORMAL_CAP)
+    return n
 
 
 def _check_finite(s: sp.Expr, context: str = "expression") -> sp.Expr:
@@ -946,39 +963,6 @@ def symbols(names: str | Sequence[str]) -> list[Expr]:
     return out
 
 
-def integer(n: int) -> Expr:
-    return Expr(int(n))
-
-
-def rational(p: int, q: int) -> Expr:
-    if q == 0:
-        raise ExprError("malformed rational: zero denominator")
-    return Expr(Fraction(p, q))
-
-
-def _kernel(name: str, arg: Expr) -> Expr:
-    if name == "log":
-        if sp.cancel(arg.sym) == 0:
-            raise ExprError("log of zero expression")
-    return Expr(_KERNELS[name](Expr(arg).sym))
-
-
-def exp(arg: Expr) -> Expr:
-    return _kernel("exp", arg)
-
-
-def log(arg: Expr) -> Expr:
-    return _kernel("log", arg)
-
-
-def sin(arg: Expr) -> Expr:
-    return _kernel("sin", arg)
-
-
-def cos(arg: Expr) -> Expr:
-    return _kernel("cos", arg)
-
-
 # -- parser --------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -1289,10 +1273,9 @@ def _compiled(s: sp.Expr, names: tuple[str, ...]):
     key = (s, names)
     fn = _lambdify_cache.get(key)
     if fn is None:
-        fn = sp.lambdify([sp.Symbol(n) for n in names], s, modules="math")
-        _lambdify_cache[key] = fn
-        while len(_lambdify_cache) > _LAMBDIFY_CAP:
-            del _lambdify_cache[next(iter(_lambdify_cache))]
+        fn = _remember(_lambdify_cache, key,
+                       sp.lambdify([sp.Symbol(n) for n in names], s, modules="math"),
+                       _LAMBDIFY_CAP)
     return fn
 
 
@@ -1408,16 +1391,26 @@ class Verdict:
 def _draws(n: int, seed: int, bound: int = 97) -> Iterator[list[tuple[int, int]]]:
     """The one seeded stream: per point, n (numerator, denominator) integer
     pairs, |numerator| and denominator in 1..bound, each drawn from
-    `random.Random(seed)` as randint, randint and random (the sign).  The
-    float of a pair is p / q, the same double as float(Fraction(p, q)):
-    int true division is correctly rounded."""
+    `random.Random(seed)` as numerator, denominator and sign.  An integer is
+    1 + r for the first r = getrandbits(k) below bound, k = bound's bit
+    length: the arithmetic of CPython's randint(1, bound), so the stream is
+    randint's bit for bit (`tests/test_expr.py::test_draws_reproduce_randint`).
+    The sign is + when random() < 0.5.  The float of a pair is p / q, the
+    same double as float(Fraction(p, q)): int true division is correctly
+    rounded."""
     rng = random.Random(seed)
-    randint, rand = rng.randint, rng.random
+    bits, rand = rng.getrandbits, rng.random
+    k = bound.bit_length()
     while True:
         pairs = []
         for _ in range(n):
-            p, q = randint(1, bound), randint(1, bound)
-            pairs.append((p if rand() < 0.5 else -p, q))
+            p = bits(k)
+            while p >= bound:
+                p = bits(k)
+            q = bits(k)
+            while q >= bound:
+                q = bits(k)
+            pairs.append((p + 1 if rand() < 0.5 else -1 - p, q + 1))
         yield pairs
 
 
@@ -1435,16 +1428,79 @@ def random_points(names: Sequence[str], seed: int,
         yield _point(names, pairs)
 
 
+def _rational_tree(s: sp.Expr) -> bool:
+    """Whether a tree is built from symbols and rationals by +, * and integer
+    powers alone: no kernel, no other function, no constant such as E."""
+    if s.is_Symbol or s.is_Rational:
+        return True
+    if s.is_Add or s.is_Mul:
+        return all(map(_rational_tree, s.args))
+    return bool(s.is_Pow and s.exp.is_Integer and _rational_tree(s.base))
+
+
+def _kernel_free(e: Expr) -> bool:
+    """Whether e lives in Q(x_1, ..., x_n): an element whose used gens are all
+    symbols, or a tree whose normal form has no kernel."""
+    el = e.el
+    if el is not None:
+        gens = el.field.symbols
+        return all(gens[i].is_Symbol for i in el.field.used(el))
+    return _rational_tree(e.normal)
+
+
+def _float(v: Fraction) -> float:
+    """The nearest double of an exact rational; an infinity past the range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _exact_witness(e: Expr, names: tuple[str, ...], seed: int, limit: int) -> Verdict:
+    """nonzero at the first of `limit` draws of the seeded stream where the
+    exact denominator and the exact value of e (`evaluate`) are nonzero, for
+    a kernel-free e that is not the zero element.  A nonzero polynomial of
+    degree d vanishes on at most a d/|S| share of S^n (Schwartz, J. ACM 27
+    (1980) 701-717), and the draws take 11,606 values per coordinate, so
+    such a draw comes early; past `limit` the search raises ExprError."""
+    draws = _draws(len(names), seed)
+    for _ in range(limit):
+        at = _point(names, next(draws))
+        try:
+            exact = evaluate(e, at)
+        except EvalError:  # a pole
+            continue
+        if exact:
+            return Verdict.nonzero(at, _float(exact))
+    raise ExprError(f"exact zero test failed: no point in {limit} draws where the value "
+                    "is defined and nonzero")
+
+
 def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
-    """ProvenZero if e holds the zero element (no tree is made) or its normal
-    form is 0; else sample `count` seeded rational points, comparing |value|
-    against tolerance * max(1, term magnitude)."""
+    """proven_zero if e holds the zero element (no tree is made) or its normal
+    form is 0.  Otherwise sample `count` seeded rational points, comparing
+    |value| against tolerance * max(1, term magnitude); the first point past
+    it is the witness of `nonzero`, and `sampled_zero` needs `count` regular
+    points within 10 * count draws.
+
+    A kernel-free e (an element whose used gens are all symbols, or a tree
+    with no kernel) lives in Q(x_1, ..., x_n), where the normal form is
+    canonical (Henrici, J. ACM 3 (1956) 6-9): a nonzero one is a nonzero
+    function.  Where the sampler would read `sampled_zero` on it, or fail for
+    want of regular points, the verdict is `nonzero` at the first draw of the
+    same stream where e's exact denominator and value are nonzero, with the
+    float of that exact value (`_exact_witness`).  A kernel-free constant is
+    a nonzero rational and reads as itself.  Constants and expressions with
+    kernels keep the float rule: sin^2 + cos^2 - 1 is a nonzero element that
+    is the zero function."""
     e = _as_expr(e)
     if e.el is not None and not e.el:
         return Verdict.proven()
     n = e.normal
     if n == 0:
         return Verdict.proven()
+    if n.is_Rational:
+        return Verdict.nonzero(Assignment(), _float(Fraction(n.p, n.q)))
     names = tuple(sorted(_normal_names(e)))
     num, den = sp.fraction(n)
     terms = list(sp.Add.make_args(sp.expand_mul(num)))
@@ -1463,16 +1519,10 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
     fnum = _compiled(sp.Tuple(*terms), names)
     fden = _compiled(sp.Tuple(*dterms), names)
     draws = _draws(len(names), cfg.seed)
-    good = 0
-    attempts = 0
+    good = attempts = 0
     max_attempts = 10 * cfg.count
-    while good < cfg.count:
+    while good < cfg.count and attempts < max_attempts:
         attempts += 1
-        if attempts > max_attempts:
-            raise ExprError(
-                f"sampling failed: could not find {cfg.count} regular points "
-                f"in {max_attempts} attempts"
-            )
         pairs = next(draws)
         vals = [p / q for p, q in pairs]
         try:
@@ -1491,6 +1541,11 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
         if abs(value) > cfg.tolerance * max(1.0, mag):
             return Verdict.nonzero(_point(names, pairs), float(value))
         good += 1
+    if _kernel_free(e):
+        return _exact_witness(e, names, cfg.seed, max_attempts)
+    if good < cfg.count:
+        raise ExprError(f"sampling failed: could not find {cfg.count} regular points "
+                        f"in {max_attempts} attempts")
     return Verdict.sampled()
 
 

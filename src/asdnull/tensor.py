@@ -279,10 +279,6 @@ class Metric:
         return self._memo_el("det", lambda: det4(self.el))
 
     @property
-    def det(self) -> Expr:
-        return self.field.expr(self._det_el())
-
-    @property
     def inverse(self) -> list:
         """g^ab as sympy trees, made on first read."""
         return self._memo("inv", lambda: _nested_map(Field.view, self._inverse_el()))

@@ -309,10 +309,40 @@ MUTANTS = (
            ("tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read",)),
     # the sampler's integer draws and the scalar RK4 step
     Mutant("draw_sign_flipped", "src/asdnull/expr.py",
-           "pairs.append((p if rand() < 0.5 else -p, q))",
-           "pairs.append((-p if rand() < 0.5 else p, q))",
+           "pairs.append((p + 1 if rand() < 0.5 else -1 - p, q + 1))",
+           "pairs.append((-1 - p if rand() < 0.5 else p + 1, q + 1))",
            ("tests/test_expr.py::test_sampler_stream_is_pinned",
-            "tests/test_expr.py::test_zero_test_verdicts_are_pinned")),
+            "tests/test_expr.py::test_zero_test_verdicts_are_pinned",
+            "tests/test_expr.py::test_draws_reproduce_randint")),
+    # the stream drawn by getrandbits: randint's rejection test and bit count
+    Mutant("draw_rejection_admits_bound", "src/asdnull/expr.py",
+           "while p >= bound:",
+           "while p > bound:",
+           ("tests/test_expr.py::test_draws_reproduce_randint",)),
+    Mutant("draw_bits_one_short", "src/asdnull/expr.py",
+           "k = bound.bit_length()",
+           "k = (bound - 1).bit_length()",
+           ("tests/test_expr.py::test_draws_reproduce_randint",)),
+    # the memo on normalize keeps the cancelled form
+    Mutant("normal_memo_uncancelled", "src/asdnull/expr.py",
+           "        n = _remember(_normal_cache, s, sp.cancel(sp.together(s)), _NORMAL_CAP)\n",
+           "        n = sp.cancel(sp.together(s))\n"
+           "        _remember(_normal_cache, s, sp.together(s), _NORMAL_CAP)\n",
+           ("tests/test_expr.py::test_normalize_matches_cancel_on_seeded_trees",
+            "tests/test_expr.py::test_normalize_runs_no_second_cancel_on_an_equal_tree")),
+    # a kernel-free expression decides its own zero test
+    Mutant("kernel_free_exact_check_dropped", "src/asdnull/expr.py",
+           "    if _kernel_free(e):\n"
+           "        return _exact_witness(e, names, cfg.seed, max_attempts)\n",
+           "",
+           ("tests/test_expr.py::test_kernel_free_nonzero_reads_nonzero",
+            "tests/test_expr.py::test_exact_witness_skips_draws_where_the_value_vanishes",
+            "tests/test_cli.py::test_curvature_of_a_small_nonzero_ricci_tensor_exits_1")),
+    Mutant("exact_witness_where_value_vanishes", "src/asdnull/expr.py",
+           "        if exact:\n",
+           "        if exact is not None:\n",
+           ("tests/test_expr.py::test_exact_witness_skips_draws_where_the_value_vanishes",
+            "tests/test_expr.py::test_exact_witness_search_is_bounded")),
     Mutant("witness_from_next_draw", "src/asdnull/expr.py",
            "return Verdict.nonzero(_point(names, pairs), float(value))",
            "return Verdict.nonzero(_point(names, next(draws)), float(value))",

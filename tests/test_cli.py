@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,22 @@ def test_sampling_options_that_would_pass_anything_are_rejected(option, value, c
     assert run(["curvature", str(path), option, value]) == 2
     captured = capsys.readouterr()
     assert not captured.out and f"error: {option}: " in captured.err
+
+
+def test_curvature_of_a_small_nonzero_ricci_tensor_exits_1(capsys, tmp_path):
+    """g_zz = x^2 t / 10^12 has an exact nonzero Ricci component far below the
+    sampling tolerance: a kernel-free element decides its own zero test, so
+    ricci_flat is nonzero with a witness and curvature exits 1."""
+    g = [row[:] for row in FLAT_METRIC["g"]]
+    g[3][3] = "x^2*t/10^12"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "metric", "coordinates": FLAT_METRIC["coordinates"],
+                                "g": g}))
+    code, out = _run_capture(capsys, ["curvature", str(path)])
+    assert code == 1
+    ricci = {c["name"]: c for c in json.loads(out)["checks"]}["ricci_flat"]
+    assert ricci["verdict"] == "nonzero" and ricci["witness"] == {"x": "25/27"}
+    assert ricci["value"] == float(-Fraction(25, 27) / 10**12)
 
 
 def test_curvature_of_a_tetrad_that_reconstructs_only_at_samples(capsys, tmp_path):

@@ -150,6 +150,47 @@ def test_compiled_evaluators_are_bounded():
     assert evaluate(e, at) == before
 
 
+def test_normalize_matches_cancel_on_seeded_trees():
+    """normalize is sympy's cancel of together, byte for byte, whether the
+    tree is normalized afresh or read back from the memo."""
+    trees = _random_trees(seed=23, count=40) + [parse(t).sym for t in CORPUS]
+    for t in trees:
+        expr_module._normal_cache.pop(t, None)
+        want = sp.srepr(sp.cancel(sp.together(t)))
+        assert sp.srepr(normalize(t)) == want, t
+        assert sp.srepr(normalize(t)) == want, t
+
+
+def test_normalize_runs_no_second_cancel_on_an_equal_tree(monkeypatch):
+    """A tree equal to one already normalized, though a distinct object,
+    gets the same normal form with no sp.cancel."""
+    x, y = sp.symbols("x y")
+    first = x / (x + x * y) + sp.sin(x * y) ** 2
+    n = normalize(first)
+    again = sp.Add(sp.sin(x * y) ** 2, sp.Mul(x, sp.Pow(x + x * y, -1)))
+    assert again == first and again is not first
+    cancels = []
+    cancel = sp.cancel
+    monkeypatch.setattr(sp, "cancel", lambda *a, **k: cancels.append(a) or cancel(*a, **k))
+    assert normalize(again) is n
+    assert cancels == []
+
+
+def test_normal_forms_are_bounded():
+    """2 x cap distinct trees leave at most cap memoized normal forms, and an
+    evicted tree normalizes again to the same form."""
+    cap, cache = expr_module._NORMAL_CAP, expr_module._normal_cache
+    x, y = sp.symbols("x y")
+    t = (x**2 - y**2) / (x + y) + sp.exp(x)
+    before = sp.srepr(normalize(t))
+    assert t in cache
+    for k in range(2 * cap):
+        normalize(x**2 / (x + (k + 1) * y))
+    assert len(cache) <= cap
+    assert t not in cache
+    assert sp.srepr(normalize(t)) == before
+
+
 def test_is_zero_examples():
     assert is_zero(parse("(x+y)^2 - x^2 - 2*x*y - y^2"), CFG).kind == "proven_zero"
     assert is_zero(parse("sin(x)^2 + cos(x)^2 - 1"), CFG).kind == "sampled_zero"
@@ -199,6 +240,55 @@ def test_is_zero_of_a_constant_over_a_numerical_zero_is_a_typed_error():
     assert v.kind == "nonzero" and abs(v.value - 1 / (math.sin(1) + 1)) < 1e-12
 
 
+def test_kernel_free_nonzero_reads_nonzero():
+    """A kernel-free expression is zero exactly when its normal form is: where
+    the terms are too small for the tolerance, or no point samples, the
+    verdict is nonzero at the stream's first draw with a nonzero exact value,
+    and the value is that exact value's float.  A kernel-free constant is
+    read exactly."""
+    first = {"x": Fraction(25, 27), "y": Fraction(22, 21)}  # seed 0's first draw
+    F = Field(sp.symbols("x y"))
+    held, _ = F.convert(sp.Symbol("x") * sp.Symbol("y") / 10**12)
+    for e in (parse("x*y/10^12"), held):
+        v = is_zero(e, CFG)
+        assert (v.kind, v.witness) == ("nonzero", first), e
+        assert v.value == float(first["x"] * first["y"] / 10**12)
+    for text, value in (("1/10^12", 1e-12), ("-7/3", -7 / 3), ("2^2000", math.inf)):
+        v = is_zero(parse(text), CFG)
+        assert (v.kind, v.witness, v.value) == ("nonzero", {}, value), text
+    # every point overflows a double: no regular point, but an exact witness
+    v = is_zero(parse("10^400*x"), CFG)
+    assert (v.kind, v.witness, v.value) == ("nonzero", {"x": first["x"]}, math.inf)
+    # the kernel identity keeps the float rule
+    assert is_zero(parse("sin(x*y)^2 + cos(x*y)^2 - 1"), CFG).kind == "sampled_zero"
+
+
+def test_exact_witness_skips_draws_where_the_value_vanishes():
+    """The witness is the first draw where the exact value is defined and
+    nonzero: the first draw is a root of (x - 25/27), and a pole of its
+    inverse, so both take the second."""
+    draws = expr_module._draws(1, 0)
+    (p1, q1), = next(draws)
+    (p2, q2), = next(draws)
+    assert Fraction(p1, q1) == Fraction(25, 27)
+    second = {"x": Fraction(p2, q2)}
+    for text in ("(x - 25/27)/10^13", "x/(10^13*x - 10^13*25/27)"):
+        e = parse(text)
+        v = is_zero(e, CFG)
+        assert (v.kind, v.witness) == ("nonzero", second), text
+        assert v.value == float(evaluate(e, second)) != 0, text
+
+
+def test_exact_witness_search_is_bounded():
+    """A kernel-free expression that vanishes at each of the 10 x count draws
+    the search may take raises a typed error rather than reading zero."""
+    draws = expr_module._draws(1, 0)
+    x = sp.Symbol("x")
+    e = Expr(sp.Mul(*[x - sp.Rational(*next(draws)[0]) for _ in range(10)]) / 10**40)
+    with pytest.raises(ExprError, match="exact zero test failed: no point in 10 draws"):
+        is_zero(e, SampleConfig(count=1, seed=0))
+
+
 def test_is_zero_sampling_exhaustion():
     # every sample point fails (log of a negative number): after 10x count
     # resampling attempts the zero test reports failure instead of a verdict
@@ -220,6 +310,24 @@ def test_sampler_stream_is_pinned(seed, bound, first):
     assert point == first and list(point) == ["x", "y", "z"]
     pairs = next(expr_module._draws(3, seed, bound))
     assert [Fraction(p, q) for p, q in pairs] == list(first.values())
+
+
+def test_draws_reproduce_randint():
+    """Each integer of the stream is drawn by getrandbits with rejection, the
+    arithmetic of random.Random.randint: the pairs and signs are randint's
+    and random's, in the same order, for every bound (a power of two
+    included) and point size."""
+    for seed in range(200):
+        for bound in (1, 2, 9, 64, 65, 97, 128):
+            for n in (1, 3):
+                rng = random.Random(seed)
+                draws = expr_module._draws(n, seed, bound)
+                for _ in range(50):
+                    want = []
+                    for _ in range(n):
+                        p, q = rng.randint(1, bound), rng.randint(1, bound)
+                        want.append((p if rng.random() < 0.5 else -p, q))
+                    assert next(draws) == want, (seed, bound, n)
 
 
 # (text, seed) -> (kind, witness, value) at 400 points, recorded before is_zero
@@ -805,13 +913,13 @@ def test_field_arithmetic_runs_no_polynomial_gcd(monkeypatch):
 SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
 
 # the functions that may normalize a sympy tree: the field's leaves, the Expr
-# boundary (its normal form and the zero checks of powers, log and the
-# parser), exact evaluation, and the ODE the geodesic integrator compiles;
-# inputs enter a field by folding (Field.fold, Field.convert), and the tree
-# oracles live in tests/oracles.py
+# boundary (its normal form and the zero checks of powers and the parser),
+# exact evaluation, and the ODE the geodesic integrator compiles; inputs
+# enter a field by folding (Field.fold, Field.convert), and the tree oracles
+# live in tests/oracles.py
 NORMALIZING = {
     "expr.normalize", "expr.Field._leaf",
-    "expr.Expr.normal", "expr.Expr.__pow__", "expr._kernel", "expr._Parser.power",
+    "expr.Expr.normal", "expr.Expr.__pow__", "expr._Parser.power",
     "expr.evaluate", "projective.ProjectiveStructure._spray_fn",
 }
 
