@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,7 +187,8 @@ def check_from_verdict(name: str, v: Verdict, value=None) -> dict:
     if w is not None:
         out["witness"] = w
     if v.value is not None:
-        out["value"] = v.value
+        # JSON (RFC 8259) has no number for a value past the double range
+        out["value"] = v.value if math.isfinite(v.value) else str(v.value)
     elif value is not None:
         out["value"] = value
     return out
@@ -505,7 +507,7 @@ def run(argv) -> int:
     ok = all(_check_ok(c) for c in checks)
     if args.command == "build":
         return 0 if ok else 1
-    text = (json.dumps(report, sort_keys=True, separators=(",", ":"))
+    text = (json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
             if args.format == "json" else _format_text(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,11 +2,15 @@
 
 The classification quartic is treated projectively: a leading-coefficient drop
 of k counts as a root at infinity with multiplicity k.  Rational coefficients
-are scaled to integers and take sympy's dense square-free decomposition over
-ZZ (`dup_sqf_list`, Yun's algorithm), each factor's real roots counted by
-`dup_count_real_roots`; a factor of degree d with r real roots holds
-(d - r) / 2 conjugate pairs.  Float coefficients take numerical root
-clustering (numpy, imported only then).
+are scaled to integers.  Their evident roots are read off the coefficients: k
+trailing zeros are a root at 0 of multiplicity k, and what is left, q of
+degree d >= 1, is one real root of multiplicity d when it is a(x - r)^d,
+checked exactly over ZZ (a linear q always is).  In the adapted tetrad of the
+paper's families every exact quartic is of this kind.  Any other q takes
+sympy's dense square-free decomposition over ZZ (`dup_sqf_list`, Yun's
+algorithm), each factor's real roots counted by `dup_count_real_roots`; a
+factor of degree d with r real roots holds (d - r) / 2 conjugate pairs.
+Float coefficients take numerical root clustering (numpy, imported only then).
 """
 
 from __future__ import annotations
@@ -44,29 +48,47 @@ class RootStructure:
 
 def _exact_structure(coeffs: list[Fraction]) -> RootStructure:
     """coeffs ascending; sympy's dense routines take the cleared integers
-    highest degree first."""
+    highest degree first.  The roots at infinity and at 0 are read off the
+    leading and trailing zero coefficients; what is left, q of degree d, is
+    tried as a(x - r)^d before it reaches the square-free decomposition."""
     L = math.lcm(*(c.denominator for c in coeffs))
     p = dup_strip([c.numerator * (L // c.denominator) for c in reversed(coeffs)])
     if not p:
         return RootStructure((), (), (), is_zero=True)
     inf_mult = 5 - len(p)
+    zero_mult = 0
+    while not p[-1 - zero_mult]:
+        zero_mult += 1
     partition: list[int] = []
     real: list[int] = []
     pairs: list[int] = []
-    if inf_mult > 0:
-        partition.append(inf_mult)
-        real.append(inf_mult)
-    for factor, mult in dup_sqf_list(p, ZZ)[1]:
-        nreal = dup_count_real_roots(factor, ZZ)
-        npairs = (len(factor) - 1 - nreal) // 2
-        partition.extend([mult] * (nreal + 2 * npairs))
-        real.extend([mult] * nreal)
-        pairs.extend([mult] * npairs)
+    q = p[:len(p) - zero_mult]
+    d = len(q) - 1
+    power = d if d and _is_power(q, d) else 0  # one real root of multiplicity d
+    for mult in (inf_mult, zero_mult, power):
+        if mult:
+            partition.append(mult)
+            real.append(mult)
+    if d and not power:
+        for factor, mult in dup_sqf_list(q, ZZ)[1]:
+            nreal = dup_count_real_roots(factor, ZZ)
+            npairs = (len(factor) - 1 - nreal) // 2
+            partition.extend([mult] * (nreal + 2 * npairs))
+            real.extend([mult] * nreal)
+            pairs.extend([mult] * npairs)
     return RootStructure(
         tuple(sorted(partition, reverse=True)),
         tuple(sorted(real, reverse=True)),
         tuple(sorted(pairs, reverse=True)),
     )
+
+
+def _is_power(q: list[int], d: int) -> bool:
+    """Whether q = [a, b, ...] (highest degree first, degree d) is a(x - r)^d,
+    r = -b / (d a): then q[k] (d a)^k = a C(d, k) b^k for every k, exactly
+    over ZZ.  A linear q always is."""
+    a, b = q[0], q[1]
+    return all(q[k] * (d * a)**k == a * math.comb(d, k) * b**k for k in range(2, d + 1))
 
 
 # -- numeric fallback -----------------------------------------------------------

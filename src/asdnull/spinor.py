@@ -15,8 +15,7 @@ import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-
-import sympy as sp
+from fractions import Fraction
 
 from .expr import (
     POINT_ERRORS,
@@ -155,10 +154,6 @@ class NullTetrad:
         return [[sum((th[_SLOT[A, Ap]][a] * k[a] for a in _R if k[a]), F.K.zero)
                  for Ap in _R2] for A in _R2]
 
-    def vector_components(self, K: VectorField) -> list[list[sp.Expr]]:
-        """K^{AA'} = theta^{AA'}(K)."""
-        return _nested_map(Field.view, self.vector_el(_vector_el(self.g, K)))
-
 
 @dataclass
 class WeylSpinor:
@@ -190,12 +185,6 @@ class KillingSpinorData:
     phi: list[Expr]  # [phi_{0'0'}, phi_{0'1'}, phi_{1'1'}]
     psi: list[Expr]  # [psi_{00}, psi_{01}, psi_{11}]
     eta: Expr
-
-    def phi_comp(self, a, b):
-        return self.phi[a + b]
-
-    def psi_comp(self, a, b):
-        return self.psi[a + b]
 
 
 @dataclass
@@ -255,14 +244,66 @@ def _frame_rank2(tet: NullTetrad, comps) -> list:
              for j in _R] for i in _R]
 
 
-def _eps_pairs(term):
-    """sum over P, Q of eps_{P(1-P)} eps_{Q(1-Q)} term(P, Q), where
-    eps_{P(1-P)} is +1 at P = 0 and -1 at P = 1."""
-    out = None
-    for P, Q in itertools.product(_R2, repeat=2):
-        t = term(P, Q)
-        out = t if out is None else (out + t if P == Q else out - t)
+# The curvature spinors as linear forms in the frame Riemann R_ijkl (Penrose &
+# Rindler vol. 1 §4.6), each written over its nonzero terms as "ijkl":
+# coefficient.  They are the eps-contractions of R_{AA'BB'CC'DD'}
+# (tests/oracles.py) read off the 21 unit components with pairs i<j <= k<l, so
+# they equal the contractions on any R with the pair symmetries, the first
+# Bianchi identity or not.  Psi and Psi~ are indexed by their number of
+# 1-indices, Phi by (A, B, C', D') with A <= B and C' <= D'.
+
+
+def _terms(form: dict) -> tuple:
+    return tuple((tuple(map(int, ijkl)), Fraction(c)) for ijkl, c in form.items())
+
+
+_PSI = tuple(map(_terms, (
+    {"0101": "1"},
+    {"0103": "1/2", "0112": "-1/2"},
+    {"0123": "1/3", "0303": "1/6", "0312": "-1/3", "1212": "1/6"},
+    {"0323": "1/2", "1223": "-1/2"},
+    {"2323": "1"},
+)))
+_PSI_PRIMED = tuple(map(_terms, (
+    {"0202": "1"},
+    {"0203": "1/2", "0212": "1/2"},
+    {"0213": "1/3", "0303": "1/6", "0312": "1/3", "1212": "1/6"},
+    {"0313": "1/2", "1213": "1/2"},
+    {"1313": "1"},
+)))
+_PHI = {key: _terms(form) for key, form in {
+    (0, 0, 0, 0): {"0102": "1"},
+    (0, 0, 0, 1): {"0103": "1/2", "0112": "1/2"},
+    (0, 0, 1, 1): {"0113": "1"},
+    (0, 1, 0, 0): {"0203": "1/2", "0212": "-1/2"},
+    (0, 1, 0, 1): {"0303": "1/4", "1212": "-1/4"},
+    (0, 1, 1, 1): {"0313": "1/2", "1213": "-1/2"},
+    (1, 1, 0, 0): {"0223": "1"},
+    (1, 1, 0, 1): {"0323": "1/2", "1223": "1/2"},
+    (1, 1, 1, 1): {"1323": "1"},
+}.items()}
+_LAMBDA = _terms({"0123": "1/3", "0303": "-1/12", "0312": "1/6", "1212": "-1/12"})
+
+
+def _linear(rf, terms, zero):
+    """sum of c R_ijkl over the terms whose component is nonzero."""
+    out = zero
+    for (i, j, k, l), c in terms:
+        r = rf[i][j][k][l]
+        if r:
+            out = out + r * c
     return out
+
+
+def _curvature_spinor_forms(rf, zero) -> tuple:
+    """(Psi, Psi~, Phi[A][B][C'][D'], Lambda) of a frame Riemann nest rf, its
+    entries field elements or rationals."""
+    sym = {key: _linear(rf, terms, zero) for key, terms in _PHI.items()}
+    phi = [[[[sym[min(A, B), max(A, B), min(Cp, Dp), max(Cp, Dp)] for Dp in _R2]
+             for Cp in _R2] for B in _R2] for A in _R2]
+    return (tuple(_linear(rf, terms, zero) for terms in _PSI),
+            tuple(_linear(rf, terms, zero) for terms in _PSI_PRIMED),
+            phi, _linear(rf, _LAMBDA, zero))
 
 
 def curvature_spinors(g: Metric, tet: NullTetrad):
@@ -273,33 +314,7 @@ def curvature_spinors(g: Metric, tet: NullTetrad):
     F = g.field
 
     def compute():
-        rf = _frame_curvature(tet)[1]
-
-        def RF(A, Ap, B, Bp, C, Cp, D, Dp):
-            return rf[_SLOT[A, Ap]][_SLOT[B, Bp]][_SLOT[C, Cp]][_SLOT[D, Dp]]
-
-        # four times the primed-traced (v), unprimed-traced (u) and mixed (w)
-        # contractions of R_{AA'BB'CC'DD'}
-        v, u, w = {}, {}, {}
-        for A, B, C, D in itertools.product(_R2, repeat=4):
-            v[A, B, C, D] = _eps_pairs(lambda P, Q: RF(A, P, B, 1 - P, C, Q, D, 1 - Q))
-            u[A, B, C, D] = _eps_pairs(lambda P, Q: RF(P, A, 1 - P, B, Q, C, 1 - Q, D))
-            w[A, B, C, D] = _eps_pairs(lambda P, Q: RF(A, P, B, 1 - P, Q, C, 1 - Q, D))
-
-        def sym4(tbl):
-            psi = []
-            for k in range(5):
-                perms = set(itertools.permutations([1] * k + [0] * (4 - k)))
-                psi.append(sum((tbl[p] for p in perms), F.K.zero) / (4 * len(perms)))
-            return tuple(psi)
-
-        lam = _eps_pairs(lambda A, B: v[A, B, 1 - B, 1 - A]) / 24
-        sym = {(A, B, Cp, Dp): (w[A, B, Cp, Dp] + w[B, A, Cp, Dp] + w[A, B, Dp, Cp]
-                                + w[B, A, Dp, Cp]) / 16
-               for A, B, Cp, Dp in itertools.product(_R2, repeat=4) if A <= B and Cp <= Dp}
-        phi = [[[[sym[min(A, B), max(A, B), min(Cp, Dp), max(Cp, Dp)] for Dp in _R2]
-                 for Cp in _R2] for B in _R2] for A in _R2]
-        return sym4(v), sym4(u), phi, lam
+        return _curvature_spinor_forms(_frame_curvature(tet)[1], F.K.zero)
 
     cu, cp, phi, lam = F.run(compute)
     tet._el[key] = F.held((cu, cp, phi, lam))

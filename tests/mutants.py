@@ -10,12 +10,13 @@ reason no test can catch it.  The tier-1 suite does not collect this file;
 `tests/test_expr.py::test_mutant_snippets_occur_once` keeps the table in step
 with the code.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME ...]
 
-`TMPDIR` decides where the copies go.
+With names, only those rows run; with none, every row.  `TMPDIR` decides
+where the copies go.
 
-Exit status 0 when every mutant is killed and every expected survivor
-survives, 1 otherwise.
+Exit status 0 when every mutant run is killed and every expected survivor
+survives, 1 otherwise, 2 for a name the table does not hold.
 """
 
 from __future__ import annotations
@@ -137,10 +138,21 @@ MUTANTS = (
            ("tests/test_quartic.py::test_complex_pairs_annotated",
             "tests/test_quartic.py::test_exact_structure_of_quartics_built_from_known_factors")),
     Mutant("quartic_multiplicity_one", "src/asdnull/quartic.py",
-           "for factor, mult in dup_sqf_list(p, ZZ)[1]:",
-           "for factor, mult in [(f, 1) for f, _ in dup_sqf_list(p, ZZ)[1]]:",
+           "for factor, mult in dup_sqf_list(q, ZZ)[1]:",
+           "for factor, mult in [(f, 1) for f, _ in dup_sqf_list(q, ZZ)[1]]:",
            ("tests/test_quartic.py::test_partition_consistency",
             "tests/test_quartic.py::test_exact_structure_of_quartics_built_from_known_factors")),
+    # the evident roots read off the coefficients
+    Mutant("quartic_zero_root_dropped", "src/asdnull/quartic.py",
+           "    for mult in (inf_mult, zero_mult, power):\n",
+           "    for mult in (inf_mult, power):\n",
+           ("tests/test_quartic.py::test_root_at_infinity",
+            "tests/test_quartic.py::test_exact_structure_matches_sympy_route_on_a_grid",
+            "tests/test_quartic.py::test_exact_structure_of_evident_powers")),
+    Mutant("quartic_power_checks_one_coefficient", "src/asdnull/quartic.py",
+           "for k in range(2, d + 1))",
+           "for k in range(2, min(d, 3) + 1))",
+           ("tests/test_quartic.py::test_exact_structure_of_evident_powers",)),
     # the factored field: the sum's trial division, its exponent maximum, the
     # derivative's e_i D b_i / b_i terms, and irreducible base entry
     Mutant("sum_trial_division_skipped", "src/asdnull/expr.py",
@@ -184,9 +196,21 @@ MUTANTS = (
            "_ETA[m] * gam[3 - m][j][l]",
            ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
     Mutant("lambda_over_12", "src/asdnull/spinor.py",
-           "v[A, B, 1 - B, 1 - A]) / 24",
-           "v[A, B, 1 - B, 1 - A]) / 12",
-           ("tests/test_spinor.py::test_tetrad_ricci_matches_coordinate_route",)),
+           '_terms({"0123": "1/3", "0303": "-1/12", "0312": "1/6", "1212": "-1/12"})',
+           '_terms({"0123": "2/3", "0303": "-1/6", "0312": "1/3", "1212": "-1/6"})',
+           ("tests/test_spinor.py::test_tetrad_ricci_matches_coordinate_route",
+            "tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_units")),
+    Mutant("lambda_coefficient", "src/asdnull/spinor.py",
+           '{"0123": "1/3", "0303": "-1/12"',
+           '{"0123": "1/6", "0303": "-1/12"',
+           ("tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_units",
+            "tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_corpus")),
+    Mutant("curvature_spinor_psi2_sign", "src/asdnull/spinor.py",
+           '"0312": "-1/3"',
+           '"0312": "1/3"',
+           ("tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_units",
+            "tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_corpus",
+            "tests/test_spinor.py::test_curvature_reassembly_on_corpus")),
     Mutant("ricci_reconstruction_check_disabled", "src/asdnull/spinor.py",
            "    if any(tet.reconstruction_el()):\n",
            "    if False:\n",
@@ -405,11 +429,17 @@ def run(m: Mutant) -> tuple[str, str]:
     return "killed", f"{len(m.tests)} of {len(m.tests)} failed"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    """Run the named rows, or every row when no name is given."""
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    rows = [m for m in MUTANTS if not names or m.name in names]
     start = time.perf_counter()
     wrong = []  # live survivors, killed equivalents and rows that could not run
     counts = {"killed": 0, "survived": 0, "broken": 0}
-    for m in MUTANTS:
+    for m in rows:
         outcome, detail = run(m)
         counts[outcome] += 1
         expected = "survived" if m.equivalent else "killed"
@@ -417,7 +447,7 @@ def main() -> int:
             wrong.append(m)
         note = f" (equivalent: {m.equivalent})" if m.equivalent else ""
         print(f"{m.name:32} {outcome}{note}: {detail}", flush=True)
-    print(f"{len(MUTANTS)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
+    print(f"{len(rows)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
           f"{counts['broken']} could not run, in {time.perf_counter() - start:.0f} s")
     for m in wrong:
         print(f"  unexpected: {m.name}")
@@ -425,4 +455,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

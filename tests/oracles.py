@@ -8,14 +8,21 @@ therefore cannot cancel against the same fault in its check.
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import ZZ
+from sympy.polys.rootisolation import dup_count_real_roots
+from sympy.polys.sqfreetools import dup_sqf_list
 
-from asdnull.expr import Assignment, EvalError, Expr, differentiate, evaluate, normalize, parse
+from asdnull.expr import (Assignment, EvalError, Expr, Field, differentiate, evaluate,
+                          normalize, parse)
+from asdnull.quartic import RootStructure
 from asdnull.spinor import curvature_spinors, spin_coefficients
-from asdnull.tensor import FIBRE, christoffels, riemann_lower
+from asdnull.tensor import FIBRE, _vector_el, christoffels, riemann_lower
 
 R4 = range(4)
 R2 = (0, 1)
@@ -33,6 +40,29 @@ def _slot(A, Ap):
 
 def _delta(i, j):
     return 1 if i == j else 0
+
+
+# -- the Petrov quartic ------------------------------------------------------------
+
+
+def sympy_root_structure(coeffs) -> RootStructure:
+    """The exact quartic's structure by sympy's dense routines alone: every
+    nonzero quartic goes through the square-free decomposition (Yun) and a
+    real-root count of each factor; a leading drop is the root at infinity."""
+    coeffs = [Fraction(c) for c in coeffs]
+    L = math.lcm(*(c.denominator for c in coeffs))
+    p = dup_strip([c.numerator * (L // c.denominator) for c in reversed(coeffs)])
+    if not p:
+        return RootStructure((), (), (), is_zero=True)
+    inf_mult = 5 - len(p)
+    partition, real, pairs = ([inf_mult], [inf_mult], []) if inf_mult else ([], [], [])
+    for factor, mult in dup_sqf_list(p, ZZ)[1]:
+        nreal = dup_count_real_roots(factor, ZZ)
+        npairs = (len(factor) - 1 - nreal) // 2
+        partition.extend([mult] * (nreal + 2 * npairs))
+        real.extend([mult] * nreal)
+        pairs.extend([mult] * npairs)
+    return RootStructure(*(tuple(sorted(v, reverse=True)) for v in (partition, real, pairs)))
 
 
 # -- derivatives against central finite differences ------------------------------
@@ -157,6 +187,46 @@ def frame_metric_residuals(tet) -> list[Expr]:
 # -- curvature and connection in spinor form -----------------------------------------
 
 
+def contracted_curvature_spinors(rf, zero) -> tuple:
+    """(Psi, Psi~, Phi[A][B][C'][D'], Lambda) of a frame Riemann nest rf by
+    the eps-contractions of R_{AA'BB'CC'DD'}: four times the primed-traced
+    (v), unprimed-traced (u) and mixed (w) contractions, symmetrized.  The
+    entries of rf may be field elements or rationals; only their +, - and
+    division by an integer are used."""
+    def eps_pairs(term):
+        """sum over P, Q of eps_{P(1-P)} eps_{Q(1-Q)} term(P, Q), where
+        eps_{P(1-P)} is +1 at P = 0 and -1 at P = 1."""
+        out = None
+        for P, Q in itertools.product(R2, repeat=2):
+            t = term(P, Q)
+            out = t if out is None else (out + t if P == Q else out - t)
+        return out
+
+    def RF(A, Ap, B, Bp, C, Cp, D, Dp):
+        return rf[_slot(A, Ap)][_slot(B, Bp)][_slot(C, Cp)][_slot(D, Dp)]
+
+    v, u, w = {}, {}, {}
+    for A, B, C, D in itertools.product(R2, repeat=4):
+        v[A, B, C, D] = eps_pairs(lambda P, Q: RF(A, P, B, 1 - P, C, Q, D, 1 - Q))
+        u[A, B, C, D] = eps_pairs(lambda P, Q: RF(P, A, 1 - P, B, Q, C, 1 - Q, D))
+        w[A, B, C, D] = eps_pairs(lambda P, Q: RF(A, P, B, 1 - P, Q, C, 1 - Q, D))
+
+    def sym4(tbl):
+        psi = []
+        for k in range(5):
+            perms = set(itertools.permutations([1] * k + [0] * (4 - k)))
+            psi.append(sum((tbl[p] for p in perms), zero) / (4 * len(perms)))
+        return tuple(psi)
+
+    lam = eps_pairs(lambda A, B: v[A, B, 1 - B, 1 - A]) / 24
+    sym = {(A, B, Cp, Dp): (w[A, B, Cp, Dp] + w[B, A, Cp, Dp] + w[A, B, Dp, Cp]
+                            + w[B, A, Dp, Cp]) / 16
+           for A, B, Cp, Dp in itertools.product(R2, repeat=4) if A <= B and Cp <= Dp}
+    phi = [[[[sym[min(A, B), max(A, B), min(Cp, Dp), max(Cp, Dp)] for Dp in R2]
+             for Cp in R2] for B in R2] for A in R2]
+    return sym4(v), sym4(u), phi, lam
+
+
 def frame_riemann(g, tet) -> list:
     """R_ijkl = e_i^a e_j^b e_k^c e_l^d R_abcd: the coordinate route's
     riemann_lower projected onto the frame, over antisymmetric pairs."""
@@ -274,13 +344,28 @@ def tree_killing(g, tet, K) -> tuple:
     return nk, eta, kaa, ff
 
 
+def phi_comp(data, a, b) -> Expr:
+    """phi_{A'B'} of a `spinor.KillingSpinorData`."""
+    return data.phi[a + b]
+
+
+def psi_comp(data, a, b) -> Expr:
+    """psi_{AB} of a `spinor.KillingSpinorData`."""
+    return data.psi[a + b]
+
+
+def vector_components(tet, K) -> list:
+    """K^{AA'} = theta^{AA'}(K) from the tetrad's elements, as their views."""
+    return [[Field.view(c) for c in row] for row in tet.vector_el(_vector_el(tet.g, K))]
+
+
 def killing_reassembly_residuals(g, tet, K, data) -> list[Expr]:
     """The frame nabla_a K_b rebuilt from the package's (phi, psi, eta)."""
     fk = _frame_rank2(_frame(tet), _nabla_killing(g, K)[0])
     out = []
     for A, Ap, B, Bp in itertools.product(R2, repeat=4):
-        rec = (data.phi_comp(Ap, Bp).sym * _eps(A, B)
-               + data.psi_comp(A, B).sym * _eps(Ap, Bp)
+        rec = (phi_comp(data, Ap, Bp).sym * _eps(A, B)
+               + psi_comp(data, A, B).sym * _eps(Ap, Bp)
                + data.eta.sym * _eps(A, B) * _eps(Ap, Bp) / 2)
         out.append(Expr(normalize(rec - fk[_slot(A, Ap)][_slot(B, Bp)])))
     return out

@@ -218,6 +218,26 @@ def test_curvature_of_a_small_nonzero_ricci_tensor_exits_1(capsys, tmp_path):
     assert ricci["value"] == float(-Fraction(25, 27) / 10**12)
 
 
+def test_curvature_past_the_double_range_is_valid_json(capsys, tmp_path):
+    """g_zz = x^2 t 10^400 has a nonzero Ricci component whose value at the
+    witness is past the double range: the report writes it as the string
+    "-inf", not the bare token -Infinity, which JSON (RFC 8259) lacks."""
+    g = [row[:] for row in FLAT_METRIC["g"]]
+    g[3][3] = "x^2*t*10^400"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "metric", "coordinates": FLAT_METRIC["coordinates"],
+                                "g": g}))
+    code, out = _run_capture(capsys, ["curvature", str(path)])
+    assert code == 1
+
+    def no_constant(token):
+        raise ValueError(f"not JSON: {token}")
+
+    ricci = {c["name"]: c for c in json.loads(out, parse_constant=no_constant)["checks"]}
+    assert ricci["ricci_flat"]["verdict"] == "nonzero"
+    assert ricci["ricci_flat"]["value"] == "-inf"
+
+
 def test_curvature_of_a_tetrad_that_reconstructs_only_at_samples(capsys, tmp_path):
     """theta theta has 1 - sin(t + y)^2 where g has cos(t + y)^2: the Ricci
     tensor and the scalar curvature are g's, as without a tetrad."""
@@ -451,6 +471,25 @@ def test_subcommand_matches_recorded_output(command, model, capsys, monkeypatch)
         report = (f'{{"checks":{want},"command":["{command}","models/{model}.json"],'
                   '"points":50,"seed":0,"tolerance":1e-10,"version":1}\n')
         assert (code, out, err) == (want_code, report, "")
+
+
+def test_model_quartics_need_no_square_free_decomposition(capsys, monkeypatch):
+    """Every exact Petrov quartic of the sample models' classify, szekeres and
+    report-all is x^k a(x - r)^d once its root at infinity is dropped: its
+    structure is read off the coefficients, and no dup_sqf_list runs."""
+    from asdnull import quartic
+
+    calls = []
+    sqf = quartic.dup_sqf_list
+    monkeypatch.setattr(quartic, "dup_sqf_list", lambda *a: calls.append(a) or sqf(*a))
+    monkeypatch.chdir(ROOT)
+    for model in sorted(p.stem for p in MODELS.glob("*.json")):
+        for command in ("classify", "szekeres", "report-all"):
+            run([command, f"models/{model}.json"])
+            capsys.readouterr()
+    assert calls == []
+    quartic.quartic_root_structure([2, -3, 3, -3, 1])  # (x^2 + 1)(x - 1)(x - 2)
+    assert len(calls) == 1
 
 
 def test_fefferman_builder_model_uses_slot_order(tmp_path):

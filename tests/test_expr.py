@@ -45,6 +45,7 @@ from asdnull.twistor import (
     lift_commutation_check,
     lift_killing,
 )
+import mutants
 from mutants import MUTANTS, _failed
 from oracles import CORPUS as ORACLE_CORPUS
 from oracles import tree_coframe, tree_metric
@@ -980,6 +981,22 @@ def test_mutant_snippets_occur_once():
         for node in m.tests:
             path, name = node.split("::")
             assert f"\ndef {name.split('[')[0]}(" in (root / path).read_text(encoding="utf-8"), node
+
+
+def test_mutant_runner_runs_only_the_named_rows(monkeypatch, capsys):
+    """`tests/mutants.py NAME ...` runs the named rows in table order, no name
+    runs every row, and an unknown name exits 2 with no row run."""
+    ran = []
+    monkeypatch.setattr(mutants, "run", lambda m: ran.append(m.name) or ("killed", "planted"))
+    assert mutants.main(["lambda_coefficient", "quartic_zero_root_dropped"]) == 0
+    assert ran == ["quartic_zero_root_dropped", "lambda_coefficient"]
+    assert "2 mutants: 2 killed" in capsys.readouterr().out
+    assert mutants.main(["lambda_coefficient", "no_such_row"]) == 2
+    assert "unknown mutant: no_such_row" in capsys.readouterr().err
+    assert len(ran) == 2
+    ran.clear()
+    assert mutants.main([]) == 0
+    assert ran == [m.name for m in MUTANTS]
 
 
 def test_mutant_runner_counts_parametrized_failures():

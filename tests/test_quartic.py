@@ -1,5 +1,6 @@
 """Root-multiplicity structure of quartics, exact and numeric paths."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from asdnull.quartic import quartic_root_structure
+from oracles import sympy_root_structure
 
 
 def _from_roots(roots):
@@ -134,3 +136,52 @@ def test_numeric_scaled_coefficients():
     rs = quartic_root_structure(list(base * 1e9))
     assert rs.partition == (1, 1, 1, 1)
     assert rs.real_roots == (1, 1, 1, 1)
+
+
+def test_exact_structure_matches_sympy_route_on_a_grid():
+    """Every quartic with coefficients in {-1, 0, 1, 2} has the structure of
+    the square-free decomposition and real-root count alone."""
+    for coeffs in itertools.product((-1, 0, 1, 2), repeat=5):
+        coeffs = [F(c) for c in coeffs]
+        assert quartic_root_structure(coeffs) == sympy_root_structure(coeffs), coeffs
+
+
+def _evident_power(rng):
+    """(ascending coefficients, (drop, k, d), partition) of x^k a (x - r)^d
+    with a leading drop, k + d + drop = 4, r a nonzero rational and a a
+    rational scale."""
+    drop = rng.randint(0, 4)
+    k = rng.randint(0, 4 - drop)
+    d = 4 - drop - k
+    r = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    p = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))]
+    for _ in range(d):
+        p = _times(p, [-r, F(1)])
+    coeffs = [F(0)] * k + p + [F(0)] * drop
+    return coeffs, (drop, k, d), tuple(sorted((m for m in (drop, k, d) if m), reverse=True))
+
+
+def test_exact_structure_of_evident_powers():
+    """x^k a (x - r)^d, read off its coefficients, has the structure of the
+    sympy route; so do near misses, a cube's or fourth power's coefficients
+    with one after the first three changed, which only the check of every
+    coefficient tells apart."""
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        coeffs, shape, partition = _evident_power(rng)
+        rs = quartic_root_structure(coeffs)
+        assert rs == sympy_root_structure(coeffs), coeffs
+        assert rs.partition == rs.real_roots == partition, coeffs
+        seen.add(shape)
+        for d in (3, 4):  # a(x - r)^d: its first three coefficients kept, a later one moved
+            p = [F(rng.randint(1, 9))]
+            r = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+            for _ in range(d):
+                p = _times(p, [-r, F(1)])
+            p[rng.randint(0, d - 3)] += rng.choice([-1, 1]) * F(rng.randint(1, 9), rng.randint(1, 5))
+            near = p + [F(0)] * (4 - d)
+            rs = quartic_root_structure(near)
+            assert rs == sympy_root_structure(near), near
+            assert max(rs.partition) < d, near
+    assert len(seen) == 15  # every (drop, k, d) summing to 4

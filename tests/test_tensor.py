@@ -53,6 +53,7 @@ from oracles import (
     metric_compatibility_residuals,
     tree_ricci,
     tree_wedge,
+    vector_components,
 )
 
 CFG = SampleConfig()
@@ -299,7 +300,7 @@ def _views(bg):
     if bg.K is not None:
         data = killing_decompose(g, tet, bg.K, CFG)
         iota, o = null_killing_factorize(g, tet, bg.K, CFG)
-        yield tet.vector_components(bg.K)
+        yield vector_components(tet, bg.K)
         yield twist_three_form(g, bg.K).comps, lie_derivative_metric(g, bg.K).comps
         yield [e.sym for e in (*data.phi, *data.psi, data.eta, *iota.comps, *o.comps,
                                *lift_killing(bg, CFG).comps)]
