@@ -868,10 +868,6 @@ class Expr:
     def has_kernels(self) -> bool:
         return self.sym.has(*_KERNEL_CLASSES)
 
-    def substitute(self, mapping: Mapping[str, "Expr | Number"]) -> "Expr":
-        subs = {sp.Symbol(k): Expr(v).sym for k, v in mapping.items()}
-        return Expr(self.sym.subs(subs, simultaneous=True))
-
     def diff(self, var: "str | Expr", order: int = 1) -> "Expr":
         return differentiate(self, var, order)
 
@@ -1328,8 +1324,10 @@ def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
     fn = _compiled(e.normal, names)
     try:
         out = fn(*[float(a[n]) for n in names])
-    except (ZeroDivisionError, OverflowError) as ex:
+    except ZeroDivisionError as ex:
         raise EvalError(f"evaluation failed at the point: {ex}") from ex
+    except OverflowError as ex:
+        raise EvalError("evaluation overflowed the double range at the point") from ex
     except ValueError as ex:
         raise EvalError(f"domain error at the point (log of non-positive?): {ex}") from ex
     if isinstance(out, complex) or math.isnan(out) or math.isinf(out):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .tensor import _nested
+from .tensor import _memo_el, _nested
 
 _R = range(4)
 
@@ -30,10 +30,7 @@ def _frame_curvature(tet) -> tuple:
     formula is algebraic: 2 Gamma_kij = C_kij - C_ijk + C_jki.  Then
     R_ijkl = e_k(Gamma_ilj) - e_l(Gamma_ikj) + Gamma_ikm Gamma^m_lj
     - Gamma_ilm Gamma^m_kj - C^m_kl Gamma_imj.  Memoized on the tetrad."""
-    key, F = "frame_curvature", tet.g.field
-    if key not in tet._el:
-        tet._el[key] = F.held(F.run(lambda: _cartan(tet)))
-    return F.up(tet._el[key])
+    return _memo_el(tet._coeff_cache, "frame_curvature", tet.g.field, lambda: _cartan(tet))
 
 
 def _cartan(tet) -> tuple:

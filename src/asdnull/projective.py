@@ -51,9 +51,6 @@ class ProjectiveStructure:
     def build(cls, chart2: Sequence[str], A, parameters=()) -> "ProjectiveStructure":
         return cls(tuple(chart2), tuple(Expr(a) for a in A), frozenset(parameters))
 
-    def is_flat_input(self) -> bool:
-        return all(Expr(a).is_proven_zero() for a in self.A)
-
     @cached_property
     def _spray_fn(self):
         """F(x, y, lam) of the spray, cancelled and compiled on first use and

@@ -45,6 +45,8 @@ from .tensor import (
     vector_norm,
     _comps_el,
     _entered,
+    _memo,
+    _memo_el,
     _nabla_vector,
     _nested,
     _nested_map,
@@ -110,11 +112,11 @@ class NullTetrad:
         if not det:
             raise ExprError("tetrad coframe is degenerate")
         adj = adjugate4(theta)
-        # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
-        self._theta_el = F.held(theta)
-        self._frame_el = F.held([[adj[a][i] / det for a in _R] for i in _R])
         self._coeff_cache: dict = {}
-        self._el: dict = {}  # field elements behind the memoized coefficients
+        _memo_el(self._coeff_cache, "theta", F, lambda: theta)
+        # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
+        _memo_el(self._coeff_cache, "frame", F,
+                 lambda: [[adj[a][i] / det for a in _R] for i in _R])
         if not (v := self.reconstruction_verdict()).is_zero():
             raise ExprError(f"tetrad does not reconstruct the metric: {v}")
 
@@ -125,7 +127,7 @@ class NullTetrad:
 
     def field_el(self, name: str):
         """theta or frame as elements of the metric's current field."""
-        return self.g.field.up(getattr(self, f"_{name}_el"))
+        return self.g.field.up(self._coeff_cache[name])
 
     def reconstruction_el(self) -> list:
         """theta theta - g on and above the diagonal, as field elements."""
@@ -306,25 +308,24 @@ def _curvature_spinor_forms(rf, zero) -> tuple:
             phi, _linear(rf, _LAMBDA, zero))
 
 
+def _curvature_spinors(g: Metric, tet: NullTetrad) -> tuple:
+    """curvature_spinors as field elements, memoized on the tetrad."""
+    F = g.field
+    return _memo_el(tet._coeff_cache, "curvature_spinor_el", F,
+                    lambda: _curvature_spinor_forms(_frame_curvature(tet)[1], F.K.zero))
+
+
 def curvature_spinors(g: Metric, tet: NullTetrad):
     """(C unprimed, C primed, Phi[A][B][C'][D'], Lambda) from the frame Riemann."""
-    key = "curvature_spinors"
-    if key in tet._coeff_cache:
-        return tet._coeff_cache[key]
     F = g.field
 
-    def compute():
-        return _curvature_spinor_forms(_frame_curvature(tet)[1], F.K.zero)
+    def shown():
+        cu, cp, phi, lam = _curvature_spinors(g, tet)
+        return (WeylSpinor([F.expr(c) for c in cu], primed=False, field=F, el=cu),
+                WeylSpinor([F.expr(c) for c in cp], primed=True, field=F, el=cp),
+                _nested_map(F.expr, phi), F.expr(lam))
 
-    cu, cp, phi, lam = F.run(compute)
-    tet._el[key] = F.held((cu, cp, phi, lam))
-    tet._coeff_cache[key] = (
-        WeylSpinor([F.expr(c) for c in cu], primed=False, field=F, el=cu),
-        WeylSpinor([F.expr(c) for c in cp], primed=True, field=F, el=cp),
-        _nested_map(F.expr, phi),
-        F.expr(lam),
-    )
-    return tet._coeff_cache[key]
+    return _memo(tet._coeff_cache, "curvature_spinors", F, shown)
 
 
 def weyl_spinors(g: Metric, tet: NullTetrad) -> tuple[WeylSpinor, WeylSpinor]:
@@ -340,32 +341,24 @@ def tetrad_ricci(g: Metric, tet: NullTetrad) -> tuple[TensorField, Expr]:
     The frame curvature is that of theta theta, so a tetrad that reconstructs
     g only at samples (cos(x)^2 against 1 - sin(x)^2) takes the coordinate
     route, whose views are g's."""
-    key = "ricci"
-    if key in tet._coeff_cache:
-        return tet._coeff_cache[key]
-    if any(tet.reconstruction_el()):
-        tet._coeff_cache[key] = ricci(g), scalar_curvature(g)
-        return tet._coeff_cache[key]
-    curvature_spinors(g, tet)
     F = g.field
 
     def compute():
-        _, _, phi, lam = F.up(tet._el["curvature_spinors"])
-        if not lam and not any(c for a in phi for b in a for cp in b for c in cp):
-            return _nested(2, F.K.zero), lam
-        th, ric = tet.field_el("theta"), _frame_ricci(tet)
-        half = [[sum((ric[i][j] * th[j][b] for j in _R if th[j][b]), F.K.zero) for b in _R]
-                for i in _R]
-        out = _nested(2)
-        for a in _R:
-            for b in range(a, 4):
-                out[a][b] = out[b][a] = sum((th[i][a] * half[i][b] for i in _R if th[i][a]),
-                                            F.K.zero)
-        return out, lam
+        if any(tet.reconstruction_el()):
+            return ricci(g), scalar_curvature(g)
+        _, _, phi, lam = _curvature_spinors(g, tet)
+        out = _nested(2, F.K.zero)
+        if lam or any(c for a in phi for b in a for cp in b for c in cp):
+            th, ric = tet.field_el("theta"), _frame_ricci(tet)
+            half = [[sum((ric[i][j] * th[j][b] for j in _R if th[j][b]), F.K.zero) for b in _R]
+                    for i in _R]
+            for a in _R:
+                for b in range(a, 4):
+                    out[a][b] = out[b][a] = sum((th[i][a] * half[i][b] for i in _R if th[i][a]),
+                                                F.K.zero)
+        return TensorField(g.chart, "ll", el=out), F.expr(lam * 24)
 
-    ric, lam = F.run(compute)
-    tet._coeff_cache[key] = (TensorField(g.chart, "ll", el=ric), F.expr(lam * 24))
-    return tet._coeff_cache[key]
+    return _memo(tet._coeff_cache, "ricci", F, compute)
 
 
 # -- two-form decomposition ----------------------------------------------------------
@@ -389,20 +382,12 @@ def _split_frame_two_form(ff) -> tuple[list, list]:
 def spin_coefficients(g: Metric, tet: NullTetrad):
     """(Gamma_u, Gamma_p, nab): Gamma_u[slot DD'][C][E] = Gamma_{DD'C}^E, the
     primed counterpart, and nab[i][j][k] = theta^k(nabla_{e_i} e_j), from the
-    frame connection, as sympy trees."""
-    key = "spin_coefficients"
-    if key not in tet._coeff_cache:
-        tet._coeff_cache[key] = tuple(_nested_map(Field.view, t)
-                                      for t in _spin_coefficients(g, tet))
-    return tet._coeff_cache[key]
+    frame connection, as sympy trees: the views of `_spin_coefficients`."""
+    return tuple(_nested_map(Field.view, t) for t in _spin_coefficients(g, tet))
 
 
 def _spin_coefficients(g: Metric, tet: NullTetrad):
     """spin_coefficients as field elements, memoized on the tetrad."""
-    key = "spin_coefficients"
-    F = g.field
-    if key in tet._el:
-        return F.up(tet._el[key])
 
     def compute():
         nab = _frame_curvature(tet)[0]
@@ -412,8 +397,7 @@ def _spin_coefficients(g: Metric, tet: NullTetrad):
                 for Ee in _R2] for Cc in _R2] for i in _R]
         return gu, gp, nab
 
-    tet._el[key] = F.held(F.run(compute))
-    return F.up(tet._el[key])
+    return _memo_el(tet._coeff_cache, "spin_coefficients", g.field, compute)
 
 
 # -- Petrov classification -----------------------------------------------------------
@@ -469,11 +453,10 @@ def _conformal_killing(g: Metric, K: VectorField):
     F = g.field
     _, nk, div = _nabla_vector(g, K)
     eta, gg = div / 2, g.el
-    key = ("conformal_killing", *K.comps)
-    if key not in g._cache:
-        g._cache[key] = [F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
-                         for a in _R for b in range(a, 4)]
-    return g._cache[key], eta, nk
+    res = _memo(g._cache, ("conformal_killing", *K.comps), F,
+                lambda: [F.expr((nk[a][b] + nk[b][a]) / 2 - eta * gg[a][b] / 2)
+                         for a in _R for b in range(a, 4)])
+    return res, eta, nk
 
 
 def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], Expr]:
@@ -485,27 +468,25 @@ def conformal_killing_residuals(g: Metric, K: VectorField) -> tuple[list[Expr], 
 def conformal_killing_verdict(g: Metric, K: VectorField, cfg: SampleConfig) -> Verdict:
     """The zero test of the conformal Killing residuals under cfg, memoized
     on the metric next to the residuals and keyed on K's components."""
-    key = ("conformal_killing_verdict", cfg, *K.comps)
-    if key not in g._cache:
-        g._cache[key] = is_zero_all(_conformal_killing(g, K)[0], cfg)
-    return g._cache[key]
+    return _memo(g._cache, ("conformal_killing_verdict", cfg, *K.comps), g.field,
+                 lambda: is_zero_all(_conformal_killing(g, K)[0], cfg))
 
 
 def _killing_spinors(g: Metric, tet: NullTetrad, K: VectorField, cfg: SampleConfig):
     """(phi, psi, eta) of killing_decompose as field elements, memoized on the
     tetrad once K has passed the conformal Killing test under cfg."""
-    key = ("killing_spinors", cfg, *K.comps)
-    if key not in tet._coeff_cache:
+
+    def compute():
         v = conformal_killing_verdict(g, K, cfg)
         if not v.is_zero():
             raise ExprError(f"K is not a conformal Killing vector: {v}")
         _, nk, div = _nabla_vector(g, K)
-        eta = div / 2
         fk = _frame_rank2(tet, nk)
         phi, psi = _split_frame_two_form([[(fk[i][j] - fk[j][i]) / 2 for j in _R]
                                           for i in _R])
-        tet._coeff_cache[key] = g.field.held((phi, psi, eta))
-    return g.field.up(tet._coeff_cache[key])
+        return phi, psi, div / 2
+
+    return _memo_el(tet._coeff_cache, ("killing_spinors", cfg, *K.comps), g.field, compute)
 
 
 def killing_decompose(g: Metric, tet: NullTetrad, K: VectorField,
@@ -552,13 +533,12 @@ def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
     F = g.field
     phi0, psi0, _ = _killing_spinors(g, tet, K, cfg)
     iota0, o0 = _null_factors(g, tet, K, cfg)
-    _spin_coefficients(g, tet)
+    gu0, gp0, _ = _spin_coefficients(g, tet)
 
     def compute():
         x = g.chart.syms
-        gu, gp, _ = F.up(tet._el["spin_coefficients"])
         E = tet.field_el("frame")
-        phi, psi, iu, ou = F.up((phi0, psi0, iota0, o0))
+        gu, gp, phi, psi, iu, ou = F.up((gu0, gp0, phi0, psi0, iota0, o0))
         alg1 = sum((iu[a] * iu[b] * psi[a + b] for a in _R2 for b in _R2), F.K.zero)
         alg2 = sum((ou[a] * ou[b] * phi[a + b] for a in _R2 for b in _R2), F.K.zero)
 
@@ -639,14 +619,12 @@ class SzekeresResult:
 
 def _weyl_divergence(g: Metric, tet: NullTetrad) -> dict:
     """weyl_divergence_spinor as field elements."""
-    curvature_spinors(g, tet)
-    _spin_coefficients(g, tet)
     F = g.field
+    psi0, gu0 = _curvature_spinors(g, tet)[0], _spin_coefficients(g, tet)[0]
 
     def compute():
         x = g.chart.syms
-        psi = F.up(tet._el["curvature_spinors"])[0]  # Psi_{ABCD} = psi[A + B + C + D]
-        gu = F.up(tet._el["spin_coefficients"])[0]
+        psi, gu = F.up((psi0, gu0))  # Psi_{ABCD} = psi[A + B + C + D]
         E = tet.field_el("frame")
         dpsi = [[F.diff(p, x[a]) for a in _R] for p in psi]
         div = {}

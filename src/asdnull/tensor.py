@@ -1,14 +1,20 @@
 """Coordinate tensor calculus on a 4D chart: curvature, Lie derivatives,
 the twist three-form, conformal rescaling.
 
-Everything is dense and exact; metrics memoize their inverse and curvature so
-repeated queries share work.  The coordinate curvature chain (det, inverse,
+Everything is dense and exact.  The coordinate curvature chain (det, inverse,
 Christoffels, Riemann, Ricci, Weyl) computes in one sparse fraction field per
 metric (`expr.Field`); components are shown as sympy normal forms and exposed
 as Expr at the API boundary.  A metric with a tetrad takes its curvature from
 the coframe instead (`frame`), so this chain serves metrics without one,
 `weyl_mixed` and the tests' independent checks.  The form classes hold
 components and define no arithmetic; wedges are taken on field elements.
+
+One memo per owner, one helper: every stage on a metric or its tetrad is
+kept in the owner's one dict (`Metric._cache`, `NullTetrad._coeff_cache`) by
+`_memo`, which keeps a value computed in the field, or `_memo_el`, which keeps
+elements as `Field.held` and reads them back in the current field.  A stage
+that others read has one element accessor; a view (`Metric.inverse`,
+`spinor.spin_coefficients`) is its accessor's elements viewed, with no memo.
 """
 
 from __future__ import annotations
@@ -131,6 +137,18 @@ class TensorField:
         return is_zero_all(self.components_flat(), cfg)
 
 
+def _memo(cache: dict, key, F: Field, fn: Callable):
+    """fn() computed in F (`Field.run`), kept in its owner's cache under key."""
+    if key not in cache:
+        cache[key] = F.run(fn)
+    return cache[key]
+
+
+def _memo_el(cache: dict, key, F: Field, fn: Callable):
+    """fn's elements, memoized as `Field.held` and read in F's current field."""
+    return F.up(_memo(cache, key, F, lambda: F.held(fn())))
+
+
 def _nested_map(fn, obj):
     if isinstance(obj, list):
         return [_nested_map(fn, v) for v in obj]
@@ -240,7 +258,7 @@ class Metric:
             els[a][b] = els[b][a] = e
         self._shown = shown
         self._comps = None
-        self._cache["el"] = F.held(els)
+        _memo_el(self._cache, "el", F, lambda: els)
 
     @property
     def comps(self) -> list:
@@ -252,17 +270,6 @@ class Metric:
     def __getitem__(self, idx):
         a, b = idx
         return self._shown[a][b]
-
-    def _memo(self, key: str, fn: Callable):
-        if key not in self._cache:
-            self._cache[key] = self.field.run(fn)
-        return self._cache[key]
-
-    def _memo_el(self, key, fn: Callable):
-        """fn's elements, memoized as `Field.held` and read in the current
-        field."""
-        F = self.field
-        return F.up(self._memo(key, lambda: F.held(fn())))
 
     @property
     def field(self) -> Field:
@@ -276,12 +283,12 @@ class Metric:
         return self.field.up(self._cache["el"])
 
     def _det_el(self):
-        return self._memo_el("det", lambda: det4(self.el))
+        return _memo_el(self._cache, "det", self.field, lambda: det4(self.el))
 
     @property
     def inverse(self) -> list:
-        """g^ab as sympy trees, made on first read."""
-        return self._memo("inv", lambda: _nested_map(Field.view, self._inverse_el()))
+        """g^ab as sympy trees, the views of `_inverse_el`."""
+        return _nested_map(Field.view, self._inverse_el())
 
     def _inverse_el(self) -> list:
         def compute():
@@ -290,7 +297,7 @@ class Metric:
                 raise ExprError("metric is degenerate: det normalizes to zero")
             adj = adjugate4(self.el)
             return [[adj[a][b] / det for b in _R] for a in _R]
-        return self._memo_el("inv_el", compute)
+        return _memo_el(self._cache, "inv_el", self.field, compute)
 
     def signature_at(self, point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts at a sample point."""
@@ -338,7 +345,7 @@ def christoffels(g: Metric) -> TensorField:
                     out[a][b][c] = out[a][c][b] = val / 2
         return TensorField(g.chart, "ull", el=out)
 
-    return g._memo("christoffels", compute)
+    return _memo(g._cache, "christoffels", g.field, compute)
 
 
 def riemann(g: Metric) -> TensorField:
@@ -368,7 +375,7 @@ def riemann(g: Metric) -> TensorField:
                         out[a][b][dd][c] = -val
         return TensorField(g.chart, "ulll", el=out)
 
-    return g._memo("riemann", compute)
+    return _memo(g._cache, "riemann", g.field, compute)
 
 
 def riemann_lower(g: Metric) -> TensorField:
@@ -388,7 +395,7 @@ def riemann_lower(g: Metric) -> TensorField:
                         out[a][b][d][c] = -val
         return TensorField(g.chart, "llll", el=out)
 
-    return g._memo("riemann_lower", compute)
+    return _memo(g._cache, "riemann_lower", g.field, compute)
 
 
 def ricci(g: Metric) -> TensorField:
@@ -403,7 +410,7 @@ def ricci(g: Metric) -> TensorField:
                 out[b][d] = out[d][b] = sum((r[a][b][a][d] for a in _R), F.K.zero)
         return TensorField(g.chart, "ll", el=out)
 
-    return g._memo("ricci", compute)
+    return _memo(g._cache, "ricci", g.field, compute)
 
 
 def _scalar_curvature_el(g: Metric):
@@ -413,7 +420,7 @@ def _scalar_curvature_el(g: Metric):
         ginv = g._inverse_el()
         return sum((ginv[b][d] * ric[b][d] for b in _R for d in _R if ginv[b][d]), F.K.zero)
 
-    return g._memo_el("scalar_curvature", compute)
+    return _memo_el(g._cache, "scalar_curvature", g.field, compute)
 
 
 def scalar_curvature(g: Metric) -> Expr:
@@ -444,7 +451,7 @@ def weyl(g: Metric) -> TensorField:
                         out[a][b][d][c] = -val
         return TensorField(g.chart, "llll", el=out)
 
-    return g._memo("weyl", compute)
+    return _memo(g._cache, "weyl", g.field, compute)
 
 
 def weyl_mixed(g: Metric) -> TensorField:
@@ -463,7 +470,7 @@ def weyl_mixed(g: Metric) -> TensorField:
                                                for e in _R if ginv[a][e]), F.K.zero)
         return TensorField(g.chart, "ulll", el=out)
 
-    return g._memo("weyl_mixed", compute)
+    return _memo(g._cache, "weyl_mixed", g.field, compute)
 
 
 def _comps_el(F: Field, comps) -> list:
@@ -473,10 +480,8 @@ def _comps_el(F: Field, comps) -> list:
 
 def _vector_el(g: Metric, k: VectorField) -> list:
     """K's components as elements of g's field, converted once per metric."""
-    key = ("vector_el", *k.comps)
-    if key not in g._cache:
-        g._cache[key] = g.field.held(_comps_el(g.field, k.comps))
-    return g.field.up(g._cache[key])
+    F = g.field
+    return _memo_el(g._cache, ("vector_el", *k.comps), F, lambda: _comps_el(F, k.comps))
 
 
 def vector_norm(g: Metric, k: VectorField) -> Expr:
@@ -514,7 +519,7 @@ def _nabla_vector(g: Metric, k: VectorField):
                + sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det / 2)
         return kl, nk, div
 
-    return g._memo_el(("nabla_vector", *k.comps), compute)
+    return _memo_el(g._cache, ("nabla_vector", *k.comps), F, compute)
 
 
 def lie_derivative_metric(g: Metric, k: VectorField) -> TensorField:

@@ -26,7 +26,7 @@ from .expr import (
     random_points,
 )
 from .spinor import _killing_spinors, _spin_coefficients, _SLOT, _eps, _R2
-from .tensor import FIBRE, _vector_el
+from .tensor import FIBRE, _memo, _vector_el
 
 __all__ = [
     "FIBRE",
@@ -81,25 +81,26 @@ def lax_pair(bg) -> LaxPair:
     """L_A = pi^{A'} (e_{AA'} - Gamma_{AA'B'}^{C'} pi^{B'} d/dpi^{C'}),
     projectivized to the affine fibre coordinate; memoized on the tetrad."""
     g, tet = bg.g, bg.tet
-    if "lax_pair" in tet._coeff_cache:
-        return tet._coeff_cache["lax_pair"]
     F = g.field
-    gp = _spin_coefficients(g, tet)[1]
-    E = tet.field_el("frame")
-    lam = F.fold(sp.Symbol(FIBRE))
-    pi = (F.K.one, lam)
-    out = []
-    for A in _R2:
-        horiz = [E[_SLOT[A, 0]][a] + lam * E[_SLOT[A, 1]][a] for a in _R]
-        w = [F.K.zero, F.K.zero]  # vertical components on the spin bundle
-        for Cp in _R2:
-            for Ap in _R2:
-                for Bp in _R2:
-                    w[Cp] -= gp[_SLOT[A, Ap]][Bp][Cp] * pi[Ap] * pi[Bp]
-        out.append(horiz + [w[1] - lam * w[0]])
-    L0, L1 = ([F.expr(c) for c in L] for L in out)
-    tet._coeff_cache["lax_pair"] = LaxPair(g.chart.names, FIBRE, L0, L1, F, tuple(out))
-    return tet._coeff_cache["lax_pair"]
+
+    def compute():
+        gp = _spin_coefficients(g, tet)[1]
+        E = tet.field_el("frame")
+        lam = F.fold(sp.Symbol(FIBRE))
+        pi = (F.K.one, lam)
+        out = []
+        for A in _R2:
+            horiz = [E[_SLOT[A, 0]][a] + lam * E[_SLOT[A, 1]][a] for a in _R]
+            w = [F.K.zero, F.K.zero]  # vertical components on the spin bundle
+            for Cp in _R2:
+                for Ap in _R2:
+                    for Bp in _R2:
+                        w[Cp] -= gp[_SLOT[A, Ap]][Bp][Cp] * pi[Ap] * pi[Bp]
+            out.append(horiz + [w[1] - lam * w[0]])
+        L0, L1 = ([F.expr(c) for c in L] for L in out)
+        return LaxPair(g.chart.names, FIBRE, L0, L1, F, tuple(out))
+
+    return _memo(tet._coeff_cache, "lax_pair", F, compute)
 
 
 def _commutator(F: Field, vars_syms, X, Y) -> list:

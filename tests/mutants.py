@@ -224,8 +224,8 @@ MUTANTS = (
            ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
             "tests/test_expr.py::test_trees_are_normalized_only_at_the_boundary")),
     Mutant("metric_init_normalizes", "src/asdnull/tensor.py",
-           "        self._cache[\"el\"] = F.held(els)\n",
-           "        self._cache[\"el\"] = F.held(els)\n"
+           "        _memo_el(self._cache, \"el\", F, lambda: els)\n",
+           "        _memo_el(self._cache, \"el\", F, lambda: els)\n"
            "        self._comps = [[sp.cancel(e.sym) for e in row] for row in shown]\n",
            ("tests/test_expr.py::test_polynomial_builds_normalize_no_tree",
             "tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read")),
@@ -327,10 +327,17 @@ MUTANTS = (
            "            return bool(self._el)\n",
            ("tests/test_displays.py::test_zero_element_is_proven_without_a_tree",)),
     Mutant("spin_coefficient_views_eager", "src/asdnull/spinor.py",
-           "    tet._el[key] = F.held(F.run(compute))\n",
-           "    tet._el[key] = F.held(F.run(compute))\n"
-           "    tet._coeff_cache[key] = tuple(_nested_map(F.view, t) for t in F.up(tet._el[key]))\n",
+           "    return _memo_el(tet._coeff_cache, \"spin_coefficients\", g.field, compute)\n",
+           "    out = _memo_el(tet._coeff_cache, \"spin_coefficients\", g.field, compute)\n"
+           "    tuple(_nested_map(Field.view, t) for t in out)\n"
+           "    return out\n",
            ("tests/test_displays.py::test_family_members_make_only_the_trees_zero_tests_read",)),
+    # the one element memo: read back without moving it into the current field
+    Mutant("memo_el_not_moved", "src/asdnull/tensor.py",
+           "    return F.up(_memo(cache, key, F, lambda: F.held(fn())))\n",
+           "    return _memo(cache, key, F, lambda: F.held(fn())).value\n",
+           ("tests/test_expr.py::test_memos_hold_their_fields_elements",
+            "tests/test_spinor.py::test_killing_data_matches_tree_oracle")),
     # the sampler's integer draws and the scalar RK4 step
     Mutant("draw_sign_flipped", "src/asdnull/expr.py",
            "pairs.append((p + 1 if rand() < 0.5 else -1 - p, q + 1))",

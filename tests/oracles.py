@@ -42,6 +42,12 @@ def _delta(i, j):
     return 1 if i == j else 0
 
 
+def substitute(e, mapping) -> Expr:
+    """e with the named symbols replaced by mapping's values, simultaneously."""
+    subs = {sp.Symbol(k): Expr(v).sym for k, v in mapping.items()}
+    return Expr(Expr(e).sym.subs(subs, simultaneous=True))
+
+
 # -- the Petrov quartic ------------------------------------------------------------
 
 
@@ -392,6 +398,11 @@ def recompose_two_form(tet, phi, psi) -> list:
 # -- the projective flatness invariant ---------------------------------------------------
 
 
+def is_flat_input(p) -> bool:
+    """Every coefficient A_i of the projective structure is proven zero."""
+    return all(Expr(a).is_proven_zero() for a in p.A)
+
+
 def tree_flatness_invariant(p) -> Expr:
     """The flatness obstruction of y'' = F(x, y, lam), F = A0 + A1 lam +
     A2 lam^2 + A3 lam^3, from the spray: with d/dx the total derivative
@@ -485,7 +496,7 @@ def tree_nontwisting_a0(p) -> sp.Expr:
 def tree_sparling_w0(H) -> sp.Expr:
     """W0 = H(u, v)/(YT - ZX)^3 at u = Y/(YT - ZX), v = Z/(YT - ZX)."""
     s = _Y * _T - _Z * _X
-    return sp.cancel(Expr(H).substitute({"u": Expr(_Y / s), "v": Expr(_Z / s)}).sym / s**3)
+    return sp.cancel(substitute(H, {"u": Expr(_Y / s), "v": Expr(_Z / s)}).sym / s**3)
 
 
 def tree_heavenly_hessian(theta) -> tuple:

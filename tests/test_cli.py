@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import asdnull
-from asdnull import cli, construct, spinor, tensor
+from asdnull import cli, construct, spinor, tensor, twistor
 from asdnull.cli import load_model, run
 from asdnull.construct import build_fefferman_like, build_ppwave
 from asdnull.expr import Field, parse
@@ -315,6 +315,18 @@ def test_invariants_command(capsys):
     assert abs(by_name["invariant_I_at"]["value"] - (-9.0)) < 1e-9
 
 
+def test_invariants_overflow_names_the_overflow(capsys):
+    """An invariant past the double range at a float point is an input error
+    that says the evaluation overflowed, not the raw OverflowError arguments."""
+    code = run(["invariants", str(MODELS / "twisting_exp.json"),
+                "--at", "t=0,x=1e200,y=1,z=0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert "error: evaluation overflowed" in captured.err
+    assert "(34," not in captured.err
+
+
 def test_console_entry_point():
     proc = _child(["-m", "asdnull.cli", "classify", str(MODELS / "betazero_a2x.json"),
                    "--at", "x=1,y=2,z=3,t=0", "--format", "text"])
@@ -574,13 +586,13 @@ def test_report_all_computes_killing_data_once(capsys, monkeypatch):
     """One report-all converts K into the metric's field once and computes
     nabla K once, however many checks read them."""
     computed, converted = [], []
-    memo, convert, load = tensor.Metric._memo, Field.convert, cli.load_model
+    memo, convert, load = tensor._memo, Field.convert, cli.load_model
 
-    def counting_memo(self, key, fn):
+    def counting_memo(cache, key, F, fn):
         def counted():
             computed.append(key)
             return fn()
-        return memo(self, key, counted)
+        return memo(cache, key, F, counted)
 
     def counting_convert(self, s):
         converted.append(s)
@@ -592,11 +604,15 @@ def test_report_all_computes_killing_data_once(capsys, monkeypatch):
         monkeypatch.setattr(Field, "convert", counting_convert)
         return model
 
-    monkeypatch.setattr(tensor.Metric, "_memo", counting_memo)
+    for module in (tensor, spinor, twistor):  # every binding of the memo helper
+        monkeypatch.setattr(module, "_memo", counting_memo)
     monkeypatch.setattr(cli, "load_model", loading)
     code, _ = _run_capture(capsys, ["report-all", str(MODELS / "nontwisting_generic.json")])
     assert code == 0
-    assert [key[0] for key in computed if isinstance(key, tuple)] == ["nabla_vector"]
+    # every memo keyed on K computes once, nabla K among them
+    assert [key[0] for key in computed if isinstance(key, tuple)] == [
+        "vector_el", "nabla_vector", "conformal_killing", "conformal_killing_verdict",
+        "killing_spinors"]
     assert len(converted) == 4  # K's components, once
 
 

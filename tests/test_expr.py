@@ -665,13 +665,12 @@ def test_memos_hold_their_fields_elements():
             lp = lax_pair(bg)
             integrability_check(lp, cfg)
             lift_commutation_check(lift_killing(bg, cfg), lp, cfg)
-            memos = [m for cache in (bg.g._cache, bg.tet._el, bg.tet._coeff_cache)
+            memos = [m for cache in (bg.g._cache, bg.tet._coeff_cache)
                      for m in cache.values() if isinstance(m, expr_module._Memo)]
-            memos += [bg.tet._theta_el, bg.tet._frame_el]
             assert len(memos) >= 8, build.__name__
             for m in memos:
                 assert all(el.field is m.K for el in _leaves(m.value)), build.__name__
-        assert bg.g.field.up(bg.tet._frame_el)[0][0].field is bg.g.field.K
+        assert bg.g.field.up(bg.tet._coeff_cache["frame"])[0][0].field is bg.g.field.K
 
 
 def test_field_grows_and_moves_old_elements():
@@ -941,9 +940,27 @@ def _is_sp_diff(f) -> bool:
             and isinstance(f.value, ast.Name) and f.value.id == "sp")
 
 
-def _callers(matches) -> set[str]:
-    """The enclosing module.class.function of each call in src/asdnull whose
-    callee `matches`."""
+# the owners' memos, a metric's `_cache` and a tetrad's `_coeff_cache`; `_el`
+# catches a second dict of elements kept beside them
+MEMO_DICTS = {"_cache", "_coeff_cache", "_el"}
+# the functions that may test a key against a memo or store into one
+MEMO_HELPERS = {"tensor._memo", "tensor._memo_el"}
+
+
+def _is_memo_access(node) -> bool:
+    """A membership test against an attribute `..._cache` (or `._el`), or an
+    item store into one of the owners' memos."""
+    if isinstance(node, ast.Compare):
+        return any(isinstance(op, (ast.In, ast.NotIn)) and isinstance(right, ast.Attribute)
+                   and (right.attr.endswith("_cache") or right.attr in MEMO_DICTS)
+                   for op, right in zip(node.ops, node.comparators))
+    return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Attribute) and node.value.attr in MEMO_DICTS)
+
+
+def _sites(matches) -> set[str]:
+    """The enclosing module.class.function of each node in src/asdnull that
+    `matches`."""
     found = set()
 
     def visit(node, scope):
@@ -951,7 +968,7 @@ def _callers(matches) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and matches(child.func):
+            if matches(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -960,10 +977,24 @@ def _callers(matches) -> set[str]:
     return found
 
 
+def _callers(matches) -> set[str]:
+    """The enclosing module.class.function of each call in src/asdnull whose
+    callee `matches`."""
+    return _sites(lambda node: isinstance(node, ast.Call) and matches(node.func))
+
+
 def test_trees_are_normalized_only_at_the_boundary():
     """Derived stages compute in a metric's field; a normalize or sp.cancel
     call anywhere else brings a tree stage back."""
     assert _callers(_is_normalize) == NORMALIZING
+
+
+def test_memos_are_kept_only_by_the_memo_helper():
+    """Every stage memo on a metric or a tetrad goes through `tensor._memo`
+    or `_memo_el`: no other function tests a key against an owner's memo or
+    stores into one, so the memo rule is written once."""
+    assert _sites(_is_memo_access) <= MEMO_HELPERS
+    assert "tensor._memo_el" in _callers(lambda f: isinstance(f, ast.Name) and f.id == "_memo")
 
 
 def test_trees_are_differentiated_only_at_the_boundary():

@@ -36,6 +36,7 @@ from asdnull.frame import _frame_curvature
 from asdnull.spinor import (
     _conformal_killing,
     _curvature_spinor_forms,
+    _curvature_spinors,
     _frame_rank2,
     _split_frame_two_form,
     NullTetrad,
@@ -185,7 +186,7 @@ def test_curvature_spinor_forms_match_contractions_on_corpus(corpus):
         F = bg.g.field
         cu, cp, _, _ = curvature_spinors(bg.g, bg.tet)
         want = contracted_curvature_spinors(_frame_curvature(bg.tet)[1], F.K.zero)
-        assert F.up(bg.tet._el["curvature_spinors"]) == want, name
+        assert _curvature_spinors(bg.g, bg.tet) == want, name
         assert F.up((cu.el, cp.el)) == want[:2], name
         phi = [c for a in want[2] for b in a for row in b for c in row]
         nonzero += any(want[0]) + any(want[1]) + any(phi) + bool(want[3])
