@@ -26,6 +26,8 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing, sring
+from sympy.printing.pycode import PythonCodePrinter
+from sympy.utilities.lambdify import _EvaluatorPrinter
 
 __all__ = [
     "Expr",
@@ -921,13 +923,10 @@ class Expr:
 
     # -- comparison / display --------------------------------------------------
 
-    def equals_normal(self, other: "Expr") -> bool:
-        """Structural equality of normal forms."""
-        return self.normal == _as_expr(other).normal
-
     def __eq__(self, other):
+        """Structural equality of normal forms."""
         if isinstance(other, (Expr, int, Fraction)):
-            return self.equals_normal(other)
+            return self.normal == _as_expr(other).normal
         return NotImplemented
 
     def __hash__(self):
@@ -1258,9 +1257,13 @@ def _subs_exact(s: sp.Expr, a: Assignment) -> sp.Expr:
     return s.subs(subs, simultaneous=True)
 
 
-# compiled float evaluators keyed (tree, names); past the cap the oldest go.
-# The cap is above every working set measured: 8 distinct evaluators for the
-# seeded point queries, 110 for the whole test suite in one process.
+# compiled float code: an evaluator keyed (tree, names) and a zero-test rule
+# keyed (numerator terms, denominator terms, names); past the cap the oldest
+# go.  The cap is above the working sets measured in one process: 3
+# evaluators and 4 rules for the seeded point queries (set-up and 50
+# passes), 6 rules for report-all over the 7 models.  The tier-1 suite
+# compiles 74 evaluators besides the 512 of its cap test, and 412 rules, so
+# it evicts.
 _lambdify_cache: dict = {}
 _LAMBDIFY_CAP = 256
 
@@ -1426,6 +1429,58 @@ def random_points(names: Sequence[str], seed: int,
         yield _point(names, pairs)
 
 
+# lambdify(modules="math")'s own printer and math names: each term a rule
+# computes is the code, so the double, that lambdify makes of it
+_PRINTER = PythonCodePrinter({"fully_qualified_modules": False, "inline": True,
+                              "allow_unknown_functions": True, "user_functions": {}})
+# the generated code's own names begin with "_", which no parsed symbol's does
+_RULE_GLOBALS = {**{k: v for k, v in vars(math).items() if not k.startswith("_")},
+                 "_abs": abs}
+
+
+def _compiled_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Callable:
+    """is_zero's rule at one point, for a normal form's numerator terms and
+    denominator terms over its sorted names: one generated function of the
+    names' floats, kept in `_lambdify_cache`.  It returns None at a pole
+    (|den| < 1e-3 max(1, sum |den terms|)), else (value, magnitude), the
+    numerator's sum and sum of |terms| over den and |den|; each sum runs
+    left to right as `sum` does, and a term may raise a POINT_ERROR.  The
+    loop over lambdified term tuples it replaces is
+    `tests/oracles.py::loop_is_zero`."""
+    key = (terms, dterms, names)
+    fn = _lambdify_cache.get(key)
+    if fn is None:
+        fn = _remember(_lambdify_cache, key, _generate_rule(terms, dterms, names),
+                       _LAMBDIFY_CAP)
+    return fn
+
+
+def _generate_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Callable:
+    # lambdify's renaming of a name that is not a Python identifier
+    args, both = _EvaluatorPrinter(_PRINTER)._preprocess(
+        [sp.Symbol(m) for m in names], sp.Tuple(*terms, *dterms))
+    code = [_PRINTER.doprint(t) for t in both]
+    nums = [f"_n{j}" for j in range(len(terms))]
+    dens = [f"_d{j}" for j in range(len(dterms))]
+    src = [f"def _rule({', '.join(args)}):"]
+    if dterms == (1,):  # |1| is never under 1e-3 * max(1, 1): no pole to reject
+        dval = dabs = "1"
+    else:
+        dval, dabs = "_den", "_abs(_den)"
+        src += [f"    {d} = {c}" for d, c in zip(dens, code[len(nums):])]
+        src += [f"    _den = {' + '.join(dens)}",
+                f"    _dmag = {' + '.join(f'_abs({d})' for d in dens)}"]
+        # max(1.0, m), spelled out: m when m > 1.0, else 1.0, as max returns
+        src += ["    if _abs(_den) < 1e-3 * (_dmag if _dmag > 1.0 else 1.0):",
+                "        return None"]
+    src += [f"    {t} = {c}" for t, c in zip(nums, code)]
+    src += [f"    return ({' + '.join(nums)}) / {dval}, "
+            f"({' + '.join(f'_abs({t})' for t in nums)}) / {dabs}"]
+    out: dict = {}
+    exec(compile("\n".join(src), "<is_zero rule>", "exec"), _RULE_GLOBALS, out)
+    return out["_rule"]
+
+
 def _rational_tree(s: sp.Expr) -> bool:
     """Whether a tree is built from symbols and rationals by +, * and integer
     powers alone: no kernel, no other function, no constant such as E."""
@@ -1501,8 +1556,8 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
         return Verdict.nonzero(Assignment(), _float(Fraction(n.p, n.q)))
     names = tuple(sorted(_normal_names(e)))
     num, den = sp.fraction(n)
-    terms = list(sp.Add.make_args(sp.expand_mul(num)))
-    dterms = list(sp.Add.make_args(sp.expand_mul(den)))
+    terms = sp.Add.make_args(sp.expand_mul(num))
+    dterms = sp.Add.make_args(sp.expand_mul(den))
     if not names:
         tvals = [float(t.evalf()) for t in terms]
         dvals = [float(t.evalf()) for t in dterms]
@@ -1514,26 +1569,20 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
         if abs(value) <= cfg.tolerance * max(1.0, mag):
             return Verdict.sampled()
         return Verdict.nonzero(Assignment(), float(value))
-    fnum = _compiled(sp.Tuple(*terms), names)
-    fden = _compiled(sp.Tuple(*dterms), names)
+    rule = _compiled_rule(terms, dterms, names)
     draws = _draws(len(names), cfg.seed)
     good = attempts = 0
     max_attempts = 10 * cfg.count
     while good < cfg.count and attempts < max_attempts:
         attempts += 1
         pairs = next(draws)
-        vals = [p / q for p, q in pairs]
         try:
-            dparts = fden(*vals)
-            dval = sum(dparts)
-            dmag = sum(map(abs, dparts))
-            if abs(dval) < 1e-3 * max(1.0, dmag):
-                continue
-            parts = fnum(*vals)
-            value = sum(parts) / dval
-            mag = sum(map(abs, parts)) / abs(dval)
+            at = rule(*[p / q for p, q in pairs])
         except POINT_ERRORS:
             continue
+        if at is None:  # a pole
+            continue
+        value, mag = at
         if not (math.isfinite(value) and math.isfinite(mag)):
             continue
         if abs(value) > cfg.tolerance * max(1.0, mag):

@@ -337,7 +337,9 @@ MUTANTS = (
            "    return F.up(_memo(cache, key, F, lambda: F.held(fn())))\n",
            "    return _memo(cache, key, F, lambda: F.held(fn())).value\n",
            ("tests/test_expr.py::test_memos_hold_their_fields_elements",
-            "tests/test_spinor.py::test_killing_data_matches_tree_oracle")),
+            "tests/test_spinor.py::test_killing_data_matches_tree_oracle",
+            "tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_corpus",
+            "tests/test_spinor.py::test_weyl_divergence_matches_tree_oracle")),
     # the sampler's integer draws and the scalar RK4 step
     Mutant("draw_sign_flipped", "src/asdnull/expr.py",
            "pairs.append((p + 1 if rand() < 0.5 else -1 - p, q + 1))",
@@ -378,7 +380,22 @@ MUTANTS = (
            "return Verdict.nonzero(_point(names, pairs), float(value))",
            "return Verdict.nonzero(_point(names, next(draws)), float(value))",
            ("tests/test_expr.py::test_zero_test_verdicts_are_pinned",
-            "tests/test_expr.py::test_is_zero_examples")),
+            "tests/test_expr.py::test_is_zero_examples",
+            "tests/test_expr.py::test_zero_test_rule_matches_the_loop_oracle")),
+    # the rule is_zero generates for a normal form, and its memo
+    Mutant("sampler_pole_rule_dropped", "src/asdnull/expr.py",
+           "        src += [\"    if _abs(_den) < 1e-3 * (_dmag if _dmag > 1.0 else 1.0):\",\n"
+           "                \"        return None\"]\n",
+           "",
+           ("tests/test_expr.py::test_zero_test_rule_matches_the_loop_oracle",)),
+    Mutant("sampler_magnitude_unsigned_abs", "src/asdnull/expr.py",
+           "f\"({' + '.join(f'_abs({t})' for t in nums)}) / {dabs}\"",
+           "f\"({' + '.join(nums)}) / {dabs}\"",
+           ("tests/test_expr.py::test_zero_test_rule_matches_the_loop_oracle",)),
+    Mutant("sampler_memo_key_drops_denominator", "src/asdnull/expr.py",
+           "    key = (terms, dterms, names)\n",
+           "    key = (terms, names)\n",
+           ("tests/test_expr.py::test_zero_test_rule_matches_the_loop_oracle",)),
     Mutant("rk4_stage_reads_l2_for_l3", "src/asdnull/projective.py",
            "d = fn(x + h, y + h * l3, l4)",
            "d = fn(x + h, y + h * l2, l4)",

@@ -18,8 +18,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_count_real_roots
 from sympy.polys.sqfreetools import dup_sqf_list
 
-from asdnull.expr import (Assignment, EvalError, Expr, Field, differentiate, evaluate,
-                          normalize, parse)
+from asdnull import expr as expr_module
+from asdnull.expr import (POINT_ERRORS, Assignment, EvalError, Expr, ExprError, Field,
+                          SampleConfig, Verdict, differentiate, evaluate, normalize, parse)
 from asdnull.quartic import RootStructure
 from asdnull.spinor import curvature_spinors, spin_coefficients
 from asdnull.tensor import FIBRE, _vector_el, christoffels, riemann_lower
@@ -46,6 +47,73 @@ def substitute(e, mapping) -> Expr:
     """e with the named symbols replaced by mapping's values, simultaneously."""
     subs = {sp.Symbol(k): Expr(v).sym for k, v in mapping.items()}
     return Expr(Expr(e).sym.subs(subs, simultaneous=True))
+
+
+# -- the sampled zero test ----------------------------------------------------------
+
+
+def loop_is_zero(e, cfg: SampleConfig = SampleConfig()) -> Verdict:
+    """`expr.is_zero` as a loop over lambdified term tuples: the normal
+    form's names and terms recomputed on every call, the seeded stream read
+    point by point from `_draws`, each point's terms summed by `sum`.  The
+    package evaluates each point by one rule generated per normal form's
+    terms (`expr._compiled_rule`); its kind, witness, value and "sampling
+    failed" error must be this one's."""
+    e = e if isinstance(e, Expr) else Expr(e)
+    if e.el is not None and not e.el:
+        return Verdict.proven()
+    n = e.normal
+    if n == 0:
+        return Verdict.proven()
+    if n.is_Rational:
+        return Verdict.nonzero(Assignment(), expr_module._float(Fraction(n.p, n.q)))
+    names = tuple(sorted({s.name for s in n.free_symbols}))
+    num, den = sp.fraction(n)
+    terms = list(sp.Add.make_args(sp.expand_mul(num)))
+    dterms = list(sp.Add.make_args(sp.expand_mul(den)))
+    if not names:
+        tvals = [float(t.evalf()) for t in terms]
+        dvals = [float(t.evalf()) for t in dterms]
+        dval = float(sum(dvals))
+        if abs(dval) < 1e-3 * max(1.0, sum(map(abs, dvals))):
+            raise ExprError("sampling failed: the denominator of a constant is numerically 0")
+        value = sum(tvals) / dval
+        mag = sum(abs(t) for t in tvals) / abs(dval)
+        if abs(value) <= cfg.tolerance * max(1.0, mag):
+            return Verdict.sampled()
+        return Verdict.nonzero(Assignment(), float(value))
+    args = [sp.Symbol(m) for m in names]
+    fnum = sp.lambdify(args, sp.Tuple(*terms), modules="math")
+    fden = sp.lambdify(args, sp.Tuple(*dterms), modules="math")
+    draws = expr_module._draws(len(names), cfg.seed)
+    good = attempts = 0
+    max_attempts = 10 * cfg.count
+    while good < cfg.count and attempts < max_attempts:
+        attempts += 1
+        pairs = next(draws)
+        vals = [p / q for p, q in pairs]
+        try:
+            dparts = fden(*vals)
+            dval = sum(dparts)
+            dmag = sum(map(abs, dparts))
+            if abs(dval) < 1e-3 * max(1.0, dmag):
+                continue
+            parts = fnum(*vals)
+            value = sum(parts) / dval
+            mag = sum(map(abs, parts)) / abs(dval)
+        except POINT_ERRORS:
+            continue
+        if not (math.isfinite(value) and math.isfinite(mag)):
+            continue
+        if abs(value) > cfg.tolerance * max(1.0, mag):
+            return Verdict.nonzero(expr_module._point(names, pairs), float(value))
+        good += 1
+    if expr_module._kernel_free(e):
+        return expr_module._exact_witness(e, names, cfg.seed, max_attempts)
+    if good < cfg.count:
+        raise ExprError(f"sampling failed: could not find {cfg.count} regular points "
+                        f"in {max_attempts} attempts")
+    return Verdict.sampled()
 
 
 # -- the Petrov quartic ------------------------------------------------------------

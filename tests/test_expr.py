@@ -48,7 +48,7 @@ from asdnull.twistor import (
 import mutants
 from mutants import MUTANTS, _failed
 from oracles import CORPUS as ORACLE_CORPUS
-from oracles import tree_coframe, tree_metric
+from oracles import loop_is_zero, tree_coframe, tree_metric
 
 CFG = SampleConfig(count=50, seed=0, tolerance=1e-10)
 
@@ -81,14 +81,14 @@ def test_parse_roundtrip_normal_form():
     for text in CORPUS + ["-x", "x^-2", "3/4*x - 1/2", "x - (y - z)"]:
         e = parse(text)
         again = parse(to_text(e))
-        assert again.equals_normal(e), text
+        assert again == e, text
 
 
 def test_parse_precedence():
-    assert parse("-x^2").equals_normal(parse("-(x^2)"))
-    assert parse("2*x^3").equals_normal(parse("2*(x^3)"))
-    assert parse("x - y - z").equals_normal(parse("(x - y) - z"))
-    assert parse("x/y/z").equals_normal(parse("(x/y)/z"))
+    assert parse("-x^2") == parse("-(x^2)")
+    assert parse("2*x^3") == parse("2*(x^3)")
+    assert parse("x - y - z") == parse("(x - y) - z")
+    assert parse("x/y/z") == parse("(x/y)/z")
     # ^ is right-associative over integer literal chains
     assert evaluate(parse("2^3^2"), {}) == Fraction(512)
 
@@ -369,6 +369,66 @@ def test_zero_test_verdicts_are_pinned(text, seed, verdict):
         assert all(isinstance(c, Fraction) for c in v.witness.values())
 
 
+# sampler cases: kernel identities and perturbed copies, poles (two of them
+# with one numerator and different denominators), log domain errors,
+# overflow, a scaled identity (the magnitude sums |terms|), a denominator
+# every point rejects, kernel-free inputs, 1 to 3 symbols, and a symbol named
+# by a Python keyword, which lambdify renames
+SAMPLER_CASES = [
+    "sin(x)^2 + cos(x)^2 - 1",
+    "sin(x*y)^2 + cos(x*y)^2 - 1",
+    "sin(x + 2*y)^2 + cos(x + 2*y)^2 - 1",
+    "sin(x*y - z)^2 + cos(x*y - z)^2 - 1",
+    "sin(x + 2*y)^2 + cos(x + 2*y)^2 - 1 + x/1000",
+    "sin(x*y)^2 + cos(x*y)^2 - 1 + y/10^6",
+    "sin(x*y - z)^2 + cos(x*y - z)^2 - 1 + z/10^9",
+    "10^8*(sin(x*y)^2 + cos(x*y)^2 - 1)",
+    "1/(x - y)",
+    "1/(x*y - 1)",
+    "(sin(x)^2 + cos(x)^2 - 1)/(x - y)",
+    "1/(x - y) + exp(x)/(x*y - 1)^2",
+    "x/(sin(x)^2 + cos(x)^2 - 1 + 1/100000)",
+    "log(x)*y + sin(y)^2 + cos(y)^2 - 1",
+    "log(x - y)/z",
+    "log(-1 - x^2)",
+    "exp(1000*x)",
+    "exp(1000*x)*(sin(y)^2 + cos(y)^2 - 1)",
+    "x*y - 1",
+    "x*y/10^12",
+    "(x + y)/(x - y)^3 - z/(y - 1)",
+    "sin(lambda*x)^2 + cos(lambda*x)^2 - 1 + lambda/1000",
+]
+
+
+def _outcome(zero_test, e, cfg):
+    try:
+        v = zero_test(e, cfg)
+    except ExprError as ex:
+        return "error", str(ex)
+    return v.kind, v.witness, v.value
+
+
+def test_zero_test_rule_matches_the_loop_oracle():
+    """On 240 (expression, seed) cases, 1 to 3 symbols and 1, 7 or 50
+    points, is_zero with its generated rule gives the loop's kind, witness
+    (its Fractions, in name order) and value bit for bit, and the same
+    "sampling failed" error; a field element's view samples as its tree."""
+    F = Field(sp.symbols("x y"))
+    elements = [F.expr(F.fold(parse(t).sym)) for t in SAMPLER_CASES[:2]]
+    cases = [(parse(t), seed) for t in SAMPLER_CASES for seed in range(10)]
+    cases += [(el, seed) for el in elements for seed in range(10)]
+    kinds = Counter()
+    for k, (e, seed) in enumerate(cases):
+        cfg = SampleConfig(count=(1, 7, 50)[k % 3], seed=seed)
+        got, want = _outcome(is_zero, e, cfg), _outcome(loop_is_zero, e, cfg)
+        assert got == want, (str(e), seed)
+        if got[1] is not None and got[0] != "error":
+            assert list(got[1]) == sorted(got[1])
+        kinds[got[0]] += 1
+    assert len(cases) >= 200
+    assert set(kinds) == {"sampled_zero", "nonzero", "error"}, kinds
+
+
 def _central_difference(e, var, point, h=1e-6):
     up = Assignment({k: (float(v) + h if k == var else float(v)) for k, v in point.items()})
     dn = Assignment({k: (float(v) - h if k == var else float(v)) for k, v in point.items()})
@@ -377,10 +437,10 @@ def _central_difference(e, var, point, h=1e-6):
 
 def test_differentiate_power_and_chain_rule():
     x = symbols("x")[0]
-    assert differentiate(parse("x^3"), "x").equals_normal(parse("3*x^2"))
-    assert differentiate(parse("exp(z*x - y)"), "z").equals_normal(parse("x*exp(z*x - y)"))
-    assert differentiate(parse("log(x)"), "x").equals_normal(1 / x)
-    assert differentiate(parse("sin(x)"), "x").equals_normal(parse("cos(x)"))
+    assert differentiate(parse("x^3"), "x") == parse("3*x^2")
+    assert differentiate(parse("exp(z*x - y)"), "z") == parse("x*exp(z*x - y)")
+    assert differentiate(parse("log(x)"), "x") == Expr(1 / x)
+    assert differentiate(parse("sin(x)"), "x") == parse("cos(x)")
     assert differentiate(parse("7/2"), "x").is_proven_zero()
 
 
@@ -488,7 +548,7 @@ def test_evaluation_product_homomorphism(e1, e2):
 @settings(max_examples=40, deadline=None)
 @given(_poly_exprs())
 def test_print_parse_roundtrip_property(e):
-    assert parse(to_text(e)).equals_normal(e)
+    assert parse(to_text(e)) == e
 
 
 def test_exact_and_float_evaluation_agree_at_removable_singularity():
