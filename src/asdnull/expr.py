@@ -924,9 +924,12 @@ class Expr:
     # -- comparison / display --------------------------------------------------
 
     def __eq__(self, other):
-        """Structural equality of normal forms."""
+        """Structural equality of normal forms.  A bare sympy tree is an
+        error, not False: compare `Expr(tree)` or `.normal`."""
         if isinstance(other, (Expr, int, Fraction)):
             return self.normal == _as_expr(other).normal
+        if isinstance(other, sp.Basic):
+            raise TypeError("compare an Expr with Expr(tree) or .normal, not a sympy tree")
         return NotImplemented
 
     def __hash__(self):

@@ -30,7 +30,6 @@ from .expr import (
     is_zero_all,
     random_points,
 )
-from .frame import _frame_curvature, _frame_ricci
 from .quartic import RootStructure, quartic_root_structure
 from .tensor import (
     Metric,
@@ -45,6 +44,8 @@ from .tensor import (
     vector_norm,
     _comps_el,
     _entered,
+    _frame_curvature,
+    _frame_ricci,
     _memo,
     _memo_el,
     _nabla_vector,

@@ -1,13 +1,16 @@
 """Coordinate tensor calculus on a 4D chart: curvature, Lie derivatives,
 the twist three-form, conformal rescaling.
 
-Everything is dense and exact.  The coordinate curvature chain (det, inverse,
-Christoffels, Riemann, Ricci, Weyl) computes in one sparse fraction field per
+Everything is dense and exact, computed in one sparse fraction field per
 metric (`expr.Field`); components are shown as sympy normal forms and exposed
-as Expr at the API boundary.  A metric with a tetrad takes its curvature from
-the coframe instead (`frame`), so this chain serves metrics without one,
-`weyl_mixed` and the tests' independent checks.  The form classes hold
-components and define no arithmetic; wedges are taken on field elements.
+as Expr at the API boundary.  One routine differentiates a connection
+(`_levi_civita`): the Levi-Civita connection and Riemann tensor of a coframe,
+by Cartan's structure equations and Koszul's formula.  A null tetrad's
+coframe has a constant frame metric; the coordinate curvature
+(`christoffels`, `riemann`, `riemann_lower`, `ricci`, and `weyl` on them) is
+the same routine on the holonomic coframe dx^a, whose frame metric is g.  The
+form classes hold components and define no arithmetic; wedges are taken on
+field elements.
 
 One memo per owner, one helper: every stage on a metric or its tetrad is
 kept in the owner's one dict (`Metric._cache`, `NullTetrad._coeff_cache`) by
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 
 import sympy as sp
 
-from .expr import Expr, ExprError, Field, SampleConfig, Verdict, evaluate, is_zero_all
+from .expr import Expr, ExprError, Field, SampleConfig, Verdict, is_zero_all
 
 __all__ = [
     "Chart",
@@ -40,7 +43,6 @@ __all__ = [
     "ricci",
     "scalar_curvature",
     "weyl",
-    "weyl_mixed",
     "lie_derivative_metric",
     "twist_three_form",
     "vector_norm",
@@ -299,15 +301,6 @@ class Metric:
             return [[adj[a][b] / det for b in _R] for a in _R]
         return _memo_el(self._cache, "inv_el", self.field, compute)
 
-    def signature_at(self, point) -> tuple[int, int]:
-        """(positive, negative) eigenvalue counts at a sample point."""
-        import numpy as np
-
-        m = np.array([[float(evaluate(self[i, j], point)) for j in _R] for i in _R],
-                     dtype=float)
-        ev = np.linalg.eigvalsh(m)
-        return int((ev > 0).sum()), int((ev < 0).sum())
-
     def scale(self, omega) -> "Metric":
         """omega g, formed on the elements in this metric's field, grown by
         omega's gens: no component is viewed or folded again."""
@@ -320,97 +313,172 @@ class Metric:
 
 
 # -- curvature ----------------------------------------------------------------------
+#
+# One routine for any coframe theta^i with dual frame e_i: a null tetrad's, whose
+# frame metric eta_ij = g(e_i, e_j) is the constant eps_AB eps_A'B', or a
+# metric's holonomic coframe dx^a, whose frame metric is g itself.
+
+# A null tetrad's eta pairs slot i with slot 3 - i (slots ordered (A, A') as in
+# `spinor`: 00', 01', 10', 11'); it is its own inverse.
+_ETA = tuple(tuple((1, -1, -1, 1)[i] if j == 3 - i else 0 for j in _R) for i in _R)
+_ID = tuple(tuple(int(i == j) for j in _R) for i in _R)
+_PAIRS = tuple(itertools.combinations(_R, 2))
+
+
+def _rows(m) -> list:
+    """The nonzero (index, entry) pairs of each row of a 4x4 matrix."""
+    return [[(n, v) for n, v in enumerate(row) if v] for row in m]
+
+
+def _levi_civita(F: Field, x, theta, frame, eta, eta_inv) -> tuple:
+    """(nab, R) of the Levi-Civita connection of the coframe theta^i, as
+    elements of F: nab[i][j][k] = theta^k(nabla_{e_i} e_j) and
+    R[i][j][k][l] = g(e_i, R(e_k, e_l) e_j), which is e_i^a e_j^b e_k^c e_l^d
+    R_abcd, for the dual frame e_i and the frame metric eta_ij = g(e_i, e_j)
+    with inverse eta_inv.  An int entry is a constant.
+
+    The commutators [e_i, e_j] = C^k_ij e_k come from d theta^k, so
+    C^k_ij = -d theta^k(e_i, e_j).  Koszul's formula (Misner, Thorne & Wheeler,
+    *Gravitation* (1973), eq. (8.24)) gives Gamma_kij = g(e_k, nabla_{e_i} e_j):
+    2 Gamma_kij = C_kij - C_ijk + C_jki + e_i(eta_jk) + e_j(eta_ik) - e_k(eta_ij),
+    the e(eta) terms only for an eta that is not constant.  Only k < j is
+    formed: metric compatibility gives Gamma_jik = e_i(eta_kj) - Gamma_kij
+    and Gamma_kik = e_i(eta_kk) / 2.  Then
+    R_ijkl = e_k(Gamma_ilj) - e_l(Gamma_ikj) - Gamma_mki Gamma^m_lj
+    + Gamma_mli Gamma^m_kj - C^m_kl Gamma_imj."""
+    zero = F.K.zero
+
+    def diff(f, s):
+        return 0 if isinstance(f, int) else F.diff(f, s)
+
+    def along(i, d):  # e_i(f) from f's partials d
+        return sum((frame[i][a] * d[a] for a in _R if frame[i][a] and d[a]), zero)
+
+    # ep[i, j][m] = e_i^a e_j^b - e_i^b e_j^a for the m-th coordinate pair a < b
+    ep = {(i, j): [frame[i][a] * frame[j][b] - frame[i][b] * frame[j][a] for a, b in _PAIRS]
+          for i, j in _PAIRS}
+    C = _nested(3, zero)  # C[k][i][j] = C^k_ij, antisymmetric in (i, j)
+    for k, th in enumerate(theta):
+        dth = [diff(th[b], x[a]) - diff(th[a], x[b]) for a, b in _PAIRS]
+        for i, j in _PAIRS:
+            c = -sum((e * t for e, t in zip(ep[i, j], dth) if e and t), zero)
+            C[k][i][j], C[k][j][i] = c, -c
+    lo, up = _rows(eta), _rows(eta_inv)
+    low = [[[sum([v * C[n][i][j] for n, v in lo[k] if C[n][i][j]], zero) for j in _R]
+            for i in _R] for k in _R]  # C_kij = eta_kn C^n_ij
+    moving = not all(isinstance(v, int) for row in eta for v in row)  # eta is not constant
+    de = _nested(3)  # de[i][j][k] = e_i(eta_jk)
+    for j in _R if moving else ():
+        for k in range(j, 4):
+            d = [F.diff(eta[j][k], s) for s in x]
+            for i in _R:
+                de[i][j][k] = de[i][k][j] = along(i, d)
+    gam = _nested(3, zero)
+    for k, j in _PAIRS:
+        for i in _R:
+            v = low[k][i][j] - low[i][j][k] + low[j][k][i]
+            if moving:
+                v += de[i][j][k] + de[j][i][k] - de[k][i][j]
+            gam[k][i][j] = v = v / 2
+            gam[j][i][k] = de[i][k][j] - v if moving else -v
+    if moving:
+        for k in _R:
+            for i in _R:
+                gam[k][i][k] = de[i][k][k] / 2
+    # Gamma^m_lj = eta^mn Gamma_nlj = theta^m(nabla_{e_l} e_j)
+    gup = [[[sum([v * gam[n][l][j] for n, v in up[m] if gam[n][l][j]], zero) for j in _R]
+            for l in _R] for m in _R]
+    # each Gamma_ilj with i < j (the only ones R reads differentiated), its four
+    # partials taken once and reused for every direction e_k
+    dgam = {(i, l, j): [F.diff(gam[i][l][j], s) for s in x]
+            for i, j in _PAIRS for l in _R if gam[i][l][j]}
+
+    def e(k, i, l, j):  # e_k(Gamma_ilj)
+        d = dgam.get((i, l, j))
+        return zero if d is None else along(k, d)
+
+    R = _nested(4, zero)
+    for p, (i, j) in enumerate(_PAIRS):
+        for k, l in _PAIRS[p:]:  # pair symmetry R_ijkl = R_klij
+            v = e(k, i, l, j) - e(l, i, k, j)
+            for m in _R:
+                if gam[m][k][i] and gup[m][l][j]:
+                    v -= gam[m][k][i] * gup[m][l][j]
+                if gam[m][l][i] and gup[m][k][j]:
+                    v += gam[m][l][i] * gup[m][k][j]
+                if C[m][k][l] and gam[i][m][j]:
+                    v -= C[m][k][l] * gam[i][m][j]
+            for (a, b, c, d) in ((i, j, k, l), (k, l, i, j)):
+                R[a][b][c][d], R[b][a][c][d] = v, -v
+                R[a][b][d][c], R[b][a][d][c] = -v, v
+    return [[[gup[k][i][j] for k in _R] for j in _R] for i in _R], R
+
+
+def _ricci_el(R, eta_inv, zero) -> list:
+    """The Ricci tensor R_ij = eta^kl R_kilj of a frame Riemann, formed for i <= j."""
+    up, out = _rows(eta_inv), _nested(2)
+    for i in _R:
+        for j in range(i, 4):
+            out[i][j] = out[j][i] = sum((v * R[k][i][l][j] for k in _R for l, v in up[k]
+                                         if R[k][i][l][j]), zero)
+    return out
+
+
+def _frame_curvature(tet) -> tuple:
+    """(nab, R) of a `spinor.NullTetrad` (`_levi_civita` on its coframe),
+    memoized on the tetrad."""
+    F = tet.g.field
+    return _memo_el(tet._coeff_cache, "frame_curvature", F, lambda: _levi_civita(
+        F, tet.g.chart.syms, tet.field_el("theta"), tet.field_el("frame"), _ETA, _ETA))
+
+
+def _frame_ricci(tet) -> list:
+    """The frame Ricci R_ij = eta^kl R_kilj of a `spinor.NullTetrad`."""
+    return _ricci_el(_frame_curvature(tet)[1], _ETA, tet.g.field.K.zero)
+
+
+def _curvature(g: Metric) -> tuple:
+    """(nab, R) of g's holonomic coframe dx^a, whose frame metric is g:
+    nab[b][c][a] = Gamma^a_bc and R = R_abcd.  Memoized on the metric."""
+    F = g.field
+    return _memo_el(g._cache, "curvature", F, lambda: _levi_civita(
+        F, g.chart.syms, _ID, _ID, g.el, g._inverse_el()))
 
 
 def christoffels(g: Metric) -> TensorField:
     """Levi-Civita connection Gamma^a_bc."""
 
     def compute():
-        F = g.field
-        x = g.chart.syms
-        gg = g.el
-        ginv = g._inverse_el()
-        dg = _nested(3)  # dg[i][j][k] = d_k g_ij
-        for a in _R:
-            for b in range(a, 4):
-                dg[a][b] = dg[b][a] = [F.diff(gg[a][b], x[c]) for c in _R]
-        out = _nested(3)
-        for a in _R:
-            for b in _R:
-                for c in range(b, 4):
-                    val = F.K.zero
-                    for d in _R:
-                        if ginv[a][d]:
-                            val += ginv[a][d] * (dg[d][c][b] + dg[b][d][c] - dg[b][c][d])
-                    out[a][b][c] = out[a][c][b] = val / 2
-        return TensorField(g.chart, "ull", el=out)
+        nab = _curvature(g)[0]
+        return TensorField(g.chart, "ull",
+                           el=[[[nab[b][c][a] for c in _R] for b in _R] for a in _R])
 
     return _memo(g._cache, "christoffels", g.field, compute)
 
 
 def riemann(g: Metric) -> TensorField:
-    """R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb."""
+    """R^a_bcd = g^ae R_ebcd."""
 
     def compute():
-        F = g.field
-        x = g.chart.syms
-        gam = F.up(christoffels(g).el)
-        dgam = {}  # (c, a, d, b) -> d_c Gamma^a_db, symmetric in (d, b)
-
-        def d(c, a, db):
-            key = (c, a, min(db), max(db))
-            if key not in dgam:
-                dgam[key] = F.diff(gam[a][key[2]][key[3]], x[c])
-            return dgam[key]
-
-        out = _nested(4, F.K.zero)  # fill c < d, then mirror (antisymmetry)
-        for a in _R:
-            for b in _R:
-                for c in _R:
-                    for dd in range(c + 1, 4):
-                        val = d(c, a, (dd, b)) - d(dd, a, (c, b))
-                        for e in _R:
-                            val += gam[a][c][e] * gam[e][dd][b] - gam[a][dd][e] * gam[e][c][b]
-                        out[a][b][c][dd] = val
-                        out[a][b][dd][c] = -val
-        return TensorField(g.chart, "ulll", el=out)
+        R, up, zero = _curvature(g)[1], _rows(g._inverse_el()), g.field.K.zero
+        return TensorField(g.chart, "ulll", el=[[[[
+            sum((v * R[e][b][c][d] for e, v in up[a] if R[e][b][c][d]), zero)
+            for d in _R] for c in _R] for b in _R] for a in _R])
 
     return _memo(g._cache, "riemann", g.field, compute)
 
 
 def riemann_lower(g: Metric) -> TensorField:
-    """Fully covariant R_abcd."""
-
-    def compute():
-        F = g.field
-        r = F.up(riemann(g).el)
-        gg = g.el
-        out = _nested(4, F.K.zero)
-        for a in _R:
-            for b in _R:
-                for c in _R:
-                    for d in range(c + 1, 4):
-                        val = sum((gg[a][e] * r[e][b][c][d] for e in _R if gg[a][e]), F.K.zero)
-                        out[a][b][c][d] = val
-                        out[a][b][d][c] = -val
-        return TensorField(g.chart, "llll", el=out)
-
-    return _memo(g._cache, "riemann_lower", g.field, compute)
+    """Fully covariant R_abcd = g(d_a, R(d_c, d_d) d_b)."""
+    return _memo(g._cache, "riemann_lower", g.field,
+                 lambda: TensorField(g.chart, "llll", el=_curvature(g)[1]))
 
 
 def ricci(g: Metric) -> TensorField:
-    """R_bd = R^a_bad."""
-
-    def compute():
-        F = g.field
-        r = F.up(riemann(g).el)
-        out = _nested(2)
-        for b in _R:
-            for d in range(b, 4):
-                out[b][d] = out[d][b] = sum((r[a][b][a][d] for a in _R), F.K.zero)
-        return TensorField(g.chart, "ll", el=out)
-
-    return _memo(g._cache, "ricci", g.field, compute)
+    """R_bd = R^a_bad = g^ac R_abcd."""
+    F = g.field
+    return _memo(g._cache, "ricci", F, lambda: TensorField(
+        g.chart, "ll", el=_ricci_el(_curvature(g)[1], g._inverse_el(), F.K.zero)))
 
 
 def _scalar_curvature_el(g: Metric):
@@ -452,25 +520,6 @@ def weyl(g: Metric) -> TensorField:
         return TensorField(g.chart, "llll", el=out)
 
     return _memo(g._cache, "weyl", g.field, compute)
-
-
-def weyl_mixed(g: Metric) -> TensorField:
-    """C^a_bcd: the conformally invariant valence."""
-
-    def compute():
-        F = g.field
-        cw = F.up(weyl(g).el)
-        ginv = g._inverse_el()
-        out = _nested(4)
-        for a in _R:
-            for b in _R:
-                for c in _R:
-                    for d in _R:
-                        out[a][b][c][d] = sum((ginv[a][e] * cw[e][b][c][d]
-                                               for e in _R if ginv[a][e]), F.K.zero)
-        return TensorField(g.chart, "ulll", el=out)
-
-    return _memo(g._cache, "weyl_mixed", g.field, compute)
 
 
 def _comps_el(F: Field, comps) -> list:

@@ -58,21 +58,35 @@ MUTANTS = (
            "th[_SLOT[A, Ap]][a] * k[a]",
            "th[_SLOT[Ap, A]][a] * k[a]",
            ("tests/test_spinor.py::test_killing_data_matches_tree_oracle",)),
-    Mutant("koszul_c_ijk_sign", "src/asdnull/frame.py",
-           "(low(k, i, j) - low(i, j, k) + low(j, k, i)) / 2",
-           "(low(k, i, j) + low(i, j, k) + low(j, k, i)) / 2",
+    Mutant("koszul_c_ijk_sign", "src/asdnull/tensor.py",
+           "v = low[k][i][j] - low[i][j][k] + low[j][k][i]",
+           "v = low[k][i][j] + low[i][j][k] + low[j][k][i]",
            ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
-    Mutant("riemann_c_gamma_sign", "src/asdnull/frame.py",
+    Mutant("riemann_c_gamma_sign", "src/asdnull/tensor.py",
            "v -= C[m][k][l] * gam[i][m][j]",
            "v += C[m][k][l] * gam[i][m][j]",
            ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
+    # a frame metric that is not constant (a metric's holonomic coframe); the
+    # first leaves a metric-compatible connection with torsion
+    Mutant("koszul_metric_derivative_dropped", "src/asdnull/tensor.py",
+           "                v += de[i][j][k] + de[j][i][k] - de[k][i][j]\n",
+           "                pass\n",
+           ("tests/test_tensor.py::test_conformal_christoffel_rule",
+            "tests/test_tensor.py::test_field_curvature_matches_tree_oracle",
+            "tests/test_cli.py::test_raw_metric_matches_recorded_report")),
+    Mutant("mirror_ignores_metric_derivative", "src/asdnull/tensor.py",
+           "gam[j][i][k] = de[i][k][j] - v if moving else -v",
+           "gam[j][i][k] = -v",
+           ("tests/test_tensor.py::test_metric_compatibility_on_corpus",
+            "tests/test_tensor.py::test_field_curvature_matches_tree_oracle",
+            "tests/test_cli.py::test_raw_metric_matches_recorded_report")),
     Mutant("scalar_curvature_12_lambda", "src/asdnull/spinor.py",
            "F.expr(lam * 24)",
            "F.expr(lam * 12)",
            ("tests/test_spinor.py::test_tetrad_ricci_matches_coordinate_route",)),
-    Mutant("frame_ricci_no_eta", "src/asdnull/frame.py",
-           "sum((_ETA[k] * R[k][i][3 - k][j] for k in _R), zero)",
-           "sum((R[k][i][3 - k][j] for k in _R), zero)",
+    Mutant("frame_ricci_no_eta", "src/asdnull/tensor.py",
+           "sum((v * R[k][i][l][j] for k in _R",
+           "sum((R[k][i][l][j] for k in _R",
            ("tests/test_spinor.py::test_tetrad_ricci_matches_coordinate_route",)),
     Mutant("scaled_sign", "src/asdnull/expr.py",
            "return _El(self, f.c * q, f.num, f.e)",
@@ -191,9 +205,9 @@ MUTANTS = (
            "for i in range(self.ngens):",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
     # the frame and spinor stages
-    Mutant("gup_i_j_swapped", "src/asdnull/frame.py",
-           "_ETA[m] * gam[3 - m][l][j]",
-           "_ETA[m] * gam[3 - m][j][l]",
+    Mutant("gup_i_j_swapped", "src/asdnull/tensor.py",
+           "v * gam[n][l][j]",
+           "v * gam[n][j][l]",
            ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
     Mutant("lambda_over_12", "src/asdnull/spinor.py",
            '_terms({"0123": "1/3", "0303": "-1/12", "0312": "1/6", "1212": "-1/12"})',
@@ -337,7 +351,6 @@ MUTANTS = (
            "    return F.up(_memo(cache, key, F, lambda: F.held(fn())))\n",
            "    return _memo(cache, key, F, lambda: F.held(fn())).value\n",
            ("tests/test_expr.py::test_memos_hold_their_fields_elements",
-            "tests/test_spinor.py::test_killing_data_matches_tree_oracle",
             "tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_corpus",
             "tests/test_spinor.py::test_weyl_divergence_matches_tree_oracle")),
     # the sampler's integer draws and the scalar RK4 step

@@ -3,7 +3,9 @@
 Everything here computes on sympy trees with `sp.diff` and `normalize`.  It
 reads the package only through the values its functions return; field
 elements become trees with `.as_expr()`.  A fault in the fraction field
-therefore cannot cancel against the same fault in its check.
+therefore cannot cancel against the same fault in its check.  Two helpers
+that no package stage reads, `signature_at` and `weyl_mixed`, are no oracles:
+they read the metric's elements, as the package's stages do.
 """
 
 import functools
@@ -12,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import ZZ
@@ -23,7 +26,7 @@ from asdnull.expr import (POINT_ERRORS, Assignment, EvalError, Expr, ExprError, 
                           SampleConfig, Verdict, differentiate, evaluate, normalize, parse)
 from asdnull.quartic import RootStructure
 from asdnull.spinor import curvature_spinors, spin_coefficients
-from asdnull.tensor import FIBRE, _vector_el, christoffels, riemann_lower
+from asdnull.tensor import FIBRE, _vector_el, christoffels, weyl
 
 R4 = range(4)
 R2 = (0, 1)
@@ -193,6 +196,24 @@ def exterior_derivative_oneform(w) -> list:
     return [[sp.diff(w.comps[b], x[a]) - sp.diff(w.comps[a], x[b]) for b in R4] for a in R4]
 
 
+def signature_at(g, point) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of g at a sample point, from
+    the components' elements (`g[i, j]`)."""
+    m = np.array([[float(evaluate(g[i, j], point)) for j in R4] for i in R4], dtype=float)
+    ev = np.linalg.eigvalsh(m)
+    return int((ev > 0).sum()), int((ev < 0).sum())
+
+
+def weyl_mixed(g) -> list:
+    """C^a_bcd = g^ae C_ebcd, the conformally invariant valence: the
+    package's Weyl tensor raised by its inverse in the metric's field, viewed."""
+    F = g.field
+    cw, ginv = F.up(weyl(g).el), g._inverse_el()
+    return [[[[Field.view(sum((ginv[a][e] * cw[e][b][c][d] for e in R4 if ginv[a][e]),
+                              F.K.zero))
+               for d in R4] for c in R4] for b in R4] for a in R4]
+
+
 def metric_compatibility_residuals(g) -> list[Expr]:
     """nabla_c g_ab from the package's Christoffels; all must vanish."""
     x = g.chart.syms
@@ -209,21 +230,54 @@ def metric_compatibility_residuals(g) -> list[Expr]:
     return out
 
 
-def tree_ricci(g) -> list:
-    """Inverse -> Christoffels -> Ricci from the metric's components alone."""
-    x = g.chart.syms
+@functools.cache
+def tree_inverse(g) -> list:
+    """g^ab from the metric's components alone, by the adjugate."""
     gm = sp.Matrix(g.comps)
     det = normalize(gm.det(method="berkowitz"))
     adj = gm.adjugate()
-    ginv = [[normalize(adj[a, b] / det) for b in R4] for a in R4]
-    gam = [[[normalize(sum(ginv[a][d] * (sp.diff(g.comps[d][c], x[b])
-                                         + sp.diff(g.comps[b][d], x[c])
-                                         - sp.diff(g.comps[b][c], x[d])) for d in R4) / 2)
-             for c in R4] for b in R4] for a in R4]
+    return [[normalize(adj[a, b] / det) for b in R4] for a in R4]
+
+
+@functools.cache
+def tree_christoffels(g) -> list:
+    """Gamma^a_bc from the tree inverse by the coordinate formula.  Kept per
+    metric, as are the tree inverse and the tree Riemann."""
+    x, ginv = g.chart.syms, tree_inverse(g)
+    return [[[normalize(sum(ginv[a][d] * (sp.diff(g.comps[d][c], x[b])
+                                          + sp.diff(g.comps[b][d], x[c])
+                                          - sp.diff(g.comps[b][c], x[d])) for d in R4) / 2)
+              for c in R4] for b in R4] for a in R4]
+
+
+def tree_ricci(g) -> list:
+    """Inverse -> Christoffels -> Ricci from the metric's components alone."""
+    x, gam = g.chart.syms, tree_christoffels(g)
     return [[normalize(sum(sp.diff(gam[a][d][b], x[a]) - sp.diff(gam[a][a][b], x[d])
                            + sum(gam[a][a][e] * gam[e][d][b] - gam[a][d][e] * gam[e][a][b]
                                  for e in R4) for a in R4))
              for d in R4] for b in R4]
+
+
+def tree_scalar_curvature(g):
+    """g^ab R_ab from the tree inverse and the tree Ricci."""
+    ginv, ric = tree_inverse(g), tree_ricci(g)
+    return normalize(sum(ginv[a][b] * ric[a][b] for a in R4 for b in R4))
+
+
+@functools.cache
+def tree_riemann_pairs(g) -> list:
+    """R_abcd = g_ae R^e_bcd over antisymmetric pairs a < b, c < d, from the
+    tree Christoffels: R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
+    + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb."""
+    x, gam = g.chart.syms, tree_christoffels(g)
+    pairs = list(itertools.combinations(R4, 2))
+
+    def up(a, b, c, d):
+        return (sp.diff(gam[a][d][b], x[c]) - sp.diff(gam[a][c][b], x[d])
+                + sum(gam[a][c][e] * gam[e][d][b] - gam[a][d][e] * gam[e][c][b] for e in R4))
+    return [[normalize(sum(g.comps[a][e] * up(e, b, c, d) for e in R4 if g.comps[a][e] != 0))
+             for c, d in pairs] for a, b in pairs]
 
 
 # -- the tetrad ----------------------------------------------------------------------
@@ -302,13 +356,12 @@ def contracted_curvature_spinors(rf, zero) -> tuple:
 
 
 def frame_riemann(g, tet) -> list:
-    """R_ijkl = e_i^a e_j^b e_k^c e_l^d R_abcd: the coordinate route's
-    riemann_lower projected onto the frame, over antisymmetric pairs."""
-    E, rl = _frame(tet), riemann_lower(g).comps
+    """R_ijkl = e_i^a e_j^b e_k^c e_l^d R_abcd: the tree Riemann projected
+    onto the frame, over antisymmetric pairs."""
+    E, rp = _frame(tet), tree_riemann_pairs(g)
     pairs = list(itertools.combinations(R4, 2))
     ep = {(i, j): [E[i][a] * E[j][b] - E[i][b] * E[j][a] for a, b in pairs]
           for i in R4 for j in R4}
-    rp = [[rl[a][b][c][d] for c, d in pairs] for a, b in pairs]
     out = [[[[sp.S.Zero] * 4 for _ in R4] for _ in R4] for _ in R4]
     for i, j in pairs:
         for k, l in pairs:
@@ -321,8 +374,8 @@ def frame_riemann(g, tet) -> list:
 
 def tree_frame_connection(g, tet) -> list:
     """theta^k(nabla_{e_i} e_j) = theta^k_b e_i^a (d_a e_j^b + Gamma^b_ac e_j^c)
-    with the Christoffels' views."""
-    x, E, gam = g.chart.syms, _frame(tet), christoffels(g).comps
+    with the tree Christoffels."""
+    x, E, gam = g.chart.syms, _frame(tet), tree_christoffels(g)
     out = [[[None] * 4 for _ in R4] for _ in R4]
     for i, j in itertools.product(R4, repeat=2):
         cov = [sum(E[i][a] * (sp.diff(E[j][b], x[a]) + sum(gam[b][a][c] * E[j][c] for c in R4))
@@ -333,8 +386,8 @@ def tree_frame_connection(g, tet) -> list:
 
 
 def curvature_reassembly_residuals(g, tet) -> list[Expr]:
-    """The frame Riemann rebuilt from (C, C~, Phi, Lambda), minus the
-    coordinate Riemann projected onto the frame."""
+    """The frame Riemann rebuilt from (C, C~, Phi, Lambda), minus the tree
+    Riemann projected onto the frame."""
     cu, cp, phi, lam = curvature_spinors(g, tet)
     rf = frame_riemann(g, tet)
     lam_s = lam.sym
@@ -399,8 +452,8 @@ def tree_weyl_divergence(g, tet) -> dict:
 
 
 def _nabla_killing(g, K) -> tuple:
-    """(nabla_a K_b, eta) with the Christoffels' views."""
-    x, gam, k = g.chart.syms, christoffels(g).comps, K.comps
+    """(nabla_a K_b, eta) with the tree Christoffels."""
+    x, gam, k = g.chart.syms, tree_christoffels(g), K.comps
     kl = [sum(g.comps[a][b] * k[b] for b in R4) for a in R4]
     nk = [[normalize(sp.diff(kl[b], x[a]) - sum(gam[c][a][b] * kl[c] for c in R4))
            for b in R4] for a in R4]

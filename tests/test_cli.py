@@ -365,6 +365,44 @@ def test_report_all_matches_recorded_report(model, capsys, monkeypatch):
     assert out == (ROOT / "perfbench" / "reference" / f"{model}.json").read_text()
 
 
+# `asdnull build`'s metric model of each builder model, and the same with its
+# tetrad dropped, so that curvature takes the metric's holonomic coframe; their
+# curvature and report-all, recorded before the coordinate chain became the
+# holonomic case of the frame routine: "command path" -> [exit code, stdout]
+RAW_METRICS = ROOT / "tests" / "raw_metrics"
+RAW_METRIC_GOLDENS = json.loads((ROOT / "tests" / "raw_metric_goldens.json").read_text())
+BUILDER_MODELS = sorted(p.stem for p in RAW_METRICS.glob("*.json")
+                        if not p.stem.endswith("_no_tetrad"))
+
+
+@pytest.mark.parametrize("command", ["curvature", "report-all"])
+@pytest.mark.parametrize("model", sorted(p.stem for p in RAW_METRICS.glob("*.json")))
+def test_raw_metric_matches_recorded_report(command, model, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = f"tests/raw_metrics/{model}.json"
+    code = run([command, path])
+    assert [code, capsys.readouterr().out] == RAW_METRIC_GOLDENS[f"{command} {path}"]
+
+
+@pytest.mark.parametrize("model", BUILDER_MODELS)
+def test_raw_metrics_are_the_built_models(model, capsys, tmp_path):
+    """Each raw metric model is what `build` emits for the builder model of
+    its name, and its `_no_tetrad` twin the same without the tetrad; the
+    builder model's curvature checks are theirs, plus its constraints."""
+    out = tmp_path / "built.json"
+    assert run(["build", str(MODELS / f"{model}.json"), "--out", str(out)]) == 0
+    built = json.loads(out.read_text())
+    assert built == json.loads((RAW_METRICS / f"{model}.json").read_text())
+    del built["tetrad"]
+    assert built == json.loads((RAW_METRICS / f"{model}_no_tetrad.json").read_text())
+    run(["curvature", str(MODELS / f"{model}.json")])
+    checks = [c for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["name"].startswith("constraint_")]
+    for name in (model, f"{model}_no_tetrad"):
+        want = json.loads(RAW_METRIC_GOLDENS[f"curvature tests/raw_metrics/{name}.json"][1])
+        assert checks == want["checks"], name
+
+
 # szekeres, invariants and twist on each model, recorded before these stages
 # moved into the metric's field, classify at its default point, recorded
 # before exact evaluation read the field's elements (report-all runs none of
@@ -690,11 +728,13 @@ def _count_calls(monkeypatch, module, name, modules):
 @pytest.mark.parametrize("model", ["ppwave", "sparling_tod", "heavenly_ppwave"])
 def test_report_all_needs_no_coordinate_riemann(model, capsys, monkeypatch):
     """With a tetrad, Ricci-flatness, the scalar curvature and the curvature
-    spinors come from the coframe (Cartan), not from the coordinate Riemann."""
-    calls = _count_calls(monkeypatch, tensor, "riemann", (tensor, spinor, construct, cli))
+    spinors come from the tetrad's coframe, not from the holonomic one that
+    every coordinate curvature stage reads (`tensor._curvature`)."""
+    calls = [_count_calls(monkeypatch, tensor, name, (tensor, spinor, construct, cli))
+             for name in ("riemann", "_curvature")]
     code, _ = _run_capture(capsys, ["report-all", str(MODELS / f"{model}.json")])
     assert code == 0
-    assert calls == []
+    assert calls == [[], []]
 
 
 def test_lax_pair_needs_no_christoffels(monkeypatch):

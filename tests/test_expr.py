@@ -93,6 +93,18 @@ def test_parse_precedence():
     assert evaluate(parse("2^3^2"), {}) == Fraction(512)
 
 
+def test_comparison_with_a_bare_sympy_tree_is_a_type_error():
+    """An Expr compared with a sympy tree it forgot to wrap raises, from
+    either side, instead of reading False; wrapped, the two are equal."""
+    x = sp.Symbol("x")
+    with pytest.raises(TypeError, match="sympy tree"):
+        parse("1/x") == 1 / x
+    with pytest.raises(TypeError, match="sympy tree"):
+        1 / x != parse("1/x")
+    assert parse("1/x") == Expr(1 / x) and parse("1/x").normal == 1 / x
+    assert parse("x") != "x" and parse("x") != None  # noqa: E711
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as exc:
         parse("x + $")

@@ -32,7 +32,7 @@ from asdnull.construct import (
     build_sparling_tod,
     build_twisting,
 )
-from asdnull.frame import _frame_curvature
+from asdnull.tensor import _frame_curvature
 from asdnull.spinor import (
     _conformal_killing,
     _curvature_spinor_forms,
@@ -78,6 +78,8 @@ from oracles import (
     spin_coefficient_residuals,
     tree_frame_connection,
     tree_killing,
+    tree_ricci,
+    tree_scalar_curvature,
     tree_weyl_divergence,
     vector_components,
 )
@@ -212,14 +214,14 @@ def test_frame_curvature_matches_coordinate_route_on_corpus(corpus):
 
 def test_tetrad_ricci_matches_coordinate_route(nontwisting_generic_bg, ppwave_bg):
     """Where the Ricci tensor does not vanish, the one rebuilt from the frame
-    Riemann equals the coordinate Ricci, and R = 24 Lambda equals the
-    coordinate scalar curvature."""
+    Riemann equals the coordinate Ricci and the tree oracle's, and
+    R = 24 Lambda equals the coordinate scalar curvature and the tree one."""
     g2, tet2 = _rescaled_pair(nontwisting_generic_bg, parse("1 + x^2 + y*z"))
     assert not scalar_curvature(g2).is_proven_zero()
     for g, tet in ((g2, tet2), (ppwave_bg.g, ppwave_bg.tet)):
         ric, scal = tetrad_ricci(g, tet)
-        assert ric.comps == ricci(g).comps
-        assert scal.normal == scalar_curvature(g).normal
+        assert ric.comps == ricci(g).comps == tree_ricci(g)
+        assert scal.normal == scalar_curvature(g).normal == tree_scalar_curvature(g)
 
 
 def test_spin_coefficient_consistency(corpus):
