@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import sympy as sp
+from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
@@ -90,6 +91,11 @@ def _remember(cache: dict, key, value, cap: int):
 _normal_cache: dict = {}
 _NORMAL_CAP = 256
 
+# the irreducible factors of a base entry's cofactor, keyed by (ring symbols,
+# terms); capped like the normal forms
+_factor_cache: dict = {}
+_FACTOR_CAP = 256
+
 
 def normalize(s: sp.Expr) -> sp.Expr:
     """The one normal form: a single cancelled num/den over symbols and kernels.
@@ -109,6 +115,17 @@ def _check_finite(s: sp.Expr, context: str = "expression") -> sp.Expr:
     return s
 
 
+# an element's rational: with pure-Python ground types a PythonMPQ product
+# or negation takes about half the time of a Fraction one
+_Q = QQ.dtype
+_SCALARS = (int, Fraction, _Q)
+
+
+def _rational(q):
+    """An int, Fraction or QQ.dtype scalar as a QQ.dtype."""
+    return q if type(q) is _Q else _Q(q.numerator, q.denominator)
+
+
 def _shifted(p, i: int, j: int):
     """p / x_i^j for a gen x_i."""
     return p.new([(m[:i] + (m[i] - j,) + m[i + 1:], c) for m, c in p.items()])
@@ -117,13 +134,21 @@ def _shifted(p, i: int, j: int):
 class _El:
     """An element c N / prod b_i^e_i of a field (`_Elements`): N a primitive
     polynomial over ZZ with a positive leading coefficient, c a rational
-    (zero only for the zero element) and e a map from base index to a
-    positive exponent.  N is divisible by no b_i with e_i > 0, so the element
-    is in lowest terms."""
+    (`QQ.dtype`: sympy's PythonMPQ, gmpy2's mpq where it is installed; zero
+    only for the zero element) and e a map from base index to a positive
+    exponent.  N is divisible by no b_i with e_i > 0, so the element is in
+    lowest terms.
+
+    The operators take an int, Fraction or QQ.dtype scalar, converted to
+    QQ.dtype once here.  Against an element of the same field they return
+    early: a sum or difference with a zero operand is the other operand (or
+    its negative), a product with zero is zero, and a product with a
+    constant (N = 1, no denominator) scales c alone.  An element of another
+    field always reaches `_Elements._check`, which raises."""
 
     __slots__ = ("field", "c", "num", "e")
 
-    def __init__(self, field: "_Elements", c: Fraction, num, e: dict):
+    def __init__(self, field: "_Elements", c, num, e: dict):
         self.field, self.c, self.num, self.e = field, c, num, e
 
     def __bool__(self) -> bool:
@@ -133,27 +158,47 @@ class _El:
         return _El(f.field, -f.c, f.num, f.e)
 
     def __add__(f, g):
-        if type(g) is not _El and isinstance(g, (int, Fraction)):
-            g = f.field.constant(g)
-        return f.field.add(f, g)
+        K = f.field
+        if type(g) is _El and g.field is K:
+            if not g.num:
+                return f
+            if not f.num:
+                return g
+        elif isinstance(g, _SCALARS):
+            g = K.constant(g)
+        return K.add(f, g)
 
     __radd__ = __add__
 
     def __sub__(f, g):
-        if type(g) is not _El and isinstance(g, (int, Fraction)):
-            g = f.field.constant(g)
-        return f.field.add(f, g, -1)
+        K = f.field
+        if type(g) is _El and g.field is K:
+            if not g.num:
+                return f
+            if not f.num:
+                return _El(K, -g.c, g.num, g.e)
+        elif isinstance(g, _SCALARS):
+            g = K.constant(g)
+        return K.add(f, g, -1)
 
     def __mul__(f, g):
-        if type(g) is not _El and isinstance(g, (int, Fraction)):
-            return f.field.scaled(f, g)
-        return f.field.mul(f, g)
+        K = f.field
+        if type(g) is _El and g.field is K:
+            if not f.num or not g.num:
+                return K.zero
+            if not g.e and g.num.is_ground:
+                return _El(K, f.c * g.c, f.num, f.e)
+            if not f.e and f.num.is_ground:
+                return _El(K, f.c * g.c, g.num, g.e)
+        elif isinstance(g, _SCALARS):
+            return K.scaled(f, _rational(g))
+        return K.mul(f, g)
 
     __rmul__ = __mul__
 
     def __truediv__(f, g):
-        if type(g) is not _El and isinstance(g, (int, Fraction)):
-            return f.field.scaled(f, 1 / Fraction(g))
+        if type(g) is not _El and isinstance(g, _SCALARS):
+            return f.field.scaled(f, 1 / _rational(g))
         return f.field.mul(f, f.field.inverse(g))
 
     def __pow__(f, n: int):
@@ -193,16 +238,16 @@ class _Elements:
         self.ngens = R.ngens
         self.base: list = list(R.gens)
         self.gens_of: list = [(i,) for i in range(R.ngens)]
-        self.zero = _El(self, Fraction(0), R.zero, {})
-        self.one = _El(self, Fraction(1), R.one, {})
-        self.gens = tuple(_El(self, Fraction(1), g, {}) for g in R.gens)
+        self.zero = _El(self, _Q(0), R.zero, {})
+        self.one = _El(self, _Q(1), R.one, {})
+        self.gens = tuple(_El(self, _Q(1), g, {}) for g in R.gens)
 
     # -- construction ---------------------------------------------------------
 
     def constant(self, q: int | Fraction) -> _El:
-        return self.scaled(self.one, q)
+        return self.scaled(self.one, _rational(q))
 
-    def new(self, c: Fraction, t, e: dict, cancel: Iterable[int] | None = None) -> _El:
+    def new(self, c, t, e: dict, cancel: Iterable[int] | None = None) -> _El:
         """c t / prod b_i^e_i for any polynomial t over ZZ: its content and
         sign move into c, and t is trial-divided by the base elements in
         `cancel` (all of e by default)."""
@@ -224,7 +269,7 @@ class _Elements:
     def quotient(self, num: dict, den: dict) -> _El:
         """The element num / den of two coefficient maps over QQ."""
         (a, p), (b, q) = map(self._integral, (num, den))
-        return self.mul(self.new(Fraction(b, a), p, {}), self.inverse(self.new(Fraction(1), q, {})))
+        return self.mul(self.new(_Q(b, a), p, {}), self.inverse(self.new(_Q(1), q, {})))
 
     def _integral(self, d: dict) -> tuple:
         """(L, p) with d = p / L and p over ZZ."""
@@ -286,15 +331,26 @@ class _Elements:
         """The exponents of a primitive polynomial with a positive leading
         coefficient over the base, the base grown by what it lacks: p is
         trial-divided by the base first, and only the cofactor left is
-        factored into irreducibles, which enter the base."""
+        factored into irreducibles, which enter the base.  The factors are
+        kept in `_factor_cache` under the ring's symbols and the cofactor's
+        terms, at most `_FACTOR_CAP` entries, the oldest dropped first: a
+        polynomial that enters a new field with the same gens (Sparling-Tod's
+        s = YT - ZX, once per member) is factored once per process.  The
+        cached polynomials are shared by every base that holds them, and
+        nothing changes a base polynomial in place."""
         e, rest = {}, p
         for i in range(len(self.base)):
             rest, k = self._divide_out(rest, i, math.inf)
             if k:
                 e[i] = k
         if not rest.is_ground:
-            for f, k in rest.factor_list()[1]:
-                e[self._enter(f if f.LC > 0 else -f)] = k
+            key = (self.symbols, frozenset(rest.items()))
+            factors = _factor_cache.get(key)
+            if factors is None:
+                factors = _remember(_factor_cache, key, tuple(
+                    (f if f.LC > 0 else -f, k) for f, k in rest.factor_list()[1]), _FACTOR_CAP)
+            for f, k in factors:
+                e[self._enter(f)] = k
         return e
 
     def _enter(self, b) -> int:
@@ -315,7 +371,8 @@ class _Elements:
         if g.field is not self:
             raise ExprError("elements of two different fields")
 
-    def scaled(self, f: _El, q: int | Fraction) -> _El:
+    def scaled(self, f: _El, q) -> _El:
+        """q f for an int or QQ.dtype q."""
         if not q or not f:
             return self.zero
         return _El(self, f.c * q, f.num, f.e)
@@ -351,7 +408,7 @@ class _Elements:
         if not t:
             return self.zero
         content, t, e = self._reduced(t, e, e)
-        return _El(self, Fraction(content, L), t, e)
+        return _El(self, _Q(content, L), t, e)
 
     def mul(self, f: _El, g: _El) -> _El:
         """The exponents add; each numerator is trial-divided only by the base
@@ -427,7 +484,7 @@ class Field:
     derivatives cancel by trial division over the base (Henrici, J. ACM 3
     (1956) 6-9; Bach, Driscoll & Shallit, J. Algorithms 15 (1993) 199-222);
     no gcd runs outside base entry (`factor_list` on a new denominator's
-    cofactor).  The denominator is expanded only for `view`, whose tree is
+    cofactor, once per process).  The denominator is expanded only for `view`, whose tree is
     c.num N / (c.den prod b_i^e_i): the canonical form of a rational function
     (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 3), a
     fixed point of `normalize` except where cancel rewrites the fraction in a
@@ -577,7 +634,7 @@ class Field:
                 raise _Unplaced
             return self.K.gens[i]
         if s.is_Rational:
-            return self.K.constant(Fraction(s.p, s.q))
+            return self.K.constant(_Q(s.p, s.q))
         if s.is_Add:
             return self._sum([self._fold(a) for a in s.args])
         if s.is_Mul:
@@ -603,14 +660,14 @@ class Field:
             L = math.lcm(*(f.c.denominator for f in group))
             t = sum((f.num.mul_ground(f.c.numerator * (L // f.c.denominator)) for f in group),
                     K.ring.zero)
-            out = out + K.new(Fraction(1, L), t, group[0].e)
+            out = out + K.new(_Q(1, L), t, group[0].e)
         return out
 
     def _product(self, factors: list) -> _El:
         """Factors with no denominator multiply as polynomials; the others
         follow one by one."""
         K = self.K
-        num, c, rest = K.ring.one, Fraction(1), []
+        num, c, rest = K.ring.one, _Q(1), []
         for f in factors:
             if not f:
                 return K.zero
@@ -663,7 +720,7 @@ class Field:
             return obj
 
         def placed(p) -> _El:
-            return K.new(Fraction(1), K.ring.from_dict(self._moved(p, old.symbols)), {})
+            return K.new(_Q(1), K.ring.from_dict(self._moved(p, old.symbols)), {})
 
         out = placed(obj.num) * obj.c
         for i, k in obj.e.items():
@@ -746,12 +803,19 @@ class Field:
         numerator is one polynomial over ZZ and trial division runs once
         (`_diff_by_polynomials`); with e empty that is c D N.  A chain with a
         denominator (D log(u) = D u / u, or a kernel of a rational argument)
-        takes the field's element arithmetic (`_diff_by_elements`)."""
+        takes the field's element arithmetic (`_diff_by_elements`).  A
+        polynomial f whose chain is one gen with a constant derivative (a
+        chart symbol that no kernel gen of f depends on) is c d N/dg_i scaled
+        by that constant: one `PolyElement.diff` and one `new`."""
         if not f:
             return f
         chain = self._chain(f, v)
         if not chain:
             return self.K.zero
+        if not f.e and len(chain) == 1:
+            (i, d), = chain
+            if not d.e and d.num.is_ground:
+                return self.K.new(f.c * d.c, f.num.diff(i), {})
         if any(d.e for _, d in chain):
             return self._diff_by_elements(f, chain)
         return self._diff_by_polynomials(f, chain)
@@ -793,10 +857,10 @@ class Field:
         K = self.K
 
         def d(p) -> _El:
-            return self._sum([di * K.new(Fraction(1), p.diff(i), {}) for i, di in chain])
+            return self._sum([di * K.new(_Q(1), p.diff(i), {}) for i, di in chain])
 
         def poly(p) -> _El:  # a numerator or a product of base elements: primitive
-            return _El(K, Fraction(1), p, {})
+            return _El(K, _Q(1), p, {})
 
         S = self._sum([d(K.base[i]) * poly(K.expand({j: 1 for j in f.e if j != i})) * k
                        for i, k in f.e.items()])
@@ -1449,13 +1513,27 @@ def _compiled_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Calla
     numerator's sum and sum of |terms| over den and |den|; each sum runs
     left to right as `sum` does, and a term may raise a POINT_ERROR.  The
     loop over lambdified term tuples it replaces is
-    `tests/oracles.py::loop_is_zero`."""
+    `tests/oracles.py::loop_is_zero`.  A gen with no float value (an
+    undefined function or its derivative) raises ExprError before a rule is
+    generated (`_check_samplable`)."""
     key = (terms, dterms, names)
     fn = _lambdify_cache.get(key)
     if fn is None:
+        _check_samplable(terms + dterms)
         fn = _remember(_lambdify_cache, key, _generate_rule(terms, dterms, names),
                        _LAMBDIFY_CAP)
     return fn
+
+
+def _check_samplable(trees: tuple) -> None:
+    """Raise ExprError naming a gen that has no float value: an undefined
+    function or a derivative of one, which the field keeps as a gen (jet
+    coordinates) and no rule can print."""
+    bad = set().union(*(t.atoms(sp.Derivative, sp.Subs) for t in trees))
+    bad = bad or set().union(*(t.atoms(AppliedUndef) for t in trees))
+    if bad:
+        raise ExprError(f"cannot sample {min(bad, key=str)}: an undefined function "
+                        "or its derivative has no numerical value")
 
 
 def _generate_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Callable:
@@ -1565,7 +1643,8 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
         tvals = [float(t.evalf()) for t in terms]
         dvals = [float(t.evalf()) for t in dterms]
         dval = float(sum(dvals))
-        if abs(dval) < 1e-3 * max(1.0, sum(map(abs, dvals))):
+        # relative to the terms' own scale: sin(1/1000) is not numerically 0
+        if not dval or abs(dval) < 1e-3 * sum(map(abs, dvals)):
             raise ExprError("sampling failed: the denominator of a constant is numerically 0")
         value = sum(tvals) / dval
         mag = sum(abs(t) for t in tvals) / abs(dval)

@@ -113,11 +113,13 @@ class NullTetrad:
         if not det:
             raise ExprError("tetrad coframe is degenerate")
         adj = adjugate4(theta)
+        inv = F.K.inverse(det)
         self._coeff_cache: dict = {}
         _memo_el(self._coeff_cache, "theta", F, lambda: theta)
-        # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction
+        # frame[i][a]: dual vectors, theta^i(e_j) = delta_ij by construction;
+        # det is inverted once, not once per entry
         _memo_el(self._coeff_cache, "frame", F,
-                 lambda: [[adj[a][i] / det for a in _R] for i in _R])
+                 lambda: [[adj[a][i] * inv for a in _R] for i in _R])
         if not (v := self.reconstruction_verdict()).is_zero():
             raise ExprError(f"tetrad does not reconstruct the metric: {v}")
 

@@ -93,8 +93,8 @@ MUTANTS = (
            "return _El(self, abs(f.c * q), f.num, f.e)",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("constant_quotient_inverted", "src/asdnull/expr.py",
-           "return f.field.scaled(f, 1 / Fraction(g))",
-           "return f.field.scaled(f, Fraction(g))",
+           "return f.field.scaled(f, 1 / _rational(g))",
+           "return f.field.scaled(f, _rational(g))",
            ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
     Mutant("e_not_exp_1", "src/asdnull/expr.py",
            "return sp.S.One if g is sp.E else None",
@@ -119,9 +119,27 @@ MUTANTS = (
            ("tests/test_construct.py::test_flat_builder",
             "tests/test_construct.py::test_nontwisting_determined_coefficient")),
     Mutant("zero_element_invertible", "src/asdnull/expr.py",
-           "self.zero = _El(self, Fraction(0), R.zero, {})",
-           "self.zero = _El(self, Fraction(1), R.zero, {})",
+           "self.zero = _El(self, _Q(0), R.zero, {})",
+           "self.zero = _El(self, _Q(1), R.zero, {})",
            ("tests/test_expr.py::test_singular_input_is_a_typed_error_naming_it",)),
+    # the operators' early returns, the bare gen's derivative and the
+    # per-process memo of base entry's factors
+    Mutant("zero_left_sub_not_negated", "src/asdnull/expr.py",
+           "                return _El(K, -g.c, g.num, g.e)\n",
+           "                return g\n",
+           ("tests/test_expr.py::test_element_fast_paths_match_the_general_routines",)),
+    Mutant("constant_product_drops_scale", "src/asdnull/expr.py",
+           "return _El(K, f.c * g.c, f.num, f.e)",
+           "return _El(K, f.c, f.num, f.e)",
+           ("tests/test_expr.py::test_element_fast_paths_match_the_general_routines",)),
+    Mutant("gen_derivative_drops_scale", "src/asdnull/expr.py",
+           "return self.K.new(f.c * d.c, f.num.diff(i), {})",
+           "return self.K.new(f.c, f.num.diff(i), {})",
+           ("tests/test_expr.py::test_element_fast_paths_match_the_general_routines",)),
+    Mutant("factor_memo_keyed_on_terms_only", "src/asdnull/expr.py",
+           "key = (self.symbols, frozenset(rest.items()))",
+           "key = frozenset(rest.items())",
+           ("tests/test_expr.py::test_factor_memo_is_keyed_on_the_rings_symbols",)),
     # evaluation from an element, and the Petrov quartic
     Mutant("eval_pole", "src/asdnull/expr.py",
            "            if not den:\n"
@@ -197,8 +215,8 @@ MUTANTS = (
             "tests/test_expr.py::test_field_derivation_matches_sympy_diff",
             "tests/test_cli.py::test_report_all_matches_recorded_report")),
     Mutant("base_entered_unfactored", "src/asdnull/expr.py",
-           "for f, k in rest.factor_list()[1]:",
-           "for f, k in [(rest, 1)]:",
+           "for f, k in rest.factor_list()[1]",
+           "for f, k in [(rest, 1)]",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
     Mutant("base_entry_trial_division_skipped", "src/asdnull/expr.py",
            "for i in range(len(self.base)):",

@@ -253,6 +253,32 @@ def test_is_zero_of_a_constant_over_a_numerical_zero_is_a_typed_error():
     assert v.kind == "nonzero" and abs(v.value - 1 / (math.sin(1) + 1)) < 1e-12
 
 
+def test_is_zero_of_a_constant_over_a_small_denominator_is_nonzero():
+    """A constant's pole floor is relative to its denominator's terms:
+    1/sin(1/1000) reads nonzero with its value, while a denominator whose
+    terms cancel to about 0 still fails with a typed error."""
+    v = is_zero(parse("1/sin(1/1000)"), CFG)
+    assert v.kind == "nonzero" and abs(v.value - 1 / math.sin(1 / 1000)) < 1e-9
+    with pytest.raises(ExprError, match="sampling failed"):
+        is_zero(parse("1/(sin(1)^2 + cos(1)^2 - 1)"), CFG)
+
+
+def test_sampling_an_undefined_function_is_a_typed_error():
+    """A builder's undefined input enters the field as a gen, and so do its
+    derivatives; no float rule can evaluate them, so a zero test that would
+    sample one raises ExprError naming the gen before a rule is generated."""
+    X, Y = sp.symbols("X Y")
+    Q = sp.Function("Q")(X, Y)
+    bg = build_ppwave(Expr(Q))
+    cu, _ = weyl_spinors(bg.g, bg.tet)
+    nonzero = [p for p in cu.psi if not p.is_proven_zero()]
+    assert nonzero
+    with pytest.raises(ExprError, match=r"cannot sample Derivative\(Q\(X, Y\), \(X, 2\)\)"):
+        is_zero(nonzero[0], CFG)
+    with pytest.raises(ExprError, match=r"cannot sample Q\(X, Y\)"):
+        is_zero(Expr(Q), CFG)
+
+
 def test_kernel_free_nonzero_reads_nonzero():
     """A kernel-free expression is zero exactly when its normal form is: where
     the terms are too small for the tolerance, or no point samples, the
@@ -683,6 +709,94 @@ def test_derivative_routes_agree():
     assert F.K is K and compared == 4 * len(els)
 
 
+def _kernel_operands(rng, F) -> list:
+    """Seeded elements of F: zero, +-1 and other constants, the gens, the
+    folded CORPUS (polynomials and elements with denominators), and scaled
+    and multiplied copies of those."""
+    K = F.K
+    out = [K.zero, K.one, -K.one, K.constant(Fraction(3, 7)), K.constant(-5), *K.gens]
+    out += [F.fold(parse(text).sym) for text in CORPUS]
+    for _ in range(12):
+        a, b = rng.sample(out, 2)
+        out.append(rng.choice([a * b, a * Fraction(rng.randint(-9, 9), rng.randint(1, 9)), a - b]))
+    return out
+
+
+def test_element_fast_paths_match_the_general_routines(monkeypatch):
+    """The operators' early returns (a zero operand, a constant factor), the
+    scalar boundary and Field.diff's bare-gen route give the elements the
+    general routines give (`_Elements.add`, `_Elements.mul`,
+    `Field._diff_by_polynomials`), with c a QQ.dtype after every operation;
+    an element of another field raises, also when one side is zero."""
+    rng = random.Random(27)
+    x, y, z = xyz = sp.symbols("x y z")
+    F = Field(xyz, [parse(text).sym for text in CORPUS])
+    K = F.K
+    els = _kernel_operands(rng, F)
+    assert F.K is K
+    assert any(not f for f in els) and any(not f.e and f.num.is_ground and f for f in els)
+    assert any(f.e for f in els) and any(not f.e and not f.num.is_ground for f in els)
+    dtype = sp.polys.domains.QQ.dtype
+    for f in els:
+        for g in els:
+            for got, want in ((f + g, K.add(f, g)), (f - g, K.add(f, g, -1)),
+                              (f * g, K.mul(f, g))):
+                assert got == want and type(got.c) is dtype, (F.view(f), F.view(g))
+        for q in (0, 1, -2, Fraction(3, 5), Fraction(-1, 4)):
+            c = K.constant(q)
+            cases = [(f + q, K.add(f, c)), (q + f, K.add(f, c)), (f - q, K.add(f, c, -1)),
+                     (f * q, K.mul(f, c)), (q * f, K.mul(f, c))]
+            if q:
+                cases.append((f / q, K.mul(f, K.inverse(c))))
+            for got, want in cases:
+                assert got == want and type(got.c) is dtype, (F.view(f), q)
+    # Field.diff of a polynomial element by a bare gen, here and under the
+    # derivation k d/dv for constants k other than 1
+    polys, bare = [f for f in els if f and not f.e], 0
+    for v in xyz:
+        for f in polys:
+            chain = F._chain(f, v)
+            if chain and not any(d.e for _, d in chain):
+                assert F.diff(f, v) == F._diff_by_polynomials(f, chain)
+                bare += len(chain) == 1
+    assert bare > 10
+    for k in (3, Fraction(-2, 5)):
+        monkeypatch.setattr(F, "_d_gen", lambda i, v: K.constant(k) if K.symbols[i] == v else K.zero)
+        scaled = 0
+        for f in polys:
+            chain = F._chain(f, x)
+            if len(chain) == 1:
+                got = F.diff(f, x)
+                assert got == F._diff_by_polynomials(f, chain) and type(got.c) is dtype
+                scaled += 1
+        assert scaled > 5
+    other = Field(xyz).K
+    for f in (K.zero, K.one, els[-1]):
+        for g in (other.zero, other.one, other.gens[0]):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(ExprError, match="two different fields"):
+                    op(f, g)
+                with pytest.raises(ExprError, match="two different fields"):
+                    op(g, f)
+
+
+def test_factor_memo_is_keyed_on_the_rings_symbols(monkeypatch):
+    """Base entry's factors are kept per process, keyed by the ring's symbols
+    and the cofactor's terms: u v + 1 and x y + 1 have the same terms over
+    different gens, and each field's base holds its own polynomial."""
+    monkeypatch.setattr(expr_module, "_factor_cache", {})
+    u, v, x, y = sp.symbols("u v x y")
+    for a, b in ((u, v), (x, y)):
+        F = Field((a, b))
+        el = F.fold(1 / (a * b + 1))
+        assert F.K.base[-1].ring == F.K.ring
+        assert F.view(el) == 1 / (a * b + 1)
+    assert len(expr_module._factor_cache) == 2
+    again = Field((x, y))
+    again.fold((x + 2) / (x * y + 1))
+    assert len(expr_module._factor_cache) == 2 and again.K.base[-1] == F.K.base[-1]
+
+
 def test_up_keeps_a_current_memo_and_moves_every_leaf_after_growth():
     """A memo (`Field.held`) comes back from `up` as the same object while its
     field is current.  After the field grows, every leaf of the memo moves
@@ -940,7 +1054,9 @@ def test_field_arithmetic_runs_no_polynomial_gcd(monkeypatch):
     once per polynomial that enters the base; factor_list's own gcds (its
     square-free step, in the dense routines) are not counted.  The ring calls that sympy's
     cancel makes inside the tree normalizations of the boundary (NORMALIZING)
-    are not counted."""
+    are not counted.  Base entry's factors are kept per process
+    (`_factor_cache`): the memo starts empty here, and a second build of the
+    same member calls no factor_list."""
     from sympy.polys.rings import PolyElement
 
     calls, scope = Counter(), []
@@ -965,6 +1081,7 @@ def test_field_arithmetic_runs_no_polynomial_gcd(monkeypatch):
     monkeypatch.setattr(sp, "cancel", scoped("tree", sp.cancel))
     monkeypatch.setattr(expr_module._Elements, "factor",
                         scoped("base entry", expr_module._Elements.factor))
+    monkeypatch.setattr(expr_module, "_factor_cache", {})
     cases = [
         (build_sparling_tod, [parse("1")], 1),  # T Y - X Z enters the base
         (build_twisting, [0, parse("-2*x"), parse("3/2*y"), 0,
@@ -972,14 +1089,15 @@ def test_field_arithmetic_runs_no_polynomial_gcd(monkeypatch):
     ]
     cfg = SampleConfig(count=20, seed=1)
     for build, args, entered in cases:
-        calls.clear()
-        bg = build(*args)
-        weyl_spinors(bg.g, bg.tet)
-        integrability_check(lax_pair(bg), cfg)
-        K = bg.g.field.K
-        assert len(K.base) - K.ngens == entered, build.__name__
-        assert {k: n for k, n in calls.items() if k[0] != "tree"} == (
-            {("base entry", "factor_list"): entered} if entered else {}), build.__name__
+        for factored in (entered, 0):  # the second build reads the memo
+            calls.clear()
+            bg = build(*args)
+            weyl_spinors(bg.g, bg.tet)
+            integrability_check(lax_pair(bg), cfg)
+            K = bg.g.field.K
+            assert len(K.base) - K.ngens == entered, build.__name__
+            assert {k: n for k, n in calls.items() if k[0] != "tree"} == (
+                {("base entry", "factor_list"): factored} if factored else {}), build.__name__
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
