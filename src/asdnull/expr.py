@@ -126,6 +126,11 @@ def _rational(q):
     return q if type(q) is _Q else _Q(q.numerator, q.denominator)
 
 
+def _degree(p) -> int:
+    """The total degree of a nonzero polynomial."""
+    return max(map(sum, p))
+
+
 def _shifted(p, i: int, j: int):
     """p / x_i^j for a gen x_i."""
     return p.new([(m[:i] + (m[i] - j,) + m[i + 1:], c) for m, c in p.items()])
@@ -197,6 +202,8 @@ class _El:
     __rmul__ = __mul__
 
     def __truediv__(f, g):
+        if type(g) is int:
+            return f.field.scaled(f, _Q(1, g))
         if type(g) is not _El and isinstance(g, _SCALARS):
             return f.field.scaled(f, 1 / _rational(g))
         return f.field.mul(f, f.field.inverse(g))
@@ -226,11 +233,13 @@ class _Elements:
     polynomial enters the base only when it becomes a denominator (`factor`).
 
     Cancellation is exact trial division by the base elements a denominator
-    holds: a product divides each numerator by the other operand's
-    denominator, a sum divides its numerator by every base element with a
-    positive exponent.  Because each b_i is irreducible, what trial division
-    leaves is in lowest terms; a base that were only pairwise coprime would
-    let a factor of a composite b_i hide in N."""
+    holds, and only by those that can divide: a product divides each
+    numerator by the base elements of the other operand's denominator that
+    its own lacks, a sum divides its numerator by the base elements with the
+    same exponent in both summands (`add`, `mul`).  Because each b_i is
+    irreducible, what trial division leaves is in lowest terms; a base that
+    were only pairwise coprime would let a factor of a composite b_i hide in
+    N."""
 
     def __init__(self, symbols: tuple):
         self.ring = R = PolyRing(symbols, ZZ, lex)
@@ -368,6 +377,8 @@ class _Elements:
     # -- arithmetic ---------------------------------------------------------------
 
     def _check(self, g: _El) -> None:
+        if type(g) is not _El:
+            raise ExprError(f"cannot combine a field element with {type(g).__name__}")
         if g.field is not self:
             raise ExprError("elements of two different fields")
 
@@ -384,15 +395,21 @@ class _Elements:
 
     def add(self, f: _El, g: _El, sign: int = 1) -> _El:
         """f + g, or f - g for sign -1: over the exponent maximum, then trial
-        division by every base element with a positive exponent.  The
-        numerators are scaled to the common denominator L of the two
-        rationals (a scale of 1 is skipped), and c is content / L."""
+        division by the base elements with the same positive exponent in both
+        summands.  The numerators are scaled to the common denominator L of
+        the two rationals (a scale of 1 is skipped), and c is content / L.
+
+        A b_i with unequal exponents cannot divide the sum: say e_i(f) >
+        e_i(g); then g's raised numerator holds b_i and f's, N_f times powers
+        of the other b_j, does not (N_f is in lowest terms and the base is
+        irreducible and pairwise coprime), so the sum is N_f times a unit
+        modulo b_i (Henrici, J. ACM 3 (1956) 6-9)."""
         self._check(g)
         if not g:
             return f
         if not f:
             return g if sign > 0 else -g
-        e = f.e
+        e = cancel = f.e
         p, q = f.num, g.num
         if g.e != e:
             e = dict(e)
@@ -400,6 +417,7 @@ class _Elements:
                 if k > e.get(i, 0):
                     e[i] = k
             p, q = self._raised(p, f.e, e), self._raised(q, g.e, e)
+            cancel = [i for i, k in g.e.items() if f.e.get(i) == k]
         a, b = f.c, g.c
         L = math.lcm(a.denominator, b.denominator)
         m, n = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
@@ -407,12 +425,14 @@ class _Elements:
         t = p + q if sign > 0 else p - q
         if not t:
             return self.zero
-        content, t, e = self._reduced(t, e, e)
+        content, t, e = self._reduced(t, e, cancel)
         return _El(self, _Q(content, L), t, e)
 
     def mul(self, f: _El, g: _El) -> _El:
         """The exponents add; each numerator is trial-divided only by the base
-        elements of the other operand's denominator."""
+        elements of the other operand's denominator that its own denominator
+        lacks: N_f is in lowest terms, so no b_i of f's denominator divides
+        it."""
         self._check(g)
         if not f or not g:
             return self.zero
@@ -421,11 +441,15 @@ class _Elements:
             return _El(self, f.c * g.c, p * q, {})
         e = dict(f.e)
         for i, k in g.e.items():
-            p, j = self._divide_out(p, i, k)
-            e[i] = e.get(i, 0) + k - j
+            if i in f.e:
+                e[i] += k
+            else:
+                p, j = self._divide_out(p, i, k)
+                e[i] = k - j
         for i, k in f.e.items():
-            q, j = self._divide_out(q, i, k)
-            e[i] -= j
+            if i not in g.e:
+                q, j = self._divide_out(q, i, k)
+                e[i] -= j
         return _El(self, f.c * g.c, p * q, {i: k for i, k in e.items() if k})
 
     def inverse(self, f: _El) -> _El:
@@ -481,8 +505,10 @@ class Field:
     `_sort_gens` orders them, c rational, and e the exponents over the field's
     base of irreducible polynomials (`_Elements`), which holds the gens and
     grows when a new polynomial becomes a denominator.  Sums, products and
-    derivatives cancel by trial division over the base (Henrici, J. ACM 3
-    (1956) 6-9; Bach, Driscoll & Shallit, J. Algorithms 15 (1993) 199-222);
+    derivatives cancel by trial division over the base, by the base
+    elements that can divide alone (Henrici, J. ACM 3 (1956) 6-9; Bach,
+    Driscoll & Shallit, J. Algorithms 15 (1993) 199-222); a vector field
+    differentiates as one derivation (`derivation`, `along`);
     no gcd runs outside base entry (`factor_list` on a new denominator's
     cofactor, once per process).  The denominator is expanded only for `view`, whose tree is
     c.num N / (c.den prod b_i^e_i): the canonical form of a rational function
@@ -787,47 +813,98 @@ class Field:
 
     def diff(self, f: _El, v: sp.Symbol) -> _El:
         """D_v f = sum over gens g of (df/dg) D_v g: the chain rule through the
-        kernel gens.  With D the chain derivative, f = c N / prod b_i^e_i and
-        P = prod b_i over the b_i in f's denominator,
-            D_v f = c (D N P - N S) / (P prod b_i^e_i),
-            S = sum of e_i D b_i P / b_i.
-        The last step trial-divides the numerator by every b_i, which takes
-        back the b_i that divide D b_i (one with D b_i = 0, or an exp gen:
-        D exp(w) = exp(w) D w); the others keep e_i + 1:
-        D_x ((x y + x + 1) / (y + 1)) = 1.  Nothing is inverted, so no
-        polynomial enters the base.
-
-        Two routes give the same element (it is canonical).  When every D g
-        the chain needs is a polynomial element (no denominator: always so
-        for D of a chart symbol over polynomial kernel arguments), the
-        numerator is one polynomial over ZZ and trial division runs once
-        (`_diff_by_polynomials`); with e empty that is c D N.  A chain with a
-        denominator (D log(u) = D u / u, or a kernel of a rational argument)
-        takes the field's element arithmetic (`_diff_by_elements`).  A
-        polynomial f whose chain is one gen with a constant derivative (a
-        chart symbol that no kernel gen of f depends on) is c d N/dg_i scaled
-        by that constant: one `PolyElement.diff` and one `new`."""
+        kernel gens (`_by_chain`).  D_x ((x y + x + 1) / (y + 1)) = 1."""
         if not f:
             return f
-        chain = self._chain(f, v)
-        if not chain:
-            return self.K.zero
-        if not f.e and len(chain) == 1:
-            (i, d), = chain
-            if not d.e and d.num.is_ground:
-                return self.K.new(f.c * d.c, f.num.diff(i), {})
-        if any(d.e for _, d in chain):
-            return self._diff_by_elements(f, chain)
-        return self._diff_by_polynomials(f, chain)
+        return self._by_chain(f, self._chain(f, v))
 
     def _chain(self, f: _El, v: sp.Symbol) -> list:
         """(i, D_v g_i) over the gens f uses whose derivative is nonzero."""
         return [(i, d) for i in self.K.used(f) if (d := self._d_gen(i, v))]
 
+    def derivation(self, pairs: Iterable[tuple]) -> "_Derivation":
+        """The vector field D = sum_v w_v d/dv of (symbol v, element or
+        rational w_v) pairs, applied to elements by `along`."""
+        K = self.K
+        return _Derivation(K, {v: w if type(w) is _El else K.constant(w)
+                               for v, w in pairs if w})
+
+    def along(self, f: _El, D: "_Derivation") -> _El:
+        """D f = sum_v w_v D_v f in one pass of the chain rule (`_by_chain`):
+        D g_i = sum_v w_v D_v g_i is formed once per gen and kept on D, and
+        only for the gens f uses, so the field grows exactly where `diff`
+        along each v would grow it.  (Filled for every gen at once, it would
+        not terminate on an undefined function: each derivative is a new gen,
+        which needs a derivative of its own.)  A D made before the field grew
+        restarts `run`."""
+        if D.K is not self.K:
+            raise _FieldGrew
+        if not f:
+            return f
+        return self._by_chain(f, [(i, d) for i in self.K.used(f) if (d := self._entry(D, i))])
+
+    def _entry(self, D: "_Derivation", i: int) -> _El:
+        """D g_i: w_g itself for a symbol gen g, sum_v w_v D_v g_i (`_d_gen`)
+        for a kernel gen."""
+        d = D.chain.get(i)
+        if d is None:
+            K = self.K
+            g = K.symbols[i]
+            if g.is_Symbol:
+                d = D.weights.get(g, K.zero)
+            else:
+                d = K.zero
+                for v, w in D.weights.items():
+                    dg = self._d_gen(i, v)
+                    if dg:
+                        d = d + w * dg
+            D.chain[i] = d
+        return d
+
+    def _by_chain(self, f: _El, chain: list) -> _El:
+        """D f for a nonzero f, from the chain (i, D g_i) over the gens f uses
+        whose derivative is nonzero.  With f = c N / prod b_i^e_i and
+        P = prod b_i over the b_i in f's denominator,
+            D f = c (D N P - N S) / (P prod b_i^e_i),
+            S = sum of e_i D b_i P / b_i,
+        formed over ZZ by `_diff_by_polynomials`.  Nothing is inverted, so no
+        polynomial enters the base.
+
+        A chain whose entries carry denominators (the frame of a tetrad, D
+        log(u) = D u / u, a kernel of a rational argument) is cleared once:
+        with Q the exponent maximum over those entries, Q D is a derivation
+        with polynomial entries, and D f = (Q D f) / Q.  A polynomial f whose
+        chain is one gen with a constant derivative (a chart symbol that no
+        kernel gen of f depends on) is c d N/dg_i scaled by that constant: one
+        `PolyElement.diff` and one `new`."""
+        K = self.K
+        if not chain:
+            return K.zero
+        if not f.e and len(chain) == 1:
+            (i, d), = chain
+            if not d.e and d.num.is_ground:
+                return K.new(f.c * d.c, f.num.diff(i), {})
+        Q: dict = {}
+        for _, d in chain:
+            for i, k in d.e.items():
+                if k > Q.get(i, 0):
+                    Q[i] = k
+        if not Q:
+            return self._diff_by_polynomials(f, chain)
+        cleared = [(i, _El(K, d.c, K._raised(d.num, d.e, Q), {})) for i, d in chain]
+        return K.mul(self._diff_by_polynomials(f, cleared), _El(K, _Q(1), K.ring.one, Q))
+
     def _diff_by_polynomials(self, f: _El, chain: list) -> _El:
-        """D_v f for a chain of polynomial elements c_i M_i: with L the common
+        """D f for a chain of polynomial elements c_i M_i: with L the common
         denominator of the c_i, L D is a derivation of ZZ[gens], and
-        L c (D N P - N S) is formed over ZZ and reduced by one `new`."""
+        T = L c (D N P - N S) is formed over ZZ and reduced by one `new`.
+
+        Modulo b_i, T is -N e_i D(b_i) P / b_i, and b_i divides neither N
+        (lowest terms) nor P / b_i (a pairwise coprime base); b_i is
+        irreducible, so b_i divides T exactly when it divides D b_i.  A gen
+        is trial-divided as it is (a monomial shift); any other b_i only when
+        D b_i = 0, or when D b_i has at least b_i's total degree and leaves
+        no remainder.  The others keep e_i + 1."""
         K = self.K
         L = math.lcm(*(d.c.denominator for _, d in chain))
         weights = []
@@ -845,27 +922,28 @@ class Field:
 
         if not f.e:
             return K.new(f.c / L, D(f.num), {})
-        S = K.ring.zero
+        S, cancel = K.ring.zero, []
         for i, k in f.e.items():
-            t = D(K.base[i]) * K.expand({j: 1 for j in f.e if j != i})
-            S += t if k == 1 else t.mul_ground(k)
+            b = K.base[i]
+            Db = D(b)
+            if i < K.ngens or not Db or (_degree(Db) >= _degree(b) and not Db.rem(b)):
+                cancel.append(i)
+            if Db:
+                t = Db * K.expand({j: 1 for j in f.e if j != i})
+                S += t if k == 1 else t.mul_ground(k)
         T = D(f.num) * K.expand(dict.fromkeys(f.e, 1)) - f.num * S
-        return K.new(f.c / L, T, {i: k + 1 for i, k in f.e.items()})
+        return K.new(f.c / L, T, {i: k + 1 for i, k in f.e.items()}, cancel)
 
-    def _diff_by_elements(self, f: _El, chain: list) -> _El:
-        """D_v f for any chain, in the field's element arithmetic."""
-        K = self.K
 
-        def d(p) -> _El:
-            return self._sum([di * K.new(_Q(1), p.diff(i), {}) for i, di in chain])
+class _Derivation:
+    """A vector field D = sum_v w_v d/dv over one field's elements
+    (`Field.derivation`): its weights by symbol, and the chain D g_i for the
+    gens `Field.along` has met."""
 
-        def poly(p) -> _El:  # a numerator or a product of base elements: primitive
-            return _El(K, _Q(1), p, {})
+    __slots__ = ("K", "weights", "chain")
 
-        S = self._sum([d(K.base[i]) * poly(K.expand({j: 1 for j in f.e if j != i})) * k
-                       for i, k in f.e.items()])
-        top = d(f.num) * poly(K.expand(dict.fromkeys(f.e, 1))) - poly(f.num) * S
-        return top * _El(K, f.c, K.ring.one, {i: k + 1 for i, k in f.e.items()})
+    def __init__(self, K: _Elements, weights: dict):
+        self.K, self.weights, self.chain = K, weights, {}
 
 
 class Expr:
@@ -1336,9 +1414,12 @@ _LAMBDIFY_CAP = 256
 
 
 def _compiled(s: sp.Expr, names: tuple[str, ...]):
+    """s lambdified over the names, kept in `_lambdify_cache`; a gen with no
+    float value raises ExprError on a miss (`_check_samplable`)."""
     key = (s, names)
     fn = _lambdify_cache.get(key)
     if fn is None:
+        _check_samplable((s,))
         fn = _remember(_lambdify_cache, key,
                        sp.lambdify([sp.Symbol(n) for n in names], s, modules="math"),
                        _LAMBDIFY_CAP)

@@ -25,6 +25,7 @@ from .expr import (
     Field,
     SampleConfig,
     Verdict,
+    _check_samplable,
     evaluate,
     is_zero,
     is_zero_all,
@@ -38,7 +39,6 @@ from .tensor import (
     TwoForm,
     VectorField,
     adjugate4,
-    det4,
     ricci,
     scalar_curvature,
     vector_norm,
@@ -109,10 +109,10 @@ class NullTetrad:
             coframe = _entered(F, coframe)
         self._coframe = coframe
         theta = F.up([w.el for w in coframe])
-        det = det4(theta)
+        adj = adjugate4(theta)
+        det = sum((theta[0][a] * adj[a][0] for a in _R if theta[0][a]), F.K.zero)
         if not det:
             raise ExprError("tetrad coframe is degenerate")
-        adj = adjugate4(theta)
         inv = F.K.inverse(det)
         self._coeff_cache: dict = {}
         _memo_el(self._coeff_cache, "theta", F, lambda: theta)
@@ -420,6 +420,7 @@ def petrov_classify(w: WeylSpinor, at: Assignment | dict) -> PetrovType:
 def petrov_classify_samples(w: WeylSpinor,
                             points: list[Assignment]) -> tuple[str, list[PetrovType], bool]:
     """Pointwise types plus the consensus type; flag when points disagree."""
+    _check_samplable(tuple(_used_gens(w)))  # before the loop, which skips ValueErrors
     results = []
     for pt in points:
         try:
@@ -596,9 +597,13 @@ def classification_points(w: WeylSpinor, cfg: SampleConfig, n: int) -> list[Assi
     the symbols of the Weyl spinor, for pointwise Petrov classification: those
     of the gens its elements use, read in each element's own field, so no
     view is made."""
-    names = sorted({s.name for el in w.el for i in el.field.used(el)
-                    for s in el.field.symbols[i].free_symbols})
+    names = sorted({s.name for g in _used_gens(w) for s in g.free_symbols})
     return list(itertools.islice(random_points(names, cfg.seed + 1, 9), n))
+
+
+def _used_gens(w: WeylSpinor) -> set:
+    """The gens the Weyl spinor's elements use, each read in its own field."""
+    return {el.field.symbols[i] for el in w.el for i in el.field.used(el)}
 
 
 @dataclass
@@ -658,6 +663,7 @@ def szekeres_obstruction(g: Metric, tet: NullTetrad,
     Raises when the Petrov type is N or O at every sample point (the
     elimination underlying the condition degenerates there)."""
     cu, _, _, _ = curvature_spinors(g, tet)
+    _check_samplable(tuple(_used_gens(cu)))  # before the loop, which skips ValueErrors
     types = []
     for pt in classification_points(cu, cfg, 8):
         try:

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _R = range(4)
+_PAIRS = tuple(itertools.combinations(_R, 2))
 
 # fibre coordinate of the projective primed spin bundle (the twistor space); a
 # gen of every metric's field, so the Lax pair computes in the metric's field
@@ -177,10 +178,26 @@ def det4(m):
 
 
 def adjugate4(m) -> list:
-    """adj[a][b] = (-1)^(a+b) times the minor of m without row b and column a."""
-    full = (0, 1, 2, 3)
-    return [[(-1) ** (a + b) * _minor(m, full[:b] + full[b + 1:], full[:a] + full[a + 1:])
-             for b in _R] for a in _R]
+    """adj[a][b] = (-1)^(a+b) times the minor of m without row b and column a.
+    That minor keeps one of the row pairs (0, 1) and (2, 3) whole, and is
+    expanded along its other row against the pair's 2x2 minors: twelve 2x2
+    minors in all, and three products per entry."""
+    pair = {(r, a, b): m[r][a] * m[r + 1][b] - m[r][b] * m[r + 1][a]
+            for r in (0, 2) for a, b in _PAIRS}
+    zero = m[0][0].field.zero
+    adj = _nested(2)
+    for b in _R:
+        r, top = b ^ 1, 2 if b < 2 else 0  # the row left of b's pair; the whole pair
+        for a in _R:
+            cols = [c for c in _R if c != a]
+            v = zero
+            for j, c in enumerate(cols):
+                if m[r][c]:
+                    rest = [n for n in cols if n != c]
+                    t = m[r][c] * pair[top, rest[0], rest[1]]
+                    v = v + t if j % 2 == 0 else v - t
+            adj[a][b] = v if (a + b) % 2 == 0 else -v
+    return adj
 
 
 def _nested(rank: int, fill=None):
@@ -322,7 +339,6 @@ class Metric:
 # `spinor`: 00', 01', 10', 11'); it is its own inverse.
 _ETA = tuple(tuple((1, -1, -1, 1)[i] if j == 3 - i else 0 for j in _R) for i in _R)
 _ID = tuple(tuple(int(i == j) for j in _R) for i in _R)
-_PAIRS = tuple(itertools.combinations(_R, 2))
 
 
 def _rows(m) -> list:
@@ -337,8 +353,11 @@ def _levi_civita(F: Field, x, theta, frame, eta, eta_inv) -> tuple:
     R_abcd, for the dual frame e_i and the frame metric eta_ij = g(e_i, e_j)
     with inverse eta_inv.  An int entry is a constant.
 
-    The commutators [e_i, e_j] = C^k_ij e_k come from d theta^k, so
-    C^k_ij = -d theta^k(e_i, e_j).  Koszul's formula (Misner, Thorne & Wheeler,
+    Each frame vector e_k is one derivation of F (`Field.derivation`),
+    applied in one pass of the chain rule (`Field.along`).  The commutators
+    [e_i, e_j] = C^k_ij e_k have C^k_ij = theta^k_a [e_i, e_j]^a with
+    [e_i, e_j]^a = e_i(e_j^a) - e_j(e_i^a); a frame of constants (the
+    holonomic one) commutes.  Koszul's formula (Misner, Thorne & Wheeler,
     *Gravitation* (1973), eq. (8.24)) gives Gamma_kij = g(e_k, nabla_{e_i} e_j):
     2 Gamma_kij = C_kij - C_ijk + C_jki + e_i(eta_jk) + e_j(eta_ik) - e_k(eta_ij),
     the e(eta) terms only for an eta that is not constant.  Only k < j is
@@ -347,22 +366,14 @@ def _levi_civita(F: Field, x, theta, frame, eta, eta_inv) -> tuple:
     R_ijkl = e_k(Gamma_ilj) - e_l(Gamma_ikj) - Gamma_mki Gamma^m_lj
     + Gamma_mli Gamma^m_kj - C^m_kl Gamma_imj."""
     zero = F.K.zero
-
-    def diff(f, s):
-        return 0 if isinstance(f, int) else F.diff(f, s)
-
-    def along(i, d):  # e_i(f) from f's partials d
-        return sum((frame[i][a] * d[a] for a in _R if frame[i][a] and d[a]), zero)
-
-    # ep[i, j][m] = e_i^a e_j^b - e_i^b e_j^a for the m-th coordinate pair a < b
-    ep = {(i, j): [frame[i][a] * frame[j][b] - frame[i][b] * frame[j][a] for a, b in _PAIRS]
-          for i, j in _PAIRS}
+    e = [F.derivation(zip(x, row)) for row in frame]
     C = _nested(3, zero)  # C[k][i][j] = C^k_ij, antisymmetric in (i, j)
-    for k, th in enumerate(theta):
-        dth = [diff(th[b], x[a]) - diff(th[a], x[b]) for a, b in _PAIRS]
+    if not all(isinstance(v, int) for row in frame for v in row):
         for i, j in _PAIRS:
-            c = -sum((e * t for e, t in zip(ep[i, j], dth) if e and t), zero)
-            C[k][i][j], C[k][j][i] = c, -c
+            br = [F.along(frame[j][a], e[i]) - F.along(frame[i][a], e[j]) for a in _R]
+            for k, th in enumerate(theta):
+                c = sum((th[a] * br[a] for a in _R if th[a] and br[a]), zero)
+                C[k][i][j], C[k][j][i] = c, -c
     lo, up = _rows(eta), _rows(eta_inv)
     low = [[[sum([v * C[n][i][j] for n, v in lo[k] if C[n][i][j]], zero) for j in _R]
             for i in _R] for k in _R]  # C_kij = eta_kn C^n_ij
@@ -370,9 +381,8 @@ def _levi_civita(F: Field, x, theta, frame, eta, eta_inv) -> tuple:
     de = _nested(3)  # de[i][j][k] = e_i(eta_jk)
     for j in _R if moving else ():
         for k in range(j, 4):
-            d = [F.diff(eta[j][k], s) for s in x]
             for i in _R:
-                de[i][j][k] = de[i][k][j] = along(i, d)
+                de[i][j][k] = de[i][k][j] = F.along(eta[j][k], e[i])
     gam = _nested(3, zero)
     for k, j in _PAIRS:
         for i in _R:
@@ -388,19 +398,10 @@ def _levi_civita(F: Field, x, theta, frame, eta, eta_inv) -> tuple:
     # Gamma^m_lj = eta^mn Gamma_nlj = theta^m(nabla_{e_l} e_j)
     gup = [[[sum([v * gam[n][l][j] for n, v in up[m] if gam[n][l][j]], zero) for j in _R]
             for l in _R] for m in _R]
-    # each Gamma_ilj with i < j (the only ones R reads differentiated), its four
-    # partials taken once and reused for every direction e_k
-    dgam = {(i, l, j): [F.diff(gam[i][l][j], s) for s in x]
-            for i, j in _PAIRS for l in _R if gam[i][l][j]}
-
-    def e(k, i, l, j):  # e_k(Gamma_ilj)
-        d = dgam.get((i, l, j))
-        return zero if d is None else along(k, d)
-
     R = _nested(4, zero)
     for p, (i, j) in enumerate(_PAIRS):
         for k, l in _PAIRS[p:]:  # pair symmetry R_ijkl = R_klij
-            v = e(k, i, l, j) - e(l, i, k, j)
+            v = F.along(gam[i][l][j], e[k]) - F.along(gam[i][k][j], e[l])
             for m in _R:
                 if gam[m][k][i] and gup[m][l][j]:
                     v -= gam[m][k][i] * gup[m][l][j]
@@ -545,8 +546,9 @@ def _nabla_vector(g: Metric, k: VectorField):
     """(K_a, nabla_a K_b, nabla_a K^a) as field elements, memoized on the
     metric and keyed on K's components.  No Christoffels: the antisymmetric
     part of nabla_a K_b is (dK_flat)_ab / 2, the symmetric part is
-    (L_K g)_ab / 2 = (K^c d_c g_ab + g_cb d_a K^c + g_ac d_b K^c) / 2, and
-    nabla_a K^a = d_a K^a + K^a d_a(det g) / (2 det g)."""
+    (L_K g)_ab / 2 = (K(g_ab) + g_cb d_a K^c + g_ac d_b K^c) / 2, and
+    nabla_a K^a = d_a K^a + K(det g) / (2 det g), with K applied as one
+    derivation (`Field.along`)."""
     F = g.field
     k0 = _vector_el(g, k)
 
@@ -554,18 +556,18 @@ def _nabla_vector(g: Metric, k: VectorField):
         x = g.chart.syms
         kv, gg, det = F.up(k0), g.el, g._det_el()
         zero = F.K.zero
+        DK = F.derivation(zip(x, kv))
         kl = [sum((gg[a][b] * kv[b] for b in _R if kv[b]), zero) for a in _R]
         dk = [[F.diff(kv[c], x[a]) for c in _R] for a in _R]  # dk[a][c] = d_a K^c
         nk = _nested(2)
         for a in _R:
             for b in range(a, 4):
-                lie = (sum((kv[c] * F.diff(gg[a][b], x[c]) for c in _R if kv[c]), zero)
+                lie = (F.along(gg[a][b], DK)
                        + sum((gg[c][b] * dk[a][c] for c in _R if dk[a][c]), zero)
                        + sum((gg[a][c] * dk[b][c] for c in _R if dk[b][c]), zero))
                 curl = F.diff(kl[b], x[a]) - F.diff(kl[a], x[b])
                 nk[a][b], nk[b][a] = (lie + curl) / 2, (lie - curl) / 2
-        div = (sum((dk[a][a] for a in _R), zero)
-               + sum((kv[a] * F.diff(det, x[a]) for a in _R if kv[a]), zero) / det / 2)
+        div = sum((dk[a][a] for a in _R), zero) + F.along(det, DK) / det / 2
         return kl, nk, div
 
     return _memo_el(g._cache, ("nabla_vector", *k.comps), F, compute)

@@ -104,16 +104,9 @@ def lax_pair(bg) -> LaxPair:
 
 
 def _commutator(F: Field, vars_syms, X, Y) -> list:
-    out = []
-    for k in range(len(vars_syms)):
-        val = F.K.zero
-        for i, v in enumerate(vars_syms):
-            if X[i]:
-                val += X[i] * F.diff(Y[k], v)
-            if Y[i]:
-                val -= Y[i] * F.diff(X[k], v)
-        out.append(val)
-    return out
+    """[X, Y]^k = X(Y^k) - Y(X^k), X and Y each applied as one derivation."""
+    DX, DY = F.derivation(zip(vars_syms, X)), F.derivation(zip(vars_syms, Y))
+    return [F.along(y, DX) - F.along(x, DY) for x, y in zip(X, Y)]
 
 
 def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()) -> SpanSolve:

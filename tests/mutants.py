@@ -93,9 +93,13 @@ MUTANTS = (
            "return _El(self, abs(f.c * q), f.num, f.e)",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
     Mutant("constant_quotient_inverted", "src/asdnull/expr.py",
+           "return f.field.scaled(f, _Q(1, g))",
+           "return f.field.scaled(f, _Q(g))",
+           ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
+    Mutant("rational_quotient_inverted", "src/asdnull/expr.py",
            "return f.field.scaled(f, 1 / _rational(g))",
            "return f.field.scaled(f, _rational(g))",
-           ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",)),
+           ("tests/test_expr.py::test_element_fast_paths_match_the_general_routines",)),
     Mutant("e_not_exp_1", "src/asdnull/expr.py",
            "return sp.S.One if g is sp.E else None",
            "return None",
@@ -133,8 +137,8 @@ MUTANTS = (
            "return _El(K, f.c, f.num, f.e)",
            ("tests/test_expr.py::test_element_fast_paths_match_the_general_routines",)),
     Mutant("gen_derivative_drops_scale", "src/asdnull/expr.py",
-           "return self.K.new(f.c * d.c, f.num.diff(i), {})",
-           "return self.K.new(f.c, f.num.diff(i), {})",
+           "return K.new(f.c * d.c, f.num.diff(i), {})",
+           "return K.new(f.c, f.num.diff(i), {})",
            ("tests/test_expr.py::test_element_fast_paths_match_the_general_routines",)),
     Mutant("factor_memo_keyed_on_terms_only", "src/asdnull/expr.py",
            "key = (self.symbols, frozenset(rest.items()))",
@@ -155,8 +159,7 @@ MUTANTS = (
            "den *= _poly_at(K.base[i], x)",
            ("tests/test_spinor.py::test_field_evaluation_matches_tree_route",)),
     Mutant("classification_points_read_views", "src/asdnull/spinor.py",
-           "    names = sorted({s.name for el in w.el for i in el.field.used(el)\n"
-           "                    for s in el.field.symbols[i].free_symbols})\n",
+           "    names = sorted({s.name for g in _used_gens(w) for s in g.free_symbols})\n",
            "    names = sorted({nm for c in w.psi for nm in c.free_symbols()})\n",
            ("tests/test_displays.py::test_szekeres_views_each_weyl_spinor_element_once",)),
     Mutant("quartic_root_at_infinity_dropped", "src/asdnull/quartic.py",
@@ -186,9 +189,10 @@ MUTANTS = (
            "for k in range(2, min(d, 3) + 1))",
            ("tests/test_quartic.py::test_exact_structure_of_evident_powers",)),
     # the factored field: the sum's trial division, its exponent maximum, the
-    # derivative's e_i D b_i / b_i terms, and irreducible base entry
+    # exponents a chain with denominators is cleared by, and irreducible base
+    # entry
     Mutant("sum_trial_division_skipped", "src/asdnull/expr.py",
-           "content, t, e = self._reduced(t, e, e)",
+           "content, t, e = self._reduced(t, e, cancel)",
            "content, t, e = self._reduced(t, e, ())",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",
             "tests/test_tensor.py::test_field_views_are_normal_forms")),
@@ -197,9 +201,10 @@ MUTANTS = (
            "                if i not in e:\n",
            ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
     Mutant("diff_base_exponent_dropped", "src/asdnull/expr.py",
-           "poly(K.expand({j: 1 for j in f.e if j != i})) * k",
-           "poly(K.expand({j: 1 for j in f.e if j != i}))",
-           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",)),
+           "_El(K, _Q(1), K.ring.one, Q))",
+           "_El(K, _Q(1), K.ring.one, dict.fromkeys(Q, 1)))",
+           ("tests/test_expr.py::test_factored_arithmetic_matches_cancel",
+            "tests/test_expr.py::test_derivative_routes_agree")),
     # the derivative's polynomial route: the e_i weight of D b_i, and the
     # denominator raised to e_i + 1 before trial division
     Mutant("diff_poly_weight_dropped", "src/asdnull/expr.py",
@@ -209,8 +214,8 @@ MUTANTS = (
             "tests/test_expr.py::test_factored_arithmetic_matches_cancel",
             "tests/test_construct.py::test_builders_match_tree_oracle")),
     Mutant("diff_poly_exponent_not_raised", "src/asdnull/expr.py",
-           "return K.new(f.c / L, T, {i: k + 1 for i, k in f.e.items()})",
-           "return K.new(f.c / L, T, dict(f.e))",
+           "return K.new(f.c / L, T, {i: k + 1 for i, k in f.e.items()}, cancel)",
+           "return K.new(f.c / L, T, dict(f.e), cancel)",
            ("tests/test_expr.py::test_derivative_routes_agree",
             "tests/test_expr.py::test_field_derivation_matches_sympy_diff",
             "tests/test_cli.py::test_report_all_matches_recorded_report")),
@@ -371,6 +376,45 @@ MUTANTS = (
            ("tests/test_expr.py::test_memos_hold_their_fields_elements",
             "tests/test_spinor.py::test_curvature_spinor_forms_match_contractions_on_corpus",
             "tests/test_spinor.py::test_weyl_divergence_matches_tree_oracle")),
+    # trial division only where a base element can divide: a sum by the b_i
+    # with equal exponents, a product's numerator by the b_i its own
+    # denominator lacks, a derivative by a b_i that divides D b_i
+    Mutant("sum_screen_unequal_exponents", "src/asdnull/expr.py",
+           "cancel = [i for i, k in g.e.items() if f.e.get(i) == k]",
+           "cancel = [i for i, k in g.e.items() if f.e.get(i) != k]",
+           ("tests/test_expr.py::test_screens_match_the_unscreened_routines",)),
+    Mutant("product_screen_skips_foreign_base", "src/asdnull/expr.py",
+           "            if i in f.e:\n"
+           "                e[i] += k\n"
+           "            else:\n"
+           "                p, j = self._divide_out(p, i, k)\n"
+           "                e[i] = k - j\n",
+           "            if i not in f.e:\n"
+           "                e[i] = k\n"
+           "            else:\n"
+           "                p, j = self._divide_out(p, i, k)\n"
+           "                e[i] += k - j\n",
+           ("tests/test_expr.py::test_screens_match_the_unscreened_routines",)),
+    Mutant("derivative_screen_ignores_zero_derivative", "src/asdnull/expr.py",
+           "if i < K.ngens or not Db or (",
+           "if i < K.ngens or (",
+           ("tests/test_expr.py::test_screens_match_the_unscreened_routines",)),
+    # a vector field as one derivation: the frame's brackets, a kernel gen's
+    # chain entry, and the tetrad's determinant from its adjugate
+    Mutant("bracket_order_swapped", "src/asdnull/tensor.py",
+           "br = [F.along(frame[j][a], e[i]) - F.along(frame[i][a], e[j]) for a in _R]",
+           "br = [F.along(frame[i][a], e[j]) - F.along(frame[j][a], e[i]) for a in _R]",
+           ("tests/test_spinor.py::test_curvature_reassembly_on_corpus",
+            "tests/test_cli.py::test_report_all_matches_recorded_report")),
+    Mutant("derivation_drops_kernel_chain", "src/asdnull/expr.py",
+           "            if g.is_Symbol:\n",
+           "            if g.is_Symbol or isinstance(g, sp.exp):\n",
+           ("tests/test_expr.py::test_derivation_matches_the_partials_on_the_corpus",)),
+    Mutant("tetrad_det_wrong_column", "src/asdnull/spinor.py",
+           "theta[0][a] * adj[a][0] for a in _R",
+           "theta[0][a] * adj[a][1] for a in _R",
+           ("tests/test_tensor.py::test_adjugate_from_minors_matches_laplace_expansion",
+            "tests/test_cli.py::test_report_all_matches_recorded_report")),
     # the sampler's integer draws and the scalar RK4 step
     Mutant("draw_sign_flipped", "src/asdnull/expr.py",
            "pairs.append((p + 1 if rand() < 0.5 else -1 - p, q + 1))",

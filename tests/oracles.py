@@ -5,7 +5,11 @@ reads the package only through the values its functions return; field
 elements become trees with `.as_expr()`.  A fault in the fraction field
 therefore cannot cancel against the same fault in its check.  Two helpers
 that no package stage reads, `signature_at` and `weyl_mixed`, are no oracles:
-they read the metric's elements, as the package's stages do.
+they read the metric's elements, as the package's stages do.  The element
+kernel's reference routes (`diff_by_elements`, `unscreened_mul`,
+`full_cancel`, `laplace_adjugate4`) compute on field elements too: each is
+the general routine a fast path or a screen of the kernel skips work of, so
+they are checked against it and not against trees.
 """
 
 import functools
@@ -185,6 +189,71 @@ def derivative_matches_fd(points_per_expr: int = 2, h: float = 1e-6,
             done += 1
             checked += 1
     return checked >= 20
+
+
+# -- the element kernel's reference routes ------------------------------------------
+
+
+def diff_by_elements(F, f, chain):
+    """D f for any chain (i, D g_i), in the field's element arithmetic:
+    c (D N P - N S) / (P prod b_i^e_i), S = sum of e_i D b_i P / b_i, with
+    every sum and product a field operation, so no chain is cleared of its
+    denominators and every cancellation is the field's."""
+    K, El, one = F.K, expr_module._El, expr_module._Q(1)
+
+    def d(p):
+        return F._sum([di * K.new(one, p.diff(i), {}) for i, di in chain])
+
+    def poly(p):  # a numerator or a product of base elements: primitive
+        return El(K, one, p, {})
+
+    S = F._sum([d(K.base[i]) * poly(K.expand({j: 1 for j in f.e if j != i})) * k
+                for i, k in f.e.items()])
+    top = d(f.num) * poly(K.expand(dict.fromkeys(f.e, 1))) - poly(f.num) * S
+    return top * El(K, f.c, K.ring.one, {i: k + 1 for i, k in f.e.items()})
+
+
+def full_cancel(K, t, e, idx):
+    """`_Elements._cancel` with no screen: t trial-divided by every base
+    element of e, whatever `idx` names."""
+    out = dict(e)
+    for i, k in e.items():
+        t, j = K._divide_out(t, i, k)
+        if j == k:
+            del out[i]
+        elif j:
+            out[i] = k - j
+    return t, out
+
+
+def unscreened_mul(K, f, g):
+    """`_Elements.mul` with no screen: each numerator trial-divided by every
+    base element of the other operand's denominator."""
+    if not f or not g:
+        return K.zero
+    p, q = f.num, g.num
+    e = dict(f.e)
+    for i, k in g.e.items():
+        p, j = K._divide_out(p, i, k)
+        e[i] = e.get(i, 0) + k - j
+    for i, k in f.e.items():
+        q, j = K._divide_out(q, i, k)
+        e[i] -= j
+    return expr_module._El(K, f.c * g.c, p * q, {i: k for i, k in e.items() if k})
+
+
+def laplace_adjugate4(m) -> list:
+    """The adjugate of a 4x4 matrix of field elements, each 3x3 minor by
+    Laplace expansion along its first row."""
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        return sum(((-1) ** k * m[rows[0]][c] * minor(rows[1:], cols[:k] + cols[k + 1:])
+                    for k, c in enumerate(cols)), m[0][0].field.zero)
+
+    full = (0, 1, 2, 3)
+    return [[(-1) ** (a + b) * minor(full[:b] + full[b + 1:], full[:a] + full[a + 1:])
+             for b in R4] for a in R4]
 
 
 # -- coordinate tensors ------------------------------------------------------------

@@ -384,6 +384,23 @@ def test_raw_metric_matches_recorded_report(command, model, capsys, monkeypatch)
     assert [code, capsys.readouterr().out] == RAW_METRIC_GOLDENS[f"{command} {path}"]
 
 
+# a twisting member with rational coefficients and denominators beyond the
+# gens (1 + x y, 1 + y^2), which no sample model has: its report-all and
+# curvature, recorded before the field skipped trial divisions that cannot
+# succeed, pin those screens on a base entry that is not a gen
+DENOMINATOR_MODELS = ROOT / "tests" / "denominator_models"
+DENOMINATOR_GOLDENS = json.loads((ROOT / "tests" / "denominator_model_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["curvature", "report-all"])
+@pytest.mark.parametrize("model", sorted(p.stem for p in DENOMINATOR_MODELS.glob("*.json")))
+def test_denominator_model_matches_recorded_report(command, model, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = f"tests/denominator_models/{model}.json"
+    code = run([command, path])
+    assert [code, capsys.readouterr().out] == DENOMINATOR_GOLDENS[f"{command} {path}"]
+
+
 @pytest.mark.parametrize("model", BUILDER_MODELS)
 def test_raw_metrics_are_the_built_models(model, capsys, tmp_path):
     """Each raw metric model is what `build` emits for the builder model of

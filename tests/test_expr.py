@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,12 @@ from asdnull.construct import (
     build_sparling_tod,
     build_twisting,
 )
-from asdnull.spinor import weyl_spinors
+from asdnull.spinor import (
+    classification_points,
+    petrov_classify_samples,
+    szekeres_obstruction,
+    weyl_spinors,
+)
 from asdnull.twistor import (
     integrability_check,
     lax_pair,
@@ -46,6 +52,7 @@ from asdnull.twistor import (
     lift_killing,
 )
 import mutants
+import oracles
 from mutants import MUTANTS, _failed
 from oracles import CORPUS as ORACLE_CORPUS
 from oracles import loop_is_zero, tree_coframe, tree_metric
@@ -673,20 +680,22 @@ def test_factored_arithmetic_matches_cancel():
 
 
 def test_derivative_routes_agree():
-    """Where every derivative of a gen is a polynomial element, Field.diff
-    takes the polynomial route; the element route gives the same element
-    (c, N and e) on seeded elements.  These hold powers of base
-    denominators, no denominator at all, kernels whose derivative brings a
-    gen they lack (sin brings cos) or a rational coefficient (exp(x z/3)),
-    and are differentiated by every symbol, including w, which no element
-    holds."""
+    """Field.diff forms the numerator over ZZ (`_diff_by_polynomials`), with
+    a chain that carries denominators cleared first; the element route
+    (`oracles.diff_by_elements`) gives the same element (c, N and e) on
+    seeded elements.  These hold powers of base denominators, no denominator
+    at all, kernels whose derivative brings a gen they lack (sin brings cos),
+    a rational coefficient (exp(x z/3)) or a denominator (log(x + t),
+    exp(x/y)), and are differentiated by every symbol, including w, which no
+    element holds."""
     rng = random.Random(19)
     t, x, y, z = sp.symbols("t x y z")
     w = sp.Symbol("w")
-    kernels = [sp.exp(x * z - y), sp.exp(x * z / 3), sp.sin(x * y), sp.cos(t - z)]
+    kernels = [sp.exp(x * z - y), sp.exp(x * z / 3), sp.sin(x * y), sp.cos(t - z),
+               sp.log(x + t), sp.exp(x / y)]
     F = Field((t, x, y, z, w), kernels)
     trees = []
-    for _ in range(30):
+    for _ in range(36):
         s = _random_fraction(rng)
         if rng.random() < 0.6:
             s *= rng.choice(kernels) + rng.choice([1, x, t * y])
@@ -695,18 +704,18 @@ def test_derivative_routes_agree():
     els = [F.fold(s) for s in trees]
     K = F.K
     assert any(not el.e for el in els) and any(k > 1 for el in els for k in el.e.values())
-    compared = 0
+    compared = cleared = 0
     for s, el in zip(trees, els):
         for v in (t, x, y, z, w):
             chain = F._chain(el, v)
-            assert all(not d.e for _, d in chain)
             if v == w:
                 assert not chain and not F.diff(el, v)
                 continue
-            fast, slow = F._diff_by_polynomials(el, chain), F._diff_by_elements(el, chain)
+            fast, slow = F.diff(el, v), oracles.diff_by_elements(F, el, chain)
             assert (fast.c, fast.num, fast.e) == (slow.c, slow.num, slow.e), (s, v)
             compared += 1
-    assert F.K is K and compared == 4 * len(els)
+            cleared += any(d.e for _, d in chain)
+    assert F.K is K and compared == 4 * len(els) and cleared > 10
 
 
 def _kernel_operands(rng, F) -> list:
@@ -778,6 +787,122 @@ def test_element_fast_paths_match_the_general_routines(monkeypatch):
                     op(f, g)
                 with pytest.raises(ExprError, match="two different fields"):
                     op(g, f)
+
+
+def _corpus_field(seed: int) -> tuple:
+    """The CORPUS field (exp, log, sin and cos gens; base entries 1 + y^2,
+    whose d/dx is 0, and x^2 + y^2 + 1 and 1 + x^2 beyond the gens) and its
+    seeded operands (`_kernel_operands`)."""
+    F = Field(sp.symbols("x y z"), [parse(text).sym for text in CORPUS])
+    els = _kernel_operands(random.Random(seed), F)
+    els += [F.fold(parse(text).sym) for text in
+            ("x/(1 + y^2)", "(x*z - 1)/(1 + y^2)^2", "y/(x^2 + y^2 + 1) + x^2/(1 + y^2)",
+             "exp(z*x - y)/(x*(1 + y^2))", "log(1 + x^2)/(x^2 + y^2 + 1)^2",
+             "1/(1 + y^2)", "1/(x^2 + y^2 + 1) - 1/(1 + y^2)")]
+    return F, els
+
+
+def test_derivation_matches_the_partials_on_the_corpus():
+    """A vector field applied in one pass is the sum of its weighted
+    partials: along(f, derivation(w)) == sum_v w_v diff(f, v), for seeded
+    weights (zero, constants, polynomials, elements with denominators) and
+    operands; int weights give the coordinate derivation."""
+    F, els = _corpus_field(28)
+    K, xyz, rng = F.K, sp.symbols("x y z"), random.Random(28)
+    checked = denominators = 0
+    for _ in range(30):
+        w = [(v, rng.choice(els)) for v in xyz]
+        D = F.derivation(w)
+        for f in rng.sample(els, 6):
+            assert F.along(f, D) == sum((wv * F.diff(f, v) for v, wv in w), K.zero)
+            checked += 1
+        denominators += any(wv.e for _, wv in w)
+    for f in els:
+        assert F.along(f, F.derivation([(xyz[0], 1), (xyz[1], 0)])) == F.diff(f, xyz[0])
+    assert F.K is K and checked == 180 and denominators > 10
+
+
+def test_screens_match_the_unscreened_routines(monkeypatch):
+    """The trial divisions the kernel skips could not have succeeded: with
+    the screens monkeypatched off (`_Elements._cancel` dividing by every
+    base element of the denominator, `_Elements.mul` by every one of the
+    other operand's), every sum, difference, product, derivative and
+    derivation of seeded CORPUS operands is the same element.  The operands
+    share base entries at equal and unequal exponents (1/b plus
+    1/h - 1/b, whose denominator b h shares b at an equal exponent, is 1/h),
+    and 1 + y^2 is differentiated along x, where D b = 0."""
+    F, els = _corpus_field(281)
+    K, (x, y, z), rng = F.K, sp.symbols("x y z"), random.Random(281)
+    dens = [f for f in els if f.e]
+    pairs = [(f, g) for f in dens for g in dens] + [tuple(rng.sample(els, 2)) for _ in range(300)]
+    D = F.derivation([(x, els[-1]), (y, K.one), (z, els[-5])])
+
+    def results():
+        out = [(f + g, f - g, f * g) for f, g in pairs]
+        out += [(F.diff(f, v), F.along(f, D)) for f in els for v in (x, y, z)]
+        return out
+
+    screened = results()
+    monkeypatch.setattr(expr_module._Elements, "_cancel", oracles.full_cancel)
+    monkeypatch.setattr(expr_module._Elements, "mul", oracles.unscreened_mul)
+    D.chain.clear()
+    assert results() == screened
+    shared = [(f, g) for f, g in pairs if set(f.e) & set(g.e)]
+    assert any(f.e == g.e for f, g in shared) and any(f.e != g.e for f, g in shared)
+    flat = [i for i, b in enumerate(K.base)
+            if i >= K.ngens and not b.diff(K.symbols.index(x))]  # D_x b = 0
+    assert any(set(f.e) & set(flat) for f in els)
+
+
+def test_along_grows_the_field_only_where_diff_does():
+    """On a field with an undefined function Q(x, y), each derivative of Q
+    is a new gen.  along fills its chain only for the gens f uses, so it
+    terminates, and it grows the field by exactly the gens that diff along
+    each symbol adds: twice applied, Q_xx, Q_xy and Q_yy and nothing more."""
+    x, y = sp.symbols("x y")
+    Q = sp.Function("Q")(x, y)
+
+    def applied(step):
+        F = Field((x, y), [Q])
+        f = F.fold(x * Q**2 + y)
+        out = F.run(lambda: step(F, step(F, F.up(f))))
+        return F, out
+
+    Fa, a = applied(lambda F, f: F.along(f, F.derivation([(x, F.fold(y)), (y, F.K.one)])))
+    Fd, d = applied(lambda F, f: F.fold(y) * F.diff(f, x) + F.diff(f, y))
+    assert Fa.K.symbols == Fd.K.symbols and len(Fa.K.symbols) == 8
+    assert Fa.view(a) == Fd.view(d)
+
+
+def test_foreign_operand_is_a_typed_error():
+    """An element meets only elements of its field and int, Fraction or
+    QQ.dtype scalars; any other operand raises ExprError naming its type."""
+    F = Field(sp.symbols("x y"))
+    g = F.K.gens[0]
+    for op, kind in ((lambda: g * 1.5, "float"), (lambda: 1.5 * g, "float"),
+                     (lambda: g + 1.5, "float"), (lambda: g - 1.5, "float"),
+                     (lambda: g / 1.5, "float"), (lambda: g + parse("x"), "Expr"),
+                     (lambda: g * sp.Symbol("x"), "Symbol")):
+        with pytest.raises(ExprError, match=f"cannot combine a field element with {kind}"):
+            op()
+
+
+def test_float_evaluation_of_an_undefined_function_is_a_typed_error():
+    """evaluate's float route raises the ExprError of `_check_samplable` on an
+    undefined function or its derivative, and the Petrov samplers raise it
+    before their loops, which would skip it as a rejected point."""
+    X, Y = sp.symbols("X Y")
+    Q = sp.Function("Q")(X, Y)
+    for tree in (Q, sp.Derivative(Q, X)):
+        with pytest.raises(ExprError, match=f"cannot sample {re.escape(str(tree))}"):
+            evaluate(Expr(tree), {"X": 1.0, "Y": 2})
+    bg = build_ppwave(Expr(Q))
+    cu, _ = weyl_spinors(bg.g, bg.tet)
+    gen = re.escape("cannot sample Derivative(Q(X, Y), (X, 2))")
+    with pytest.raises(ExprError, match=gen):
+        petrov_classify_samples(cu, classification_points(cu, CFG, 4))
+    with pytest.raises(ExprError, match=gen):
+        szekeres_obstruction(bg.g, bg.tet, CFG)
 
 
 def test_factor_memo_is_keyed_on_the_rings_symbols(monkeypatch):

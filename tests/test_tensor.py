@@ -2,6 +2,7 @@
 conformal behaviour."""
 
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,10 @@ from asdnull.tensor import (
     Metric,
     OneForm,
     VectorField,
+    adjugate4,
     christoffels,
     conformal_rescale,
+    det4,
     lie_derivative_metric,
     ricci,
     riemann,
@@ -49,6 +52,7 @@ from asdnull.tensor import (
 from asdnull.twistor import lax_pair, lift_killing
 from oracles import (
     exterior_derivative_oneform,
+    laplace_adjugate4,
     metric_compatibility_residuals,
     signature_at,
     tree_ricci,
@@ -241,6 +245,33 @@ def test_rescale_forms_omega_g_on_elements(model, monkeypatch):
         tree = Metric(g.chart, [[g.comps[a][b] * omega.sym for b in R4] for a in R4])
         for a, b in itertools.product(R4, repeat=2):
             assert g2[a, b].sym == tree[a, b].sym, (model, str(omega), a, b)
+
+
+def test_adjugate_from_minors_matches_laplace_expansion(corpus):
+    """adjugate4 expands each 3x3 minor against the 2x2 minors of rows (0, 1)
+    and (2, 3); it is Laplace expansion's adjugate (`oracles`), and row 0
+    against its first column is det4, on every corpus coframe and metric and
+    on seeded matrices of field elements with zero entries.  Each tetrad's
+    frame is that adjugate over that determinant."""
+    for name, bg in corpus.items():
+        theta, frame = bg.tet.field_el("theta"), bg.tet.field_el("frame")
+        zero = bg.g.field.K.zero
+        for m in (theta, bg.g.el):
+            adj = adjugate4(m)
+            assert adj == laplace_adjugate4(m), name
+            assert sum((m[0][a] * adj[a][0] for a in R4), zero) == det4(m), name
+        adj, det = laplace_adjugate4(theta), det4(theta)
+        assert frame == [[adj[a][i] / det for a in R4] for i in R4], name
+    rng = random.Random(28)
+    F = Field(sp.symbols("x y"))
+    x, y = sp.symbols("x y")
+    entries = [F.fold(sp.sympify(t)) for t in (0, 0, 1, -2, x, y, x * y - 3, x / (1 + y**2),
+                                   (x - y) / (x * y + 1), y**2 / x)]
+    for _ in range(12):
+        m = [[rng.choice(entries) for _ in R4] for _ in R4]
+        adj = adjugate4(m)
+        assert adj == laplace_adjugate4(m)
+        assert sum((m[0][a] * adj[a][0] for a in R4), F.K.zero) == det4(m)
 
 
 def test_degenerate_metric_rejected():
