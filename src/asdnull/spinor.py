@@ -540,8 +540,7 @@ def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
     gu0, gp0, _ = _spin_coefficients(g, tet)
 
     def compute():
-        x = g.chart.syms
-        E = tet.field_el("frame")
+        e = [F.derivation(zip(g.chart.syms, row)) for row in tet.field_el("frame")]
         gu, gp, phi, psi, iu, ou = F.up((gu0, gp0, phi0, psi0, iota0, o0))
         alg1 = sum((iu[a] * iu[b] * psi[a + b] for a in _R2 for b in _R2), F.K.zero)
         alg2 = sum((ou[a] * ou[b] * phi[a + b] for a in _R2 for b in _R2), F.K.zero)
@@ -549,8 +548,7 @@ def check_lemma_identities(g: Metric, tet: NullTetrad, K: VectorField,
         def shear_free(up, gamma, slot):
             # up^A up^B nabla_{slot(B, f)} up_A for each free index f of the other kind
             low = (-up[1], up[0])  # mu_A = mu^B eps_BA
-            dlow = [[F.diff(low[A], x[a]) for a in _R] for A in _R2]
-            cov = [[[sum((E[slot(B, f)][a] * dlow[A][a] for a in _R if dlow[A][a]), F.K.zero)
+            cov = [[[F.along(low[A], e[slot(B, f)])
                      - sum((gamma[slot(B, f)][A][C] * low[C] for C in _R2), F.K.zero)
                      for A in _R2] for B in _R2] for f in _R2]
             return [F.expr(sum((up[A] * up[B] * cov[f][B][A] for A in _R2 for B in _R2),
@@ -631,16 +629,15 @@ def _weyl_divergence(g: Metric, tet: NullTetrad) -> dict:
     psi0, gu0 = _curvature_spinors(g, tet)[0], _spin_coefficients(g, tet)[0]
 
     def compute():
-        x = g.chart.syms
         psi, gu = F.up((psi0, gu0))  # Psi_{ABCD} = psi[A + B + C + D]
-        E = tet.field_el("frame")
-        dpsi = [[F.diff(p, x[a]) for a in _R] for p in psi]
+        e = [F.derivation(zip(g.chart.syms, row)) for row in tet.field_el("frame")]
+        dpsi = [[F.along(p, d) for p in psi] for d in e]  # dpsi[i][n] = e_i(psi_n)
         div = {}
         for A, B, C, Dp in itertools.product(_R2, repeat=4):
             val = F.K.zero
             for D, Ee in ((0, 1), (1, 0)):  # nabla^D_{D'} = eps^{DE} nabla_{E D'}
                 i = _SLOT[Ee, Dp]
-                nab = sum((E[i][a] * dpsi[A + B + C + D][a] for a in _R if E[i][a]), F.K.zero)
+                nab = dpsi[i][A + B + C + D]
                 for P in _R2:
                     nab -= (gu[i][A][P] * psi[P + B + C + D] + gu[i][B][P] * psi[A + P + C + D]
                             + gu[i][C][P] * psi[A + B + P + D] + gu[i][D][P] * psi[A + B + C + P])
