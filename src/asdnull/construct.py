@@ -37,6 +37,7 @@ from .spinor import (
     NullTetrad,
     classification_points,
     petrov_classify_samples,
+    _tetrad_metric,
     tetrad_ricci,
     weyl_spinors,
 )
@@ -129,7 +130,8 @@ def _built(chart: Chart, family: str, params: Mapping, more=None) -> tuple:
     """(field, tetrad, more(F, p, rows)): the family's inputs p folded once
     into a new field over the chart, the fibre and their trees, its coframe
     rows and what `more` adds computed there (Field.run).  g = theta^00'
-    theta^11' - theta^01' theta^10' is the coframe's symmetric product."""
+    theta^11' - theta^01' theta^10' is the coframe's symmetric product, its
+    upper triangle (`spinor._tetrad_metric`)."""
     trees = _trees(family, params)
     F = Field(chart.syms + (sp.Symbol(FIBRE),), trees.values())
 
@@ -139,9 +141,7 @@ def _built(chart: Chart, family: str, params: Mapping, more=None) -> tuple:
         return rows, more(F, p, rows) if more else None
 
     t, extra = F.run(compute)
-    g = Metric(chart, el=[[t[0][a] * t[3][b] + t[0][b] * t[3][a]
-                           - t[1][a] * t[2][b] - t[1][b] * t[2][a]
-                           for b in range(4)] for a in range(4)], field=F)
+    g = Metric(chart, el=_tetrad_metric(t), field=F)
     return F, NullTetrad(g, [OneForm(chart, el=row) for row in t]), extra
 
 

@@ -631,7 +631,8 @@ class Field:
 
     def element(self, n: sp.Expr):
         """The element equal to the normal form `n`, its gens read by sympy's
-        `sring`: the tree route that `fold` is checked against."""
+        `sring`: a tree's element for the exact routes (`Expr._element`), and
+        the tree route that `fold` is checked against."""
         ring, polys = sring(n.as_numer_denom(), domain=QQ)
         try:
             return self._placed(ring.symbols, polys)
@@ -763,7 +764,7 @@ class Field:
         """An Expr that holds el; its tree, el's view, is made on first read."""
         e = object.__new__(Expr)
         e._s = e._norm = None
-        e._el = el
+        e._el = e._exact = el
         return e
 
     # -- differentiation ------------------------------------------------------------
@@ -952,15 +953,16 @@ class Expr:
     An Expr made by a field (`Field.expr`) holds its element and makes its
     tree, the element's view, on first read of `sym` or `normal`.  A view is
     zero exactly when its element is, so `is_zero` proves such an Expr zero
-    without a tree."""
+    without a tree.  A tree gets an element only when an exact route asks for
+    one (`_element`)."""
 
-    __slots__ = ("_s", "_norm", "_el")
+    __slots__ = ("_s", "_norm", "_el", "_exact")
 
     def __init__(self, raw):
         if isinstance(raw, Expr):
-            self._s, self._norm, self._el = raw._s, raw._norm, raw._el
+            self._s, self._norm, self._el, self._exact = raw._s, raw._norm, raw._el, raw._exact
             return
-        self._el = None
+        self._el = self._exact = None
         if isinstance(raw, Fraction):
             self._s = sp.Rational(raw.numerator, raw.denominator)
         elif isinstance(raw, int):
@@ -999,6 +1001,15 @@ class Expr:
                 self._norm = n
         return self._norm
 
+    def _element(self) -> _El:
+        """The element the exact routes read: the one this Expr holds, or a
+        tree's normal form placed by `Field.element`, made on first call and
+        kept.  The normal form is memoized and is what the float routes
+        sample; a fold of the tree would normalize its kernel leaves again."""
+        if self._exact is None:
+            self._exact = Field().element(self.normal)
+        return self._exact
+
     def is_proven_zero(self) -> bool:
         if self._el is not None:
             return not self._el
@@ -1008,9 +1019,6 @@ class Expr:
 
     def free_symbols(self) -> set[str]:
         return {s.name for s in self.sym.free_symbols}
-
-    def has_kernels(self) -> bool:
-        return self.sym.has(*_KERNEL_CLASSES)
 
     def diff(self, var: "str | Expr", order: int = 1) -> "Expr":
         return differentiate(self, var, order)
@@ -1397,9 +1405,13 @@ def _poly_at(p, x: Mapping[int, int | Fraction]) -> Fraction:
     return Fraction(total, scale)
 
 
-def _subs_exact(s: sp.Expr, a: Assignment) -> sp.Expr:
-    subs = {sp.Symbol(k): sp.Rational(Fraction(v)) for k, v in a.items()}
-    return s.subs(subs, simultaneous=True)
+def _symbol_gens(el: _El) -> list | None:
+    """The indices of the gens el uses when every one is a symbol, so that el
+    lives in Q(x_1, ..., x_n); None when one is a kernel, E or an undefined
+    function."""
+    K = el.field
+    used = K.used(el)
+    return used if all(K.symbols[i].is_Symbol for i in used) else None
 
 
 # compiled float code: an evaluator keyed (tree, names) and a zero-test rule
@@ -1432,46 +1444,37 @@ def _normal_names(e: Expr) -> set[str]:
 
 
 def evaluate(e: Expr, a: Assignment | Mapping[str, Number]) -> Fraction | float:
-    """Exact rational result for kernel-free expressions at rational points;
-    float otherwise.
+    """Exact rational result at a rational point for an expression in
+    Q(x_1, ..., x_n); float otherwise.
 
-    An Expr that holds an element, at an exact point where every gen the
-    element uses is a symbol, is read from the element: c N(x) / prod
-    b_i(x)^e_i, each polynomial evaluated over Q and the denominator never
-    expanded.  The gens and the base are the element's own field's, which may
-    be older than the field that made it.  Every other case takes the tree
-    route on e itself, so the view it makes is kept."""
+    At an exact point where every gen e's element (`Expr._element`) uses is
+    a symbol: c N(x) / prod b_i(x)^e_i, each polynomial evaluated over Q and
+    the denominator never expanded, the gens and the base the element's own
+    field's (which may be older than the field that made it).  Every other
+    case (a kernel gen, E, an undefined function, a float point) takes the
+    compiled float route on e's normal form."""
     e = _as_expr(e)
     if not isinstance(a, Assignment):
         a = Assignment(a)
-    el = e.el
-    if el is not None and a.is_exact():
-        K = el.field
-        gens, used = K.symbols, K.used(el)
-        if all(gens[i].is_Symbol for i in used):
-            missing = {gens[i].name for i in used} - set(a)
+    if a.is_exact():
+        el = e._element()
+        used = _symbol_gens(el)
+        if used is not None:
+            K = el.field
+            missing = {K.symbols[i].name for i in used} - set(a)
             if missing:
                 raise EvalError(f"unassigned symbols: {sorted(missing)}")
-            x = {i: a[gens[i].name] for i in used}
+            x = {i: a[K.symbols[i].name] for i in used}
             den = Fraction(el.c.denominator)
             for i, k in el.e.items():
                 den *= _poly_at(K.base[i], x) ** k
             if not den:
                 raise EvalError("division by zero at the point")
             return el.c.numerator * _poly_at(el.num, x) / den
-    missing = _normal_names(e) - set(a)
+    names = tuple(sorted(_normal_names(e)))
+    missing = set(names) - set(a)
     if missing:
         raise EvalError(f"unassigned symbols: {sorted(missing)}")
-    if a.is_exact() and not e.has_kernels():
-        v = _subs_exact(e.normal, a)
-        if v.has(*_BAD):
-            raise EvalError("division by zero at the point")
-        if not v.is_Rational:
-            v = sp.cancel(v)
-        if not v.is_Rational:
-            raise EvalError(f"exact evaluation did not produce a rational: {v}")
-        return Fraction(int(v.p), int(v.q))
-    names = tuple(sorted(_normal_names(e)))
     fn = _compiled(e.normal, names)
     try:
         out = fn(*[float(a[n]) for n in names])
@@ -1590,7 +1593,8 @@ def _compiled_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Calla
     """is_zero's rule at one point, for a normal form's numerator terms and
     denominator terms over its sorted names: one generated function of the
     names' floats, kept in `_lambdify_cache`.  It returns None at a pole
-    (|den| < 1e-3 max(1, sum |den terms|)), else (value, magnitude), the
+    (|den| < 1e-3 max(1, sum |den terms|), or 1e-3 sum |den terms| for a
+    denominator with no symbol), else (value, magnitude), the
     numerator's sum and sum of |terms| over den and |den|; each sum runs
     left to right as `sum` does, and a term may raise a POINT_ERROR.  The
     loop over lambdified term tuples it replaces is
@@ -1632,9 +1636,12 @@ def _generate_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Calla
         src += [f"    {d} = {c}" for d, c in zip(dens, code[len(nums):])]
         src += [f"    _den = {' + '.join(dens)}",
                 f"    _dmag = {' + '.join(f'_abs({d})' for d in dens)}"]
-        # max(1.0, m), spelled out: m when m > 1.0, else 1.0, as max returns
-        src += ["    if _abs(_den) < 1e-3 * (_dmag if _dmag > 1.0 else 1.0):",
-                "        return None"]
+        # a denominator with no symbol takes the constant branch's floor, so
+        # sin(1/1000) is no pole; any other max(1.0, m), spelled out as max
+        # returns it
+        floor = ("_dmag" if not any(t.free_symbols for t in dterms)
+                 else "(_dmag if _dmag > 1.0 else 1.0)")
+        src += [f"    if _abs(_den) < 1e-3 * {floor}:", "        return None"]
     src += [f"    {t} = {c}" for t, c in zip(nums, code)]
     src += [f"    return ({' + '.join(nums)}) / {dval}, "
             f"({' + '.join(f'_abs({t})' for t in nums)}) / {dabs}"]
@@ -1643,24 +1650,10 @@ def _generate_rule(terms: tuple, dterms: tuple, names: tuple[str, ...]) -> Calla
     return out["_rule"]
 
 
-def _rational_tree(s: sp.Expr) -> bool:
-    """Whether a tree is built from symbols and rationals by +, * and integer
-    powers alone: no kernel, no other function, no constant such as E."""
-    if s.is_Symbol or s.is_Rational:
-        return True
-    if s.is_Add or s.is_Mul:
-        return all(map(_rational_tree, s.args))
-    return bool(s.is_Pow and s.exp.is_Integer and _rational_tree(s.base))
-
-
 def _kernel_free(e: Expr) -> bool:
-    """Whether e lives in Q(x_1, ..., x_n): an element whose used gens are all
-    symbols, or a tree whose normal form has no kernel."""
-    el = e.el
-    if el is not None:
-        gens = el.field.symbols
-        return all(gens[i].is_Symbol for i in el.field.used(el))
-    return _rational_tree(e.normal)
+    """Whether e lives in Q(x_1, ..., x_n): every gen its element
+    (`Expr._element`) uses is a symbol."""
+    return _symbol_gens(e._element()) is not None
 
 
 def _float(v: Fraction) -> float:
@@ -1698,11 +1691,11 @@ def is_zero(e: Expr, cfg: SampleConfig = SampleConfig()) -> Verdict:
     it is the witness of `nonzero`, and `sampled_zero` needs `count` regular
     points within 10 * count draws.
 
-    A kernel-free e (an element whose used gens are all symbols, or a tree
-    with no kernel) lives in Q(x_1, ..., x_n), where the normal form is
-    canonical (Henrici, J. ACM 3 (1956) 6-9): a nonzero one is a nonzero
-    function.  Where the sampler would read `sampled_zero` on it, or fail for
-    want of regular points, the verdict is `nonzero` at the first draw of the
+    A kernel-free e (its element, `Expr._element`, uses symbol gens alone)
+    lives in Q(x_1, ..., x_n), where the normal form is canonical (Henrici,
+    J. ACM 3 (1956) 6-9): a nonzero one is a nonzero function.  Where the
+    sampler would read `sampled_zero` on it, or fail for want of regular
+    points, the verdict is `nonzero` at the first draw of the
     same stream where e's exact denominator and value are nonzero, with the
     float of that exact value (`_exact_witness`).  A kernel-free constant is
     a nonzero rational and reads as itself.  Constants and expressions with

@@ -91,6 +91,14 @@ def _eps(a, b):
     return EPS[a][b]
 
 
+def _tetrad_metric(th) -> list:
+    """g = theta^00' theta^11' - theta^01' theta^10' symmetrized, from a
+    coframe's rows in slot order: g_ab for b >= a, None below the diagonal."""
+    s00, s01, s10, s11 = th
+    return [[None] * a + [s00[a] * s11[b] + s00[b] * s11[a] - s01[a] * s10[b] - s01[b] * s10[a]
+                          for b in range(a, 4)] for a in _R]
+
+
 class NullTetrad:
     """Coframe theta^{AA'} with dual frame; reconstructs g per the tetrad form.
 
@@ -134,17 +142,8 @@ class NullTetrad:
 
     def reconstruction_el(self) -> list:
         """theta theta - g on and above the diagonal, as field elements."""
-        th = self.field_el("theta")
-        gg = self.g.el
-        s00, s01, s10, s11 = (th[_SLOT[0, 0]], th[_SLOT[0, 1]],
-                              th[_SLOT[1, 0]], th[_SLOT[1, 1]])
-        out = []
-        for a in _R:
-            for b in range(a, 4):
-                rec = (s00[a] * s11[b] + s00[b] * s11[a]
-                       - s01[a] * s10[b] - s01[b] * s10[a])
-                out.append(rec - gg[a][b])
-        return out
+        rec, gg = _tetrad_metric(self.field_el("theta")), self.g.el
+        return [rec[a][b] - gg[a][b] for a in _R for b in range(a, 4)]
 
     def reconstruction_residuals(self) -> list[Expr]:
         return [self.g.field.expr(r) for r in self.reconstruction_el()]
@@ -729,23 +728,31 @@ def _solve_gradient_candidate(F: Field, psi, div: dict, i_inv, u: dict, cfg: Sam
     field elements in and out."""
     if not is_zero(F.expr(i_inv), cfg).is_zero():
         return {k: 2 * val / i_inv for k, val in u.items()}
-    # I = 0 (type III): pick an invertible 2x2 row minor of the 4x2 system
+    # I = 0 (type III): the 4x2 system Psi_{ABCD} Ups^D_{D'}, one b per D'
     rows = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
-    for r1, r2 in itertools.combinations(rows, 2):
-        n1, n2 = sum(r1), sum(r2)
-        det = psi[n1] * psi[n2 + 1] - psi[n1 + 1] * psi[n2]
-        if not det or is_zero(F.expr(det), cfg).is_zero():
+    solved = _minor_solve([[psi[sum(r) + D] for r in rows] for D in _R2],
+                          [[div[(*r, Dp)] for r in rows] for Dp in _R2], cfg)
+    if solved is None:
+        raise ExprError("no invertible minor: cannot solve for the gradient candidate")
+    sols, verdict = solved
+    if not verdict.is_zero():
+        raise ExprError("gradient candidate solve is inconsistent")
+    return {(D, Dp): sols[Dp][D] for Dp in _R2 for D in _R2}
+
+
+def _minor_solve(cols: list, rhs: list, cfg: SampleConfig):
+    """(an (x0, x1) per right-hand side b, the zero test of b - M x on every
+    row) for M the n x 2 matrix of columns `cols`: Cramer's rule on the first
+    row pair whose 2x2 minor is nonzero (not the zero element, and read
+    `nonzero`); None when no minor is."""
+    M0, M1 = cols
+    for i, j in itertools.combinations(range(len(M0)), 2):
+        det = M0[i] * M1[j] - M0[j] * M1[i]
+        if not det or is_zero(Field.expr(det), cfg).kind != "nonzero":
             continue
-        ups = {}
-        for Dp in _R2:
-            b1, b2 = div[(*r1, Dp)], div[(*r2, Dp)]
-            ups[(0, Dp)] = (b1 * psi[n2 + 1] - b2 * psi[n1 + 1]) / det
-            ups[(1, Dp)] = (psi[n1] * b2 - psi[n2] * b1) / det
-        # consistency on the remaining rows
-        for r in rows:
-            for Dp in _R2:
-                res = sum(psi[sum(r) + D] * ups[(D, Dp)] for D in _R2) - div[(*r, Dp)]
-                if not is_zero(F.expr(res), cfg).is_zero():
-                    raise ExprError("gradient candidate solve is inconsistent")
-        return ups
-    raise ExprError("no invertible minor: cannot solve for the gradient candidate")
+        sols = [((b[i] * M1[j] - b[j] * M1[i]) / det, (M0[i] * b[j] - M0[j] * b[i]) / det)
+                for b in rhs]
+        residuals = [Field.expr(b[k] - x0 * M0[k] - x1 * M1[k])
+                     for k in range(len(M0)) for b, (x0, x1) in zip(rhs, sols)]
+        return sols, is_zero_all(residuals, cfg)
+    return None

@@ -21,11 +21,9 @@ from .expr import (
     SampleConfig,
     Verdict,
     _compiled,
-    is_zero,
-    is_zero_all,
     random_points,
 )
-from .spinor import _killing_spinors, _spin_coefficients, _SLOT, _eps, _R2
+from .spinor import _killing_spinors, _minor_solve, _spin_coefficients, _SLOT, _eps, _R2
 from .tensor import FIBRE, _memo, _vector_el
 
 __all__ = [
@@ -119,18 +117,13 @@ def solve_in_span(vars_names, target, fields, cfg: SampleConfig = SampleConfig()
 
 
 def _solve_in_span(F: Field, vars_names, b, cols, cfg: SampleConfig) -> SpanSolve:
-    n = len(b)
     m = len(cols)
     if m != 2:
         raise ExprError("span solve implemented for two fields")
-    for i, j in itertools.combinations(range(n), 2):
-        det = cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i]
-        if not det or is_zero(F.expr(det), cfg).kind != "nonzero":
-            continue
-        c0 = (b[i] * cols[1][j] - b[j] * cols[1][i]) / det
-        c1 = (cols[0][i] * b[j] - cols[0][j] * b[i]) / det
-        residuals = [F.expr(b[k] - c0 * cols[0][k] - c1 * cols[1][k]) for k in range(n)]
-        return SpanSolve((F.expr(c0), F.expr(c1)), is_zero_all(residuals, cfg), "symbolic")
+    solved = _minor_solve(cols, [b], cfg)
+    if solved is not None:
+        ((c0, c1),), verdict = solved
+        return SpanSolve((F.expr(c0), F.expr(c1)), verdict, "symbolic")
     # numeric fallback: pointwise least squares at seeded sample points (numpy
     # is imported here, after the minors, so an exact solve never loads it)
     import numpy as np

@@ -117,11 +117,11 @@ MUTANTS = (
            "return self._fold(s.base) ** int(s.exp)",
            "return self._fold(s.base) ** abs(int(s.exp))",
            ("tests/test_expr.py::test_conversion_matches_normalize_on_random_trees",)),
-    Mutant("coframe_metric_sign", "src/asdnull/construct.py",
-           "- t[1][a] * t[2][b] - t[1][b] * t[2][a]",
-           "+ t[1][a] * t[2][b] + t[1][b] * t[2][a]",
+    Mutant("coframe_metric_sign", "src/asdnull/spinor.py",
+           "- s01[a] * s10[b] - s01[b] * s10[a]",
+           "+ s01[a] * s10[b] + s01[b] * s10[a]",
            ("tests/test_construct.py::test_flat_builder",
-            "tests/test_construct.py::test_nontwisting_determined_coefficient")),
+            "tests/test_construct.py::test_builders_match_tree_oracle")),
     Mutant("zero_element_invertible", "src/asdnull/expr.py",
            "self.zero = _El(self, _Q(0), R.zero, {})",
            "self.zero = _El(self, _Q(1), R.zero, {})",
@@ -446,6 +446,10 @@ MUTANTS = (
            ("tests/test_expr.py::test_kernel_free_nonzero_reads_nonzero",
             "tests/test_expr.py::test_exact_witness_skips_draws_where_the_value_vanishes",
             "tests/test_cli.py::test_curvature_of_a_small_nonzero_ricci_tensor_exits_1")),
+    Mutant("kernel_free_reads_every_gen", "src/asdnull/expr.py",
+           "    used = K.used(el)\n",
+           "    used = list(range(K.ngens))\n",
+           ("tests/test_expr.py::test_kernel_free_nonzero_reads_nonzero",)),
     Mutant("exact_witness_where_value_vanishes", "src/asdnull/expr.py",
            "        if exact:\n",
            "        if exact is not None:\n",
@@ -459,10 +463,13 @@ MUTANTS = (
             "tests/test_expr.py::test_zero_test_rule_matches_the_loop_oracle")),
     # the rule is_zero generates for a normal form, and its memo
     Mutant("sampler_pole_rule_dropped", "src/asdnull/expr.py",
-           "        src += [\"    if _abs(_den) < 1e-3 * (_dmag if _dmag > 1.0 else 1.0):\",\n"
-           "                \"        return None\"]\n",
+           "        src += [f\"    if _abs(_den) < 1e-3 * {floor}:\", \"        return None\"]\n",
            "",
            ("tests/test_expr.py::test_zero_test_rule_matches_the_loop_oracle",)),
+    Mutant("constant_denominator_floor_absolute", "src/asdnull/expr.py",
+           "floor = (\"_dmag\" if not any(",
+           "floor = (\"(_dmag if _dmag > 1.0 else 1.0)\" if not any(",
+           ("tests/test_expr.py::test_symbol_free_small_denominator_reads_nonzero",)),
     Mutant("sampler_magnitude_unsigned_abs", "src/asdnull/expr.py",
            "f\"({' + '.join(f'_abs({t})' for t in nums)}) / {dabs}\"",
            "f\"({' + '.join(nums)}) / {dabs}\"",

@@ -82,7 +82,7 @@ def loop_is_zero(e, cfg: SampleConfig = SampleConfig()) -> Verdict:
         tvals = [float(t.evalf()) for t in terms]
         dvals = [float(t.evalf()) for t in dterms]
         dval = float(sum(dvals))
-        if abs(dval) < 1e-3 * max(1.0, sum(map(abs, dvals))):
+        if not dval or abs(dval) < 1e-3 * sum(map(abs, dvals)):
             raise ExprError("sampling failed: the denominator of a constant is numerically 0")
         value = sum(tvals) / dval
         mag = sum(abs(t) for t in tvals) / abs(dval)
@@ -90,6 +90,8 @@ def loop_is_zero(e, cfg: SampleConfig = SampleConfig()) -> Verdict:
             return Verdict.sampled()
         return Verdict.nonzero(Assignment(), float(value))
     args = [sp.Symbol(m) for m in names]
+    # a denominator with no symbol: a floor relative to its own terms
+    relative = not any(t.free_symbols for t in dterms)
     fnum = sp.lambdify(args, sp.Tuple(*terms), modules="math")
     fden = sp.lambdify(args, sp.Tuple(*dterms), modules="math")
     draws = expr_module._draws(len(names), cfg.seed)
@@ -103,7 +105,7 @@ def loop_is_zero(e, cfg: SampleConfig = SampleConfig()) -> Verdict:
             dparts = fden(*vals)
             dval = sum(dparts)
             dmag = sum(map(abs, dparts))
-            if abs(dval) < 1e-3 * max(1.0, dmag):
+            if abs(dval) < 1e-3 * (dmag if relative else max(1.0, dmag)):
                 continue
             parts = fnum(*vals)
             value = sum(parts) / dval
@@ -121,6 +123,32 @@ def loop_is_zero(e, cfg: SampleConfig = SampleConfig()) -> Verdict:
         raise ExprError(f"sampling failed: could not find {cfg.count} regular points "
                         f"in {max_attempts} attempts")
     return Verdict.sampled()
+
+
+# -- exact evaluation ----------------------------------------------------------------
+
+
+def tree_evaluate(s: sp.Expr, a) -> Fraction | float:
+    """`expr.evaluate` by sympy on the tree: at an exact point, the rationals
+    substituted into the normal form (`subs`) and the result cancelled; a
+    normal form with a kernel, a value that is not rational (E, an undefined
+    function) and a float point take evaluate's float route.  The package
+    reads every exact point from a field element instead."""
+    a = Assignment(a)
+    n = normalize(s)
+    missing = {x.name for x in n.free_symbols} - set(a)
+    if missing:
+        raise EvalError(f"unassigned symbols: {sorted(missing)}")
+    if a.is_exact() and not n.has(*expr_module._KERNEL_CLASSES):
+        v = n.subs({sp.Symbol(k): sp.Rational(Fraction(x)) for k, x in a.items()},
+                   simultaneous=True)
+        if v.has(*expr_module._BAD):
+            raise EvalError("division by zero at the point")
+        if not v.is_Rational:
+            v = sp.cancel(v)
+        if v.is_Rational:
+            return Fraction(int(v.p), int(v.q))
+    return evaluate(Expr(n), {k: float(x) for k, x in a.items()})
 
 
 # -- the Petrov quartic ------------------------------------------------------------

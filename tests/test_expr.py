@@ -142,6 +142,40 @@ def test_evaluate_exact():
     assert abs(v - 1.0) < 1e-15
 
 
+def test_exact_evaluation_reads_e_as_a_kernel_gen():
+    """E is exp(1), a kernel gen of the field: at an exact point exp(1)*x
+    takes the float route, as it does at a float point, and as exp(2)*x
+    does; it is no rational, so not kernel-free."""
+    e = parse("exp(1)*x")
+    assert evaluate(e, {"x": 1}) == evaluate(e, {"x": 1.0}) == math.e
+    assert evaluate(parse("exp(2)*x"), {"x": 1}) == math.exp(2)
+    assert not expr_module._kernel_free(e)
+    v = evaluate(parse("exp(1)"), {})
+    assert type(v) is float and v == math.e
+
+
+def test_a_tree_gets_its_element_only_on_an_exact_route(monkeypatch):
+    """A tree's field element (`Expr._element`) is made by evaluate at an
+    exact point and by the kernel-free test that follows sampling, once per
+    Expr; a zero test that its early checks or its samples decide, and a
+    float evaluation, make none."""
+    made = []
+    element = Field.element
+    monkeypatch.setattr(Field, "element", lambda F, n: made.append(n) or element(F, n))
+    assert is_zero(parse("x*y - 1"), CFG).kind == "nonzero"
+    assert is_zero(parse("x - x"), CFG).kind == "proven_zero"
+    assert is_zero(parse("2/3"), CFG).kind == "nonzero"
+    assert evaluate(parse("x/y"), {"x": 1.5, "y": 2}) == 0.75
+    assert not made
+    e = parse("x/y")
+    assert evaluate(e, {"x": 1, "y": 2}) == evaluate(e, {"x": 3, "y": 6}) == Fraction(1, 2)
+    assert len(made) == 1
+    identity = parse("sin(x)^2 + cos(x)^2 - 1")
+    for _ in range(2):
+        assert is_zero(identity, CFG).kind == "sampled_zero"
+    assert len(made) == 2
+
+
 def test_evaluate_errors():
     with pytest.raises(EvalError):
         evaluate(parse("1/x"), {"x": 0})
@@ -270,6 +304,23 @@ def test_is_zero_of_a_constant_over_a_small_denominator_is_nonzero():
         is_zero(parse("1/(sin(1)^2 + cos(1)^2 - 1)"), CFG)
 
 
+def test_symbol_free_small_denominator_reads_nonzero():
+    """A denominator with no symbol takes the same floor as a constant's,
+    relative to its own terms: x/sin(1/1000) reads nonzero at the stream's
+    first draw, as the loop oracle does, while a denominator whose terms
+    cancel to about 0 still fails in both."""
+    e = parse("x/sin(1/1000)")
+    v = is_zero(e, CFG)
+    assert (v.kind, v.witness) == ("nonzero", {"x": Fraction(25, 27)})
+    assert v.value == pytest.approx(25 / 27 / math.sin(1 / 1000), rel=1e-12)
+    assert loop_is_zero(e, CFG) == v
+    assert loop_is_zero(parse("1/sin(1/1000)"), CFG) == is_zero(parse("1/sin(1/1000)"), CFG)
+    for text in ("1/(sin(1)^2 + cos(1)^2 - 1)", "x/(sin(1)^2 + cos(1)^2 - 1)"):
+        for zero_test in (is_zero, loop_is_zero):
+            with pytest.raises(ExprError, match="sampling failed"):
+                zero_test(parse(text), CFG)
+
+
 def test_sampling_an_undefined_function_is_a_typed_error():
     """A builder's undefined input enters the field as a gen, and so do its
     derivatives; no float rule can evaluate them, so a zero test that would
@@ -307,6 +358,14 @@ def test_kernel_free_nonzero_reads_nonzero():
     assert (v.kind, v.witness, v.value) == ("nonzero", {"x": first["x"]}, math.inf)
     # the kernel identity keeps the float rule
     assert is_zero(parse("sin(x*y)^2 + cos(x*y)^2 - 1"), CFG).kind == "sampled_zero"
+    # kernel-free reads the gens an element uses, not every gen of its field
+    # (sin(y) here), and a tree's kernels that cancel are no gens
+    x, y = sp.symbols("x y")
+    F = Field([x, y], [sp.sin(y)])
+    for e in (F.expr(F.fold(x / 10**12)), parse("(x + sin(y) - sin(y))/10^12")):
+        v = is_zero(e, CFG)
+        assert (v.kind, v.witness) == ("nonzero", {"x": first["x"]}), e
+        assert v.value == float(first["x"] / 10**12)
 
 
 def test_exact_witness_skips_draws_where_the_value_vanishes():
@@ -1229,13 +1288,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "asdnull"
 
 # the functions that may normalize a sympy tree: the field's leaves, the Expr
 # boundary (its normal form and the zero checks of powers and the parser),
-# exact evaluation, and the ODE the geodesic integrator compiles; inputs
-# enter a field by folding (Field.fold, Field.convert), and the tree oracles
-# live in tests/oracles.py
+# and the ODE the geodesic integrator compiles; inputs enter a field by
+# folding (Field.fold, Field.convert), exact evaluation reads a field element
+# (Expr._element), and the tree oracles live in tests/oracles.py
 NORMALIZING = {
     "expr.normalize", "expr.Field._leaf",
     "expr.Expr.normal", "expr.Expr.__pow__", "expr._Parser.power",
-    "expr.evaluate", "projective.ProjectiveStructure._spray_fn",
+    "projective.ProjectiveStructure._spray_fn",
 }
 
 # the functions that may differentiate a sympy tree: the field's derivation of

@@ -13,7 +13,6 @@ import sympy as sp
 from asdnull.cli import load_model
 from asdnull.expr import (
     Assignment,
-    EvalError,
     Expr,
     ExprError,
     Field,
@@ -77,6 +76,7 @@ from oracles import (
     recompose_two_form,
     spin_coefficient_residuals,
     tree_frame_connection,
+    tree_evaluate,
     tree_killing,
     tree_ricci,
     tree_scalar_curvature,
@@ -348,19 +348,19 @@ def test_petrov_conformally_invariant(betazero_a2x_bg):
 
 
 def _outcome(fn):
-    """(type, repr) of fn()'s value, or its EvalError's message."""
+    """(type, repr) of fn()'s value, or its ExprError's type and message."""
     try:
         v = fn()
-    except EvalError as ex:
-        return "EvalError", str(ex)
+    except ExprError as ex:
+        return type(ex).__name__, str(ex)
     return type(v).__name__, repr(v)
 
 
 def _both_routes(F, el, at):
-    """evaluate of an Expr holding the element and of an Expr holding only its
-    view, which takes the tree route, each an outcome."""
+    """evaluate of an Expr holding the element and the tree route's value of
+    its view (`oracles.tree_evaluate`), each an outcome."""
     return (_outcome(lambda: evaluate(F.expr(el), at)),
-            _outcome(lambda: evaluate(Expr(F.view(el)), at)))
+            _outcome(lambda: tree_evaluate(F.view(el), at)))
 
 
 def test_field_evaluation_matches_tree_route(corpus):
@@ -386,7 +386,9 @@ def test_field_evaluation_matches_tree_route(corpus):
 
 def test_field_evaluation_edges(sparling_uv_bg, twisting_exp_bg):
     """A pole, a missing symbol, a kernel gen and an undefined function give
-    the tree route's message or float."""
+    the tree route's message or float; an undefined function's derivative
+    has no value at an exact point either, and is named as the float route
+    names it."""
     cu, _ = weyl_spinors(sparling_uv_bg.g, sparling_uv_bg.tet)
     pole = Assignment({"T": 1, "X": 1, "Y": 2, "Z": 2})  # T Y = X Z
     seen = set()
@@ -405,7 +407,8 @@ def test_field_evaluation_edges(sparling_uv_bg, twisting_exp_bg):
     bg = build_nontwisting(0, Expr(a2), 0, 0, 0, 0)
     cu, _ = weyl_spinors(bg.g, bg.tet)
     new, old = _both_routes(cu.field, cu.el[3], PT)
-    assert new == old and new[0] == "EvalError", new
+    assert new == old and new[0] == "ExprError", new
+    assert new[1].startswith("cannot sample Derivative(a2(x, y), x): "), new
 
 
 def test_field_evaluation_of_an_element_older_than_its_field(monkeypatch):
